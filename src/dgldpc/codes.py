@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .binmat import BinaryMatrix, InvalidSelectionError, rank
+from .binmat import BinaryMatrix, InvalidSelectionError, rank, rank_of_bitrows
 
 MAX_BRUTEFORCE_DIMENSION = 24
 
@@ -134,16 +134,6 @@ def _subset_rank_sums(columns: list[int], acc: list[int], base: int) -> None:
     walk(0, 0, 0)
 
 
-def _rank_of_columns(columns: list[int]) -> int:
-    basis: list[int] = []
-    for col in columns:
-        for b in basis:
-            col = min(col, col ^ b)
-        if col:
-            basis.append(col)
-    return len(basis)
-
-
 @lru_cache(maxsize=None)
 def info_functions(code: ComponentCode) -> InfoFunctionTable:
     """Exact information function table for g = 0..n.
@@ -197,7 +187,7 @@ def split_info_row(code: ComponentCode, g: int) -> tuple[int, ...]:
         for t_mask in range(1 << k):
             h = t_mask.bit_count()
             keep = ~t_mask
-            row[h] += h + _rank_of_columns([c & keep for c in chosen])
+            row[h] += h + rank_of_bitrows([c & keep for c in chosen])
     return tuple(row)
 
 
@@ -230,9 +220,14 @@ def min_distance_bruteforce(code: ComponentCode) -> int:
     return best
 
 
-def _removal_keeps_rank(cols: list[int], removed: tuple[int, ...], k: int) -> bool:
-    remaining = [c for j, c in enumerate(cols) if j not in removed]
-    return _rank_of_columns(remaining) == k
+def _smallest_rank_drop(gen: BinaryMatrix, limit: int) -> int | None:
+    """Smallest s <= limit such that removing some s columns drops the rank."""
+    cols = gen.columns()
+    for s in range(1, min(limit, gen.cols) + 1):
+        for removed in combinations(range(gen.cols), s):
+            if rank_of_bitrows(c for j, c in enumerate(cols) if j not in removed) < gen.rows:
+                return s
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -243,13 +238,7 @@ def min_independent_set_size(code: ComponentCode) -> int:
     equals the code minimum distance for every linear code, but is computed
     without enumerating codewords.
     """
-    n, k = code.n, code.k
-    cols = code.gen.columns()
-    for t in range(1, n + 1):
-        for removed in combinations(range(n), t):
-            if not _removal_keeps_rank(cols, removed, k):
-                return t
-    raise AssertionError("full-rank matrix must lose rank when all columns are removed")
+    return _smallest_rank_drop(code.gen, code.n)
 
 
 def rank_drop_of_removal(code: ComponentCode, removed) -> int:
@@ -260,7 +249,7 @@ def rank_drop_of_removal(code: ComponentCode, removed) -> int:
             raise InvalidSelectionError(f"column index {j} out of range for {code.n} columns")
     cols = code.gen.columns()
     remaining = [c for j, c in enumerate(cols) if j not in removed_set]
-    return code.k - _rank_of_columns(remaining)
+    return code.k - rank_of_bitrows(remaining)
 
 
 def min_distance_at_least(gen: BinaryMatrix, t: int) -> bool:
@@ -271,15 +260,7 @@ def min_distance_at_least(gen: BinaryMatrix, t: int) -> bool:
     d_min >= 2 / >= 3 classifications where codeword enumeration would be
     unnecessary.  gen must have full row rank.
     """
-    k = gen.rows
-    cols = gen.columns()
-    for s in range(1, t):
-        if s > gen.cols:
-            break
-        for removed in combinations(range(gen.cols), s):
-            if not _removal_keeps_rank(cols, removed, k):
-                return False
-    return True
+    return _smallest_rank_drop(gen, t - 1) is None
 
 
 @lru_cache(maxsize=None)

@@ -15,9 +15,9 @@ EXIT implementation bug and raises.
 The threshold is located by bisecting q over [0, 1] on the success of
 this recursion.  Near ensembles whose threshold coincides with the
 stability bound the recursion converges sub-geometrically, so the success
-boundary observed under a finite iteration cap sits slightly below the
-true threshold; the default cap of 100000 keeps that bias below ~4e-5 for
-the worst supported cases (at 20000 it is ~2e-4).
+boundary observed under a finite iteration cap sits below the true
+threshold.  At the default cap of 100000 the acceptance fixtures F8 and
+F10 land 1.1e-4 and 7.1e-5 below their stability boundaries.
 """
 
 from __future__ import annotations

@@ -67,6 +67,10 @@ class Ensemble:
     variable_types: tuple[NodeType, ...]
     check_types: tuple[NodeType, ...]
 
+    def types(self, side: str) -> tuple[NodeType, ...]:
+        """The node types of side "variable" or "check"."""
+        return self.variable_types if side == "variable" else self.check_types
+
 
 @lru_cache(maxsize=None)
 def component_code(node: NodeType) -> ComponentCode:
@@ -88,14 +92,9 @@ def node_min_distance_at_least(node: NodeType, t: int) -> bool:
     return min_distance_at_least(node.generator, t)
 
 
-def is_generalized_variable(node: NodeType) -> bool:
-    """Variable-side types other than repetition are generalized nodes."""
-    return node.kind != "repetition"
-
-
-def is_generalized_check(node: NodeType) -> bool:
-    """Check-side types other than SPC are generalized nodes."""
-    return node.kind != "spc"
+def is_generalized(node: NodeType, side: str) -> bool:
+    """All but repetition variable nodes and SPC check nodes are generalized."""
+    return node.kind != ("repetition" if side == "variable" else "spc")
 
 
 def _node_signature(node: NodeType):
@@ -158,37 +157,6 @@ def validate(ens: Ensemble) -> Ensemble:
     """
     _validate_cached(ens)
     return ens
-
-
-def repetition_fractions(ens: Ensemble) -> dict[int, float]:
-    """Edge fraction per repetition length on the variable side."""
-    out: dict[int, float] = {}
-    for t in ens.variable_types:
-        if t.kind == "repetition":
-            out[t.length] = out.get(t.length, 0.0) + t.edge_fraction
-    return out
-
-
-def spc_fractions(ens: Ensemble) -> dict[int, float]:
-    """Edge fraction per SPC length on the check side."""
-    out: dict[int, float] = {}
-    for t in ens.check_types:
-        if t.kind == "spc":
-            out[t.length] = out.get(t.length, 0.0) + t.edge_fraction
-    return out
-
-
-def lambda2(ens: Ensemble) -> float:
-    """Edge fraction of length-2 repetition variable nodes."""
-    return repetition_fractions(ens).get(2, 0.0)
-
-
-def rho_spc_derivative_at_one(ens: Ensemble) -> Fraction:
-    """Exact derivative at x=1 of the SPC edge polynomial sum rho_j x^(j-1)."""
-    total = Fraction(0)
-    for j, f in spc_fractions(ens).items():
-        total += Fraction(f) * (j - 1)
-    return total
 
 
 def design_rate(ens: Ensemble) -> float:

@@ -1,25 +1,32 @@
 """Exact EXIT functions on the binary erasure channel.
 
-Extrinsic mutual information is evaluated from exact integer coefficient
-tables derived from the (split) information functions; only the final
-polynomial evaluation is floating point.  The a-priori input is an erasure
+Every EXIT function is one exact polynomial in Bernstein form (see
+ExitPolynomial): per node type, from the integer coefficient tables of
+the (split) information functions or from the repetition / SPC closed
+forms, and per ensemble side, as the edge-fraction mixture of those.  Only
+bernstein_eval is floating point.  The a-priori input is an erasure
 probability p with I_A = 1 - p, and variable nodes additionally see the
-communication channel erasure probability q.
-
-The per-term weights p^t (1-p)^(n-1-t) are built from running products so
-that the boundary points p = 0 and p = 1 evaluate exactly.  The functions
-do not range-check p or q: the polynomials are defined everywhere, which
-lets finite-difference probes straddle p = 0.
+communication channel erasure probability q.  Stability reads the slopes
+at p = 0 off row t = 1 (node_slope_row, mixture_slope_row).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from fractions import Fraction
+from functools import cached_property, lru_cache
+from math import comb
+from typing import Callable, Sequence
 
-from .codes import ComponentCode, info_functions, split_info_functions
-from .ensembles import Ensemble, component_code, validate
+from .codes import ComponentCode, delta_params, info_functions, split_info_functions
+from .ensembles import (
+    Ensemble,
+    NodeType,
+    component_code,
+    is_generalized,
+    node_min_distance_at_least,
+    validate,
+)
 
 MONOTONICITY_GRID = 1024
 INVERSION_STEPS = 60
@@ -59,30 +66,138 @@ def exit_coefficients(code: ComponentCode) -> ExitCoefficients:
     return ExitCoefficients(check, variable)
 
 
-def _bernoulli_weights(p: float, count: int) -> list[float]:
-    """Weights w_t = p^t (1-p)^(count-1-t) for t = 0..count-1.
+@dataclass(frozen=True)
+class ExitPolynomial:
+    """Exact EXIT polynomial of a node type or of one side of an ensemble.
 
-    Built from running products so p = 0 and p = 1 stay exact.
+    1 - I_E(p, q) = sum_t sum_z c[t][z] p^t (1-p)^(d-t) q^z (1-q)^(K-z)
+    with Fraction coefficients c = coeffs, d = len(coeffs) - 1 and
+    K = len(coeffs[0]) - 1.  K = 0 on the check side, where q does not
+    enter.  Row t = 1 carries the slope at p = 0: every valid node has
+    d_min >= 2, so c[0] = 0 and d(1 - I_E)/dp at p = 0 is row 1 summed in q.
     """
-    w = [1.0] * count
-    acc = 1.0
-    for t in range(1, count):
-        acc *= p
-        w[t] = acc
-    u = 1.0 - p
-    acc = 1.0
-    for t in range(count - 2, -1, -1):
-        acc *= u
-        w[t] *= acc
-    return w
+
+    coeffs: tuple[tuple[Fraction, ...], ...]
+
+    @cached_property
+    def floats(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(tuple(float(c) for c in row) for row in self.coeffs)
+
+    def at_q(self, q: float = 1.0) -> Callable[[float], float]:
+        """p -> I_E at channel erasure q; the q-sums collapse once here."""
+        rows = tuple(bernstein_eval(row, q) for row in self.floats)
+        return lambda p: 1.0 - bernstein_eval(rows, p)
+
+
+def bernstein_eval(c: Sequence[float], x: float) -> float:
+    """sum_t c[t] x^t (1-x)^(d-t) with d = len(c) - 1.
+
+    Horner in x/(1-x), mirrored to (1-x)/x above x = 1/2, so x = 0 and
+    x = 1 are exact and nonnegative coefficients never cancel.  Defined
+    for every x, which lets finite-difference probes straddle x = 0.
+    """
+    u = 1.0 - x
+    acc = 0.0
+    if x <= 0.5:
+        r = x / u
+        for ct in reversed(c):
+            acc = acc * r + ct
+        return acc * u ** (len(c) - 1)
+    r = u / x
+    for ct in c:
+        acc = acc * r + ct
+    return acc * x ** (len(c) - 1)
+
+
+def _elevate(c: Sequence[Fraction], degree: int) -> list[Fraction]:
+    """Bernstein coefficients of the same polynomial at a higher degree."""
+    extra = degree + 1 - len(c)
+    out = [Fraction(0)] * (degree + 1)
+    for t, ct in enumerate(c):
+        if ct:
+            for i in range(extra + 1):
+                out[t + i] += ct * comb(extra, i)
+    return out
+
+
+def _mix(parts) -> ExitPolynomial:
+    """Weighted sum of (weight, coeffs) pairs, elevated to a common (d, K)."""
+    d = max(len(rows) for _, rows in parts) - 1
+    k = max(len(rows[0]) for _, rows in parts) - 1
+    total = [[Fraction(0)] * (k + 1) for _ in range(d + 1)]
+    for weight, rows in parts:
+        columns = zip(*(_elevate(row, k) for row in rows))
+        for z, column in enumerate(columns):
+            for t, c in enumerate(_elevate(column, d)):
+                total[t][z] += weight * c
+    return ExitPolynomial(tuple(map(tuple, total)))
+
+
+@lru_cache(maxsize=None)
+def code_polynomial(code: ComponentCode, side: str) -> ExitPolynomial:
+    """A generalized node's polynomial, c[t][z] = a_t[z] / n; side is "variable" or "check"."""
+    coeffs = exit_coefficients(code)
+    rows = coeffs.variable_terms if side == "variable" else [(a,) for a in coeffs.check_terms]
+    return ExitPolynomial(tuple(tuple(Fraction(a, code.n) for a in row) for row in rows))
+
+
+@lru_cache(maxsize=None)
+def node_polynomial(node: NodeType, side: str) -> ExitPolynomial:
+    """A node type's polynomial on the given side.
+
+    Closed forms need no enumeration: a repetition(j) variable node has
+    1 - I_E = q p^(j-1), an SPC(j) check node 1 - (1-p)^(j-1).
+    """
+    if is_generalized(node, side):
+        return code_polynomial(component_code(node), side)
+    d = node.length - 1
+    if side == "variable":
+        return ExitPolynomial(tuple((Fraction(0), Fraction(t == d)) for t in range(d + 1)))
+    return ExitPolynomial(tuple((Fraction(comb(d, t) if t else 0),) for t in range(d + 1)))
+
+
+@lru_cache(maxsize=None)
+def mixture_polynomial(ens: Ensemble, side: str) -> ExitPolynomial:
+    """The edge-fraction mixture of one side's node polynomials."""
+    validate(ens)
+    return _mix(
+        [(Fraction(t.edge_fraction), node_polynomial(t, side).coeffs) for t in ens.types(side)]
+    )
+
+
+@lru_cache(maxsize=None)
+def node_slope_row(node: NodeType, side: str) -> tuple[Fraction, ...]:
+    """Row t = 1 of the node polynomial, without building the whole table.
+
+    A generalized node's row is 2 Delta_{n-2}[z] / n from delta_params
+    (C(n,2) 2^k subset walks instead of 2^(n+k)), and zero when d_min >= 3.
+    """
+    if not is_generalized(node, side):
+        return node_polynomial(node, side).coeffs[1]
+    code = component_code(node)
+    if node_min_distance_at_least(node, 3):
+        deltas = (0,) * (code.k + 1 if side == "variable" else 1)
+    else:
+        params = delta_params(code)
+        deltas = params.delta_n2_kz if side == "variable" else (params.delta_n2,)
+    return tuple(Fraction(2 * x, code.n) for x in deltas)
+
+
+@lru_cache(maxsize=None)
+def mixture_slope_row(ens: Ensemble, side: str) -> tuple[Fraction, ...]:
+    """Row t = 1 of mixture_polynomial(ens, side), from the node slope rows.
+
+    Elevation in p leaves row 1 unchanged because c[0] = 0 for every
+    node, so the rows mix as one-row polynomials.
+    """
+    validate(ens)
+    parts = [(Fraction(t.edge_fraction), (node_slope_row(t, side),)) for t in ens.types(side)]
+    return _mix(parts).coeffs[0]
 
 
 def exit_check_generic(code: ComponentCode, p: float) -> float:
     """Extrinsic information of a generalized check node at erasure p."""
-    n = code.n
-    a = exit_coefficients(code).check_terms
-    w = _bernoulli_weights(p, n)
-    return 1.0 - sum(a[t] * w[t] for t in range(n)) / n
+    return code_polynomial(code, "check").at_q()(p)
 
 
 def exit_variable_generic(code: ComponentCode, p: float, q: float) -> float:
@@ -90,130 +205,23 @@ def exit_variable_generic(code: ComponentCode, p: float, q: float) -> float:
 
     At q = 1 (no channel observation) this reduces to the check-node form.
     """
-    n, k = code.n, code.k
-    a = exit_coefficients(code).variable_terms
-    w = _bernoulli_weights(p, n)
-    v = _bernoulli_weights(q, k + 1)  # v[z] = q^z (1-q)^(k-z)
-    total = 0.0
-    for t in range(n):
-        row = a[t]
-        inner = 0.0
-        for z in range(k + 1):
-            inner += row[z] * v[z]
-        total += inner * w[t]
-    return 1.0 - total / n
-
-
-def _variable_type_terms(ens: Ensemble):
-    rep_terms: list[tuple[float, int]] = []
-    gen_terms: list[tuple[float, int, int, tuple[tuple[int, ...], ...]]] = []
-    for t in ens.variable_types:
-        if t.kind == "repetition":
-            rep_terms.append((t.edge_fraction, t.length))
-        else:
-            code = component_code(t)
-            coeffs = exit_coefficients(code).variable_terms
-            gen_terms.append((t.edge_fraction, code.n, code.k, coeffs))
-    return rep_terms, gen_terms
-
-
-@lru_cache(maxsize=None)
-def vnd_evaluator(ens: Ensemble) -> Callable[[float, float], float]:
-    """Compiled (p, q) -> I_{E,V} mixture for a validated ensemble.
-
-    Repetition types use the closed form 1 - q p^(j-1); everything else
-    goes through the generic split-coefficient evaluation.
-    """
-    validate(ens)
-    rep_terms, gen_terms = _variable_type_terms(ens)
-
-    def evaluate(p: float, q: float) -> float:
-        total = 0.0
-        for frac, j in rep_terms:
-            total += frac * (1.0 - q * p ** (j - 1))
-        for frac, n, k, coeffs in gen_terms:
-            w = _bernoulli_weights(p, n)
-            v = _bernoulli_weights(q, k + 1)
-            acc = 0.0
-            for t in range(n):
-                row = coeffs[t]
-                inner = 0.0
-                for z in range(k + 1):
-                    inner += row[z] * v[z]
-                acc += inner * w[t]
-            total += frac * (1.0 - acc / n)
-        return total
-
-    return evaluate
+    return code_polynomial(code, "variable").at_q(q)(p)
 
 
 def vnd_evaluator_at_q(ens: Ensemble, q: float) -> Callable[[float], float]:
-    """The variable-side mixture specialized to one channel quality q.
-
-    The split-coefficient z-sums collapse into one coefficient per p-power,
-    which makes this the evaluator of choice for density-evolution loops
-    where q is fixed across many iterations.  Values are bit-identical to
-    vnd_evaluator(ens)(p, q).
-    """
-    validate(ens)
-    rep_terms, gen_terms = _variable_type_terms(ens)
-    fixed_rep = [(frac, j - 1) for frac, j in rep_terms]
-    fixed_gen = []
-    for frac, n, k, coeffs in gen_terms:
-        v = _bernoulli_weights(q, k + 1)
-        collapsed = []
-        for t in range(n):
-            row = coeffs[t]
-            inner = 0.0
-            for z in range(k + 1):
-                inner += row[z] * v[z]
-            collapsed.append(inner)
-        fixed_gen.append((frac, n, tuple(collapsed)))
-
-    def evaluate(p: float) -> float:
-        total = 0.0
-        for frac, e in fixed_rep:
-            total += frac * (1.0 - q * p**e)
-        for frac, n, collapsed in fixed_gen:
-            acc = 0.0
-            for c, wt in zip(collapsed, _bernoulli_weights(p, n)):
-                acc += c * wt
-            total += frac * (1.0 - acc / n)
-        return total
-
-    return evaluate
+    """p -> I_{E,V} mixture at one channel quality q, for loops over p."""
+    return mixture_polynomial(ens, "variable").at_q(q)
 
 
 @lru_cache(maxsize=None)
 def cnd_evaluator(ens: Ensemble) -> Callable[[float], float]:
-    """Compiled p -> I_{E,C} mixture; SPC types use (1-p)^(j-1)."""
-    validate(ens)
-    spc_terms: list[tuple[float, int]] = []
-    gen_terms: list[tuple[float, int, tuple[int, ...]]] = []
-    for t in ens.check_types:
-        if t.kind == "spc":
-            spc_terms.append((t.edge_fraction, t.length))
-        else:
-            code = component_code(t)
-            gen_terms.append((t.edge_fraction, code.n, exit_coefficients(code).check_terms))
-
-    def evaluate(p: float) -> float:
-        total = 0.0
-        for frac, j in spc_terms:
-            total += frac * (1.0 - p) ** (j - 1)
-        for frac, n, coeffs in gen_terms:
-            acc = 0.0
-            for c, wt in zip(coeffs, _bernoulli_weights(p, n)):
-                acc += c * wt
-            total += frac * (1.0 - acc / n)
-        return total
-
-    return evaluate
+    """p -> I_{E,C} mixture."""
+    return mixture_polynomial(ens, "check").at_q()
 
 
 def exit_vnd(ens: Ensemble, p: float, q: float) -> float:
     """Aggregate variable-node EXIT function of the ensemble."""
-    return vnd_evaluator(ens)(p, q)
+    return vnd_evaluator_at_q(ens, q)(p)
 
 
 def exit_cnd(ens: Ensemble, p: float) -> float:
@@ -257,9 +265,7 @@ def inverse_exit_cnd(ens: Ensemble, target: float) -> float:
     if target >= flo:
         return 0.0
     if target < fhi - 1e-12:
-        raise InversionRangeError(
-            f"target {target} below the check-side EXIT minimum {fhi}"
-        )
+        raise InversionRangeError(f"target {target} below the check-side EXIT minimum {fhi}")
     if target <= fhi:
         return 1.0
     for _ in range(INVERSION_STEPS):
@@ -284,12 +290,6 @@ class ExitCurve:
     points: tuple[tuple[float, float], ...]
     channel_q: float | None = None
 
-    def to_csv(self) -> str:
-        lines = ["ia,value"]
-        for x, y in self.points:
-            lines.append(f"{x:.17g},{y:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def sample_exit_chart(ens: Ensemble, q: float, npoints: int) -> tuple[ExitCurve, ExitCurve]:
     """Sample the two chart curves on a uniform I_A grid.
@@ -300,10 +300,9 @@ def sample_exit_chart(ens: Ensemble, q: float, npoints: int) -> tuple[ExitCurve,
     """
     if npoints < 2:
         raise ValueError(f"npoints must be >= 2, got {npoints}")
-    validate(ens)
-    fv = vnd_evaluator(ens)
+    fv = vnd_evaluator_at_q(ens, q)
     step = 1.0 / (npoints - 1)
     grid = [i * step for i in range(npoints - 1)] + [1.0]
-    vnd_points = tuple((ia, fv(1.0 - ia, q)) for ia in grid)
+    vnd_points = tuple((ia, fv(1.0 - ia)) for ia in grid)
     cnd_points = tuple((ia, 1.0 - inverse_exit_cnd(ens, ia)) for ia in grid)
     return ExitCurve(vnd_points, channel_q=q), ExitCurve(cnd_points)

@@ -1,51 +1,32 @@
 """Stability condition machinery: EXIT slopes at p = 0 and what they imply.
 
-All slopes are taken with respect to the extrinsic erasure probability
-p = 1 - I_A, evaluated at p = 0.  In that orientation the necessary
-condition for successful decoding at channel erasure q reads
-
-    slope_VND(q)  >=  1 / slope_CND,
-
-with both sides negative.  Rearranged, the left side becomes
+Slopes are taken with respect to the extrinsic erasure probability
+p = 1 - I_A at p = 0, where the necessary condition for decoding at channel
+erasure q, slope_VND(q) >= 1 / slope_CND with both sides negative, reads
 
     lhs(q) = q lambda_2 + sum_i sum_z q^z (1-q)^(k_i-z) (2 lambda_i / n_i) D_i[z]
+          <= rhs = 1 / (rho'_SPC(1) + sum_i (2 rho_i / n_i) D_i).
 
-over the generalized variable types with minimum distance 2 (D_i is the
-augmented rank-deficiency table of type i), and the right side
-
-    rhs = 1 / (rho'_SPC(1) + sum_i (2 rho_i / n_i) D_i)
-
-over the generalized check types with minimum distance 2.  Only
-minimum-distance-2 component codes contribute anywhere.  When no
-generalized variable type has minimum distance 2 the left side is linear
-in q and the condition is the explicit threshold upper bound
-q <= 1 / (lambda_2 * bracket); otherwise q cannot be factored out and the
-condition is evaluated pointwise.
-
-Derivatives are assembled in exact rational arithmetic from the integer
-deficiency tables, so closed-form kinds and their generic re-declarations
-produce identical values.
+The sums run over the generalized types with minimum distance 2 (D_i is the
+augmented rank-deficiency table of type i); no other component code
+contributes.  Both sides are row t = 1 of the exact EXIT polynomials
+(exit_charts.mixture_slope_row): lhs is the variable row evaluated in q and
+the bracket of rhs is the check row.  Without minimum-distance-2 generalized
+variable types lhs is linear in q and the condition is the threshold bound
+q <= 1 / (lambda_2 * bracket), lambda_2 being the variable row at q = 1;
+otherwise it is evaluated pointwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb
+from typing import Callable
 
-from .codes import delta_params
-from .ensembles import (
-    Ensemble,
-    component_code,
-    is_generalized_check,
-    is_generalized_variable,
-    lambda2,
-    node_min_distance_at_least,
-    rho_spc_derivative_at_one,
-    validate,
-)
-from .exit_charts import _bernoulli_weights, exit_cnd, exit_vnd
+from .ensembles import Ensemble, is_generalized, node_min_distance_at_least, validate
+from .exit_charts import bernstein_eval, exit_cnd, exit_vnd, mixture_slope_row, node_slope_row
 
 STABILITY_SLACK = 1e-12
 TANGENCY_TOL = 1e-9
@@ -131,35 +112,24 @@ class StabilityReport:
             "gldpc_bound": self.gldpc_bound,
             "dmin2_check_terms": list(self.dmin2_check_terms),
             "dmin2_var_terms": [list(t) for t in self.dmin2_var_terms],
-            "applicability": {
-                "is_gldpc": self.applicability.is_gldpc,
-                "all_var_dmin_ge3": self.applicability.all_var_dmin_ge3,
-                "all_chk_dmin_ge3": self.applicability.all_chk_dmin_ge3,
-            },
+            "applicability": asdict(self.applicability),
             "cnd_slope_at_zero_ia": self.cnd_slope_at_zero_ia,
             "vnd_slope_fn_ia": list(self.vnd_slope_coeffs_ia),
         }
 
 
-def _dmin2_check_types(ens: Ensemble):
-    for i, t in enumerate(ens.check_types):
-        if is_generalized_check(t) and not node_min_distance_at_least(t, 3):
-            yield i, t
+def _dmin2_types(ens: Ensemble, side: str) -> list:
+    """(index, type) of the generalized minimum-distance-2 types of one side."""
+    return [
+        (i, t)
+        for i, t in enumerate(ens.types(side))
+        if is_generalized(t, side) and not node_min_distance_at_least(t, 3)
+    ]
 
 
-def _dmin2_variable_types(ens: Ensemble):
-    for i, t in enumerate(ens.variable_types):
-        if is_generalized_variable(t) and not node_min_distance_at_least(t, 3):
-            yield i, t
-
-
-def _cnd_bracket(ens: Ensemble) -> Fraction:
-    """rho'_SPC(1) + sum over d_min=2 generalized check types of 2 rho D / n."""
-    total = rho_spc_derivative_at_one(ens)
-    for _, t in _dmin2_check_types(ens):
-        code = component_code(t)
-        total += Fraction(t.edge_fraction) * 2 * delta_params(code).delta_n2 / code.n
-    return total
+def _bracket(ens: Ensemble) -> Fraction:
+    """The check row: rho'_SPC(1) + sum over d_min=2 generalized types of 2 rho D / n."""
+    return mixture_slope_row(ens, "check")[0]
 
 
 def cnd_derivative_at_zero(ens: Ensemble) -> float:
@@ -167,8 +137,13 @@ def cnd_derivative_at_zero(ens: Ensemble) -> float:
 
     Types with minimum distance >= 3 contribute nothing.
     """
-    validate(ens)
-    return float(-_cnd_bracket(ens))
+    return float(-_bracket(ens))
+
+
+def _stability_lhs(ens: Ensemble) -> Callable[[float], float]:
+    """q -> minus the variable-side slope at p = 0: row 1 evaluated in q."""
+    row = [float(c) for c in mixture_slope_row(ens, "variable")]
+    return lambda q: bernstein_eval(row, q)
 
 
 def vnd_derivative_at_zero(ens: Ensemble, q: float) -> float:
@@ -176,41 +151,25 @@ def vnd_derivative_at_zero(ens: Ensemble, q: float) -> float:
 
     For GLDPC ensembles (all-repetition variable side) this is -q lambda_2.
     """
-    validate(ens)
-    acc = q * lambda2(ens)
-    for _, t in _dmin2_variable_types(ens):
-        code = component_code(t)
-        deltas = delta_params(code).delta_n2_kz
-        v = _bernoulli_weights(q, code.k + 1)
-        inner = 0.0
-        for z in range(code.k + 1):
-            inner += deltas[z] * v[z]
-        acc += (2 * t.edge_fraction / code.n) * inner
-    return -acc
+    return -_stability_lhs(ens)(q)
 
 
 def vnd_slope_coefficients(ens: Ensemble) -> tuple[float, ...]:
     """The p = 0 variable-side slope as polynomial coefficients in q.
 
-    Exact rational expansion of -q lambda_2 minus the minimum-distance-2
-    contributions; coefficient m multiplies q^m.
+    Row 1 of the variable mixture converted exactly from Bernstein form to
+    monomials; coefficient m multiplies q^m.  The degree reported is the
+    largest k of the minimum-distance-2 generalized types (at least 1),
+    beyond which every coefficient is zero.
     """
-    validate(ens)
-    degree = 1
-    for _, t in _dmin2_variable_types(ens):
-        degree = max(degree, component_code(t).k)
-    coeffs = [Fraction(0)] * (degree + 1)
-    coeffs[1] -= Fraction(lambda2(ens))
-    for _, t in _dmin2_variable_types(ens):
-        code = component_code(t)
-        deltas = delta_params(code).delta_n2_kz
-        scale = Fraction(t.edge_fraction) * 2 / code.n
-        for z in range(code.k + 1):
-            if deltas[z] == 0:
-                continue
-            for m in range(code.k - z + 1):
-                coeffs[z + m] -= scale * deltas[z] * comb(code.k - z, m) * (-1) ** m
-    return tuple(float(c) for c in coeffs)
+    row = mixture_slope_row(ens, "variable")
+    k = len(row) - 1
+    coeffs = [Fraction(0)] * (k + 1)
+    for z, c in enumerate(row):
+        for m in range(k - z + 1):
+            coeffs[z + m] -= c * comb(k - z, m) * (-1) ** m
+    dmin2_k = [len(node_slope_row(t, "variable")) - 1 for _, t in _dmin2_types(ens, "variable")]
+    return tuple(float(c) for c in coeffs[: max([1] + dmin2_k) + 1])
 
 
 def gldpc_stability_bound(ens: Ensemble) -> float | None:
@@ -218,26 +177,21 @@ def gldpc_stability_bound(ens: Ensemble) -> float | None:
 
     Returns +inf when the product is zero (the condition is vacuous) and
     None when a minimum-distance-2 generalized variable type prevents
-    factoring q out of the inequality.
+    factoring q out of the inequality.  Otherwise lambda_2 is row 1 at q = 1.
     """
     validate(ens)
-    if any(True for _ in _dmin2_variable_types(ens)):
+    if _dmin2_types(ens, "variable"):
         return None
-    denom = Fraction(lambda2(ens)) * _cnd_bracket(ens)
+    denom = mixture_slope_row(ens, "variable")[-1] * _bracket(ens)
     if denom == 0:
         return math.inf
     return float(1 / denom)
 
 
-def _stability_lhs(ens: Ensemble, q: float) -> float:
-    return -vnd_derivative_at_zero(ens, q)
-
-
 def dgldpc_stability_check(ens: Ensemble, q: float) -> StabilityCheck:
     """Evaluate both sides of the stability inequality at the given q."""
-    validate(ens)
-    lhs = _stability_lhs(ens, q)
-    bracket = _cnd_bracket(ens)
+    lhs = _stability_lhs(ens)(q)
+    bracket = _bracket(ens)
     rhs = math.inf if bracket == 0 else float(1 / bracket)
     return StabilityCheck(
         holds=lhs <= rhs + STABILITY_SLACK,
@@ -254,14 +208,14 @@ def dgldpc_stability_boundary(ens: Ensemble) -> BoundaryResult:
     every sign change on a 10^4 grid is refined to 1e-10 and all roots are
     returned sorted.
     """
-    validate(ens)
-    bracket = _cnd_bracket(ens)
+    bracket = _bracket(ens)
     if bracket == 0:
         return BoundaryResult(points=(), vacuous=True)
     rhs = float(1 / bracket)
+    lhs = _stability_lhs(ens)
 
     def g(q: float) -> float:
-        return _stability_lhs(ens, q) - rhs
+        return lhs(q) - rhs
 
     step = 1.0 / BOUNDARY_GRID
     roots: list[float] = []
@@ -317,38 +271,29 @@ def derivative_matching_check(ens: Ensemble, q: float) -> DerivativeMatching:
 
 
 def stability_report(ens: Ensemble) -> StabilityReport:
-    """Assemble the full stability analysis of a validated ensemble."""
+    """Assemble the full stability analysis of a validated ensemble.
+
+    Reads only row t = 1 of the EXIT polynomials, so generalized nodes cost
+    their delta_params walks and never the full split table.
+    """
     validate(ens)
-    check_terms = [0.0] * len(ens.check_types)
-    for i, t in _dmin2_check_types(ens):
-        code = component_code(t)
-        check_terms[i] = float(
-            Fraction(t.edge_fraction) * 2 * delta_params(code).delta_n2 / code.n
-        )
-    var_terms: list[tuple[float, ...]] = [()] * len(ens.variable_types)
-    for i, t in _dmin2_variable_types(ens):
-        code = component_code(t)
-        deltas = delta_params(code).delta_n2_kz
-        scale = Fraction(t.edge_fraction) * 2 / code.n
-        var_terms[i] = tuple(float(scale * d) for d in deltas)
+
+    def dmin2_terms(side: str) -> list[tuple[float, ...]]:
+        terms = [()] * len(ens.types(side))
+        for i, t in _dmin2_types(ens, side):
+            terms[i] = tuple(float(Fraction(t.edge_fraction) * c) for c in node_slope_row(t, side))
+        return terms
+
     applicability = Applicability(
         is_gldpc=all(t.kind == "repetition" for t in ens.variable_types),
-        all_var_dmin_ge3=all(
-            node_min_distance_at_least(t, 3)
-            for t in ens.variable_types
-            if is_generalized_variable(t)
-        ),
-        all_chk_dmin_ge3=all(
-            node_min_distance_at_least(t, 3)
-            for t in ens.check_types
-            if is_generalized_check(t)
-        ),
+        all_var_dmin_ge3=not _dmin2_types(ens, "variable"),
+        all_chk_dmin_ge3=not _dmin2_types(ens, "check"),
     )
     return StabilityReport(
         cnd_slope_at_zero=cnd_derivative_at_zero(ens),
         vnd_slope_coeffs=vnd_slope_coefficients(ens),
         gldpc_bound=gldpc_stability_bound(ens),
-        dmin2_check_terms=tuple(check_terms),
-        dmin2_var_terms=tuple(var_terms),
+        dmin2_check_terms=tuple(row[0] if row else 0.0 for row in dmin2_terms("check")),
+        dmin2_var_terms=tuple(dmin2_terms("variable")),
         applicability=applicability,
     )

@@ -7,17 +7,25 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dgldpc.codes import ComponentCode, info_functions
+from dgldpc.codes import ComponentCode, info_functions, min_distance_at_least
 from dgldpc.exit_charts import (
     InversionRangeError,
     _check_decreasing,
+    bernstein_eval,
+    code_polynomial,
     exit_check_generic,
     exit_cnd,
     exit_coefficients,
     exit_variable_generic,
     exit_vnd,
     inverse_exit_cnd,
+    mixture_polynomial,
+    mixture_slope_row,
+    node_polynomial,
+    node_slope_row,
     sample_exit_chart,
     MonotonicityError,
 )
@@ -28,6 +36,7 @@ from conftest import (
     ensemble,
     generic_node,
     random_component_code,
+    random_full_rank,
     rep_node,
     spc_node,
 )
@@ -270,11 +279,69 @@ def test_chart_curves_cross_above_threshold(rep3_spc6):
     assert min(gaps) < 0
 
 
-def test_curve_csv_format(rep3_spc6):
-    vnd, _ = sample_exit_chart(rep3_spc6, 0.3, 3)
-    csv = vnd.to_csv()
-    lines = csv.split("\n")
-    assert lines[0] == "ia,value"
-    assert lines[1] == "0,0.69999999999999996"
-    assert csv.endswith("\n")
-    assert "\r" not in csv
+
+def test_closed_form_polynomials_equal_generic_declarations():
+    for j in range(2, 9):
+        rep = node_polynomial(rep_node(j, 1.0), "variable").coeffs
+        assert rep == code_polynomial(ComponentCode.repetition(j), "variable").coeffs
+        spc = node_polynomial(spc_node(j, 1.0), "check").coeffs
+        assert spc == code_polynomial(ComponentCode.single_parity_check(j), "check").coeffs
+        assert all(isinstance(c, Fraction) for row in rep + spc for c in row)
+
+
+def random_dmin2_generator(rng: random.Random, n_max: int):
+    while True:
+        n = rng.randint(3, n_max)
+        gen = random_full_rank(rng, n, rng.randint(1, n - 1))
+        if min_distance_at_least(gen, 2):
+            return gen
+
+
+def test_slope_row_from_delta_params_equals_full_table_row():
+    rng = random.Random(11)
+    for _ in range(12):
+        gen = random_dmin2_generator(rng, 7)
+        node = generic_node(gen.to_text(), 1.0)
+        code = ComponentCode(gen)
+        for side in ("variable", "check"):
+            assert node_slope_row(node, side) == code_polynomial(code, side).coeffs[1]
+
+
+def test_bernstein_eval_is_exact_at_the_ends():
+    c = [0.0, 0.3, 0.7, 0.25]
+    assert bernstein_eval(c, 0.0) == 0.0
+    assert bernstein_eval(c, 1.0) == 0.25
+    assert bernstein_eval([2.0], 0.4) == 2.0
+
+
+@st.composite
+def random_side(draw):
+    """1-3 distinct node types of any kind, n <= 6, with edge fractions."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    types = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from([rep_node, spc_node, generic_node]))
+        if kind is generic_node:
+            node = (kind, random_dmin2_generator(rng, 6).to_text())
+        else:
+            node = (kind, draw(st.integers(2, 6)))
+        if node not in types:
+            types.append(node)
+    weights = [draw(st.integers(1, 20)) for _ in types]
+    return [kind(arg, w / sum(weights)) for (kind, arg), w in zip(types, weights)]
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_side(), random_side(), unit, unit)
+def test_mixture_is_the_edge_fraction_sum_of_its_types(variables, checks, p, q):
+    ens = ensemble(variables, checks)
+    per_type_v = sum(t.edge_fraction * node_polynomial(t, "variable").at_q(q)(p) for t in variables)
+    assert abs(exit_vnd(ens, p, q) - per_type_v) <= 1e-14
+    per_type_c = sum(t.edge_fraction * node_polynomial(t, "check").at_q()(p) for t in checks)
+    assert abs(exit_cnd(ens, p) - per_type_c) <= 1e-14
+    assert cnd_derivative_at_zero(ens) == float(-mixture_polynomial(ens, "check").coeffs[1][0])
+    for side in ("variable", "check"):
+        assert mixture_slope_row(ens, side) == mixture_polynomial(ens, side).coeffs[1]

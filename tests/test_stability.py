@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from dgldpc.codes import split_info_functions
 from dgldpc.stability import (
     InverseSlopeUndefinedError,
     cnd_derivative_at_zero,
@@ -217,3 +218,21 @@ def test_ia_orientation_is_negated(g32var_spc6):
     report = stability_report(g32var_spc6)
     assert report.cnd_slope_at_zero_ia == -report.cnd_slope_at_zero
     assert report.vnd_slope_coeffs_ia == tuple(-c for c in report.vnd_slope_coeffs)
+
+
+def test_slope_coefficients_keep_the_degree_of_the_dmin2_types():
+    # this (4,2) code's slope is linear in q, yet the report keeps degree k = 2
+    ens = ensemble([generic_node("1100\n0111", 1.0)], [spc_node(6, 1.0)])
+    assert vnd_slope_coefficients(ens) == (0.0, -0.5, 0.0)
+
+
+def test_report_never_builds_the_split_table():
+    ens = ensemble(
+        [generic_node(SPC_32_TEXT, 0.5), generic_node(HAMMING_74_TEXT, 0.5)],
+        [spc_node(6, 0.5), generic_node("1100\n0111", 0.5)],
+    )
+    split_info_functions.cache_clear()
+    stability_report(ens)
+    dgldpc_stability_check(ens, 0.3)
+    dgldpc_stability_boundary(ens)
+    assert split_info_functions.cache_info().currsize == 0
