@@ -48,24 +48,6 @@ class BinaryMatrix:
         return len(self.bits)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BinaryMatrix":
-        """Build from a list of 0/1 row lists (all the same length)."""
-        if not rows:
-            raise ValueError("matrix needs at least one row")
-        ncols = len(rows[0])
-        bits = []
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {ncols}")
-            word = 0
-            for j, v in enumerate(row):
-                if v not in (0, 1):
-                    raise ValueError(f"entry ({i}, {j}) is {v!r}, expected 0 or 1")
-                word |= v << j
-            bits.append(word)
-        return cls(tuple(bits), ncols)
-
-    @classmethod
     def from_text(cls, text: str) -> "BinaryMatrix":
         """Parse the matrix literal form: one row per line of '0'/'1' characters.
 

@@ -80,13 +80,34 @@ class ExitPolynomial:
     coeffs: tuple[tuple[Fraction, ...], ...]
 
     @cached_property
-    def floats(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(float(c) for c in row) for row in self.coeffs)
+    def floats(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
+        """Float coefficients of 1 - I_E (c) and of I_E (C(d,t) C(K,z) - c[t][z]).
+
+        The basis sums to 1 with weights C(d,t) C(K,z), so both are >= 0.
+        """
+        d, k = len(self.coeffs) - 1, len(self.coeffs[0]) - 1
+        erasure = tuple(tuple(float(c) for c in row) for row in self.coeffs)
+        info = tuple(
+            tuple(float(comb(d, t) * comb(k, z) - c) for z, c in enumerate(row))
+            for t, row in enumerate(self.coeffs)
+        )
+        return erasure, info
 
     def at_q(self, q: float = 1.0) -> Callable[[float], float]:
-        """p -> I_E at channel erasure q; the q-sums collapse once here."""
-        rows = tuple(bernstein_eval(row, q) for row in self.floats)
-        return lambda p: 1.0 - bernstein_eval(rows, p)
+        """p -> I_E at channel erasure q; the q-sums collapse once here.
+
+        I_E comes from whichever form does not cancel: 1 minus the erasure
+        sum while that is at most 1/2, else the I_E sum.  So a tiny I_E,
+        such as an SPC(j) check node's (1-p)^(j-1) near p = 1, stays >= 0
+        and monotone, and so does a tiny 1 - I_E near p = 0.
+        """
+        erasure, info = ([bernstein_eval(row, q) for row in form] for form in self.floats)
+
+        def evaluate(p: float) -> float:
+            s = bernstein_eval(erasure, p)
+            return 1.0 - s if s <= 0.5 else bernstein_eval(info, p)
+
+        return evaluate
 
 
 def bernstein_eval(c: Sequence[float], x: float) -> float:
@@ -265,7 +286,9 @@ def inverse_exit_cnd(ens: Ensemble, target: float) -> float:
     if target >= flo:
         return 0.0
     if target < fhi - 1e-12:
-        raise InversionRangeError(f"target {target} below the check-side EXIT minimum {fhi}")
+        raise InversionRangeError(
+            f"target {target} below the check-side EXIT minimum {fhi}"
+        )
     if target <= fhi:
         return 1.0
     for _ in range(INVERSION_STEPS):

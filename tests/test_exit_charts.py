@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dgldpc.codes import ComponentCode, info_functions, min_distance_at_least
 from dgldpc.exit_charts import (
+    MONOTONICITY_GRID,
     InversionRangeError,
     _check_decreasing,
     bernstein_eval,
@@ -279,6 +280,21 @@ def test_chart_curves_cross_above_threshold(rep3_spc6):
     assert min(gaps) < 0
 
 
+@pytest.mark.parametrize("j", [8, 16, 32])
+def test_long_spc_check_curve_stays_nonnegative_and_invertible(j):
+    # near p = 1, (1-p)^(j-1) falls below one ulp of 1; forming it as
+    # 1 - (1 - (1-p)^(j-1)) there gives noise of either sign
+    ens = ensemble([rep_node(3, 1.0)], [spc_node(j, 1.0)])
+    step = 1.0 / (MONOTONICITY_GRID - 1)
+    grid = [i * step for i in range(MONOTONICITY_GRID)]
+    values = [exit_cnd(ens, p) for p in grid]
+    for p, value in zip(grid, values):
+        assert value == pytest.approx((1 - p) ** (j - 1), rel=1e-13, abs=0)
+    _check_decreasing(values)
+    assert abs(inverse_exit_cnd(ens, 0.5) - (1 - 0.5 ** (1 / (j - 1)))) <= 1e-10
+    _, cnd = sample_exit_chart(ens, 0.3, 101)
+    assert cnd.points[0] == (0.0, 0.0) and cnd.points[-1] == (1.0, 1.0)
+
 
 def test_closed_form_polynomials_equal_generic_declarations():
     for j in range(2, 9):
@@ -342,6 +358,7 @@ def test_mixture_is_the_edge_fraction_sum_of_its_types(variables, checks, p, q):
     assert abs(exit_vnd(ens, p, q) - per_type_v) <= 1e-14
     per_type_c = sum(t.edge_fraction * node_polynomial(t, "check").at_q()(p) for t in checks)
     assert abs(exit_cnd(ens, p) - per_type_c) <= 1e-14
+    assert 0.0 <= exit_vnd(ens, p, q) <= 1.0 and 0.0 <= exit_cnd(ens, p) <= 1.0
     assert cnd_derivative_at_zero(ens) == float(-mixture_polynomial(ens, "check").coeffs[1][0])
     for side in ("variable", "check"):
         assert mixture_slope_row(ens, side) == mixture_polynomial(ens, side).coeffs[1]
