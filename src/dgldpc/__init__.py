@@ -6,7 +6,7 @@ its closed-form threshold bound, and cross-checks both against a
 density-evolution threshold search.
 """
 
-from .binmat import BinaryMatrix, augment_identity, rank, same_row_space, select_columns
+from .binmat import BinaryMatrix, rank
 from .codes import (
     ComponentCode,
     DeltaParams,
@@ -16,7 +16,6 @@ from .codes import (
     info_functions,
     min_distance_bruteforce,
     min_independent_set_size,
-    rank_drop_of_removal,
     split_info_functions,
 )
 from .density_evolution import DeRun, ThresholdResult, de_iterate, find_threshold
@@ -29,7 +28,6 @@ from .ensembles import (
     validate,
 )
 from .exit_charts import (
-    ExitCoefficients,
     ExitCurve,
     exit_check_generic,
     exit_cnd,
@@ -58,7 +56,6 @@ __all__ = [
     "DeRun",
     "DeltaParams",
     "Ensemble",
-    "ExitCoefficients",
     "ExitCurve",
     "InfoFunctionTable",
     "NodeType",
@@ -66,7 +63,6 @@ __all__ = [
     "StabilityCheck",
     "StabilityReport",
     "ThresholdResult",
-    "augment_identity",
     "cnd_derivative_at_zero",
     "de_iterate",
     "delta_params",
@@ -86,10 +82,7 @@ __all__ = [
     "min_independent_set_size",
     "parse_ensemble",
     "rank",
-    "rank_drop_of_removal",
-    "same_row_space",
     "sample_exit_chart",
-    "select_columns",
     "serialize_ensemble",
     "split_info_functions",
     "stability_report",

@@ -1,4 +1,4 @@
-"""Dense GF(2) matrices as int bitsets, with rank and row-space operations.
+"""Dense GF(2) matrices as int bitsets, with rank.
 
 Rows are Python ints used as bit vectors; column j of a row lives at bit
 position j (bit 0 = leftmost column of the text form).  Matrices are
@@ -8,17 +8,9 @@ immutable and safe to share across threads or workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 MAX_DIM = 32
-
-
-class DimensionMismatchError(ValueError):
-    """Two matrices were combined with incompatible shapes."""
-
-
-class InvalidSelectionError(ValueError):
-    """A column selection was out of range or not strictly increasing."""
 
 
 @dataclass(frozen=True)
@@ -51,10 +43,10 @@ class BinaryMatrix:
     def from_text(cls, text: str) -> "BinaryMatrix":
         """Parse the matrix literal form: one row per line of '0'/'1' characters.
 
-        Rejects ragged rows and any character other than 0/1.
+        Any line ending (LF, CRLF) is accepted.  Rejects ragged rows and any character other than 0/1.
         """
-        lines = [ln for ln in text.strip().split("\n")]
-        if lines == [""]:
+        lines = text.strip().splitlines()
+        if not lines:
             raise ValueError("empty matrix literal")
         ncols = len(lines[0])
         bits = []
@@ -113,44 +105,3 @@ def rank_of_bitrows(rows: Iterable[int]) -> int:
 def rank(m: BinaryMatrix) -> int:
     """GF(2) row rank of m; the input is left untouched."""
     return rank_of_bitrows(m.bits)
-
-
-def select_columns(m: BinaryMatrix, indices: Sequence[int]) -> BinaryMatrix:
-    """The rows x len(indices) submatrix, column order preserved.
-
-    indices must be strictly increasing and within range.
-    """
-    prev = -1
-    for j in indices:
-        if j <= prev:
-            raise InvalidSelectionError(f"column indices must be strictly increasing, got {list(indices)}")
-        if j >= m.cols:
-            raise InvalidSelectionError(f"column index {j} out of range for {m.cols} columns")
-        prev = j
-    bits = []
-    for row in m.bits:
-        word = 0
-        for pos, j in enumerate(indices):
-            word |= ((row >> j) & 1) << pos
-        bits.append(word)
-    return BinaryMatrix(tuple(bits), len(indices))
-
-
-def augment_identity(m: BinaryMatrix) -> BinaryMatrix:
-    """[m | I_rows]: identity columns occupy indices cols .. cols+rows-1."""
-    bits = tuple(row | (1 << (m.cols + i)) for i, row in enumerate(m.bits))
-    return BinaryMatrix(bits, m.cols + m.rows)
-
-
-def same_row_space(a: BinaryMatrix, b: BinaryMatrix) -> bool:
-    """True iff a and b span the same GF(2) row space.
-
-    Such matrices are representations of the same code.
-    """
-    if a.cols != b.cols:
-        raise DimensionMismatchError(f"column counts differ: {a.cols} vs {b.cols}")
-    ra = rank(a)
-    rb = rank(b)
-    if ra != rb:
-        return False
-    return rank_of_bitrows(a.bits + b.bits) == ra

@@ -1,17 +1,15 @@
 """Component-code combinatorics for generalized node analysis.
 
 A component code is an (n, k) binary linear block code given by a full-rank
-generator matrix.  This module computes the quantities that drive the
-erasure-channel analysis of generalized nodes:
+generator matrix.  Every quantity the erasure-channel analysis needs is a
+sum of GF(2) ranks over column subsets, enumerated by one walker:
 
-  * information functions: for each g, the sum of GF(2) ranks over all
-    g-column submatrices of the generator matrix (representation
-    independent);
+  * information functions: for each g, the rank sum over all g-column
+    submatrices of the generator matrix (representation independent);
   * split information functions: the same sums over g generator columns
     joined with h columns of the k x k identity (representation dependent);
-  * minimum distance, both by codeword enumeration and by searching for
-    the smallest set of columns whose removal drops the rank (the two
-    agree for every linear code, which the tests exercise);
+  * the rank deficit after removing s columns, zero exactly when the
+    minimum distance exceeds s (checked against codeword enumeration);
   * the rank-deficiency totals over (n-2)-column submatrices that are the
     only way minimum-distance-2 codes enter the stability condition.
 
@@ -23,10 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
-from .binmat import BinaryMatrix, InvalidSelectionError, rank, rank_of_bitrows
+from .binmat import BinaryMatrix, rank
 
 MAX_BRUTEFORCE_DIMENSION = 24
 
@@ -106,8 +103,8 @@ class DeltaParams:
     delta_n2_kz: tuple[int, ...]
 
 
-def _subset_rank_sums(columns: list[int], acc: list[int], base: int) -> None:
-    """Add base + rank to acc[g] for every subset of the given column vectors.
+def _subset_rank_sums(columns: list[int], acc: list[int], base: int, size: int | None = None) -> None:
+    """Add base + rank to acc[g] for every subset (of the given size, if any).
 
     Columns are bit vectors over the row index.  The enumeration shares
     elimination work along a DFS over columns, so each subset costs one
@@ -117,10 +114,11 @@ def _subset_rank_sums(columns: list[int], acc: list[int], base: int) -> None:
     basis: list[int] = []
 
     def walk(i: int, r: int, g: int) -> None:
-        if i == n:
+        if i == n or g == size:
             acc[g] += base + r
             return
-        walk(i + 1, r, g)
+        if size is None or size - g < n - i:
+            walk(i + 1, r, g)
         col = columns[i]
         for b in basis:
             col = min(col, col ^ b)
@@ -146,14 +144,13 @@ def info_functions(code: ComponentCode) -> InfoFunctionTable:
     return InfoFunctionTable(tuple(acc))
 
 
-@lru_cache(maxsize=None)
-def split_info_functions(code: ComponentCode) -> SplitInfoFunctionTable:
-    """Exact split information function table for g = 0..n, h = 0..k.
+def _split_rank_sums(code: ComponentCode, size: int | None = None) -> list[list[int]]:
+    """Split rank sums table[g][h], h = 0..k, for all g or only g = size.
 
     Selecting h identity columns T pins those rows, so the rank of
     [G_S | I_T] equals |T| plus the rank of G_S with the T rows deleted;
-    the enumeration projects the rows out instead of building augmented
-    matrices.  The result depends on the chosen generator representation.
+    each identity mask projects the rows out instead of building augmented
+    matrices.
     """
     n, k = code.n, code.k
     cols = code.gen.columns()
@@ -161,12 +158,17 @@ def split_info_functions(code: ComponentCode) -> SplitInfoFunctionTable:
     for t_mask in range(1 << k):
         h = t_mask.bit_count()
         keep = ~t_mask
-        projected = [c & keep for c in cols]
         acc = [0] * (n + 1)
-        _subset_rank_sums(projected, acc, h)
+        _subset_rank_sums([c & keep for c in cols], acc, h, size)
         for g in range(n + 1):
             table[g][h] += acc[g]
-    return SplitInfoFunctionTable(tuple(tuple(row) for row in table))
+    return table
+
+
+@lru_cache(maxsize=None)
+def split_info_functions(code: ComponentCode) -> SplitInfoFunctionTable:
+    """Exact split information function table for g = 0..n, h = 0..k."""
+    return SplitInfoFunctionTable(tuple(tuple(row) for row in _split_rank_sums(code)))
 
 
 @lru_cache(maxsize=None)
@@ -174,21 +176,12 @@ def split_info_row(code: ComponentCode, g: int) -> tuple[int, ...]:
     """Split information functions for a single g, all h = 0..k.
 
     Cheaper than the full table when only a few g cells are needed (the
-    stability analysis uses g = n-2 only), since it enumerates C(n, g)
-    column subsets instead of all 2^n.
+    stability analysis uses g = n-2 only), since it walks C(n, g) column
+    subsets per identity mask instead of all 2^n.
     """
-    n, k = code.n, code.k
-    if not 0 <= g <= n:
-        raise ValueError(f"g must be in 0..{n}, got {g}")
-    cols = code.gen.columns()
-    row = [0] * (k + 1)
-    for subset in combinations(range(n), g):
-        chosen = [cols[j] for j in subset]
-        for t_mask in range(1 << k):
-            h = t_mask.bit_count()
-            keep = ~t_mask
-            row[h] += h + rank_of_bitrows([c & keep for c in chosen])
-    return tuple(row)
+    if not 0 <= g <= code.n:
+        raise ValueError(f"g must be in 0..{code.n}, got {g}")
+    return tuple(_split_rank_sums(code, g)[g])
 
 
 @lru_cache(maxsize=None)
@@ -220,47 +213,37 @@ def min_distance_bruteforce(code: ComponentCode) -> int:
     return best
 
 
-def _smallest_rank_drop(gen: BinaryMatrix, limit: int) -> int | None:
-    """Smallest s <= limit such that removing some s columns drops the rank."""
-    cols = gen.columns()
-    for s in range(1, min(limit, gen.cols) + 1):
-        for removed in combinations(range(gen.cols), s):
-            if rank_of_bitrows(c for j, c in enumerate(cols) if j not in removed) < gen.rows:
-                return s
-    return None
+def _removal_deficit(gen: BinaryMatrix, s: int) -> int:
+    """k C(n, s) minus the rank sum over all (n-s)-column submatrices.
+
+    Zero for a full-rank gen exactly when its minimum distance exceeds s.
+    """
+    n = gen.cols
+    acc = [0] * (n + 1)
+    _subset_rank_sums(gen.columns(), acc, 0, n - s)
+    return gen.rows * comb(n, s) - acc[n - s]
 
 
 @lru_cache(maxsize=None)
 def min_independent_set_size(code: ComponentCode) -> int:
     """Smallest t such that removing some t columns drops the generator rank.
 
-    Ascends t = 1, 2, ... testing all C(n, t) removals with early exit;
-    equals the code minimum distance for every linear code, but is computed
-    without enumerating codewords.
+    Ascends t = 1, 2, ... until the removal deficit is nonzero; equals the
+    code minimum distance for every linear code, but is computed without
+    enumerating codewords.
     """
-    return _smallest_rank_drop(code.gen, code.n)
-
-
-def rank_drop_of_removal(code: ComponentCode, removed) -> int:
-    """Rank deficiency k - rank(G with the given columns removed); >= 0."""
-    removed_set = set(removed)
-    for j in removed_set:
-        if not 0 <= j < code.n:
-            raise InvalidSelectionError(f"column index {j} out of range for {code.n} columns")
-    cols = code.gen.columns()
-    remaining = [c for j, c in enumerate(cols) if j not in removed_set]
-    return code.k - rank_of_bitrows(remaining)
+    return next(t for t in range(1, code.n + 1) if _removal_deficit(code.gen, t))
 
 
 def min_distance_at_least(gen: BinaryMatrix, t: int) -> bool:
     """True iff the code generated by gen has minimum distance >= t.
 
-    Checks that removing any fewer than t columns preserves the rank,
-    which costs sum_{s<t} C(n, s) rank computations; used for the
-    d_min >= 2 / >= 3 classifications where codeword enumeration would be
-    unnecessary.  gen must have full row rank.
+    Removing any t-1 columns must keep the rank, which costs C(n, t-1)
+    subset walks; used for the d_min >= 2 / >= 3 classifications where
+    codeword enumeration would be unnecessary.  gen must have full row
+    rank.
     """
-    return _smallest_rank_drop(gen, t - 1) is None
+    return _removal_deficit(gen, min(max(t - 1, 0), gen.cols)) == 0
 
 
 @lru_cache(maxsize=None)
@@ -269,11 +252,13 @@ def delta_params(code: ComponentCode) -> DeltaParams:
 
     delta_n2 = k*C(n,2) - e~_{n-2}; delta_n2_kz[z] = k*C(n,2)*C(k,z)
     - e~_{n-2,k-z}.  Both vanish exactly when the minimum distance is at
-    least 3.
+    least 3, which delta_n2 = 0 shows before any identity mask is walked.
     """
     n, k = code.n, code.k
+    delta_n2 = _removal_deficit(code.gen, 2)
+    if delta_n2 == 0:
+        return DeltaParams(0, (0,) * (k + 1))
     row = split_info_row(code, n - 2)
     full = k * comb(n, 2)
-    delta_n2 = full - row[0]
     delta_kz = tuple(full * comb(k, z) - row[k - z] for z in range(k + 1))
     return DeltaParams(delta_n2, delta_kz)

@@ -71,6 +71,13 @@ class Ensemble:
         """The node types of side "variable" or "check"."""
         return self.variable_types if side == "variable" else self.check_types
 
+    def weights(self, side: str) -> tuple[Fraction, ...]:
+        """One side's edge fractions as exact Fractions scaled to sum to exactly 1
+        (read exactly, the floats 0.2 and 0.8 sum to 1 + 2^-54)."""
+        exact = [Fraction(t.edge_fraction) for t in self.types(side)]
+        total = sum(exact)
+        return tuple(w / total for w in exact)
+
 
 @lru_cache(maxsize=None)
 def component_code(node: NodeType) -> ComponentCode:
@@ -162,14 +169,14 @@ def validate(ens: Ensemble) -> Ensemble:
 def design_rate(ens: Ensemble) -> float:
     """Design rate 1 - [sum rho_i (n_i-k_i)/n_i] / [sum lambda_i k_i/n_i]."""
     validate(ens)
-    var_sum = Fraction(0)
-    for t in ens.variable_types:
-        code = component_code(t)
-        var_sum += Fraction(t.edge_fraction) * Fraction(code.k, code.n)
-    chk_sum = Fraction(0)
-    for t in ens.check_types:
-        code = component_code(t)
-        chk_sum += Fraction(t.edge_fraction) * Fraction(code.n - code.k, code.n)
+    var_sum = sum(
+        w * Fraction(code.k, code.n)
+        for w, code in zip(ens.weights("variable"), map(component_code, ens.variable_types))
+    )
+    chk_sum = sum(
+        w * Fraction(code.n - code.k, code.n)
+        for w, code in zip(ens.weights("check"), map(component_code, ens.check_types))
+    )
     return float(1 - chk_sum / var_sum)
 
 

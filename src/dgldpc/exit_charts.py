@@ -24,7 +24,6 @@ from .ensembles import (
     NodeType,
     component_code,
     is_generalized,
-    node_min_distance_at_least,
     validate,
 )
 
@@ -40,30 +39,26 @@ class InversionRangeError(RuntimeError):
     """The inversion target is outside the range of the check-side EXIT curve."""
 
 
-@dataclass(frozen=True)
-class ExitCoefficients:
-    """Exact integer EXIT expansion coefficients of one component code.
-
-    check_terms[t] = (n-t) e~_{n-t} - (t+1) e~_{n-t-1} for t = 0..n-1;
-    variable_terms[t][z] is the split analogue with identity columns k-z.
-    Both vanish at t = 0 exactly when the minimum distance is >= 2.
-    """
-
-    check_terms: tuple[int, ...]
-    variable_terms: tuple[tuple[int, ...], ...]
-
-
 @lru_cache(maxsize=None)
-def exit_coefficients(code: ComponentCode) -> ExitCoefficients:
-    n, k = code.n, code.k
-    e = info_functions(code).values
-    check = tuple((n - t) * e[n - t] - (t + 1) * e[n - t - 1] for t in range(n))
-    s = split_info_functions(code).values
-    variable = tuple(
-        tuple((n - t) * s[n - t][k - z] - (t + 1) * s[n - t - 1][k - z] for z in range(k + 1))
+def exit_coefficients(code: ComponentCode, side: str) -> tuple[tuple[int, ...], ...]:
+    """Exact integer EXIT coefficients of one component code on one side.
+
+    a_t[z] = (n-t) T[n-t][K-z] - (t+1) T[n-t-1][K-z] for t = 0..n-1,
+    z = 0..K.  T is the split table (K = k) on the variable side and the
+    information functions as one column (K = 0) on the check side, so a
+    check node walks 2^n subsets instead of 2^(n+k).  Row t = 0 vanishes
+    exactly when the minimum distance is >= 2.
+    """
+    n = code.n
+    if side == "variable":
+        table = split_info_functions(code).values
+    else:
+        table = tuple((e,) for e in info_functions(code).values)
+    k = len(table[0]) - 1
+    return tuple(
+        tuple((n - t) * table[n - t][k - z] - (t + 1) * table[n - t - 1][k - z] for z in range(k + 1))
         for t in range(n)
     )
-    return ExitCoefficients(check, variable)
 
 
 @dataclass(frozen=True)
@@ -157,8 +152,7 @@ def _mix(parts) -> ExitPolynomial:
 @lru_cache(maxsize=None)
 def code_polynomial(code: ComponentCode, side: str) -> ExitPolynomial:
     """A generalized node's polynomial, c[t][z] = a_t[z] / n; side is "variable" or "check"."""
-    coeffs = exit_coefficients(code)
-    rows = coeffs.variable_terms if side == "variable" else [(a,) for a in coeffs.check_terms]
+    rows = exit_coefficients(code, side)
     return ExitPolynomial(tuple(tuple(Fraction(a, code.n) for a in row) for row in rows))
 
 
@@ -181,9 +175,8 @@ def node_polynomial(node: NodeType, side: str) -> ExitPolynomial:
 def mixture_polynomial(ens: Ensemble, side: str) -> ExitPolynomial:
     """The edge-fraction mixture of one side's node polynomials."""
     validate(ens)
-    return _mix(
-        [(Fraction(t.edge_fraction), node_polynomial(t, side).coeffs) for t in ens.types(side)]
-    )
+    parts = [(w, node_polynomial(t, side).coeffs) for t, w in zip(ens.types(side), ens.weights(side))]
+    return _mix(parts)
 
 
 @lru_cache(maxsize=None)
@@ -191,16 +184,13 @@ def node_slope_row(node: NodeType, side: str) -> tuple[Fraction, ...]:
     """Row t = 1 of the node polynomial, without building the whole table.
 
     A generalized node's row is 2 Delta_{n-2}[z] / n from delta_params
-    (C(n,2) 2^k subset walks instead of 2^(n+k)), and zero when d_min >= 3.
+    (C(n,2) 2^k subset walks instead of 2^(n+k), none when d_min >= 3).
     """
     if not is_generalized(node, side):
         return node_polynomial(node, side).coeffs[1]
     code = component_code(node)
-    if node_min_distance_at_least(node, 3):
-        deltas = (0,) * (code.k + 1 if side == "variable" else 1)
-    else:
-        params = delta_params(code)
-        deltas = params.delta_n2_kz if side == "variable" else (params.delta_n2,)
+    params = delta_params(code)
+    deltas = params.delta_n2_kz if side == "variable" else (params.delta_n2,)
     return tuple(Fraction(2 * x, code.n) for x in deltas)
 
 
@@ -212,7 +202,7 @@ def mixture_slope_row(ens: Ensemble, side: str) -> tuple[Fraction, ...]:
     node, so the rows mix as one-row polynomials.
     """
     validate(ens)
-    parts = [(Fraction(t.edge_fraction), (node_slope_row(t, side),)) for t in ens.types(side)]
+    parts = [(w, (node_slope_row(t, side),)) for t, w in zip(ens.types(side), ens.weights(side))]
     return _mix(parts).coeffs[0]
 
 

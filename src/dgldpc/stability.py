@@ -26,7 +26,7 @@ from math import comb
 from typing import Callable
 
 from .ensembles import Ensemble, is_generalized, node_min_distance_at_least, validate
-from .exit_charts import bernstein_eval, exit_cnd, exit_vnd, mixture_slope_row, node_slope_row
+from .exit_charts import bernstein_eval, mixture_slope_row, node_slope_row
 
 STABILITY_SLACK = 1e-12
 TANGENCY_TOL = 1e-9
@@ -258,9 +258,9 @@ def derivative_matching_check(ens: Ensemble, q: float) -> DerivativeMatching:
         raise InverseSlopeUndefinedError(
             "check-side EXIT slope at p=0 is zero; the inverse curve has no defined slope"
         )
-    endpoint_ok = (
-        abs(exit_vnd(ens, 0.0, q) - 1.0) <= STABILITY_SLACK
-        and abs(exit_cnd(ens, 0.0) - 1.0) <= STABILITY_SLACK
+    # I_E(0) = 1 on both sides exactly when row t = 0 vanishes, i.e. d_min >= 2
+    endpoint_ok = all(
+        node_min_distance_at_least(t, 2) for t in ens.variable_types + ens.check_types
     )
     slope_gap = vnd_derivative_at_zero(ens, q) - 1.0 / cnd_slope
     return DerivativeMatching(
@@ -280,8 +280,9 @@ def stability_report(ens: Ensemble) -> StabilityReport:
 
     def dmin2_terms(side: str) -> list[tuple[float, ...]]:
         terms = [()] * len(ens.types(side))
+        weights = ens.weights(side)
         for i, t in _dmin2_types(ens, side):
-            terms[i] = tuple(float(Fraction(t.edge_fraction) * c) for c in node_slope_row(t, side))
+            terms[i] = tuple(float(weights[i] * c) for c in node_slope_row(t, side))
         return terms
 
     applicability = Applicability(

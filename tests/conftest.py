@@ -1,17 +1,79 @@
-"""Shared fixtures: canonical codes, node-type builders, random code sampling."""
+"""Shared fixtures: canonical codes, node-type builders, random code sampling,
+and the literal submatrix helpers the brute-force oracles are built from."""
 
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 import pytest
 
-from dgldpc.binmat import BinaryMatrix, rank
+from dgldpc.binmat import BinaryMatrix, rank, rank_of_bitrows
 from dgldpc.codes import ComponentCode
 from dgldpc.ensembles import Ensemble, NodeType
 
 HAMMING_74_TEXT = "1000110\n0100101\n0010011\n0001111"
 SPC_32_TEXT = "101\n011"
+
+
+class DimensionMismatchError(ValueError):
+    """Two matrices were combined with incompatible shapes."""
+
+
+class InvalidSelectionError(ValueError):
+    """A column selection was out of range or not strictly increasing."""
+
+
+def select_columns(m: BinaryMatrix, indices: Sequence[int]) -> BinaryMatrix:
+    """The rows x len(indices) submatrix, column order preserved.
+
+    indices must be strictly increasing and within range.
+    """
+    prev = -1
+    for j in indices:
+        if j <= prev:
+            raise InvalidSelectionError(f"column indices must be strictly increasing, got {list(indices)}")
+        if j >= m.cols:
+            raise InvalidSelectionError(f"column index {j} out of range for {m.cols} columns")
+        prev = j
+    bits = []
+    for row in m.bits:
+        word = 0
+        for pos, j in enumerate(indices):
+            word |= ((row >> j) & 1) << pos
+        bits.append(word)
+    return BinaryMatrix(tuple(bits), len(indices))
+
+
+def augment_identity(m: BinaryMatrix) -> BinaryMatrix:
+    """[m | I_rows]: identity columns occupy indices cols .. cols+rows-1."""
+    bits = tuple(row | (1 << (m.cols + i)) for i, row in enumerate(m.bits))
+    return BinaryMatrix(bits, m.cols + m.rows)
+
+
+def same_row_space(a: BinaryMatrix, b: BinaryMatrix) -> bool:
+    """True iff a and b span the same GF(2) row space.
+
+    Such matrices are representations of the same code.
+    """
+    if a.cols != b.cols:
+        raise DimensionMismatchError(f"column counts differ: {a.cols} vs {b.cols}")
+    ra = rank(a)
+    rb = rank(b)
+    if ra != rb:
+        return False
+    return rank_of_bitrows(a.bits + b.bits) == ra
+
+
+def rank_drop_of_removal(code: ComponentCode, removed) -> int:
+    """Rank deficiency k - rank(G with the given columns removed); >= 0."""
+    removed_set = set(removed)
+    for j in removed_set:
+        if not 0 <= j < code.n:
+            raise InvalidSelectionError(f"column index {j} out of range for {code.n} columns")
+    cols = code.gen.columns()
+    remaining = [c for j, c in enumerate(cols) if j not in removed_set]
+    return code.k - rank_of_bitrows(remaining)
 
 
 def rep_node(j: int, fraction: float) -> NodeType:

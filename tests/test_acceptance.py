@@ -143,12 +143,12 @@ def test_criterion_3_coefficient_laws():
             codes.append(code)
             found += 1
         for code in codes:
-            coeffs = exit_coefficients(code)
-            assert coeffs.check_terms[0] == 0
-            assert all(a == 0 for a in coeffs.variable_terms[0])
+            check, variable = exit_coefficients(code, "check"), exit_coefficients(code, "variable")
+            assert check[0] == (0,)
+            assert all(a == 0 for a in variable[0])
             dmin3 = min_distance_bruteforce(code) >= 3
-            assert (coeffs.check_terms[1] == 0) == dmin3
-            assert all(a == 0 for a in coeffs.variable_terms[1]) == dmin3
+            assert (check[1] == (0,)) == dmin3
+            assert all(a == 0 for a in variable[1]) == dmin3
 
 
 def test_criterion_4_ldpc_special_case():

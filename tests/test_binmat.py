@@ -6,17 +6,16 @@ import random
 
 import pytest
 
-from dgldpc.binmat import (
-    BinaryMatrix,
+from dgldpc.binmat import BinaryMatrix, rank
+
+from conftest import (
     DimensionMismatchError,
     InvalidSelectionError,
     augment_identity,
-    rank,
+    random_full_rank,
     same_row_space,
     select_columns,
 )
-
-from conftest import random_full_rank
 
 
 def rank_by_span_enumeration(m: BinaryMatrix) -> int:

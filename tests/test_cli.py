@@ -63,6 +63,16 @@ def test_analyze_report(e36_path, capsys):
     assert doc["stability"]["applicability"]["is_gldpc"] is True
 
 
+def test_analyze_accepts_crlf_generator_literals(tmp_path, capsys):
+    reports = []
+    for name, literal in (("lf", "101\\n011"), ("crlf", "101\\r\\n011")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(G32_SPC6_DOC.replace("101\\n011", literal), encoding="utf-8")
+        assert run(["analyze", str(path)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
 def test_threshold_report(e36_path, capsys):
     assert run(["threshold", e36_path]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -12,8 +12,10 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from dgldpc.binmat import BinaryMatrix, augment_identity, rank, same_row_space, select_columns
+from dgldpc.binmat import BinaryMatrix, rank, rank_of_bitrows
 from dgldpc.codes import (
     ComponentCode,
     EnumerationCapacityError,
@@ -22,12 +24,18 @@ from dgldpc.codes import (
     min_distance_at_least,
     min_distance_bruteforce,
     min_independent_set_size,
-    rank_drop_of_removal,
     split_info_functions,
     split_info_row,
 )
 
-from conftest import HAMMING_74_TEXT, random_component_code
+from conftest import (
+    HAMMING_74_TEXT,
+    augment_identity,
+    random_component_code,
+    rank_drop_of_removal,
+    same_row_space,
+    select_columns,
+)
 
 
 def oracle_info_functions(code: ComponentCode) -> tuple[int, ...]:
@@ -263,3 +271,53 @@ def test_spc_delta_identity():
     for j in range(3, 9):
         code = ComponentCode.single_parity_check(j)
         assert 2 * delta_params(code).delta_n2 == code.n * (j - 1)
+
+
+def hamming_15_11() -> ComponentCode:
+    """Systematic [I_11 | P], P's rows the eleven 4-bit words of weight >= 2."""
+    parities = [v for v in range(16) if v.bit_count() >= 2]
+    return ComponentCode(BinaryMatrix(tuple((1 << i) | (v << 11) for i, v in enumerate(parities)), 15))
+
+
+def test_delta_params_of_a_dmin3_code_walks_no_identity_mask():
+    code = hamming_15_11()
+    assert min_distance_bruteforce(code) == 3
+    delta_params.cache_clear()
+    split_info_row.cache_clear()
+    assert delta_params(code).delta_n2_kz == (0,) * 12
+    assert split_info_row.cache_info().currsize == 0
+
+
+def dual_code(code: ComponentCode) -> ComponentCode:
+    """C-perp by brute force: every word orthogonal to all generator rows."""
+    basis: list[int] = []
+    for word in range(1 << code.n):
+        if all((row & word).bit_count() % 2 == 0 for row in code.gen.bits):
+            if rank_of_bitrows(basis + [word]) > len(basis):
+                basis.append(word)
+    return ComponentCode(BinaryMatrix(tuple(basis), code.n))
+
+
+@st.composite
+def full_rank_generators(draw) -> BinaryMatrix:
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n - 1))
+    gen = BinaryMatrix(tuple(draw(st.lists(st.integers(1, (1 << n) - 1), min_size=k, max_size=k))), n)
+    assume(rank(gen) == k)
+    return gen
+
+
+@settings(max_examples=40, deadline=None)
+@given(full_rank_generators())
+def test_rank_sum_tables_against_duality_and_codeword_oracles(gen):
+    code = ComponentCode(gen)
+    n, k = code.n, code.k
+    e, e_dual = info_functions(code).values, info_functions(dual_code(code)).values
+    for g in range(n + 1):
+        assert e[g] == comb(n, g) * (g - n + k) + e_dual[n - g]
+    table = split_info_functions(code).values
+    for g in range(n + 1):
+        assert split_info_row(code, g) == table[g]
+    d = min_distance_bruteforce(code)
+    for t in range(n + 2):
+        assert min_distance_at_least(gen, t) == (d >= t)

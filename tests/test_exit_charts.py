@@ -7,15 +7,16 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dgldpc.codes import ComponentCode, info_functions, min_distance_at_least
+from dgldpc.codes import ComponentCode, info_functions, min_distance_at_least, split_info_functions
 from dgldpc.exit_charts import (
     MONOTONICITY_GRID,
     InversionRangeError,
     _check_decreasing,
     bernstein_eval,
+    cnd_evaluator,
     code_polynomial,
     exit_check_generic,
     exit_cnd,
@@ -46,9 +47,8 @@ P_GRID = [i / 100 for i in range(101)]
 
 
 def test_coefficients_spc32(spc32):
-    coeffs = exit_coefficients(spc32)
-    assert coeffs.check_terms == (0, 6, 3)
-    assert all(row[0] == 0 for row in (coeffs.variable_terms[0],))
+    assert exit_coefficients(spc32, "check") == ((0,), (6,), (3,))
+    assert exit_coefficients(spc32, "variable")[0][0] == 0
 
 
 def test_coefficients_nonnegative_random():
@@ -56,9 +56,8 @@ def test_coefficients_nonnegative_random():
     for _ in range(10):
         n = rng.randint(2, 7)
         code = random_component_code(rng, n, rng.randint(1, n - 1))
-        coeffs = exit_coefficients(code)
-        assert all(a >= 0 for a in coeffs.check_terms)
-        assert all(a >= 0 for row in coeffs.variable_terms for a in row)
+        for side in ("variable", "check"):
+            assert all(a >= 0 for row in exit_coefficients(code, side) for a in row)
 
 
 def test_check_exit_matches_spc_closed_form():
@@ -280,6 +279,18 @@ def test_chart_curves_cross_above_threshold(rep3_spc6):
     assert min(gaps) < 0
 
 
+def test_generic_check_curves_never_build_the_split_table():
+    ens = ensemble([rep_node(3, 1.0)], [generic_node("1100\n0111", 0.5), spc_node(6, 0.5)])
+    # earlier tests may hold this code's polynomials in the upper caches
+    for cache in (split_info_functions, exit_coefficients, code_polynomial, node_polynomial,
+                  mixture_polynomial, cnd_evaluator):
+        cache.cache_clear()
+    exit_cnd(ens, 0.3)
+    sample_exit_chart(ens, 0.3, 11)
+    assert split_info_functions.cache_info().currsize == 0
+    assert exit_coefficients.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("j", [8, 16, 32])
 def test_long_spc_check_curve_stays_nonnegative_and_invertible(j):
     # near p = 1, (1-p)^(j-1) falls below one ulp of 1; forming it as
@@ -352,6 +363,9 @@ unit = st.floats(0.0, 1.0)
 
 @settings(max_examples=60, deadline=None)
 @given(random_side(), random_side(), unit, unit)
+@example(  # 0.2 + 0.8 is 1 + 2^-54 in exact arithmetic; I_E(1) must still be 0
+    [rep_node(2, 0.2), rep_node(3, 0.8)], [spc_node(4, 0.2), spc_node(6, 0.8)], 1.0, 1.0
+)
 def test_mixture_is_the_edge_fraction_sum_of_its_types(variables, checks, p, q):
     ens = ensemble(variables, checks)
     per_type_v = sum(t.edge_fraction * node_polynomial(t, "variable").at_q(q)(p) for t in variables)

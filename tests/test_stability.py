@@ -7,7 +7,7 @@ import math
 import pytest
 
 from dgldpc.codes import split_info_functions
-from dgldpc.exit_charts import code_polynomial, exit_coefficients, node_polynomial
+from dgldpc.exit_charts import code_polynomial, exit_coefficients, mixture_polynomial, node_polynomial
 from dgldpc.stability import (
     InverseSlopeUndefinedError,
     cnd_derivative_at_zero,
@@ -233,10 +233,12 @@ def test_report_never_builds_the_split_table():
         [spc_node(6, 0.5), generic_node("1100\n0111", 0.5)],
     )
     # earlier tests may hold these codes' full polynomials in the upper caches
-    for cache in (split_info_functions, exit_coefficients, code_polynomial, node_polynomial):
+    for cache in (split_info_functions, exit_coefficients, code_polynomial, node_polynomial,
+                  mixture_polynomial):
         cache.cache_clear()
     stability_report(ens)
     dgldpc_stability_check(ens, 0.3)
     dgldpc_stability_boundary(ens)
+    derivative_matching_check(ens, 0.3)
     assert split_info_functions.cache_info().currsize == 0
     assert exit_coefficients.cache_info().currsize == 0
