@@ -10,8 +10,6 @@ from .binmat import BinaryMatrix, rank
 from .codes import (
     ComponentCode,
     DeltaParams,
-    InfoFunctionTable,
-    SplitInfoFunctionTable,
     delta_params,
     info_functions,
     min_distance_bruteforce,
@@ -57,9 +55,7 @@ __all__ = [
     "DeltaParams",
     "Ensemble",
     "ExitCurve",
-    "InfoFunctionTable",
     "NodeType",
-    "SplitInfoFunctionTable",
     "StabilityCheck",
     "StabilityReport",
     "ThresholdResult",

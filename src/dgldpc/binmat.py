@@ -69,10 +69,6 @@ class BinaryMatrix:
             for row in self.bits
         )
 
-    @classmethod
-    def identity(cls, k: int) -> "BinaryMatrix":
-        return cls(tuple(1 << i for i in range(k)), k)
-
     def column(self, j: int) -> int:
         """Column j as a rows-bit int (bit i = entry of row i)."""
         word = 0

@@ -108,7 +108,7 @@ def _cmd_code_info(args) -> int:
             "bruteforce": min_distance_bruteforce(code),
             "independent_set": min_independent_set_size(code),
         },
-        "info_functions": list(info_functions(code).values),
+        "info_functions": list(info_functions(code)),
         "delta_n2": deltas.delta_n2,
         "delta_n2_kz": list(deltas.delta_n2_kz),
     }
@@ -222,9 +222,5 @@ def run(argv=None) -> int:
         return STATUS_INPUT_ERROR
 
 
-def main(argv=None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

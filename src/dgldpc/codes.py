@@ -11,7 +11,9 @@ sum of GF(2) ranks over column subsets, enumerated by one walker:
   * the rank deficit after removing s columns, zero exactly when the
     minimum distance exceeds s (checked against codeword enumeration);
   * the rank-deficiency totals over (n-2)-column submatrices that are the
-    only way minimum-distance-2 codes enter the stability condition.
+    only way minimum-distance-2 codes enter the stability condition; they
+    are zero for d_min >= 3, and the stability analysis reads that case off
+    them rather than testing the distance separately.
 
 All tables are exact integers; enumeration cost is exponential in n (and
 n + k for the split tables), which the dimension caps keep at desk scale.
@@ -78,20 +80,6 @@ class ComponentCode:
 
 
 @dataclass(frozen=True)
-class InfoFunctionTable:
-    """values[g] = sum of ranks over all g-column generator submatrices."""
-
-    values: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SplitInfoFunctionTable:
-    """values[g][h] = sum of ranks over g generator and h identity columns."""
-
-    values: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class DeltaParams:
     """Total rank deficiencies over (n-2)-column submatrices.
 
@@ -133,15 +121,16 @@ def _subset_rank_sums(columns: list[int], acc: list[int], base: int, size: int |
 
 
 @lru_cache(maxsize=None)
-def info_functions(code: ComponentCode) -> InfoFunctionTable:
-    """Exact information function table for g = 0..n.
+def info_functions(code: ComponentCode) -> tuple[int, ...]:
+    """Exact information functions: entry g = 0..n is the rank sum over all
+    g-column generator submatrices.
 
     The table does not depend on the generator representation, only on the
     row space.
     """
     acc = [0] * (code.n + 1)
     _subset_rank_sums(code.gen.columns(), acc, 0)
-    return InfoFunctionTable(tuple(acc))
+    return tuple(acc)
 
 
 def _split_rank_sums(code: ComponentCode, size: int | None = None) -> list[list[int]]:
@@ -166,9 +155,10 @@ def _split_rank_sums(code: ComponentCode, size: int | None = None) -> list[list[
 
 
 @lru_cache(maxsize=None)
-def split_info_functions(code: ComponentCode) -> SplitInfoFunctionTable:
-    """Exact split information function table for g = 0..n, h = 0..k."""
-    return SplitInfoFunctionTable(tuple(tuple(row) for row in _split_rank_sums(code)))
+def split_info_functions(code: ComponentCode) -> tuple[tuple[int, ...], ...]:
+    """Exact split information functions: entry [g][h], g = 0..n, h = 0..k,
+    is the rank sum over g generator and h identity columns."""
+    return tuple(tuple(row) for row in _split_rank_sums(code))
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ensembles import Ensemble, validate
-from .exit_charts import cnd_evaluator, vnd_evaluator_at_q
+from .exit_charts import bisect, cnd_evaluator, vnd_evaluator_at_q
 
 DEFAULT_MAX_ITERS = 100_000
 DEFAULT_TOL = 1e-12
@@ -136,23 +136,22 @@ def find_threshold(
     low_run = de_iterate(ens, 0.0, max_iters, tol, record_trace)
     high_run = de_iterate(ens, 1.0, max_iters, tol)
     probes = 2
-    converged = low_run.success and not high_run.success
     last_success = low_run if low_run.success else None
 
-    lo, hi = 0.0, 1.0
-    while hi - lo > BRACKET_WIDTH:
-        mid = 0.5 * (lo + hi)
-        run = de_iterate(ens, mid, max_iters, tol, record_trace)
+    def fails(q: float) -> int:
+        nonlocal probes, last_success
+        run = de_iterate(ens, q, max_iters, tol, record_trace)
         probes += 1
         if run.success:
-            lo = mid
             last_success = run
-        else:
-            hi = mid
+            return -1
+        return 1
+
+    q_star = bisect(fails, 0.0, 1.0, BRACKET_WIDTH)
     return ThresholdResult(
-        q_star=0.5 * (lo + hi),
+        q_star=q_star,
         iterations_at_threshold=0 if last_success is None else last_success.iters,
         bisection_steps=probes,
-        converged=converged,
+        converged=low_run.success and not high_run.success,
         residual_trace=None if last_success is None else last_success.trace,
     )

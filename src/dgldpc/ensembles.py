@@ -89,16 +89,6 @@ def component_code(node: NodeType) -> ComponentCode:
     return ComponentCode(node.generator)
 
 
-@lru_cache(maxsize=None)
-def node_min_distance_at_least(node: NodeType, t: int) -> bool:
-    """Whether the node's component code has minimum distance >= t."""
-    if node.kind == "repetition":
-        return node.length >= t
-    if node.kind == "spc":
-        return 2 >= t
-    return min_distance_at_least(node.generator, t)
-
-
 def is_generalized(node: NodeType, side: str) -> bool:
     """All but repetition variable nodes and SPC check nodes are generalized."""
     return node.kind != ("repetition" if side == "variable" else "spc")
@@ -149,10 +139,6 @@ def _validate_side(types: tuple[NodeType, ...], side: str) -> None:
 def _validate_cached(ens: Ensemble) -> bool:
     _validate_side(ens.variable_types, "variable")
     _validate_side(ens.check_types, "check")
-    # Warm the component-code and distance-class caches for every type.
-    for t in ens.variable_types + ens.check_types:
-        component_code(t)
-        node_min_distance_at_least(t, 3)
     return True
 
 

@@ -28,7 +28,7 @@ from .ensembles import (
 )
 
 MONOTONICITY_GRID = 1024
-INVERSION_STEPS = 60
+INVERSION_WIDTH = 2.0**-60
 
 
 class MonotonicityError(RuntimeError):
@@ -51,9 +51,9 @@ def exit_coefficients(code: ComponentCode, side: str) -> tuple[tuple[int, ...], 
     """
     n = code.n
     if side == "variable":
-        table = split_info_functions(code).values
+        table = split_info_functions(code)
     else:
-        table = tuple((e,) for e in info_functions(code).values)
+        table = tuple((e,) for e in info_functions(code))
     k = len(table[0]) - 1
     return tuple(
         tuple((n - t) * table[n - t][k - z] - (t + 1) * table[n - t - 1][k - z] for z in range(k + 1))
@@ -261,6 +261,27 @@ def _assert_cnd_invertible(ens: Ensemble) -> bool:
     return True
 
 
+def bisect(sign: Callable[[float], float], lo: float, hi: float, width: float) -> float:
+    """A point where sign changes from negative (below) to positive (above).
+
+    Halves [lo, hi] while it is wider than width, returns a midpoint where
+    sign is 0 at once, and stops early once the midpoint rounds to an end
+    (the bracket is one ulp wide).  Returns the final midpoint.
+    """
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        s = sign(mid)
+        if s == 0:
+            return mid
+        if s < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def inverse_exit_cnd(ens: Ensemble, target: float) -> float:
     """The erasure probability p with I_{E,C}(p) = target, by bisection.
 
@@ -271,8 +292,7 @@ def inverse_exit_cnd(ens: Ensemble, target: float) -> float:
         raise ValueError(f"inversion target must be in [0, 1], got {target}")
     _assert_cnd_invertible(ens)
     f = cnd_evaluator(ens)
-    lo, hi = 0.0, 1.0
-    flo, fhi = f(lo), f(hi)
+    flo, fhi = f(0.0), f(1.0)
     if target >= flo:
         return 0.0
     if target < fhi - 1e-12:
@@ -281,16 +301,7 @@ def inverse_exit_cnd(ens: Ensemble, target: float) -> float:
         )
     if target <= fhi:
         return 1.0
-    for _ in range(INVERSION_STEPS):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == target:
-            return mid
-        if fm > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda p: target - f(p), 0.0, 1.0, INVERSION_WIDTH)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,13 @@ The sums run over the generalized types with minimum distance 2 (D_i is the
 augmented rank-deficiency table of type i); no other component code
 contributes.  Both sides are row t = 1 of the exact EXIT polynomials
 (exit_charts.mixture_slope_row): lhs is the variable row evaluated in q and
-the bracket of rhs is the check row.  Without minimum-distance-2 generalized
-variable types lhs is linear in q and the condition is the threshold bound
-q <= 1 / (lambda_2 * bracket), lambda_2 being the variable row at q = 1;
-otherwise it is evaluated pointwise.
+the bracket of rhs is the check row.  Every decision is read off these rows:
+the minimum-distance-2 generalized types are those whose row is nonzero
+(codes.delta_params is zero for d_min >= 3), and derivative matching, the
+tangency of the two curves at p = 0, is the margin rhs - lhs at q.  Without
+minimum-distance-2 generalized variable types lhs is linear in q and the
+condition is the threshold bound q <= 1 / (lambda_2 * bracket), lambda_2
+being the variable row at q = 1; otherwise it is evaluated pointwise.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from fractions import Fraction
 from math import comb
 from typing import Callable
 
-from .ensembles import Ensemble, is_generalized, node_min_distance_at_least, validate
-from .exit_charts import bernstein_eval, mixture_slope_row, node_slope_row
+from .ensembles import Ensemble, is_generalized, validate
+from .exit_charts import bernstein_eval, bisect, mixture_slope_row, node_slope_row
 
 STABILITY_SLACK = 1e-12
 TANGENCY_TOL = 1e-9
@@ -119,12 +122,21 @@ class StabilityReport:
 
 
 def _dmin2_types(ens: Ensemble, side: str) -> list:
-    """(index, type) of the generalized minimum-distance-2 types of one side."""
+    """(index, type) of the generalized minimum-distance-2 types of one side:
+    those with a nonzero slope row (the row of a d_min >= 3 code is zero)."""
     return [
         (i, t)
         for i, t in enumerate(ens.types(side))
-        if is_generalized(t, side) and not node_min_distance_at_least(t, 3)
+        if is_generalized(t, side) and any(node_slope_row(t, side))
     ]
+
+
+def _reciprocal(x: Fraction) -> float:
+    """1 / x correctly rounded; +inf for x = 0 and beyond the float range."""
+    try:
+        return float(1 / x) if x else math.inf
+    except OverflowError:
+        return math.inf
 
 
 def _bracket(ens: Ensemble) -> Fraction:
@@ -175,24 +187,21 @@ def vnd_slope_coefficients(ens: Ensemble) -> tuple[float, ...]:
 def gldpc_stability_bound(ens: Ensemble) -> float | None:
     """The threshold upper bound 1 / (lambda_2 * bracket), when expressible.
 
-    Returns +inf when the product is zero (the condition is vacuous) and
+    Returns +inf when the product is zero (the condition is vacuous) or its
+    reciprocal exceeds the float range, and
     None when a minimum-distance-2 generalized variable type prevents
     factoring q out of the inequality.  Otherwise lambda_2 is row 1 at q = 1.
     """
     validate(ens)
     if _dmin2_types(ens, "variable"):
         return None
-    denom = mixture_slope_row(ens, "variable")[-1] * _bracket(ens)
-    if denom == 0:
-        return math.inf
-    return float(1 / denom)
+    return _reciprocal(mixture_slope_row(ens, "variable")[-1] * _bracket(ens))
 
 
 def dgldpc_stability_check(ens: Ensemble, q: float) -> StabilityCheck:
     """Evaluate both sides of the stability inequality at the given q."""
     lhs = _stability_lhs(ens)(q)
-    bracket = _bracket(ens)
-    rhs = math.inf if bracket == 0 else float(1 / bracket)
+    rhs = _reciprocal(_bracket(ens))
     return StabilityCheck(
         holds=lhs <= rhs + STABILITY_SLACK,
         lhs=lhs,
@@ -211,7 +220,7 @@ def dgldpc_stability_boundary(ens: Ensemble) -> BoundaryResult:
     bracket = _bracket(ens)
     if bracket == 0:
         return BoundaryResult(points=(), vacuous=True)
-    rhs = float(1 / bracket)
+    rhs = _reciprocal(bracket)
     lhs = _stability_lhs(ens)
 
     def g(q: float) -> float:
@@ -228,19 +237,8 @@ def dgldpc_stability_boundary(ens: Ensemble) -> BoundaryResult:
         if cur_g == 0.0:
             roots.append(cur_q)
         elif prev_g != 0.0 and (prev_g < 0.0) != (cur_g < 0.0):
-            lo, hi = prev_q, cur_q
-            glo = prev_g
-            while hi - lo > BOUNDARY_TOL:
-                mid = 0.5 * (lo + hi)
-                gm = g(mid)
-                if gm == 0.0:
-                    lo = hi = mid
-                    break
-                if (gm < 0.0) == (glo < 0.0):
-                    lo, glo = mid, gm
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
+            sign = g if prev_g < 0.0 else (lambda q: -g(q))
+            roots.append(bisect(sign, prev_q, cur_q, BOUNDARY_TOL))
         prev_q, prev_g = cur_q, cur_g
     return BoundaryResult(points=tuple(sorted(roots)), vacuous=False)
 
@@ -248,23 +246,19 @@ def dgldpc_stability_boundary(ens: Ensemble) -> BoundaryResult:
 def derivative_matching_check(ens: Ensemble, q: float) -> DerivativeMatching:
     """Compare the VND slope against the inverse CND slope at p = 0.
 
-    slope_gap = dI_{E,V}/dp - 1/(dI_{E,C}/dp), both at p = 0; a gap of
-    zero (within tolerance) is the tangency that makes the stability bound
-    hold with equality.
+    slope_gap = dI_{E,V}/dp - 1/(dI_{E,C}/dp), both at p = 0, which is the
+    stability margin rhs - lhs at q; a gap of zero (within tolerance) is the
+    tangency that makes the stability bound hold with equality.
     """
     validate(ens)
-    cnd_slope = cnd_derivative_at_zero(ens)
-    if cnd_slope == 0.0:
+    if _bracket(ens) == 0:
         raise InverseSlopeUndefinedError(
             "check-side EXIT slope at p=0 is zero; the inverse curve has no defined slope"
         )
-    # I_E(0) = 1 on both sides exactly when row t = 0 vanishes, i.e. d_min >= 2
-    endpoint_ok = all(
-        node_min_distance_at_least(t, 2) for t in ens.variable_types + ens.check_types
-    )
-    slope_gap = vnd_derivative_at_zero(ens, q) - 1.0 / cnd_slope
+    slope_gap = dgldpc_stability_check(ens, q).margin
     return DerivativeMatching(
-        endpoint_ok=endpoint_ok,
+        # validate admits only d_min >= 2 types, so row 0 vanishes: I_E(0) = 1 on both sides
+        endpoint_ok=True,
         slope_gap=slope_gap,
         tangent_at_zero=abs(slope_gap) <= TANGENCY_TOL,
     )

@@ -45,6 +45,11 @@ def select_columns(m: BinaryMatrix, indices: Sequence[int]) -> BinaryMatrix:
     return BinaryMatrix(tuple(bits), len(indices))
 
 
+def identity(k: int) -> BinaryMatrix:
+    """The k x k identity matrix."""
+    return BinaryMatrix(tuple(1 << i for i in range(k)), k)
+
+
 def augment_identity(m: BinaryMatrix) -> BinaryMatrix:
     """[m | I_rows]: identity columns occupy indices cols .. cols+rows-1."""
     bits = tuple(row | (1 << (m.cols + i)) for i, row in enumerate(m.bits))

@@ -32,8 +32,10 @@ from dgldpc.exit_charts import (
     exit_coefficients,
     exit_variable_generic,
     exit_vnd,
+    mixture_slope_row,
 )
 from dgldpc.stability import (
+    InverseSlopeUndefinedError,
     cnd_derivative_at_zero,
     derivative_matching_check,
     dgldpc_stability_check,
@@ -188,6 +190,17 @@ def test_criterion_5_equality_case():
         assert match.tangent_at_zero
         elapsed = time.monotonic() - start
         assert elapsed < 5.0, f"took {elapsed:.1f}s"
+
+
+def test_slope_gap_is_the_stability_margin_on_the_fixtures():
+    for ens in fixture_suite():
+        for q in [i / 10 for i in range(11)]:
+            if mixture_slope_row(ens, "check")[0] == 0:
+                with pytest.raises(InverseSlopeUndefinedError):
+                    derivative_matching_check(ens, q)
+            else:
+                margin = dgldpc_stability_check(ens, q).margin
+                assert derivative_matching_check(ens, q).slope_gap == margin
 
 
 def test_criterion_6_necessity(suite_thresholds):

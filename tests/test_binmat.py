@@ -12,6 +12,7 @@ from conftest import (
     DimensionMismatchError,
     InvalidSelectionError,
     augment_identity,
+    identity,
     random_full_rank,
     same_row_space,
     select_columns,
@@ -31,7 +32,7 @@ def rank_by_span_enumeration(m: BinaryMatrix) -> int:
 
 
 def test_rank_identity():
-    assert rank(BinaryMatrix.identity(3)) == 3
+    assert rank(identity(3)) == 3
 
 
 def test_rank_zero_matrix():
@@ -54,7 +55,7 @@ def test_rank_matches_span_oracle():
 
 
 def test_select_columns_identity():
-    m = BinaryMatrix.identity(3)
+    m = identity(3)
     sub = select_columns(m, [0, 2])
     assert sub.cols == 2
     assert sub.bits == (1, 0, 2)
@@ -91,7 +92,7 @@ def test_augment_identity_single_row():
 
 def test_augment_identity_empty_matrix():
     m = BinaryMatrix((0, 0, 0), 0)
-    assert augment_identity(m) == BinaryMatrix.identity(3)
+    assert augment_identity(m) == identity(3)
 
 
 def test_augment_identity_layout():

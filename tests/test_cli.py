@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import tomllib
+from pathlib import Path
 
 import pytest
 
+import dgldpc
 from dgldpc.cli import run
 
 from conftest import HAMMING_74_TEXT
@@ -200,3 +206,41 @@ def test_hamming_check_analysis(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["stability"]["cnd_slope_at_zero"] == 0.0
     assert report["stability"]["gldpc_bound"] == "inf"
+
+
+def test_reciprocal_beyond_the_float_range_prints_inf(tmp_path, capsys):
+    # 1.0 + 1e-310 == 1.0 passes validation; 1 / (check row) exceeds the float range
+    doc = json.dumps(
+        {
+            "variable_nodes": [{"kind": "repetition", "length": 2, "edge_fraction": 1.0}],
+            "check_nodes": [
+                {"kind": "generic", "generator": HAMMING_74_TEXT, "edge_fraction": 1.0},
+                {"kind": "spc", "length": 6, "edge_fraction": 1e-310},
+            ],
+        }
+    )
+    path = tmp_path / "tiny.json"
+    path.write_text(doc, encoding="utf-8")
+    assert run(["analyze", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["stability"]["gldpc_bound"] == "inf"
+    assert run(["check-stability", str(path), "--q", "0.5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["rhs"] == "inf" and report["margin"] == "inf" and report["holds"] is True
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    path = tmp_path / "spc32.txt"
+    path.write_text("101\n011\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(dgldpc.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "dgldpc.cli", "code-info", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["info_functions"] == [0, 3, 6, 2]
+
+
+def test_console_script_target_is_run():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["dgldpc"]
+    assert target == "dgldpc.cli:run"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -16,6 +17,7 @@ from dgldpc.exit_charts import (
     InversionRangeError,
     _check_decreasing,
     bernstein_eval,
+    bisect,
     cnd_evaluator,
     code_polynomial,
     exit_check_generic,
@@ -144,7 +146,7 @@ def test_exit_matches_erasure_decoding_oracle(spc32, hamming74):
 def test_check_exit_hamming_half_exact(hamming74):
     # all weights equal 2^-6 at p = 1/2; frozen exact value 23/64
     assert abs(exit_check_generic(hamming74, 0.5) - 23 / 64) <= 1e-15
-    e = info_functions(hamming74).values
+    e = info_functions(hamming74)
     a = [(7 - t) * e[7 - t] - (t + 1) * e[6 - t] for t in range(7)]
     exact = 1 - Fraction(1, 7) * sum(Fraction(at, 64) for at in a)
     assert exact == Fraction(23, 64)
@@ -247,6 +249,31 @@ def test_inverse_rejects_unreachable_target():
     assert exit_cnd(ens, 1.0) == pytest.approx(1 / 3, abs=1e-12)
     with pytest.raises(InversionRangeError):
         inverse_exit_cnd(ens, 0.0)
+
+
+def test_bisect_returns_an_exact_zero():
+    calls = []
+
+    def sign(x):
+        calls.append(x)
+        return x - 0.75
+
+    assert bisect(sign, 0.5, 1.0, 2.0**-60) == 0.75
+    assert calls == [0.75]
+
+
+def test_bisect_stops_on_the_frozen_bracket():
+    calls = []
+
+    def sign(x):
+        calls.append(x)
+        return -1 if x < 0.7 else 1
+
+    # floats in [0.5, 1) are 2^-53 apart: 52 halvings leave a one-ulp
+    # bracket, whose midpoint rounds to an end, well before width 2^-60
+    p = bisect(sign, 0.5, 1.0, 2.0**-60)
+    assert len(calls) == 52
+    assert p in (math.nextafter(0.7, 0.0), 0.7)
 
 
 def test_decreasing_guard_flags_increase():

@@ -3,11 +3,23 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dgldpc.codes import split_info_functions
-from dgldpc.exit_charts import code_polynomial, exit_coefficients, mixture_polynomial, node_polynomial
+from dgldpc import codes, ensembles
+from dgldpc.codes import ComponentCode, min_distance_bruteforce, split_info_functions
+from dgldpc.ensembles import validate
+from dgldpc.exit_charts import (
+    code_polynomial,
+    exit_coefficients,
+    mixture_polynomial,
+    mixture_slope_row,
+    node_polynomial,
+    node_slope_row,
+)
 from dgldpc.stability import (
     InverseSlopeUndefinedError,
     cnd_derivative_at_zero,
@@ -20,7 +32,15 @@ from dgldpc.stability import (
     vnd_slope_coefficients,
 )
 
-from conftest import HAMMING_74_TEXT, SPC_32_TEXT, ensemble, generic_node, rep_node, spc_node
+from conftest import (
+    HAMMING_74_TEXT,
+    SPC_32_TEXT,
+    ensemble,
+    generic_node,
+    random_full_rank,
+    rep_node,
+    spc_node,
+)
 
 
 def test_cnd_slope_all_spc(rep2_spc6):
@@ -159,6 +179,18 @@ def test_boundary_vacuous_when_rhs_infinite():
     assert result.vacuous
 
 
+def test_reciprocal_beyond_the_float_range_is_inf():
+    # 1.0 + 1e-310 == 1.0, so validation accepts the side; the SPC(6) part of
+    # the check row is about 5e-310, whose reciprocal exceeds the float range
+    ens = ensemble([rep_node(2, 1.0)], [generic_node(HAMMING_74_TEXT, 1.0), spc_node(6, 1e-310)])
+    assert gldpc_stability_bound(ens) == math.inf
+    check = dgldpc_stability_check(ens, 0.5)
+    assert check.holds and check.rhs == math.inf and check.margin == math.inf
+    result = dgldpc_stability_boundary(ens)
+    assert result.points == ()
+    assert not result.vacuous
+
+
 def test_derivative_matching_ldpc(rep2_spc6):
     at_bound = derivative_matching_check(rep2_spc6, 0.2)
     assert at_bound.endpoint_ok
@@ -242,3 +274,55 @@ def test_report_never_builds_the_split_table():
     derivative_matching_check(ens, 0.3)
     assert split_info_functions.cache_info().currsize == 0
     assert exit_coefficients.cache_info().currsize == 0
+
+
+def test_validate_and_report_walk_each_code_once_at_two_removals(monkeypatch):
+    # the d_min >= 3 decision is read off delta_params, so no second s = 2 walk
+    removals = []
+    walk = codes._removal_deficit
+
+    def counted(gen, s):
+        removals.append(s)
+        return walk(gen, s)
+
+    monkeypatch.setattr(codes, "_removal_deficit", counted)
+    for cache in (ensembles._validate_cached, codes.delta_params, node_slope_row, mixture_slope_row):
+        cache.cache_clear()
+    ens = ensemble([generic_node("1100\n0111", 1.0)], [spc_node(6, 1.0)])
+    validate(ens)
+    stability_report(ens)
+    assert removals.count(2) == 1
+
+
+def random_generic_dmin2(rng: random.Random):
+    """A full-rank generator with 3 <= n <= 7, k <= n - 2 and d_min >= 2."""
+    while True:
+        n = rng.randint(3, 7)
+        gen = random_full_rank(rng, n, rng.randint(1, n - 2))
+        if min_distance_bruteforce(ComponentCode(gen)) >= 2:
+            return gen
+
+
+@st.composite
+def generic_side(draw):
+    """1-3 distinct generic node types with edge fractions."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    texts = []
+    for _ in range(draw(st.integers(1, 3))):
+        text = random_generic_dmin2(rng).to_text()
+        if text not in texts:
+            texts.append(text)
+    return [generic_node(text, 1 / len(texts)) for text in texts]
+
+
+def all_dmin_ge3(types) -> bool:
+    return all(min_distance_bruteforce(ComponentCode(t.generator)) >= 3 for t in types)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generic_side(), generic_side())
+def test_dmin_flags_agree_with_codeword_enumeration(variables, checks):
+    report = stability_report(ensemble(variables, checks))
+    assert report.applicability.all_var_dmin_ge3 == all_dmin_ge3(variables)
+    assert report.applicability.all_chk_dmin_ge3 == all_dmin_ge3(checks)
+    assert (report.gldpc_bound is None) == (not all_dmin_ge3(variables))
