@@ -203,6 +203,7 @@ def min_distance_bruteforce(code: ComponentCode) -> int:
     return best
 
 
+@lru_cache(maxsize=None)
 def _removal_deficit(gen: BinaryMatrix, s: int) -> int:
     """k C(n, s) minus the rank sum over all (n-s)-column submatrices.
 

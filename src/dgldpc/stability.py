@@ -14,10 +14,16 @@ contributes.  Both sides are row t = 1 of the exact EXIT polynomials
 the bracket of rhs is the check row.  Every decision is read off these rows:
 the minimum-distance-2 generalized types are those whose row is nonzero
 (codes.delta_params is zero for d_min >= 3), and derivative matching, the
-tangency of the two curves at p = 0, is the margin rhs - lhs at q.  Without
-minimum-distance-2 generalized variable types lhs is linear in q and the
-condition is the threshold bound q <= 1 / (lambda_2 * bracket), lambda_2
-being the variable row at q = 1; otherwise it is evaluated pointwise.
+tangency of the two curves at p = 0, is the margin rhs - lhs at q.
+
+lhs never decreases in q: a generalized type's row[z] / C(k, z) is n - 1
+times the average rank deficiency of [G_S | I_T] over (n-2)-subsets S and
+(k-z)-subsets T, which removing identity columns (raising z) cannot lower;
+repetition rows are (0, 1) or zero.  As lhs(0) = 0 < rhs, the condition
+reads q <= q_stab for one root q_stab, which exists exactly when
+lhs(1) = row[-1] >= rhs.  Without minimum-distance-2 generalized variable
+types q_stab = 1 / (lambda_2 * bracket), lambda_2 being row[-1]; otherwise
+it has no closed form and is found by bisection.
 """
 
 from __future__ import annotations
@@ -33,8 +39,6 @@ from .exit_charts import bernstein_eval, bisect, mixture_slope_row, node_slope_r
 
 STABILITY_SLACK = 1e-12
 TANGENCY_TOL = 1e-9
-BOUNDARY_GRID = 10_000
-BOUNDARY_TOL = 1e-10
 
 
 class InverseSlopeUndefinedError(RuntimeError):
@@ -62,10 +66,10 @@ class StabilityCheck:
 
 @dataclass(frozen=True)
 class BoundaryResult:
-    """All q in [0, 1] where the stability inequality binds with equality.
+    """The q in [0, 1] where the stability inequality binds with equality.
 
-    vacuous is set when the right side is infinite (the condition never
-    binds and there is no boundary to find).
+    points holds at most one root.  vacuous is set when the right side is
+    infinite (the condition never binds and there is no boundary to find).
     """
 
     points: tuple[float, ...]
@@ -211,36 +215,16 @@ def dgldpc_stability_check(ens: Ensemble, q: float) -> StabilityCheck:
 
 
 def dgldpc_stability_boundary(ens: Ensemble) -> BoundaryResult:
-    """All q in [0, 1] where lhs(q) = rhs, by grid scan plus bisection.
+    """The one q in [0, 1] where lhs(q) = rhs, if any, bisected to an ulp.
 
-    The left side is a low-degree polynomial but need not be monotone, so
-    every sign change on a 10^4 grid is refined to 1e-10 and all roots are
-    returned sorted.
+    A root exists exactly when row[-1] * bracket >= 1 (lhs(1) >= rhs, in
+    exact rationals), lhs being nondecreasing with lhs(0) = 0 < rhs.
     """
     bracket = _bracket(ens)
-    if bracket == 0:
-        return BoundaryResult(points=(), vacuous=True)
-    rhs = _reciprocal(bracket)
-    lhs = _stability_lhs(ens)
-
-    def g(q: float) -> float:
-        return lhs(q) - rhs
-
-    step = 1.0 / BOUNDARY_GRID
-    roots: list[float] = []
-    prev_q, prev_g = 0.0, g(0.0)
-    if prev_g == 0.0:
-        roots.append(0.0)
-    for i in range(1, BOUNDARY_GRID + 1):
-        cur_q = i * step
-        cur_g = g(cur_q)
-        if cur_g == 0.0:
-            roots.append(cur_q)
-        elif prev_g != 0.0 and (prev_g < 0.0) != (cur_g < 0.0):
-            sign = g if prev_g < 0.0 else (lambda q: -g(q))
-            roots.append(bisect(sign, prev_q, cur_q, BOUNDARY_TOL))
-        prev_q, prev_g = cur_q, cur_g
-    return BoundaryResult(points=tuple(sorted(roots)), vacuous=False)
+    if bracket == 0 or mixture_slope_row(ens, "variable")[-1] * bracket < 1:
+        return BoundaryResult(points=(), vacuous=bracket == 0)
+    lhs, rhs = _stability_lhs(ens), _reciprocal(bracket)
+    return BoundaryResult(points=(bisect(lambda q: lhs(q) - rhs, 0.0, 1.0, 0.0),), vacuous=False)
 
 
 def derivative_matching_check(ens: Ensemble, q: float) -> DerivativeMatching:

@@ -110,6 +110,29 @@ def random_component_code(rng: random.Random, n: int, k: int) -> ComponentCode:
     return ComponentCode(random_full_rank(rng, n, k))
 
 
+def fixture_suite():
+    """Ensembles mixing repetition, SPC, Hamming(7,4) checks and the
+    minimum-distance-2 generic (3,2) variable node."""
+    ham = HAMMING_74_TEXT
+    g32 = SPC_32_TEXT
+    return [
+        ensemble([rep_node(3, 1.0)], [spc_node(6, 1.0)]),
+        ensemble([rep_node(2, 1.0)], [spc_node(6, 1.0)]),
+        ensemble([rep_node(2, 0.5), rep_node(3, 0.5)], [spc_node(5, 1.0)]),
+        ensemble([rep_node(3, 1.0)], [generic_node(ham, 1.0)]),
+        ensemble([rep_node(3, 1.0)], [spc_node(4, 0.5), generic_node(ham, 0.5)]),
+        ensemble([rep_node(2, 0.3), rep_node(3, 0.7)], [spc_node(6, 0.6), generic_node(ham, 0.4)]),
+        ensemble([generic_node(g32, 1.0)], [spc_node(6, 1.0)]),
+        ensemble([generic_node(g32, 0.4), rep_node(3, 0.6)], [spc_node(5, 1.0)]),
+        ensemble(
+            [generic_node(g32, 0.25), rep_node(2, 0.25), rep_node(3, 0.5)],
+            [spc_node(6, 0.5), generic_node(ham, 0.5)],
+        ),
+        ensemble([rep_node(2, 1.0)], [generic_node(ham, 1.0)]),
+        ensemble([generic_node(g32, 1.0)], [spc_node(4, 0.5), generic_node(ham, 0.5)]),
+    ]
+
+
 @pytest.fixture
 def spc32() -> ComponentCode:
     return ComponentCode.from_text(SPC_32_TEXT)

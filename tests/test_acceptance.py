@@ -47,6 +47,7 @@ from conftest import (
     HAMMING_74_TEXT,
     SPC_32_TEXT,
     ensemble,
+    fixture_suite,
     generic_node,
     random_component_code,
     rep_node,
@@ -62,29 +63,6 @@ def criterion(num: int, description: str):
         print(f"criterion {num:2d} FAIL  {description}")
         raise
     print(f"criterion {num:2d} PASS  {description}")
-
-
-def fixture_suite():
-    """Ensembles mixing repetition, SPC, Hamming(7,4) checks and the
-    minimum-distance-2 generic (3,2) variable node."""
-    ham = HAMMING_74_TEXT
-    g32 = SPC_32_TEXT
-    return [
-        ensemble([rep_node(3, 1.0)], [spc_node(6, 1.0)]),
-        ensemble([rep_node(2, 1.0)], [spc_node(6, 1.0)]),
-        ensemble([rep_node(2, 0.5), rep_node(3, 0.5)], [spc_node(5, 1.0)]),
-        ensemble([rep_node(3, 1.0)], [generic_node(ham, 1.0)]),
-        ensemble([rep_node(3, 1.0)], [spc_node(4, 0.5), generic_node(ham, 0.5)]),
-        ensemble([rep_node(2, 0.3), rep_node(3, 0.7)], [spc_node(6, 0.6), generic_node(ham, 0.4)]),
-        ensemble([generic_node(g32, 1.0)], [spc_node(6, 1.0)]),
-        ensemble([generic_node(g32, 0.4), rep_node(3, 0.6)], [spc_node(5, 1.0)]),
-        ensemble(
-            [generic_node(g32, 0.25), rep_node(2, 0.25), rep_node(3, 0.5)],
-            [spc_node(6, 0.5), generic_node(ham, 0.5)],
-        ),
-        ensemble([rep_node(2, 1.0)], [generic_node(ham, 1.0)]),
-        ensemble([generic_node(g32, 1.0)], [spc_node(4, 0.5), generic_node(ham, 0.5)]),
-    ]
 
 
 @pytest.fixture(scope="module")

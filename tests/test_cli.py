@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import dgldpc
+from dgldpc import codes
 from dgldpc.cli import run
 
 from conftest import HAMMING_74_TEXT
@@ -57,6 +58,16 @@ def test_code_info_report(tmp_path, capsys):
     assert doc["info_functions"] == [0, 3, 6, 2]
     assert doc["delta_n2"] == 3
     assert doc["delta_n2_kz"] == [0, 2, 3]
+
+
+def test_code_info_walks_the_two_removal_subsets_once(tmp_path):
+    # delta_params and min_independent_set_size (s = 1, then 2) share the s = 2 walk
+    path = tmp_path / "g42.txt"
+    path.write_text("1100\n0111\n", encoding="utf-8")
+    for cache in (codes._removal_deficit, codes.delta_params, codes.min_independent_set_size):
+        cache.cache_clear()
+    assert run(["code-info", str(path)]) == 0
+    assert codes._removal_deficit.cache_info().misses == 2
 
 
 def test_analyze_report(e36_path, capsys):

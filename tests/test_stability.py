@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -36,8 +38,9 @@ from conftest import (
     HAMMING_74_TEXT,
     SPC_32_TEXT,
     ensemble,
+    fixture_suite,
     generic_node,
-    random_full_rank,
+    random_component_code,
     rep_node,
     spc_node,
 )
@@ -294,13 +297,13 @@ def test_validate_and_report_walk_each_code_once_at_two_removals(monkeypatch):
     assert removals.count(2) == 1
 
 
-def random_generic_dmin2(rng: random.Random):
-    """A full-rank generator with 3 <= n <= 7, k <= n - 2 and d_min >= 2."""
+def random_generic_dmin2(rng: random.Random) -> ComponentCode:
+    """A full-rank code with 2 <= n <= 7, 1 <= k < n and d_min >= 2."""
     while True:
-        n = rng.randint(3, 7)
-        gen = random_full_rank(rng, n, rng.randint(1, n - 2))
-        if min_distance_bruteforce(ComponentCode(gen)) >= 2:
-            return gen
+        n = rng.randint(2, 7)
+        code = random_component_code(rng, n, rng.randint(1, n - 1))
+        if min_distance_bruteforce(code) >= 2:
+            return code
 
 
 @st.composite
@@ -309,7 +312,7 @@ def generic_side(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     texts = []
     for _ in range(draw(st.integers(1, 3))):
-        text = random_generic_dmin2(rng).to_text()
+        text = random_generic_dmin2(rng).gen.to_text()
         if text not in texts:
             texts.append(text)
     return [generic_node(text, 1 / len(texts)) for text in texts]
@@ -326,3 +329,111 @@ def test_dmin_flags_agree_with_codeword_enumeration(variables, checks):
     assert report.applicability.all_var_dmin_ge3 == all_dmin_ge3(variables)
     assert report.applicability.all_chk_dmin_ge3 == all_dmin_ge3(checks)
     assert (report.gldpc_bound is None) == (not all_dmin_ge3(variables))
+
+
+def normalized(row) -> list:
+    """Bernstein coefficients in the binomial basis: row[z] / C(k, z)."""
+    k = len(row) - 1
+    return [c / comb(k, z) for z, c in enumerate(row)]
+
+
+def nondecreasing_from_zero(row) -> bool:
+    b = normalized(row)
+    return b[0] == 0 and all(x <= y for x, y in zip(b, b[1:]))
+
+
+@st.composite
+def mixed_side(draw, side: str):
+    """1-3 distinct types, each rep(2..4) / SPC(2..8) or a d_min >= 2 generic code."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    types = []
+    for _ in range(draw(st.integers(1, 3))):
+        if rng.random() < 0.5:
+            t = rep_node(rng.randint(2, 4), 1.0) if side == "variable" else spc_node(rng.randint(2, 8), 1.0)
+        else:
+            t = generic_node(random_generic_dmin2(rng).gen.to_text(), 1.0)
+        if t not in types:
+            types.append(t)
+    weights = [rng.randint(1, 9) for _ in types]
+    return [replace(t, edge_fraction=w / sum(weights)) for t, w in zip(types, weights)]
+
+
+@st.composite
+def repetition_side(draw):
+    lengths = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3, unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(lengths), max_size=len(lengths)))
+    return [rep_node(j, w / sum(weights)) for j, w in zip(lengths, weights)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_variable_slope_row_of_a_dmin2_code_is_nondecreasing(seed):
+    # row[z] / C(k, z) is n - 1 times the average rank deficiency of
+    # [G_S | I_T] over |S| = n - 2, |T| = k - z, which fewer identity
+    # columns cannot lower
+    code = random_generic_dmin2(random.Random(seed))
+    row = node_slope_row(generic_node(code.gen.to_text(), 1.0), "variable")
+    assert len(row) == code.k + 1
+    assert nondecreasing_from_zero(row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_side("variable"), mixed_side("check"))
+def test_boundary_is_the_one_crossing_of_a_nondecreasing_lhs(variables, checks):
+    ens = ensemble(variables, checks)
+    assert nondecreasing_from_zero(mixture_slope_row(ens, "variable"))
+    lhs = lambda q: dgldpc_stability_check(ens, q).lhs
+    rhs = dgldpc_stability_check(ens, 0.0).rhs
+    result = dgldpc_stability_boundary(ens)
+    assert len(result.points) <= 1
+    for r in result.points:
+        assert lhs(max(r - 1e-9, 0.0)) <= rhs <= lhs(min(r + 1e-9, 1.0))
+    if not result.points:
+        assert lhs(1.0) <= rhs
+
+
+def assert_root_at_the_gldpc_bound(ens):
+    bound = gldpc_stability_bound(ens)
+    points = dgldpc_stability_boundary(ens).points
+    if bound <= 1:
+        assert len(points) == 1
+        assert abs(points[0] - bound) <= 2**-52
+    else:
+        assert points == ()
+
+
+def test_boundary_of_the_gldpc_fixtures_is_the_closed_form_bound():
+    gldpc = [e for e in fixture_suite() if all(t.kind == "repetition" for t in e.variable_types)]
+    assert len(gldpc) == 7
+    for ens in gldpc:
+        assert_root_at_the_gldpc_bound(ens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(repetition_side(), mixed_side("check"))
+def test_boundary_of_random_gldpc_ensembles_is_the_closed_form_bound(variables, checks):
+    assert_root_at_the_gldpc_bound(ensemble(variables, checks))
+
+
+def test_boundary_root_at_q_one_is_exact():
+    # lhs(q) = q against rhs = 1 / rho'_SPC(1) = 1: the root is the end point
+    result = dgldpc_stability_boundary(ensemble([rep_node(2, 1.0)], [spc_node(2, 1.0)]))
+    assert result.points == (1.0,)
+    assert not result.vacuous
+
+
+def test_boundary_roots_of_the_fixtures_to_an_ulp():
+    closed_forms = {
+        1: 0.2,
+        2: 0.5,
+        6: math.sqrt(1.3) - 1,
+        7: math.sqrt(1.9375) - 1,
+        8: (math.sqrt(2185) - 35) / 20,
+        10: math.sqrt(2) - 1,
+    }
+    suite = fixture_suite()
+    for i, root in closed_forms.items():
+        (point,) = dgldpc_stability_boundary(suite[i]).points
+        assert abs(point - root) <= 2**-52, i
+    assert dgldpc_stability_boundary(suite[1]).points == (0.2,)
+    assert dgldpc_stability_boundary(suite[2]).points == (0.5,)
