@@ -139,10 +139,15 @@ def _cmd_analyze(args) -> int:
 def _cmd_threshold(args) -> int:
     ens = _load_ensemble(args.input)
     result = find_threshold(ens, record_trace=args.trace)
+    mechanism = (
+        "stability-limited (x* = 0)"
+        if result.x_star == 0.0
+        else f"interior fixed point at x* = {result.x_star:.6g}"
+    )
     _note(
         args.verbose,
         f"q* = {result.q_star:.8f} after {result.bisection_steps} probes "
-        f"(converged={result.converged})",
+        f"(converged={result.converged}): {mechanism}",
     )
     _emit(result.to_json_dict())
     return 0

@@ -12,25 +12,35 @@ activation with worst-case a-priori input.  On the erasure channel the
 trajectory is non-increasing; an increase beyond float slack signals an
 EXIT implementation bug and raises.
 
-The threshold is located by bisecting q over [0, 1] on the success of
-this recursion.  Near ensembles whose threshold coincides with the
-stability bound the recursion converges sub-geometrically, so the success
-boundary observed under a finite iteration cap sits below the true
-threshold.  At the default cap of 100000 the acceptance fixtures F8 and
-F10 land 1.1e-4 and 7.1e-5 below their stability boundaries.
+The threshold is not found by iterating.  Every valid node has
+d_min >= 2, so both output erasures are their input times a polynomial
+with nonnegative Bernstein coefficients (ExitPolynomial.over_p): the check
+side gives x c(x), the variable side p v_q(p).  One iteration therefore
+scales x by g_q(x) = c(x) v_q(x c(x)) (erasure_ratio), a product in which
+nothing cancels, and the recursion reaches 0 exactly when g_q < 1 on
+(0, 1] (Richardson and Urbanke, Modern Coding Theory, 3.12-3.14).  g_q
+grows with q, and g_q(0) = bracket * lhs(q) is the stability product, so
+the threshold is limited either at x -> 0, where it is the stability
+boundary q_stab, or by an interior fixed point x* > 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .ensembles import Ensemble, validate
-from .exit_charts import bisect, cnd_evaluator, vnd_evaluator_at_q
+from .exit_charts import bernstein_eval, bisect, cnd_evaluator, mixture_polynomial, vnd_evaluator_at_q
+from .stability import dgldpc_stability_boundary
 
 DEFAULT_MAX_ITERS = 100_000
 DEFAULT_TOL = 1e-12
 BRACKET_WIDTH = 1e-7
 MONOTONE_SLACK = 1e-12
+# Grid points of a threshold probe per unit of the degree of g_q, and the
+# width in x to which each local grid maximum is refined.
+GRID_PER_DEGREE = 16
+PEAK_WIDTH = 1e-9
 
 
 class DensityEvolutionAnomalyError(RuntimeError):
@@ -49,11 +59,15 @@ class DeRun:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Decoding threshold located by bisection, with diagnostics.
+    """Decoding threshold, how it was decided, and what limits it.
 
-    iterations_at_threshold counts the recursion steps of the last
-    successful probe; bisection_steps counts every probe including the
-    two endpoint checks.
+    bisection_steps counts the probes of g_q < 1, including the two
+    endpoint checks at q = 0 and q = 1.  x_star is 0.0 when the threshold
+    is the stability boundary, and otherwise where g_q peaks at the
+    largest accepted q, which approaches the interior fixed point.  With a
+    trace requested, one de_iterate run at that q (bounded by max_iters
+    and tol) gives residual_trace and iterations_at_threshold; without
+    one they are None and 0.
     """
 
     q_star: float
@@ -61,6 +75,7 @@ class ThresholdResult:
     bisection_steps: int
     converged: bool
     residual_trace: tuple[tuple[int, float], ...] | None = None
+    x_star: float = 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -120,38 +135,98 @@ def de_iterate(
     )
 
 
+def _ratio(c: Sequence[float], v: Sequence[float]) -> Callable[[float], float]:
+    def g(x: float) -> float:
+        cx = bernstein_eval(c, x)
+        return cx * bernstein_eval(v, x * cx)
+
+    return g
+
+
+def erasure_ratio(ens: Ensemble, q: float) -> Callable[[float], float]:
+    """x -> g_q(x) = c(x) v_q(x c(x)), the factor one DE iteration scales x by."""
+    validate(ens)
+    return _ratio(mixture_polynomial(ens, "check").over_p(), mixture_polynomial(ens, "variable").over_p(q))
+
+
+def _slope_at_zero(a: Sequence[float]) -> float:
+    """d/dx of sum_t a[t] x^t (1-x)^(d-t) at x = 0."""
+    return (a[1] if len(a) > 1 else 0.0) - (len(a) - 1) * a[0]
+
+
+def _peak(g: Callable[[float], float], xs: Sequence[float]) -> tuple[float, float]:
+    """(value, x) of the maximum of g over [xs[0], xs[-1]].
+
+    Each local maximum of the samples on the grid xs is refined between
+    its two neighbours by bisecting on where g turns from rising to
+    falling, so a peak between grid points is found to PEAK_WIDTH in x.
+    """
+    ys = [g(x) for x in xs]
+    last = len(xs) - 1
+    best = max(zip(ys, xs))
+    for i, y in enumerate(ys):
+        if (i == 0 or y > ys[i - 1]) and (i == last or y >= ys[i + 1]):
+            lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, last)]
+            x = bisect(lambda x: g(x) - g(x + PEAK_WIDTH), lo, hi, PEAK_WIDTH)
+            best = max(best, (g(x), x))
+    return best
+
+
 def find_threshold(
     ens: Ensemble,
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = DEFAULT_TOL,
     record_trace: bool = False,
 ) -> ThresholdResult:
-    """Bisect q over [0, 1] for the decoding threshold.
+    """The decoding threshold q* from the fixed-point condition g_q < 1 on (0, 1].
 
-    The bracket is shrunk to BRACKET_WIDTH and q_star is its midpoint.
-    converged reports that the low end of the search succeeded and the
-    high end failed, as expected of a genuine threshold.
+    Each probe samples g_q on a grid of GRID_PER_DEGREE points per unit of
+    its composite degree and refines the local maxima.  One probe settles
+    the stability-limited case: at the stability boundary q_stab,
+    g_q(0) = 1, and if g_q falls away from x = 0 (slope <= 0) and stays
+    below 1 on the rest of the grid, q* = q_stab.  Otherwise q is bisected
+    over [0, 1] to BRACKET_WIDTH and q_star is the bracket's midpoint.
+    converged reports that q = 0 succeeded and q = 1 failed.
     """
     validate(ens)
-    low_run = de_iterate(ens, 0.0, max_iters, tol, record_trace)
-    high_run = de_iterate(ens, 1.0, max_iters, tol)
-    probes = 2
-    last_success = low_run if low_run.success else None
+    c = mixture_polynomial(ens, "check").over_p()
+    variable = mixture_polynomial(ens, "variable")
+    degree = len(c) - 1 + (len(variable.coeffs) - 2) * len(c)  # of g_q = c(x) v_q(x c(x))
+    steps = GRID_PER_DEGREE * (degree + 1)
+    grid = [i / steps for i in range(steps + 1)]
+    probes = 0
+    accepted = (0.0, 0.0)  # (q, x at the peak of g_q) of the last success
 
-    def fails(q: float) -> int:
-        nonlocal probes, last_success
-        run = de_iterate(ens, q, max_iters, tol, record_trace)
+    def succeeds(q: float, at_stability_limit: bool = False) -> bool:
+        nonlocal probes, accepted
         probes += 1
-        if run.success:
-            last_success = run
-            return -1
-        return 1
+        v = variable.over_p(q)
+        g = _ratio(c, v)
+        if at_stability_limit:
+            # g(0) = 1 here, so g must not rise: g'(0) = c'(0) v(0) + c(0)^2 v'(0)
+            if _slope_at_zero(c) * v[0] + c[0] ** 2 * _slope_at_zero(v) > 0:
+                return False
+            peak, x = _peak(g, grid[1:])
+        else:
+            peak, x = _peak(g, grid)
+        if peak >= 1.0:
+            return False
+        accepted = (q, x)
+        return True
 
-    q_star = bisect(fails, 0.0, 1.0, BRACKET_WIDTH)
+    low_ok, high_ok = succeeds(0.0), succeeds(1.0)
+    roots = dgldpc_stability_boundary(ens).points
+    if roots and succeeds(roots[0], at_stability_limit=True):
+        q_star, x_star = roots[0], 0.0
+    else:
+        q_star = bisect(lambda q: -1 if succeeds(q) else 1, 0.0, 1.0, BRACKET_WIDTH)
+        x_star = accepted[1]
+    run = de_iterate(ens, accepted[0], max_iters, tol, record_trace=True) if record_trace else None
     return ThresholdResult(
         q_star=q_star,
-        iterations_at_threshold=0 if last_success is None else last_success.iters,
+        iterations_at_threshold=0 if run is None else run.iters,
         bisection_steps=probes,
-        converged=low_run.success and not high_run.success,
-        residual_trace=None if last_success is None else last_success.trace,
+        converged=low_ok and not high_ok,
+        residual_trace=None if run is None else run.trace,
+        x_star=x_star,
     )

@@ -104,6 +104,19 @@ class ExitPolynomial:
 
         return evaluate
 
+    def over_p(self, q: float = 1.0) -> tuple[float, ...]:
+        """Bernstein coefficients in p of (1 - I_E(p, q)) / p, degree d - 1.
+
+        Row 0 is zero (d_min >= 2), so dropping it divides by p: the
+        output erasure is p times this polynomial, whose coefficients
+        (rows 1..d summed in q) are >= 0 and so never cancel.  At p = 0 it
+        is row 1 at q, the slope that stability reads.
+        """
+        erasure, _ = self.floats
+        if any(erasure[0]):
+            raise ValueError("row 0 is nonzero: a component code has minimum distance 1")
+        return tuple(bernstein_eval(row, q) for row in erasure[1:])
+
 
 def bernstein_eval(c: Sequence[float], x: float) -> float:
     """sum_t c[t] x^t (1-x)^(d-t) with d = len(c) - 1.

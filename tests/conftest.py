@@ -4,12 +4,14 @@ and the literal submatrix helpers the brute-force oracles are built from."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Sequence
 
 import pytest
+from hypothesis import strategies as st
 
 from dgldpc.binmat import BinaryMatrix, rank, rank_of_bitrows
-from dgldpc.codes import ComponentCode
+from dgldpc.codes import ComponentCode, min_distance_bruteforce
 from dgldpc.ensembles import Ensemble, NodeType
 
 HAMMING_74_TEXT = "1000110\n0100101\n0010011\n0001111"
@@ -108,6 +110,31 @@ def random_full_rank(rng: random.Random, n: int, k: int) -> BinaryMatrix:
 
 def random_component_code(rng: random.Random, n: int, k: int) -> ComponentCode:
     return ComponentCode(random_full_rank(rng, n, k))
+
+
+def random_generic_dmin2(rng: random.Random, max_n: int = 7) -> ComponentCode:
+    """A full-rank code with 2 <= n <= max_n, 1 <= k < n and d_min >= 2."""
+    while True:
+        n = rng.randint(2, max_n)
+        code = random_component_code(rng, n, rng.randint(1, n - 1))
+        if min_distance_bruteforce(code) >= 2:
+            return code
+
+
+@st.composite
+def mixed_side(draw, side: str, max_n: int = 7):
+    """1-3 distinct types, each rep(2..4) / SPC(2..8) or a d_min >= 2 generic code."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    types = []
+    for _ in range(draw(st.integers(1, 3))):
+        if rng.random() < 0.5:
+            t = rep_node(rng.randint(2, 4), 1.0) if side == "variable" else spc_node(rng.randint(2, 8), 1.0)
+        else:
+            t = generic_node(random_generic_dmin2(rng, max_n).gen.to_text(), 1.0)
+        if t not in types:
+            types.append(t)
+    weights = [rng.randint(1, 9) for _ in types]
+    return [replace(t, edge_fraction=w / sum(weights)) for t, w in zip(types, weights)]
 
 
 def fixture_suite():

@@ -9,6 +9,7 @@ before being frozen here.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from contextlib import contextmanager
@@ -156,13 +157,11 @@ def test_criterion_5_equality_case():
         ens = ensemble([rep_node(2, 1.0)], [spc_node(6, 1.0)])
         result = find_threshold(ens)
         bound = gldpc_stability_bound(ens)
-        assert abs(result.q_star - 0.2) <= 1e-4
+        assert abs(result.q_star - 0.2) <= 1e-12
         assert abs(bound - 0.2) <= 1e-15
-        # tangency at the threshold the bound certifies; evaluating the
-        # slope gap at the bisection estimate instead would only re-measure
-        # the finite-iteration bias of DE (see the threshold-bias note in
-        # density_evolution)
-        match = derivative_matching_check(ens, bound)
+        # the threshold is the stability boundary itself (g_q peaks at
+        # x = 0), so the two chart curves are tangent at p = 0 there
+        match = derivative_matching_check(ens, result.q_star)
         assert match.endpoint_ok
         assert abs(match.slope_gap) <= 1e-6
         assert match.tangent_at_zero
@@ -224,6 +223,36 @@ def test_criterion_9_de_sanity(suite_thresholds):
             assert result.q_star <= 1.0 - design_rate(ens) + 1e-3
             assert result.bisection_steps <= 30
             assert result.converged
+
+
+# q* of the interior fixtures from the parent's bisection on 100000-iteration
+# DE runs, frozen; their DE recursion converges geometrically, so it carries
+# no iteration-cap bias beyond the 1e-7 bracket
+DE_INTERIOR_THRESHOLDS = {
+    0: 0.42943981289863586,
+    2: 0.4241909682750702,
+    3: 0.8439695537090302,
+    4: 0.7916075885295868,
+    5: 0.6631282866001129,
+    7: 0.36880776286125183,
+    9: 0.7564522325992584,
+}
+
+
+def test_thresholds_match_closed_forms_and_density_evolution(suite_thresholds):
+    closed_forms = {
+        6: math.sqrt(1.3) - 1,
+        8: (math.sqrt(2185) - 35) / 20,
+        10: math.sqrt(2) - 1,
+    }
+    assert suite_thresholds[1][1].q_star == 0.2
+    for i, root in closed_forms.items():
+        assert abs(suite_thresholds[i][1].q_star - root) <= 1e-12, i
+    for i, q in DE_INTERIOR_THRESHOLDS.items():
+        assert abs(suite_thresholds[i][1].q_star - q) <= 1e-6, i
+        assert suite_thresholds[i][1].x_star > 0.0, i
+    for i in (1, *closed_forms):
+        assert suite_thresholds[i][1].x_star == 0.0, i
 
 
 def test_criterion_10_format_round_trip(tmp_path, capsys):

@@ -105,6 +105,36 @@ def test_threshold_trace_flag(e36_path, capsys):
     assert doc["residual_trace"][0][0] == 1
 
 
+THRESHOLD_KEYS = {"q_star", "iterations_at_threshold", "bisection_steps", "converged", "residual_trace"}
+
+
+def verbose_threshold(path: str, capsys) -> tuple[dict, str]:
+    assert run(["threshold", path]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert run(["threshold", path, "--verbose"]) == 0
+    verbose = capsys.readouterr()
+    assert verbose.out == plain.out
+    doc = json.loads(verbose.out)
+    assert set(doc) == THRESHOLD_KEYS
+    return doc, verbose.err
+
+
+def test_threshold_verbose_names_the_stability_limit(tmp_path, capsys):
+    path = tmp_path / "e26.json"
+    path.write_text(E26_DOC, encoding="utf-8")
+    doc, err = verbose_threshold(str(path), capsys)
+    assert doc["q_star"] == 0.2
+    assert doc["bisection_steps"] == 3
+    assert "stability-limited (x* = 0)" in err
+
+
+def test_threshold_verbose_names_the_interior_fixed_point(e36_path, capsys):
+    doc, err = verbose_threshold(e36_path, capsys)
+    assert abs(doc["q_star"] - 0.4294) <= 5e-4
+    assert "interior fixed point at x* = 0.26" in err
+
+
 def test_exit_chart_csv(e36_path, tmp_path, capsys):
     out = tmp_path / "chart.csv"
     assert run(["exit-chart", e36_path, "--q", "0.3", "--npoints", "5", "--out", str(out)]) == 0

@@ -1,26 +1,31 @@
-"""Fixed-point recursion behaviour and threshold bisection."""
+"""Fixed-point recursion behaviour and the threshold from g_q < 1."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dgldpc.density_evolution as de
 from dgldpc.density_evolution import (
     DensityEvolutionAnomalyError,
     de_iterate,
+    erasure_ratio,
     find_threshold,
 )
 from dgldpc.ensembles import design_rate
-from dgldpc.exit_charts import sample_exit_chart
+from dgldpc.exit_charts import mixture_slope_row, sample_exit_chart
 from dgldpc.stability import (
     derivative_matching_check,
+    dgldpc_stability_boundary,
     dgldpc_stability_check,
     gldpc_stability_bound,
 )
 
-from conftest import ensemble, rep_node, spc_node
+from conftest import HAMMING_74_TEXT, ensemble, generic_node, mixed_side, rep_node, spc_node
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +105,7 @@ def test_threshold_below_stability_bound(rep2_spc6, rep3_spc6_threshold):
 def test_equality_case_threshold_and_tangency(rep2_spc6):
     result = find_threshold(rep2_spc6)
     bound = gldpc_stability_bound(rep2_spc6)
-    assert abs(result.q_star - bound) <= 1e-4
+    assert abs(result.q_star - bound) <= 1e-12
     match = derivative_matching_check(rep2_spc6, bound)
     assert match.tangent_at_zero
 
@@ -140,3 +145,61 @@ def test_threshold_dgldpc_ensemble(g32var_spc6):
 def test_de_rejects_bad_tol(rep3_spc6):
     with pytest.raises(ValueError):
         de_iterate(rep3_spc6, 0.3, tol=0.0)
+
+
+def test_stability_limited_threshold_takes_one_probe(rep2_spc6):
+    # g_q(x) = q (1 - (1-x)^5) / x peaks at x = 0 with g_q(0) = 5q: the
+    # endpoint checks and one probe at the stability boundary settle q*
+    result = find_threshold(rep2_spc6)
+    assert result.q_star == 0.2
+    assert result.x_star == 0.0
+    assert result.bisection_steps == 3
+    assert result.converged
+    assert result.iterations_at_threshold == 0
+    assert result.residual_trace is None
+
+
+def test_interior_threshold_reports_its_fixed_point(rep3_spc6_threshold):
+    ens, result = rep3_spc6_threshold
+    assert 0.0 < result.x_star < 1.0
+    # just above q* the fixed point x' = x sits near x*; just below, none exists
+    g_above = erasure_ratio(ens, result.q_star + 1e-6)
+    assert g_above(result.x_star) >= 1.0
+    g_below = erasure_ratio(ens, result.q_star - 1e-6)
+    assert max(g_below(i / 1000) for i in range(1, 1001)) < 1.0
+
+
+def lhs_row_at(ens, q: float) -> Fraction:
+    """Row t = 1 of the variable mixture evaluated at q in exact rationals."""
+    row = mixture_slope_row(ens, "variable")
+    k, q = len(row) - 1, Fraction(q)
+    return sum(c * q**z * (1 - q) ** (k - z) for z, c in enumerate(row))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_side("variable", max_n=6), mixed_side("check", max_n=6), st.floats(0.0, 1.0))
+@example([rep_node(3, 1.0)], [spc_node(32, 1.0)], 0.5)
+@example([generic_node(HAMMING_74_TEXT, 1.0)], [spc_node(8, 1.0)], 0.5)
+def test_threshold_agrees_with_density_evolution(variables, checks, q):
+    ens = ensemble(variables, checks)
+    q_star = find_threshold(ens).q_star
+    if q_star - 1e-3 >= 0.0:
+        assert de_iterate(ens, q_star - 1e-3).success
+    if q_star + 1e-3 <= 1.0:
+        assert not de_iterate(ens, q_star + 1e-3).success
+    # g_q(0) is the stability product bracket * lhs(q); it reaches ~10,
+    # where one ulp is 1.8e-15, so the 1e-15 bound is relative above 1
+    product = float(mixture_slope_row(ens, "check")[0] * lhs_row_at(ens, q))
+    assert abs(erasure_ratio(ens, q)(0.0) - product) <= 1e-15 * max(1.0, product)
+
+
+def test_rising_slope_at_the_stability_boundary_means_an_interior_threshold():
+    # g_q(x) / q = 5 lam2 + (25 lam3 - 10 lam2) x + O(x^2): with lam3 / lam2
+    # just above 0.4, g rises from g(0) = 1 at q_stab to a peak near
+    # x = 2e-4, inside the first grid step, so only the slope at 0 shows it
+    ens = ensemble([rep_node(2, 0.714), rep_node(3, 0.286)], [spc_node(6, 1.0)])
+    (q_stab,) = dgldpc_stability_boundary(ens).points
+    result = find_threshold(ens)
+    assert 0.0 < result.x_star < 1e-3
+    assert q_stab - 2e-7 < result.q_star < q_stab
+    assert erasure_ratio(ens, q_stab)(result.x_star) > 1.0

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from dgldpc.codes import ComponentCode, info_functions, min_distance_at_least, split_info_functions
 from dgldpc.exit_charts import (
     MONOTONICITY_GRID,
+    ExitPolynomial,
     InversionRangeError,
     _check_decreasing,
     bernstein_eval,
@@ -403,3 +404,14 @@ def test_mixture_is_the_edge_fraction_sum_of_its_types(variables, checks, p, q):
     assert cnd_derivative_at_zero(ens) == float(-mixture_polynomial(ens, "check").coeffs[1][0])
     for side in ("variable", "check"):
         assert mixture_slope_row(ens, side) == mixture_polynomial(ens, side).coeffs[1]
+    # dropping row 0 divides the output erasure by p, with coefficients >= 0
+    v, c = mixture_polynomial(ens, "variable").over_p(q), mixture_polynomial(ens, "check").over_p()
+    assert min(v) >= 0.0 and min(c) >= 0.0
+    assert abs(p * bernstein_eval(v, p) - (1.0 - exit_vnd(ens, p, q))) <= 1e-14
+    assert abs(p * bernstein_eval(c, p) - (1.0 - exit_cnd(ens, p))) <= 1e-14
+
+
+def test_over_p_refuses_a_nonzero_row_zero():
+    # 1 - I_E = 1 - p, as of a minimum-distance-1 node, is not p times a polynomial
+    with pytest.raises(ValueError, match="row 0"):
+        ExitPolynomial(((Fraction(1),), (Fraction(0),))).over_p()

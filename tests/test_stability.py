@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dgldpc import codes, ensembles
@@ -40,7 +39,8 @@ from conftest import (
     ensemble,
     fixture_suite,
     generic_node,
-    random_component_code,
+    mixed_side,
+    random_generic_dmin2,
     rep_node,
     spc_node,
 )
@@ -297,15 +297,6 @@ def test_validate_and_report_walk_each_code_once_at_two_removals(monkeypatch):
     assert removals.count(2) == 1
 
 
-def random_generic_dmin2(rng: random.Random) -> ComponentCode:
-    """A full-rank code with 2 <= n <= 7, 1 <= k < n and d_min >= 2."""
-    while True:
-        n = rng.randint(2, 7)
-        code = random_component_code(rng, n, rng.randint(1, n - 1))
-        if min_distance_bruteforce(code) >= 2:
-            return code
-
-
 @st.composite
 def generic_side(draw):
     """1-3 distinct generic node types with edge fractions."""
@@ -340,22 +331,6 @@ def normalized(row) -> list:
 def nondecreasing_from_zero(row) -> bool:
     b = normalized(row)
     return b[0] == 0 and all(x <= y for x, y in zip(b, b[1:]))
-
-
-@st.composite
-def mixed_side(draw, side: str):
-    """1-3 distinct types, each rep(2..4) / SPC(2..8) or a d_min >= 2 generic code."""
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    types = []
-    for _ in range(draw(st.integers(1, 3))):
-        if rng.random() < 0.5:
-            t = rep_node(rng.randint(2, 4), 1.0) if side == "variable" else spc_node(rng.randint(2, 8), 1.0)
-        else:
-            t = generic_node(random_generic_dmin2(rng).gen.to_text(), 1.0)
-        if t not in types:
-            types.append(t)
-    weights = [rng.randint(1, 9) for _ in types]
-    return [replace(t, edge_fraction=w / sum(weights)) for t, w in zip(types, weights)]
 
 
 @st.composite
@@ -395,10 +370,14 @@ def test_boundary_is_the_one_crossing_of_a_nondecreasing_lhs(variables, checks):
 def assert_root_at_the_gldpc_bound(ens):
     bound = gldpc_stability_bound(ens)
     points = dgldpc_stability_boundary(ens).points
-    if bound <= 1:
+    # decided in exact rationals: lambda_2 * bracket = 1 - 2^-54 has no
+    # root in [0, 1], yet its bound 1 + 2^-54 rounds to 1.0
+    if mixture_slope_row(ens, "variable")[-1] * mixture_slope_row(ens, "check")[0] >= 1:
+        assert bound <= 1
         assert len(points) == 1
         assert abs(points[0] - bound) <= 2**-52
     else:
+        assert bound >= 1
         assert points == ()
 
 
@@ -411,6 +390,9 @@ def test_boundary_of_the_gldpc_fixtures_is_the_closed_form_bound():
 
 @settings(max_examples=60, deadline=None)
 @given(repetition_side(), mixed_side("check"))
+@example(
+    [rep_node(2, 1 / 7), rep_node(3, 1 / 7), rep_node(4, 5 / 7)], [spc_node(8, 1.0)]
+)
 def test_boundary_of_random_gldpc_ensembles_is_the_closed_form_bound(variables, checks):
     assert_root_at_the_gldpc_bound(ensemble(variables, checks))
 
