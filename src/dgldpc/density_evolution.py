@@ -5,23 +5,23 @@ messages.  One iteration applies the check-side EXIT mixture, feeds the
 resulting a-priori erasure into the variable-side mixture, and reads the
 new message erasure off it:
 
-    x_{t+1} = 1 - I_{E,V}(1 - I_{E,C}(x_t), q),
+    x_{t+1} = 1 - I_{E,V}(1 - I_{E,C}(x_t), q).
 
-started from x_0 = 1 - I_{E,V}(1, q), i.e. the first variable-node
+Every valid node has d_min >= 2, so both output erasures are their input
+times a polynomial with nonnegative Bernstein coefficients
+(ExitPolynomial.over_p): the check side gives x c(x), the variable side
+p v_q(p).  One iteration therefore scales x by g_q(x) = c(x) v_q(x c(x))
+(erasure_ratio), a product in which nothing cancels, and de_iterate steps
+x_{t+1} = x_t g_q(x_t) from x_0 = v_q(1), the first variable-node
 activation with worst-case a-priori input.  On the erasure channel the
 trajectory is non-increasing; an increase beyond float slack signals an
 EXIT implementation bug and raises.
 
-The threshold is not found by iterating.  Every valid node has
-d_min >= 2, so both output erasures are their input times a polynomial
-with nonnegative Bernstein coefficients (ExitPolynomial.over_p): the check
-side gives x c(x), the variable side p v_q(p).  One iteration therefore
-scales x by g_q(x) = c(x) v_q(x c(x)) (erasure_ratio), a product in which
-nothing cancels, and the recursion reaches 0 exactly when g_q < 1 on
-(0, 1] (Richardson and Urbanke, Modern Coding Theory, 3.12-3.14).  g_q
-grows with q, and g_q(0) = bracket * lhs(q) is the stability product, so
-the threshold is limited either at x -> 0, where it is the stability
-boundary q_stab, or by an interior fixed point x* > 0.
+The threshold is not found by iterating: the recursion reaches 0 exactly
+when g_q < 1 on (0, 1] (Richardson and Urbanke, Modern Coding Theory,
+3.12-3.14).  g_q grows with q, and g_q(0) = bracket * lhs(q) is the
+stability product, so the threshold is limited either at x -> 0, where it
+is the stability boundary q_stab, or by an interior fixed point x* > 0.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .ensembles import Ensemble, validate
-from .exit_charts import bernstein_eval, bisect, cnd_evaluator, mixture_polynomial, vnd_evaluator_at_q
+from .exit_charts import bernstein_eval, bisect, mixture_polynomial
 from .stability import dgldpc_stability_boundary
 
 DEFAULT_MAX_ITERS = 100_000
@@ -105,17 +105,15 @@ def de_iterate(
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    validate(ens)
-    fv = vnd_evaluator_at_q(ens, q)
-    fc = cnd_evaluator(ens)
+    g = erasure_ratio(ens, q)
     trace: list[tuple[int, float]] | None = [] if record_trace else None
 
-    x = 1.0 - fv(1.0)
+    x = bernstein_eval(mixture_polynomial(ens, "variable").over_p(q), 1.0)
     iters = 1
     if trace is not None:
         trace.append((iters, x))
     while x >= tol and iters < max_iters:
-        x_next = 1.0 - fv(1.0 - fc(x))
+        x_next = x * g(x)
         iters += 1
         if trace is not None:
             trace.append((iters, x_next))

@@ -46,8 +46,9 @@ def exit_coefficients(code: ComponentCode, side: str) -> tuple[tuple[int, ...], 
     a_t[z] = (n-t) T[n-t][K-z] - (t+1) T[n-t-1][K-z] for t = 0..n-1,
     z = 0..K.  T is the split table (K = k) on the variable side and the
     information functions as one column (K = 0) on the check side, so a
-    check node walks 2^n subsets instead of 2^(n+k).  Row t = 0 vanishes
-    exactly when the minimum distance is >= 2.
+    check node walks at most 2^n subsets instead of up to 2^(n+k) (the
+    walks number the independent column subsets; see codes).  Row t = 0
+    vanishes exactly when the minimum distance is >= 2.
     """
     n = code.n
     if side == "variable":
@@ -197,7 +198,8 @@ def node_slope_row(node: NodeType, side: str) -> tuple[Fraction, ...]:
     """Row t = 1 of the node polynomial, without building the whole table.
 
     A generalized node's row is 2 Delta_{n-2}[z] / n from delta_params
-    (C(n,2) 2^k subset walks instead of 2^(n+k), none when d_min >= 3).
+    (at most C(n,2) 2^k subset walks instead of up to 2^(n+k), none when
+    d_min >= 3).
     """
     if not is_generalized(node, side):
         return node_polynomial(node, side).coeffs[1]

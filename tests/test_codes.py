@@ -12,13 +12,14 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dgldpc.binmat import BinaryMatrix, rank, rank_of_bitrows
 from dgldpc.codes import (
     ComponentCode,
     EnumerationCapacityError,
+    _removal_deficit,
     delta_params,
     info_functions,
     min_distance_at_least,
@@ -322,3 +323,62 @@ def test_rank_sum_tables_against_duality_and_codeword_oracles(gen):
     d = min_distance_bruteforce(code)
     for t in range(n + 2):
         assert min_distance_at_least(gen, t) == (d >= t)
+
+
+@st.composite
+def generators_with_free_columns(draw) -> BinaryMatrix:
+    """Full-rank generators with n <= 9 (and n + k <= 13, which bounds the
+    split oracle), with repeated columns and often a zero column forced in:
+    the walker branches on neither."""
+    n = draw(st.integers(2, 9))
+    k = draw(st.integers(1, min(n - 1, 13 - n)))
+    cols = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=n, max_size=n))
+    for j in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+        cols[j] = cols[draw(st.integers(0, n - 1))]
+    if draw(st.booleans()):
+        cols[draw(st.integers(0, n - 1))] = 0
+    rows = tuple(sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(k))
+    gen = BinaryMatrix(rows, n)
+    assume(rank(gen) == k)
+    return gen
+
+
+@settings(max_examples=60, deadline=None)
+@given(generators_with_free_columns())
+@example(BinaryMatrix.from_text("1100\n0011"))
+@example(BinaryMatrix.from_text("10110\n01100"))
+def test_rank_sum_tables_match_the_selection_oracles(gen):
+    code = ComponentCode(gen)
+    n, k = code.n, code.k
+    plain = oracle_info_functions(code)
+    assert info_functions(code) == plain
+    table = oracle_split_info_functions(code)
+    assert split_info_functions(code) == table
+    for g in range(n + 1):
+        assert split_info_row(code, g) == table[g]
+    for s in range(n + 1):
+        assert _removal_deficit(gen, s) == k * comb(n, s) - plain[n - s]
+
+
+def test_split_table_of_a_two_direction_code_has_a_closed_form():
+    # a copies of column (1,0) and b of (0,1): the rank of [G_S | I_T] counts
+    # the directions present.  Identity column i covers its own direction
+    # for every S when i is in T; otherwise S covers it unless S avoids the
+    # copies of that direction, which leaves C(n, g) - C(other count, g) sets.
+    a, b = 12, 8
+    n = a + b
+    code = ComponentCode(BinaryMatrix(((1 << a) - 1, ((1 << b) - 1) << a), n))
+    others = (b, a)
+    expected = tuple(
+        tuple(
+            sum(
+                comb(n, g) if i in t else comb(n, g) - comb(others[i], g)
+                for t in combinations(range(2), h)
+                for i in range(2)
+            )
+            for h in range(3)
+        )
+        for g in range(n + 1)
+    )
+    assert split_info_functions(code) == expected
+    assert info_functions(code) == tuple(row[0] for row in expected)

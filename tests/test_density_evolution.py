@@ -65,10 +65,25 @@ def test_success_monotone_in_q(rep3_spc6):
 
 
 def test_anomaly_guard_trips_on_increasing_trajectory(rep3_spc6, monkeypatch):
-    monkeypatch.setattr(de, "vnd_evaluator_at_q", lambda ens, q: (lambda p: 0.5 - p))
-    monkeypatch.setattr(de, "cnd_evaluator", lambda ens: (lambda p: 1.0 - 0.9 * p))
+    monkeypatch.setattr(de, "erasure_ratio", lambda ens, q: (lambda x: 1.5))
     with pytest.raises(DensityEvolutionAnomalyError):
         de_iterate(rep3_spc6, 0.8, max_iters=50)
+
+
+def test_de_steps_do_not_cancel_near_zero(rep2_spc6):
+    # F1 at q = 0.19: x' = x g_q(x) = q (1 - (1-x)^5) exactly.  The form
+    # 1 - I_EV(1 - I_EC(x), q) was off by 1.9e-5 relative at x = 1e-12.
+    q = 0.19
+
+    def exact_step(x: float) -> Fraction:
+        return Fraction(q) * (1 - (1 - Fraction(x)) ** 5)
+
+    g = erasure_ratio(rep2_spc6, q)
+    xs = [x for _, x in de_iterate(rep2_spc6, q, tol=1e-14, record_trace=True).trace]
+    for level in (1e-6, 1e-9, 1e-12):
+        assert abs(level * g(level) - exact_step(level)) <= Fraction(1e-15) * exact_step(level)
+        t = next(i for i, x in enumerate(xs) if x < level)
+        assert abs(xs[t + 1] - exact_step(xs[t])) <= Fraction(1e-15) * exact_step(xs[t])
 
 
 def test_threshold_rep3_spc6(rep3_spc6_threshold):
