@@ -27,23 +27,19 @@ from .ensembles import (
 )
 from .exit_charts import (
     ExitCurve,
-    exit_check_generic,
-    exit_cnd,
-    exit_variable_generic,
-    exit_vnd,
+    cnd_evaluator,
     inverse_exit_cnd,
     sample_exit_chart,
+    vnd_evaluator_at_q,
 )
 from .stability import (
     StabilityCheck,
     StabilityReport,
-    cnd_derivative_at_zero,
     derivative_matching_check,
     dgldpc_stability_boundary,
     dgldpc_stability_check,
     gldpc_stability_bound,
     stability_report,
-    vnd_derivative_at_zero,
 )
 
 __version__ = "0.1.0"
@@ -59,17 +55,13 @@ __all__ = [
     "StabilityCheck",
     "StabilityReport",
     "ThresholdResult",
-    "cnd_derivative_at_zero",
+    "cnd_evaluator",
     "de_iterate",
     "delta_params",
     "derivative_matching_check",
     "design_rate",
     "dgldpc_stability_boundary",
     "dgldpc_stability_check",
-    "exit_check_generic",
-    "exit_cnd",
-    "exit_variable_generic",
-    "exit_vnd",
     "find_threshold",
     "gldpc_stability_bound",
     "info_functions",
@@ -83,5 +75,5 @@ __all__ = [
     "split_info_functions",
     "stability_report",
     "validate",
-    "vnd_derivative_at_zero",
+    "vnd_evaluator_at_q",
 ]

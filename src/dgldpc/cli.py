@@ -23,27 +23,14 @@ from .codes import (
 )
 from .density_evolution import DensityEvolutionAnomalyError, find_threshold
 from .ensembles import design_rate, parse_ensemble, validate
-from .exit_charts import (
-    InversionRangeError,
-    MonotonicityError,
-    sample_exit_chart,
-)
-from .stability import (
-    InverseSlopeUndefinedError,
-    dgldpc_stability_check,
-    stability_report,
-)
+from .exit_charts import InversionRangeError, MonotonicityError, sample_exit_chart
+from .stability import dgldpc_stability_check, stability_report
 
 STATUS_STABILITY_VIOLATED = 1
 STATUS_INPUT_ERROR = 2
 STATUS_NUMERICAL_ERROR = 3
 
-_NUMERICAL_ERRORS = (
-    MonotonicityError,
-    InversionRangeError,
-    DensityEvolutionAnomalyError,
-    InverseSlopeUndefinedError,
-)
+_NUMERICAL_ERRORS = (MonotonicityError, InversionRangeError, DensityEvolutionAnomalyError)
 
 
 def _format_json(value, indent: int = 0) -> str:

@@ -249,9 +249,9 @@ def min_distance_at_least(gen: BinaryMatrix, t: int) -> bool:
     """True iff the code generated by gen has minimum distance >= t.
 
     Removing any t-1 columns must keep the rank, which costs C(n, t-1)
-    subset walks; used for the d_min >= 2 / >= 3 classifications where
-    codeword enumeration would be unnecessary.  gen must have full row
-    rank.
+    subset walks and no codeword enumeration; validation uses it for the
+    d_min >= 2 requirement on every component code.  gen must have full
+    row rank.
     """
     return _removal_deficit(gen, min(max(t - 1, 0), gen.cols)) == 0
 

@@ -39,7 +39,6 @@ class InversionRangeError(RuntimeError):
     """The inversion target is outside the range of the check-side EXIT curve."""
 
 
-@lru_cache(maxsize=None)
 def exit_coefficients(code: ComponentCode, side: str) -> tuple[tuple[int, ...], ...]:
     """Exact integer EXIT coefficients of one component code on one side.
 
@@ -221,19 +220,6 @@ def mixture_slope_row(ens: Ensemble, side: str) -> tuple[Fraction, ...]:
     return _mix(parts).coeffs[0]
 
 
-def exit_check_generic(code: ComponentCode, p: float) -> float:
-    """Extrinsic information of a generalized check node at erasure p."""
-    return code_polynomial(code, "check").at_q()(p)
-
-
-def exit_variable_generic(code: ComponentCode, p: float, q: float) -> float:
-    """Extrinsic information of a generalized variable node at (p, q).
-
-    At q = 1 (no channel observation) this reduces to the check-node form.
-    """
-    return code_polynomial(code, "variable").at_q(q)(p)
-
-
 def vnd_evaluator_at_q(ens: Ensemble, q: float) -> Callable[[float], float]:
     """p -> I_{E,V} mixture at one channel quality q, for loops over p."""
     return mixture_polynomial(ens, "variable").at_q(q)
@@ -243,16 +229,6 @@ def vnd_evaluator_at_q(ens: Ensemble, q: float) -> Callable[[float], float]:
 def cnd_evaluator(ens: Ensemble) -> Callable[[float], float]:
     """p -> I_{E,C} mixture."""
     return mixture_polynomial(ens, "check").at_q()
-
-
-def exit_vnd(ens: Ensemble, p: float, q: float) -> float:
-    """Aggregate variable-node EXIT function of the ensemble."""
-    return vnd_evaluator_at_q(ens, q)(p)
-
-
-def exit_cnd(ens: Ensemble, p: float) -> float:
-    """Aggregate check-node EXIT function of the ensemble."""
-    return cnd_evaluator(ens)(p)
 
 
 def _check_decreasing(values: list[float]) -> None:

@@ -103,16 +103,8 @@ class StabilityReport:
     dmin2_var_terms: tuple[tuple[float, ...], ...]
     applicability: Applicability
 
-    @property
-    def cnd_slope_at_zero_ia(self) -> float:
-        """The same slope taken with respect to I_A = 1 - p."""
-        return -self.cnd_slope_at_zero
-
-    @property
-    def vnd_slope_coeffs_ia(self) -> tuple[float, ...]:
-        return tuple(-c for c in self.vnd_slope_coeffs)
-
     def to_json_dict(self) -> dict:
+        """The report as JSON, with the slopes also taken against I_A = 1 - p (negated)."""
         return {
             "cnd_slope_at_zero": self.cnd_slope_at_zero,
             "vnd_slope_fn": list(self.vnd_slope_coeffs),
@@ -120,8 +112,8 @@ class StabilityReport:
             "dmin2_check_terms": list(self.dmin2_check_terms),
             "dmin2_var_terms": [list(t) for t in self.dmin2_var_terms],
             "applicability": asdict(self.applicability),
-            "cnd_slope_at_zero_ia": self.cnd_slope_at_zero_ia,
-            "vnd_slope_fn_ia": list(self.vnd_slope_coeffs_ia),
+            "cnd_slope_at_zero_ia": -self.cnd_slope_at_zero,
+            "vnd_slope_fn_ia": [-c for c in self.vnd_slope_coeffs],
         }
 
 
@@ -148,26 +140,10 @@ def _bracket(ens: Ensemble) -> Fraction:
     return mixture_slope_row(ens, "check")[0]
 
 
-def cnd_derivative_at_zero(ens: Ensemble) -> float:
-    """Slope of the aggregate check-node EXIT at p = 0 (always <= 0).
-
-    Types with minimum distance >= 3 contribute nothing.
-    """
-    return float(-_bracket(ens))
-
-
 def _stability_lhs(ens: Ensemble) -> Callable[[float], float]:
     """q -> minus the variable-side slope at p = 0: row 1 evaluated in q."""
     row = [float(c) for c in mixture_slope_row(ens, "variable")]
     return lambda q: bernstein_eval(row, q)
-
-
-def vnd_derivative_at_zero(ens: Ensemble, q: float) -> float:
-    """Slope in p of the aggregate variable-node EXIT at p = 0, for channel q.
-
-    For GLDPC ensembles (all-repetition variable side) this is -q lambda_2.
-    """
-    return -_stability_lhs(ens)(q)
 
 
 def vnd_slope_coefficients(ens: Ensemble) -> tuple[float, ...]:
@@ -269,7 +245,7 @@ def stability_report(ens: Ensemble) -> StabilityReport:
         all_chk_dmin_ge3=not _dmin2_types(ens, "check"),
     )
     return StabilityReport(
-        cnd_slope_at_zero=cnd_derivative_at_zero(ens),
+        cnd_slope_at_zero=float(-_bracket(ens)),
         vnd_slope_coeffs=vnd_slope_coefficients(ens),
         gldpc_bound=gldpc_stability_bound(ens),
         dmin2_check_terms=tuple(row[0] if row else 0.0 for row in dmin2_terms("check")),

@@ -28,20 +28,18 @@ from dgldpc.codes import (
 from dgldpc.density_evolution import find_threshold
 from dgldpc.ensembles import design_rate, parse_ensemble, serialize_ensemble, validate
 from dgldpc.exit_charts import (
-    exit_check_generic,
-    exit_cnd,
+    cnd_evaluator,
+    code_polynomial,
     exit_coefficients,
-    exit_variable_generic,
-    exit_vnd,
     mixture_slope_row,
+    vnd_evaluator_at_q,
 )
 from dgldpc.stability import (
     InverseSlopeUndefinedError,
-    cnd_derivative_at_zero,
     derivative_matching_check,
     dgldpc_stability_check,
     gldpc_stability_bound,
-    vnd_derivative_at_zero,
+    stability_report,
 )
 
 from conftest import (
@@ -97,11 +95,11 @@ def test_criterion_2_closed_form_reductions():
             for q in [i / 10 for i in range(11)]:
                 for p in p_grid:
                     expected = 1.0 - q * p ** (j - 1)
-                    assert abs(exit_variable_generic(code, p, q) - expected) <= 1e-12
+                    assert abs(code_polynomial(code, "variable").at_q(q)(p) - expected) <= 1e-12
         for j in range(2, 9):
             code = ComponentCode.single_parity_check(j)
             for p in p_grid:
-                assert abs(exit_check_generic(code, p) - (1.0 - p) ** (j - 1)) <= 1e-12
+                assert abs(code_polynomial(code, "check").at_q()(p) - (1.0 - p) ** (j - 1)) <= 1e-12
 
 
 def test_criterion_3_coefficient_laws():
@@ -195,12 +193,13 @@ def test_criterion_7_generic_equals_closed_form():
             assert 2 * delta_params(spc_code).delta_n2 == spc_code.n * (j - 1)
             closed = ensemble([rep_node(3, 1.0)], [spc_node(j, 1.0)])
             generic = ensemble([rep_node(3, 1.0)], [generic_node(spc_code.gen.to_text(), 1.0)])
-            assert abs(cnd_derivative_at_zero(closed) - cnd_derivative_at_zero(generic)) <= 1e-12
+            slopes = [stability_report(e).cnd_slope_at_zero for e in (closed, generic)]
+            assert abs(slopes[0] - slopes[1]) <= 1e-12
         closed = ensemble([rep_node(2, 1.0)], [spc_node(6, 1.0)])
         generic = ensemble([generic_node("11", 1.0)], [spc_node(6, 1.0)])
         for q in [i / 10 for i in range(11)]:
             assert abs(
-                vnd_derivative_at_zero(closed, q) - vnd_derivative_at_zero(generic, q)
+                dgldpc_stability_check(closed, q).lhs - dgldpc_stability_check(generic, q).lhs
             ) <= 1e-12
 
 
@@ -208,11 +207,11 @@ def test_criterion_8_finite_difference_audit():
     with criterion(8, "analytic p=0 slopes match centered differences of the EXIT mixtures"):
         h = 1e-6
         for ens in fixture_suite():
-            cnd_diff = (exit_cnd(ens, h) - exit_cnd(ens, -h)) / (2 * h)
-            assert abs(cnd_diff - cnd_derivative_at_zero(ens)) <= 1e-6
+            cnd_diff = (cnd_evaluator(ens)(h) - cnd_evaluator(ens)(-h)) / (2 * h)
+            assert abs(cnd_diff - stability_report(ens).cnd_slope_at_zero) <= 1e-6
             for q in (0.1, 0.5, 0.9):
-                vnd_diff = (exit_vnd(ens, h, q) - exit_vnd(ens, -h, q)) / (2 * h)
-                assert abs(vnd_diff - vnd_derivative_at_zero(ens, q)) <= 1e-6
+                vnd_diff = (vnd_evaluator_at_q(ens, q)(h) - vnd_evaluator_at_q(ens, q)(-h)) / (2 * h)
+                assert abs(vnd_diff + dgldpc_stability_check(ens, q).lhs) <= 1e-6
 
 
 def test_criterion_9_de_sanity(suite_thresholds):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -14,8 +17,9 @@ import pytest
 import dgldpc
 from dgldpc import codes
 from dgldpc.cli import run
+from dgldpc.ensembles import serialize_ensemble
 
-from conftest import HAMMING_74_TEXT
+from conftest import HAMMING_74_TEXT, SPC_32_TEXT, fixture_suite
 
 E36_DOC = """{
   "variable_nodes": [
@@ -285,3 +289,73 @@ def test_console_script_target_is_run():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["dgldpc"]
     assert target == "dgldpc.cli:run"
+
+
+# SHA-256 of each fixture's CLI transcript (see golden_transcripts); any byte
+# change to a report, a chart CSV or an exit status changes its digest.
+GOLDEN_DIGESTS = {
+    "F0": "73c4d18dc29fa32da280e0224d3b2e077bc6abfc6c67c6d8f4232dfb0045d272",
+    "F1": "b89a0876e572e3ef9f10baabd99e9f3a99a83803fa8ff63035e1508393079528",
+    "F2": "36c5b383c462db2457b15175846d3bd40ba4a64049bedb8f27792040770f858d",
+    "F3": "61d74383893e5d5d96ce3f68a1eb7978acb5543b7c0fbefde3fa5d536697a4db",
+    "F4": "2b9043c2f77a1c8e0882378686b4804f64698b9a29e77cef1ca87b0ff28dca03",
+    "F5": "c3080963c505ed40af067f870a30fd2840f1d3571411dbc060f0a787cb17144b",
+    "F6": "c181b99095fd2f0218b1c4f84031bd4010eeda8ec7703154a733cbf1f74cc62e",
+    "F7": "2cc4cbd04fbb5e5c6fbfa4202f3cfc38c9718053e2043a8266d3dc73647d484e",
+    "F8": "c491b4f1b02ca432fccbee7f37e1c48427b162a38387456c96fd2a1529cb59f1",
+    "F9": "259631b78219de44f48187d9619197b1a0e868da45313b471691323f375fcc07",
+    "F10": "6de0b35e77faee001ae0823eebd40142b376f80d71ed8176fda41b418877b7d8",
+    "code-info hamming74": "00a2c67714e0766b16c93d307b88a718718d1fb4b8ca5c94697b9bfcad737fb9",
+    "code-info spc32": "9c2b71e90cea3913b49213c8369c1da1b0d53a0a63268261f18b82a02c176838",
+}
+
+
+def cli_transcript(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = run(argv)
+    return f"$ {' '.join(argv[:1] + argv[2:])}\nstatus {status}\n{out.getvalue()}"
+
+
+def golden_transcripts(tmp_path) -> dict[str, str]:
+    """analyze, check-stability at q = 0.1/0.4/0.7, threshold and a 101-point
+    exit chart at q = 0.3 (CSV, and stdout without the written path) on each
+    fixture ensemble F0-F10; code-info on Hamming (7,4) and SPC (3,2)."""
+    transcripts = {}
+    for i, ens in enumerate(fixture_suite()):
+        path, csv = tmp_path / f"F{i}.json", tmp_path / f"F{i}.csv"
+        path.write_text(serialize_ensemble(ens), encoding="utf-8")
+        argvs = [["analyze", str(path)], ["threshold", str(path)]]
+        argvs += [["check-stability", str(path), "--q", q] for q in ("0.1", "0.4", "0.7")]
+        parts = [cli_transcript(argv) for argv in argvs]
+        chart = ["exit-chart", str(path), "--q", "0.3", "--npoints", "101", "--out", str(csv)]
+        parts.append(cli_transcript(chart).replace(str(csv), "CSV"))
+        parts.append(csv.read_bytes().decode("utf-8") if csv.exists() else "no CSV\n")
+        transcripts[f"F{i}"] = "".join(parts)
+    for name, text in (("hamming74", HAMMING_74_TEXT), ("spc32", SPC_32_TEXT)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text + "\n", encoding="utf-8")
+        transcripts[f"code-info {name}"] = cli_transcript(["code-info", str(path)])
+    return transcripts
+
+
+def test_cli_outputs_match_the_golden_digests(tmp_path):
+    digests = {
+        name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for name, text in golden_transcripts(tmp_path).items()
+    }
+    assert digests == GOLDEN_DIGESTS
+
+
+def test_every_public_name_resolves():
+    assert [name for name in dgldpc.__all__ if not hasattr(dgldpc, name)] == []
+
+
+def test_readme_quickstart_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().splitlines()[:2] == ["0.2", "0.2"]

@@ -15,8 +15,8 @@ from dgldpc.ensembles import (
     serialize_ensemble,
     validate,
 )
-from dgldpc.exit_charts import exit_cnd, exit_vnd
-from dgldpc.stability import cnd_derivative_at_zero, vnd_derivative_at_zero
+from dgldpc.exit_charts import cnd_evaluator, code_polynomial, vnd_evaluator_at_q
+from dgldpc.stability import dgldpc_stability_check, stability_report
 
 from conftest import SPC_32_TEXT, ensemble, generic_node, rep_node, spc_node
 
@@ -184,8 +184,9 @@ def test_spc_declared_generic_matches_closed_form():
         closed = ensemble([rep_node(3, 1.0)], [spc_node(j, 1.0)])
         generic = ensemble([rep_node(3, 1.0)], [generic_node(gen_text, 1.0)])
         for p in [i / 20 for i in range(21)]:
-            assert abs(exit_cnd(closed, p) - exit_cnd(generic, p)) <= 1e-12
-        assert abs(cnd_derivative_at_zero(closed) - cnd_derivative_at_zero(generic)) <= 1e-12
+            assert abs(cnd_evaluator(closed)(p) - cnd_evaluator(generic)(p)) <= 1e-12
+        slopes = [stability_report(e).cnd_slope_at_zero for e in (closed, generic)]
+        assert abs(slopes[0] - slopes[1]) <= 1e-12
 
 
 def test_rep_declared_generic_matches_closed_form():
@@ -195,10 +196,10 @@ def test_rep_declared_generic_matches_closed_form():
         generic = ensemble([generic_node(gen_text, 1.0)], [spc_node(6, 1.0)])
         for p in [i / 10 for i in range(11)]:
             for q in (0.2, 0.7):
-                assert abs(exit_vnd(closed, p, q) - exit_vnd(generic, p, q)) <= 1e-12
+                assert abs(vnd_evaluator_at_q(closed, q)(p) - vnd_evaluator_at_q(generic, q)(p)) <= 1e-12
         for q in (0.0, 0.37, 1.0):
             assert abs(
-                vnd_derivative_at_zero(closed, q) - vnd_derivative_at_zero(generic, q)
+                dgldpc_stability_check(closed, q).lhs - dgldpc_stability_check(generic, q).lhs
             ) <= 1e-12
 
 
@@ -208,9 +209,7 @@ def test_kinds_usable_on_either_side():
     ens = ensemble([spc_node(3, 1.0)], [rep_node(4, 1.0)])
     validate(ens)
     from dgldpc.codes import ComponentCode
-    from dgldpc.exit_charts import exit_check_generic, exit_variable_generic
 
-    assert exit_vnd(ens, 0.4, 0.6) == exit_variable_generic(
-        ComponentCode.single_parity_check(3), 0.4, 0.6
-    )
-    assert exit_cnd(ens, 0.4) == exit_check_generic(ComponentCode.repetition(4), 0.4)
+    spc3 = code_polynomial(ComponentCode.single_parity_check(3), "variable")
+    assert vnd_evaluator_at_q(ens, 0.6)(0.4) == spc3.at_q(0.6)(0.4)
+    assert cnd_evaluator(ens)(0.4) == code_polynomial(ComponentCode.repetition(4), "check").at_q()(0.4)

@@ -21,20 +21,17 @@ from dgldpc.exit_charts import (
     bisect,
     cnd_evaluator,
     code_polynomial,
-    exit_check_generic,
-    exit_cnd,
     exit_coefficients,
-    exit_variable_generic,
-    exit_vnd,
     inverse_exit_cnd,
     mixture_polynomial,
     mixture_slope_row,
     node_polynomial,
     node_slope_row,
     sample_exit_chart,
+    vnd_evaluator_at_q,
     MonotonicityError,
 )
-from dgldpc.stability import cnd_derivative_at_zero, vnd_derivative_at_zero
+from dgldpc.stability import dgldpc_stability_check, stability_report
 
 from conftest import (
     SPC_32_TEXT,
@@ -67,7 +64,7 @@ def test_check_exit_matches_spc_closed_form():
     for j in range(2, 9):
         code = ComponentCode.single_parity_check(j)
         for p in P_GRID:
-            assert abs(exit_check_generic(code, p) - (1 - p) ** (j - 1)) <= 1e-12
+            assert abs(code_polynomial(code, "check").at_q()(p) - (1 - p) ** (j - 1)) <= 1e-12
 
 
 def test_variable_exit_matches_repetition_closed_form():
@@ -75,22 +72,23 @@ def test_variable_exit_matches_repetition_closed_form():
         code = ComponentCode.repetition(j)
         for q in [i / 10 for i in range(11)]:
             for p in P_GRID:
-                assert abs(exit_variable_generic(code, p, q) - (1 - q * p ** (j - 1))) <= 1e-12
+                assert abs(code_polynomial(code, "variable").at_q(q)(p) - (1 - q * p ** (j - 1))) <= 1e-12
 
 
 def test_check_exit_at_zero_is_one(spc32, hamming74):
     for code in (spc32, hamming74):
-        assert exit_check_generic(code, 0.0) == 1.0
+        assert code_polynomial(code, "check").at_q()(0.0) == 1.0
 
 
 def test_variable_exit_boundaries(spc32, hamming74):
     for code in (spc32, hamming74):
         for q in (0.0, 0.3, 1.0):
-            assert exit_variable_generic(code, 0.0, q) == 1.0
-        assert exit_variable_generic(code, 0.4, 0.0) == 1.0
+            assert code_polynomial(code, "variable").at_q(q)(0.0) == 1.0
+        assert code_polynomial(code, "variable").at_q(0.0)(0.4) == 1.0
         # q = 1: no channel observation, reduces to the check-node function
+        variable, check = code_polynomial(code, "variable").at_q(1.0), code_polynomial(code, "check").at_q()
         for p in P_GRID:
-            assert abs(exit_variable_generic(code, p, 1.0) - exit_check_generic(code, p)) <= 1e-13
+            assert abs(variable(p) - check(p)) <= 1e-13
 
 
 def spans(col_vectors, target):
@@ -136,17 +134,17 @@ def test_exit_matches_erasure_decoding_oracle(spc32, hamming74):
     codes = [spc32, hamming74, ComponentCode.repetition(4), ComponentCode.from_text("11110\n00101\n00110")]
     for code in codes:
         for p in (0.0, 0.17, 0.5, 0.83, 1.0):
-            assert abs(exit_check_generic(code, p) - oracle_check_exit(code, p)) <= 1e-13
+            assert abs(code_polynomial(code, "check").at_q()(p) - oracle_check_exit(code, p)) <= 1e-13
     for code in codes:
         for p in (0.0, 0.3, 0.77, 1.0):
             for q in (0.0, 0.41, 1.0):
-                got = exit_variable_generic(code, p, q)
+                got = code_polynomial(code, "variable").at_q(q)(p)
                 assert abs(got - oracle_variable_exit(code, p, q)) <= 1e-13
 
 
 def test_check_exit_hamming_half_exact(hamming74):
     # all weights equal 2^-6 at p = 1/2; frozen exact value 23/64
-    assert abs(exit_check_generic(hamming74, 0.5) - 23 / 64) <= 1e-15
+    assert abs(code_polynomial(hamming74, "check").at_q()(0.5) - 23 / 64) <= 1e-15
     e = info_functions(hamming74)
     a = [(7 - t) * e[7 - t] - (t + 1) * e[6 - t] for t in range(7)]
     exact = 1 - Fraction(1, 7) * sum(Fraction(at, 64) for at in a)
@@ -156,13 +154,13 @@ def test_check_exit_hamming_half_exact(hamming74):
 def test_vnd_single_type_equals_node_function(spc32):
     ens = ensemble([generic_node(SPC_32_TEXT, 1.0)], [spc_node(6, 1.0)])
     for p, q in [(0.2, 0.7), (0.5, 0.5), (1.0, 0.1)]:
-        assert exit_vnd(ens, p, q) == exit_variable_generic(spc32, p, q)
+        assert vnd_evaluator_at_q(ens, q)(p) == code_polynomial(spc32, "variable").at_q(q)(p)
 
 
 def test_vnd_all_repetition_closed_form():
     ens = ensemble([rep_node(3, 1.0)], [spc_node(6, 1.0)])
-    assert exit_vnd(ens, 0.5, 0.4) == pytest.approx(0.9, abs=1e-15)
-    assert exit_vnd(ens, 0.3, 0.0) == 1.0
+    assert vnd_evaluator_at_q(ens, 0.4)(0.5) == pytest.approx(0.9, abs=1e-15)
+    assert vnd_evaluator_at_q(ens, 0.0)(0.3) == 1.0
 
 
 def test_vnd_mixture_example(spc32):
@@ -170,20 +168,20 @@ def test_vnd_mixture_example(spc32):
         [rep_node(2, 0.5), generic_node(SPC_32_TEXT, 0.5)],
         [spc_node(6, 1.0)],
     )
-    expected = 0.5 * (1 - 0.25) + 0.5 * exit_variable_generic(spc32, 0.5, 0.5)
-    assert abs(exit_vnd(ens, 0.5, 0.5) - expected) <= 1e-15
+    expected = 0.5 * (1 - 0.25) + 0.5 * code_polynomial(spc32, "variable").at_q(0.5)(0.5)
+    assert abs(vnd_evaluator_at_q(ens, 0.5)(0.5) - expected) <= 1e-15
 
 
 def test_cnd_examples(hamming74):
     ens = ensemble([rep_node(3, 1.0)], [spc_node(6, 1.0)])
-    assert abs(exit_cnd(ens, 0.2) - 0.8**5) <= 1e-15
-    assert exit_cnd(ens, 0.0) == 1.0
+    assert abs(cnd_evaluator(ens)(0.2) - 0.8**5) <= 1e-15
+    assert cnd_evaluator(ens)(0.0) == 1.0
     mixed = ensemble(
         [rep_node(3, 1.0)],
         [spc_node(3, 0.5), generic_node("1000110\n0100101\n0010011\n0001111", 0.5)],
     )
-    expected = 0.5 * 0.25 + 0.5 * exit_check_generic(hamming74, 0.5)
-    assert abs(exit_cnd(mixed, 0.5) - expected) <= 1e-15
+    expected = 0.5 * 0.25 + 0.5 * code_polynomial(hamming74, "check").at_q()(0.5)
+    assert abs(cnd_evaluator(mixed)(0.5) - expected) <= 1e-15
 
 
 def test_mixture_matches_regrouped_form(spc32):
@@ -197,39 +195,39 @@ def test_mixture_matches_regrouped_form(spc32):
         regrouped = (
             (0.25 + 0.35)
             - q * (0.25 * p + 0.35 * p**2)
-            + 0.4 * exit_variable_generic(spc32, p, q)
+            + 0.4 * code_polynomial(spc32, "variable").at_q(q)(p)
         )
-        assert abs(exit_vnd(ens, p, q) - regrouped) <= 1e-14
+        assert abs(vnd_evaluator_at_q(ens, q)(p) - regrouped) <= 1e-14
     chk = ensemble(
         [rep_node(3, 1.0)],
         [spc_node(4, 0.3), spc_node(6, 0.3), generic_node(SPC_32_TEXT, 0.4)],
     )
     for p in (0.15, 0.6):
         regrouped = (
-            0.3 * (1 - p) ** 3 + 0.3 * (1 - p) ** 5 + 0.4 * exit_check_generic(spc32, p)
+            0.3 * (1 - p) ** 3 + 0.3 * (1 - p) ** 5 + 0.4 * code_polynomial(spc32, "check").at_q()(p)
         )
-        assert abs(exit_cnd(chk, p) - regrouped) <= 1e-14
+        assert abs(cnd_evaluator(chk)(p) - regrouped) <= 1e-14
 
 
 def test_endpoint_unity_for_valid_ensembles(rep3_spc6, g32var_spc6):
     for ens in (rep3_spc6, g32var_spc6):
         for q in (0.0, 0.3, 1.0):
-            assert abs(exit_vnd(ens, 0.0, q) - 1.0) <= 1e-12
-        assert abs(exit_cnd(ens, 0.0) - 1.0) <= 1e-12
+            assert abs(vnd_evaluator_at_q(ens, q)(0.0) - 1.0) <= 1e-12
+        assert abs(cnd_evaluator(ens)(0.0) - 1.0) <= 1e-12
 
 
 def test_cnd_finite_difference_matches_analytic_slope(rep3_spc6, g32var_spc6):
     h = 1e-6
     for ens in (rep3_spc6, g32var_spc6):
-        diff = (exit_cnd(ens, h) - exit_cnd(ens, -h)) / (2 * h)
-        assert abs(diff - cnd_derivative_at_zero(ens)) <= 1e-6
+        diff = (cnd_evaluator(ens)(h) - cnd_evaluator(ens)(-h)) / (2 * h)
+        assert abs(diff - stability_report(ens).cnd_slope_at_zero) <= 1e-6
 
 
 def test_vnd_finite_difference_matches_analytic_slope(g32var_spc6):
     h = 1e-6
     for q in (0.1, 0.5, 0.9):
-        diff = (exit_vnd(g32var_spc6, h, q) - exit_vnd(g32var_spc6, -h, q)) / (2 * h)
-        assert abs(diff - vnd_derivative_at_zero(g32var_spc6, q)) <= 1e-6
+        diff = (vnd_evaluator_at_q(g32var_spc6, q)(h) - vnd_evaluator_at_q(g32var_spc6, q)(-h)) / (2 * h)
+        assert abs(diff + dgldpc_stability_check(g32var_spc6, q).lhs) <= 1e-6
 
 
 def test_inverse_round_trips(rep3_spc6, hamming74):
@@ -239,7 +237,7 @@ def test_inverse_round_trips(rep3_spc6, hamming74):
         [rep_node(3, 1.0)],
         [spc_node(3, 0.5), generic_node("1000110\n0100101\n0010011\n0001111", 0.5)],
     )
-    target = exit_cnd(mixed, 0.3)
+    target = cnd_evaluator(mixed)(0.3)
     assert abs(inverse_exit_cnd(mixed, target) - 0.3) <= 1e-10
 
 
@@ -247,7 +245,7 @@ def test_inverse_rejects_unreachable_target():
     # a valid d_min = 2 code with an all-zero generator column keeps
     # I_{E,C}(1) above zero, so low targets are unreachable
     ens = ensemble([rep_node(3, 1.0)], [generic_node("110", 1.0)])
-    assert exit_cnd(ens, 1.0) == pytest.approx(1 / 3, abs=1e-12)
+    assert cnd_evaluator(ens)(1.0) == pytest.approx(1 / 3, abs=1e-12)
     with pytest.raises(InversionRangeError):
         inverse_exit_cnd(ens, 0.0)
 
@@ -310,13 +308,13 @@ def test_chart_curves_cross_above_threshold(rep3_spc6):
 def test_generic_check_curves_never_build_the_split_table():
     ens = ensemble([rep_node(3, 1.0)], [generic_node("1100\n0111", 0.5), spc_node(6, 0.5)])
     # earlier tests may hold this code's polynomials in the upper caches
-    for cache in (split_info_functions, exit_coefficients, code_polynomial, node_polynomial,
-                  mixture_polynomial, cnd_evaluator):
+    for cache in (split_info_functions, code_polynomial, node_polynomial, mixture_polynomial,
+                  cnd_evaluator):
         cache.cache_clear()
-    exit_cnd(ens, 0.3)
+    cnd_evaluator(ens)(0.3)
     sample_exit_chart(ens, 0.3, 11)
     assert split_info_functions.cache_info().currsize == 0
-    assert exit_coefficients.cache_info().currsize == 1
+    assert code_polynomial.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("j", [8, 16, 32])
@@ -326,7 +324,7 @@ def test_long_spc_check_curve_stays_nonnegative_and_invertible(j):
     ens = ensemble([rep_node(3, 1.0)], [spc_node(j, 1.0)])
     step = 1.0 / (MONOTONICITY_GRID - 1)
     grid = [i * step for i in range(MONOTONICITY_GRID)]
-    values = [exit_cnd(ens, p) for p in grid]
+    values = [cnd_evaluator(ens)(p) for p in grid]
     for p, value in zip(grid, values):
         assert value == pytest.approx((1 - p) ** (j - 1), rel=1e-13, abs=0)
     _check_decreasing(values)
@@ -397,18 +395,18 @@ unit = st.floats(0.0, 1.0)
 def test_mixture_is_the_edge_fraction_sum_of_its_types(variables, checks, p, q):
     ens = ensemble(variables, checks)
     per_type_v = sum(t.edge_fraction * node_polynomial(t, "variable").at_q(q)(p) for t in variables)
-    assert abs(exit_vnd(ens, p, q) - per_type_v) <= 1e-14
+    assert abs(vnd_evaluator_at_q(ens, q)(p) - per_type_v) <= 1e-14
     per_type_c = sum(t.edge_fraction * node_polynomial(t, "check").at_q()(p) for t in checks)
-    assert abs(exit_cnd(ens, p) - per_type_c) <= 1e-14
-    assert 0.0 <= exit_vnd(ens, p, q) <= 1.0 and 0.0 <= exit_cnd(ens, p) <= 1.0
-    assert cnd_derivative_at_zero(ens) == float(-mixture_polynomial(ens, "check").coeffs[1][0])
+    assert abs(cnd_evaluator(ens)(p) - per_type_c) <= 1e-14
+    assert 0.0 <= vnd_evaluator_at_q(ens, q)(p) <= 1.0 and 0.0 <= cnd_evaluator(ens)(p) <= 1.0
+    assert stability_report(ens).cnd_slope_at_zero == float(-mixture_polynomial(ens, "check").coeffs[1][0])
     for side in ("variable", "check"):
         assert mixture_slope_row(ens, side) == mixture_polynomial(ens, side).coeffs[1]
     # dropping row 0 divides the output erasure by p, with coefficients >= 0
     v, c = mixture_polynomial(ens, "variable").over_p(q), mixture_polynomial(ens, "check").over_p()
     assert min(v) >= 0.0 and min(c) >= 0.0
-    assert abs(p * bernstein_eval(v, p) - (1.0 - exit_vnd(ens, p, q))) <= 1e-14
-    assert abs(p * bernstein_eval(c, p) - (1.0 - exit_cnd(ens, p))) <= 1e-14
+    assert abs(p * bernstein_eval(v, p) - (1.0 - vnd_evaluator_at_q(ens, q)(p))) <= 1e-14
+    assert abs(p * bernstein_eval(c, p) - (1.0 - cnd_evaluator(ens)(p))) <= 1e-14
 
 
 def test_over_p_refuses_a_nonzero_row_zero():

@@ -15,7 +15,6 @@ from dgldpc.codes import ComponentCode, min_distance_bruteforce, split_info_func
 from dgldpc.ensembles import validate
 from dgldpc.exit_charts import (
     code_polynomial,
-    exit_coefficients,
     mixture_polynomial,
     mixture_slope_row,
     node_polynomial,
@@ -23,13 +22,11 @@ from dgldpc.exit_charts import (
 )
 from dgldpc.stability import (
     InverseSlopeUndefinedError,
-    cnd_derivative_at_zero,
     derivative_matching_check,
     dgldpc_stability_boundary,
     dgldpc_stability_check,
     gldpc_stability_bound,
     stability_report,
-    vnd_derivative_at_zero,
     vnd_slope_coefficients,
 )
 
@@ -47,32 +44,32 @@ from conftest import (
 
 
 def test_cnd_slope_all_spc(rep2_spc6):
-    assert cnd_derivative_at_zero(rep2_spc6) == -5.0
+    assert stability_report(rep2_spc6).cnd_slope_at_zero == -5.0
 
 
 def test_cnd_slope_hamming_only_is_zero():
     ens = ensemble([rep_node(2, 1.0)], [generic_node(HAMMING_74_TEXT, 1.0)])
-    assert cnd_derivative_at_zero(ens) == 0.0
+    assert stability_report(ens).cnd_slope_at_zero == 0.0
 
 
 def test_cnd_slope_spc3_as_generic_equals_closed_form():
     ens = ensemble([rep_node(2, 1.0)], [generic_node(SPC_32_TEXT, 1.0)])
-    assert cnd_derivative_at_zero(ens) == -2.0
+    assert stability_report(ens).cnd_slope_at_zero == -2.0
 
 
 def test_vnd_slope_all_rep2(rep2_spc6):
-    assert vnd_derivative_at_zero(rep2_spc6, 0.37) == -0.37
+    assert -dgldpc_stability_check(rep2_spc6, 0.37).lhs == -0.37
 
 
 def test_vnd_slope_zero_when_all_variables_dmin3():
     ens = ensemble([generic_node(HAMMING_74_TEXT, 1.0)], [spc_node(6, 1.0)])
     for q in (0.0, 0.4, 1.0):
-        assert vnd_derivative_at_zero(ens, q) == 0.0
+        assert -dgldpc_stability_check(ens, q).lhs == 0.0
 
 
 def test_vnd_slope_generic_32_example(g32var_spc6):
     # -(2/3) * (q(1-q)*2 + q^2*3) at q = 1/2 is -5/6
-    assert vnd_derivative_at_zero(g32var_spc6, 0.5) == pytest.approx(-5 / 6, abs=1e-15)
+    assert -dgldpc_stability_check(g32var_spc6, 0.5).lhs == pytest.approx(-5 / 6, abs=1e-15)
 
 
 def test_vnd_slope_polynomial_matches_pointwise(g32var_spc6, rep2_spc6):
@@ -84,7 +81,7 @@ def test_vnd_slope_polynomial_matches_pointwise(g32var_spc6, rep2_spc6):
         coeffs = vnd_slope_coefficients(ens)
         for q in [i / 13 for i in range(14)]:
             poly = sum(c * q**m for m, c in enumerate(coeffs))
-            assert abs(poly - vnd_derivative_at_zero(ens, q)) <= 1e-12
+            assert abs(poly + dgldpc_stability_check(ens, q).lhs) <= 1e-12
 
 
 def test_gldpc_bound_ldpc_special_case(rep2_spc6):
@@ -162,7 +159,7 @@ def test_boundary_worked_quadratic(g32var_spc6):
     root = result.points[0]
     assert root == pytest.approx(math.sqrt(1.3) - 1, abs=1e-9)
     # independent dense scan for the same sign change
-    lhs = lambda q: -vnd_derivative_at_zero(g32var_spc6, q)
+    lhs = lambda q: dgldpc_stability_check(g32var_spc6, q).lhs
     scan = [q / 100000 for q in range(100001)]
     crossing = next(q for q in scan if lhs(q) >= 0.2)
     assert abs(crossing - root) <= 1e-4
@@ -251,9 +248,9 @@ def test_report_json_encoding(g32var_spc6, rep3_spc6):
 
 
 def test_ia_orientation_is_negated(g32var_spc6):
-    report = stability_report(g32var_spc6)
-    assert report.cnd_slope_at_zero_ia == -report.cnd_slope_at_zero
-    assert report.vnd_slope_coeffs_ia == tuple(-c for c in report.vnd_slope_coeffs)
+    doc = stability_report(g32var_spc6).to_json_dict()
+    assert doc["cnd_slope_at_zero_ia"] == -doc["cnd_slope_at_zero"]
+    assert doc["vnd_slope_fn_ia"] == [-c for c in doc["vnd_slope_fn"]]
 
 
 def test_slope_coefficients_keep_the_degree_of_the_dmin2_types():
@@ -268,15 +265,14 @@ def test_report_never_builds_the_split_table():
         [spc_node(6, 0.5), generic_node("1100\n0111", 0.5)],
     )
     # earlier tests may hold these codes' full polynomials in the upper caches
-    for cache in (split_info_functions, exit_coefficients, code_polynomial, node_polynomial,
-                  mixture_polynomial):
+    for cache in (split_info_functions, code_polynomial, node_polynomial, mixture_polynomial):
         cache.cache_clear()
     stability_report(ens)
     dgldpc_stability_check(ens, 0.3)
     dgldpc_stability_boundary(ens)
     derivative_matching_check(ens, 0.3)
     assert split_info_functions.cache_info().currsize == 0
-    assert exit_coefficients.cache_info().currsize == 0
+    assert code_polynomial.cache_info().currsize == 0
 
 
 def test_validate_and_report_walk_each_code_once_at_two_removals(monkeypatch):
