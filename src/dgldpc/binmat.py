@@ -7,14 +7,13 @@ immutable and safe to share across threads or workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 MAX_DIM = 32
 
 
-@dataclass(frozen=True)
-class BinaryMatrix:
+class BinaryMatrix(namedtuple("BinaryMatrix", "bits cols")):
     """A rows x cols matrix over GF(2).
 
     bits holds one int per row; bit j of bits[i] is entry (i, j).
@@ -22,18 +21,23 @@ class BinaryMatrix:
     and exhaustive column-subset enumeration stays feasible.
     """
 
-    bits: tuple[int, ...]
-    cols: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.bits) <= MAX_DIM:
-            raise ValueError(f"row count must be in 1..{MAX_DIM}, got {len(self.bits)}")
-        if not 0 <= self.cols <= MAX_DIM:
-            raise ValueError(f"column count must be in 0..{MAX_DIM}, got {self.cols}")
-        mask = (1 << self.cols) - 1
-        for i, row in enumerate(self.bits):
+    def __new__(cls, bits: tuple[int, ...], cols: int) -> "BinaryMatrix":
+        if not 1 <= len(bits) <= MAX_DIM:
+            raise ValueError(f"row count must be in 1..{MAX_DIM}, got {len(bits)}")
+        if not 0 <= cols <= MAX_DIM:
+            raise ValueError(f"column count must be in 0..{MAX_DIM}, got {cols}")
+        mask = (1 << cols) - 1
+        for i, row in enumerate(bits):
             if row < 0 or row & ~mask:
-                raise ValueError(f"row {i} has bits outside the {self.cols} columns")
+                raise ValueError(f"row {i} has bits outside the {cols} columns")
+        return super().__new__(cls, bits, cols)
+
+    @classmethod
+    def _make(cls, fields) -> "BinaryMatrix":
+        # namedtuple's _make (and _replace, which calls it) skip __new__.
+        return cls(*fields)
 
     @property
     def rows(self) -> int:

@@ -25,7 +25,7 @@ Hamming (15, 11) one 2.26e6 of 2^26 (about 5.5 s).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -38,22 +38,27 @@ class EnumerationCapacityError(ValueError):
     """The requested enumeration is beyond the supported size cap."""
 
 
-@dataclass(frozen=True)
-class ComponentCode:
+class ComponentCode(namedtuple("ComponentCode", "gen")):
     """An (n, k) linear block code with a fixed generator representation.
 
     n is the number of generator columns, k the number of rows; the
     generator must have full row rank.
     """
 
-    gen: BinaryMatrix
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        k, n = self.gen.rows, self.gen.cols
-        if rank(self.gen) != k:
+    def __new__(cls, gen: BinaryMatrix) -> "ComponentCode":
+        k, n = gen.rows, gen.cols
+        if rank(gen) != k:
             raise ValueError(f"generator matrix is rank deficient: rank < {k}")
         if not 1 <= k < n:
             raise ValueError(f"code dimensions must satisfy 1 <= k < n, got k={k}, n={n}")
+        return super().__new__(cls, gen)
+
+    @classmethod
+    def _make(cls, fields) -> "ComponentCode":
+        # Through __new__, so _replace validates too.
+        return cls(*fields)
 
     @property
     def n(self) -> int:
@@ -83,16 +88,14 @@ class ComponentCode:
         return cls(BinaryMatrix(rows, j))
 
 
-@dataclass(frozen=True)
-class DeltaParams:
+class DeltaParams(namedtuple("DeltaParams", "delta_n2 delta_n2_kz")):
     """Total rank deficiencies over (n-2)-column submatrices.
 
-    delta_n2 counts plain generator-column subsets; delta_n2_kz[z] counts
-    subsets of n-2 generator columns joined with k-z identity columns.
+    delta_n2 (an int) counts plain generator-column subsets; delta_n2_kz[z]
+    counts subsets of n-2 generator columns joined with k-z identity columns.
     """
 
-    delta_n2: int
-    delta_n2_kz: tuple[int, ...]
+    __slots__ = ()
 
 
 def _subset_rank_sums(columns: list[int], acc: list[int], base: int, size: int | None = None) -> None:

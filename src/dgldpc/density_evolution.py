@@ -26,8 +26,8 @@ is the stability boundary q_stab, or by an interior fixed point x* > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 
 from .ensembles import Ensemble, validate
 from .exit_charts import bernstein_eval, bisect, mixture_polynomial
@@ -47,18 +47,22 @@ class DensityEvolutionAnomalyError(RuntimeError):
     """The erasure trajectory increased: the EXIT mixtures are inconsistent."""
 
 
-@dataclass(frozen=True)
-class DeRun:
-    """Outcome of one density-evolution run at fixed channel quality."""
+class DeRun(namedtuple("DeRun", "success final_x iters trace", defaults=(None,))):
+    """Outcome of one density-evolution run at fixed channel quality.
 
-    success: bool
-    final_x: float
-    iters: int
-    trace: tuple[tuple[int, float], ...] | None = None
+    trace, when recorded, holds (iteration, x) pairs.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(
+    namedtuple(
+        "ThresholdResult",
+        "q_star iterations_at_threshold bisection_steps converged residual_trace x_star",
+        defaults=(None, 0.0),
+    )
+):
     """Decoding threshold, how it was decided, and what limits it.
 
     bisection_steps counts the probes of g_q < 1, including the two
@@ -70,12 +74,7 @@ class ThresholdResult:
     one they are None and 0.
     """
 
-    q_star: float
-    iterations_at_threshold: int
-    bisection_steps: int
-    converged: bool
-    residual_trace: tuple[tuple[int, float], ...] | None = None
-    x_star: float = 0.0
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,7 +12,7 @@ node with the canonical generator.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,6 +21,8 @@ from .codes import ComponentCode, min_distance_at_least
 
 KINDS = ("repetition", "spc", "generic")
 FRACTION_SUM_TOL = 1e-12
+# Entries each lru_cache keyed by an Ensemble keeps; a command uses one ensemble.
+ENSEMBLE_CACHE_SIZE = 64
 
 
 class EnsembleFormatError(ValueError):
@@ -31,28 +33,36 @@ class EnsembleValidationError(ValueError):
     """A structurally well-formed ensemble violates a validity invariant."""
 
 
-@dataclass(frozen=True)
-class NodeType:
+class NodeType(namedtuple("NodeType", "kind edge_fraction length generator")):
     """One node type: a component code kind plus its edge fraction."""
 
-    kind: str
-    edge_fraction: float
-    length: int | None = None
-    generator: BinaryMatrix | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown node kind {self.kind!r}")
-        if self.kind == "generic":
-            if self.generator is None or self.length is not None:
+    def __new__(
+        cls,
+        kind: str,
+        edge_fraction: float,
+        length: int | None = None,
+        generator: BinaryMatrix | None = None,
+    ) -> "NodeType":
+        if kind not in KINDS:
+            raise ValueError(f"unknown node kind {kind!r}")
+        if kind == "generic":
+            if generator is None or length is not None:
                 raise ValueError("generic node types carry a generator matrix and no length")
         else:
-            if self.length is None or self.generator is not None:
-                raise ValueError(f"{self.kind} node types carry a length and no generator")
-            if self.length < 1:
-                raise ValueError(f"node length must be positive, got {self.length}")
-        if not 0.0 < self.edge_fraction <= 1.0:
-            raise ValueError(f"edge fraction must be in (0, 1], got {self.edge_fraction}")
+            if length is None or generator is not None:
+                raise ValueError(f"{kind} node types carry a length and no generator")
+            if length < 1:
+                raise ValueError(f"node length must be positive, got {length}")
+        if not 0.0 < edge_fraction <= 1.0:
+            raise ValueError(f"edge fraction must be in (0, 1], got {edge_fraction}")
+        return super().__new__(cls, kind, edge_fraction, length, generator)
+
+    @classmethod
+    def _make(cls, fields) -> "NodeType":
+        # Through __new__, so _replace validates too.
+        return cls(*fields)
 
     def describe(self) -> str:
         if self.kind == "generic":
@@ -60,12 +70,11 @@ class NodeType:
         return f"{self.kind}({self.length})"
 
 
-@dataclass(frozen=True)
-class Ensemble:
-    """A GLDPC / D-GLDPC ensemble as two edge-fraction mixtures."""
+class Ensemble(namedtuple("Ensemble", "variable_types check_types")):
+    """A GLDPC / D-GLDPC ensemble as two edge-fraction mixtures, each a
+    tuple of NodeTypes."""
 
-    variable_types: tuple[NodeType, ...]
-    check_types: tuple[NodeType, ...]
+    __slots__ = ()
 
     def types(self, side: str) -> tuple[NodeType, ...]:
         """The node types of side "variable" or "check"."""
@@ -135,7 +144,7 @@ def _validate_side(types: tuple[NodeType, ...], side: str) -> None:
             )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
 def _validate_cached(ens: Ensemble) -> bool:
     _validate_side(ens.variable_types, "variable")
     _validate_side(ens.check_types, "check")

@@ -12,14 +12,15 @@ at p = 0 off row t = 1 (node_slope_row, mixture_slope_row).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Callable, Sequence
 
 from .codes import ComponentCode, delta_params, info_functions, split_info_functions
 from .ensembles import (
+    ENSEMBLE_CACHE_SIZE,
     Ensemble,
     NodeType,
     component_code,
@@ -61,8 +62,7 @@ def exit_coefficients(code: ComponentCode, side: str) -> tuple[tuple[int, ...], 
     )
 
 
-@dataclass(frozen=True)
-class ExitPolynomial:
+class ExitPolynomial(namedtuple("ExitPolynomial", "coeffs")):
     """Exact EXIT polynomial of a node type or of one side of an ensemble.
 
     1 - I_E(p, q) = sum_t sum_z c[t][z] p^t (1-p)^(d-t) q^z (1-q)^(K-z)
@@ -70,9 +70,8 @@ class ExitPolynomial:
     K = len(coeffs[0]) - 1.  K = 0 on the check side, where q does not
     enter.  Row t = 1 carries the slope at p = 0: every valid node has
     d_min >= 2, so c[0] = 0 and d(1 - I_E)/dp at p = 0 is row 1 summed in q.
+    No __slots__: cached_property keeps floats in the instance __dict__.
     """
-
-    coeffs: tuple[tuple[Fraction, ...], ...]
 
     @cached_property
     def floats(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
@@ -184,7 +183,7 @@ def node_polynomial(node: NodeType, side: str) -> ExitPolynomial:
     return ExitPolynomial(tuple((Fraction(comb(d, t) if t else 0),) for t in range(d + 1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
 def mixture_polynomial(ens: Ensemble, side: str) -> ExitPolynomial:
     """The edge-fraction mixture of one side's node polynomials."""
     validate(ens)
@@ -208,7 +207,7 @@ def node_slope_row(node: NodeType, side: str) -> tuple[Fraction, ...]:
     return tuple(Fraction(2 * x, code.n) for x in deltas)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
 def mixture_slope_row(ens: Ensemble, side: str) -> tuple[Fraction, ...]:
     """Row t = 1 of mixture_polynomial(ens, side), from the node slope rows.
 
@@ -225,7 +224,7 @@ def vnd_evaluator_at_q(ens: Ensemble, q: float) -> Callable[[float], float]:
     return mixture_polynomial(ens, "variable").at_q(q)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
 def cnd_evaluator(ens: Ensemble) -> Callable[[float], float]:
     """p -> I_{E,C} mixture."""
     return mixture_polynomial(ens, "check").at_q()
@@ -244,7 +243,7 @@ def _check_decreasing(values: list[float]) -> None:
             )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
 def _assert_cnd_invertible(ens: Ensemble) -> bool:
     f = cnd_evaluator(ens)
     step = 1.0 / (MONOTONICITY_GRID - 1)
@@ -295,15 +294,13 @@ def inverse_exit_cnd(ens: Ensemble, target: float) -> float:
     return bisect(lambda p: target - f(p), 0.0, 1.0, INVERSION_WIDTH)
 
 
-@dataclass(frozen=True)
-class ExitCurve:
+class ExitCurve(namedtuple("ExitCurve", "points channel_q", defaults=(None,))):
     """Sampled chart curve: points (ia, value) with ia strictly increasing.
 
     channel_q is set on variable-side curves, None on check-side ones.
     """
 
-    points: tuple[tuple[float, float], ...]
-    channel_q: float | None = None
+    __slots__ = ()
 
 
 def sample_exit_chart(ens: Ensemble, q: float, npoints: int) -> tuple[ExitCurve, ExitCurve]:

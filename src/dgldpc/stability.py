@@ -29,10 +29,10 @@ it has no closed form and is found by bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
 from math import comb
-from typing import Callable
 
 from .ensembles import Ensemble, is_generalized, validate
 from .exit_charts import bernstein_eval, bisect, mixture_slope_row, node_slope_row
@@ -45,48 +45,44 @@ class InverseSlopeUndefinedError(RuntimeError):
     """The check-side EXIT slope at p = 0 is zero, so its inverse has none."""
 
 
-@dataclass(frozen=True)
-class Applicability:
+class Applicability(namedtuple("Applicability", "is_gldpc all_var_dmin_ge3 all_chk_dmin_ge3")):
     """Which closed-form readings of the stability condition apply."""
 
-    is_gldpc: bool
-    all_var_dmin_ge3: bool
-    all_chk_dmin_ge3: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StabilityCheck:
+class StabilityCheck(namedtuple("StabilityCheck", "holds lhs rhs margin")):
     """Pointwise evaluation of the stability inequality at one q."""
 
-    holds: bool
-    lhs: float
-    rhs: float
-    margin: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BoundaryResult:
+class BoundaryResult(namedtuple("BoundaryResult", "points vacuous")):
     """The q in [0, 1] where the stability inequality binds with equality.
 
     points holds at most one root.  vacuous is set when the right side is
     infinite (the condition never binds and there is no boundary to find).
     """
 
-    points: tuple[float, ...]
-    vacuous: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DerivativeMatching:
-    """Tangency diagnosis of the two chart curves at I_A = 1 (p = 0)."""
+class DerivativeMatching(namedtuple("DerivativeMatching", "slope_gap tangent_at_zero")):
+    """Tangency diagnosis of the two chart curves at I_A = 1 (p = 0).
 
-    endpoint_ok: bool
-    slope_gap: float
-    tangent_at_zero: bool
+    Both curves start at I_E = 1 there: validation admits only d_min >= 2
+    component codes, whose EXIT row t = 0 vanishes.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(
+    namedtuple(
+        "StabilityReport",
+        "cnd_slope_at_zero vnd_slope_coeffs gldpc_bound dmin2_check_terms dmin2_var_terms applicability",
+    )
+):
     """Slopes at p = 0, the threshold bound when expressible, and flags.
 
     gldpc_bound is None when minimum-distance-2 generalized variable nodes
@@ -96,12 +92,7 @@ class StabilityReport:
     minimum-distance-2 generalized types have nonzero entries.
     """
 
-    cnd_slope_at_zero: float
-    vnd_slope_coeffs: tuple[float, ...]
-    gldpc_bound: float | None
-    dmin2_check_terms: tuple[float, ...]
-    dmin2_var_terms: tuple[tuple[float, ...], ...]
-    applicability: Applicability
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         """The report as JSON, with the slopes also taken against I_A = 1 - p (negated)."""
@@ -111,7 +102,7 @@ class StabilityReport:
             "gldpc_bound": self.gldpc_bound,
             "dmin2_check_terms": list(self.dmin2_check_terms),
             "dmin2_var_terms": [list(t) for t in self.dmin2_var_terms],
-            "applicability": asdict(self.applicability),
+            "applicability": self.applicability._asdict(),
             "cnd_slope_at_zero_ia": -self.cnd_slope_at_zero,
             "vnd_slope_fn_ia": [-c for c in self.vnd_slope_coeffs],
         }
@@ -217,8 +208,6 @@ def derivative_matching_check(ens: Ensemble, q: float) -> DerivativeMatching:
         )
     slope_gap = dgldpc_stability_check(ens, q).margin
     return DerivativeMatching(
-        # validate admits only d_min >= 2 types, so row 0 vanishes: I_E(0) = 1 on both sides
-        endpoint_ok=True,
         slope_gap=slope_gap,
         tangent_at_zero=abs(slope_gap) <= TANGENCY_TOL,
     )

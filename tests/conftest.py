@@ -4,7 +4,6 @@ and the literal submatrix helpers the brute-force oracles are built from."""
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from typing import Sequence
 
 import pytest
@@ -134,7 +133,9 @@ def mixed_side(draw, side: str, max_n: int = 7):
         if t not in types:
             types.append(t)
     weights = [rng.randint(1, 9) for _ in types]
-    return [replace(t, edge_fraction=w / sum(weights)) for t, w in zip(types, weights)]
+    return [
+        NodeType(t.kind, w / sum(weights), t.length, t.generator) for t, w in zip(types, weights)
+    ]
 
 
 def fixture_suite():

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from dgldpc import ensembles, exit_charts
 from dgldpc.ensembles import (
+    ENSEMBLE_CACHE_SIZE,
     EnsembleFormatError,
     EnsembleValidationError,
     NodeType,
@@ -15,7 +17,13 @@ from dgldpc.ensembles import (
     serialize_ensemble,
     validate,
 )
-from dgldpc.exit_charts import cnd_evaluator, code_polynomial, vnd_evaluator_at_q
+from dgldpc.exit_charts import (
+    cnd_evaluator,
+    code_polynomial,
+    inverse_exit_cnd,
+    mixture_slope_row,
+    vnd_evaluator_at_q,
+)
 from dgldpc.stability import dgldpc_stability_check, stability_report
 
 from conftest import SPC_32_TEXT, ensemble, generic_node, rep_node, spc_node
@@ -213,3 +221,25 @@ def test_kinds_usable_on_either_side():
     spc3 = code_polynomial(ComponentCode.single_parity_check(3), "variable")
     assert vnd_evaluator_at_q(ens, 0.6)(0.4) == spc3.at_q(0.6)(0.4)
     assert cnd_evaluator(ens)(0.4) == code_polynomial(ComponentCode.repetition(4), "check").at_q()(0.4)
+
+
+def test_ensemble_keyed_caches_are_bounded():
+    caches = [
+        ensembles._validate_cached,
+        exit_charts.mixture_polynomial,
+        exit_charts.mixture_slope_row,
+        exit_charts.cnd_evaluator,
+        exit_charts._assert_cnd_invertible,
+    ]
+    for cache in caches:
+        cache.cache_clear()
+    count = ENSEMBLE_CACHE_SIZE + 5
+    for i in range(1, count + 1):
+        w = i / (count + 1)
+        ens = ensemble([rep_node(2, w), rep_node(3, 1.0 - w)], [spc_node(6, 1.0)])
+        vnd_evaluator_at_q(ens, 0.5)
+        mixture_slope_row(ens, "variable")
+        inverse_exit_cnd(ens, 0.5)
+    for cache in caches:
+        assert cache.cache_info().maxsize == ENSEMBLE_CACHE_SIZE
+        assert cache.cache_info().currsize == ENSEMBLE_CACHE_SIZE
