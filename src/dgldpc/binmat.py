@@ -95,7 +95,8 @@ def rank_of_bitrows(rows: Iterable[int]) -> int:
     rank = 0
     for row in rows:
         for b in basis:
-            row = min(row, row ^ b)
+            if row ^ b < row:
+                row ^= b
         if row:
             basis.append(row)
             rank += 1
@@ -105,3 +106,32 @@ def rank_of_bitrows(rows: Iterable[int]) -> int:
 def rank(m: BinaryMatrix) -> int:
     """GF(2) row rank of m; the input is left untouched."""
     return rank_of_bitrows(m.bits)
+
+
+def dual_columns(m: BinaryMatrix) -> list[int]:
+    """Columns of a generator matrix of the dual of m's row space.
+
+    One Gauss-Jordan elimination brings m to reduced row echelon form; the
+    dual has one row per non-pivot column f: e_f plus e_p for each pivot
+    row p that has bit f.  Column j comes back as an (n - rank)-bit int
+    (bit t = entry of dual row t), so a rank-n matrix gives n zero columns
+    instead of a matrix with no rows.
+    """
+    pivots: dict[int, int] = {}  # pivot column -> its row, zero on every other pivot column
+    for row in m.bits:
+        for p, r in pivots.items():
+            if row >> p & 1:
+                row ^= r
+        if row:
+            p = (row & -row).bit_length() - 1
+            for q in pivots:
+                if pivots[q] >> p & 1:
+                    pivots[q] ^= row
+            pivots[p] = row
+    free = [j for j in range(m.cols) if j not in pivots]
+    cols = [0] * m.cols
+    for t, f in enumerate(free):
+        cols[f] = 1 << t
+    for p, r in pivots.items():
+        cols[p] = sum((r >> f & 1) << t for t, f in enumerate(free))
+    return cols

@@ -18,9 +18,14 @@ sum of GF(2) ranks over column subsets, enumerated by one walker:
 All tables are exact integers.  The walker branches only on columns
 outside the span of those already chosen, so its work is the number of
 independent column subsets; 2^n (2^(n+k) for a split table) is an upper
-bound on it, which the dimension caps keep at desk scale.  A random
-(14, 7) split table takes 95,010 walks of the 2^21 bound (0.2 s), and the
-Hamming (15, 11) one 2.26e6 of 2^26 (about 5.5 s).
+bound on it, which the dimension caps keep at desk scale.  The plain
+sums (information functions and removal deficits) are walked on whichever
+of G and a dual generator H has fewer rows, through the matroid duality
+rank_G(S) = |S| - (n - k) + rank_H(complement of S).  Measured with
+Python 3.11 on a 2-vCPU Intel Xeon: a random (14, 7) split table takes
+85,202 walks of the 2^21 bound (0.07 s), the Hamming (15, 11) one 2.26e6
+of 2^26 (about 1.7 s), and the Hamming (15, 11) information functions,
+walked on H's four rows, 1,381 walks (1 ms; 31,232 walks on G).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
-from .binmat import BinaryMatrix, rank, rank_of_bitrows
+from .binmat import BinaryMatrix, dual_columns, rank
 
 MAX_BRUTEFORCE_DIMENSION = 24
 
@@ -98,40 +103,48 @@ class DeltaParams(namedtuple("DeltaParams", "delta_n2 delta_n2_kz")):
     __slots__ = ()
 
 
-def _subset_rank_sums(columns: list[int], acc: list[int], base: int, size: int | None = None) -> None:
+def _subset_rank_sums(
+    columns: list[int], full: int, acc: list[int], base: int = 0, size: int | None = None
+) -> None:
     """Add base + rank to acc[g] for every subset (of the given size, if any).
 
-    Columns are bit vectors over the row index.  A DFS over the columns
-    branches only on a column outside the span of those chosen so far; a
-    column inside it leaves the rank of every completion unchanged, so it
-    is counted as free and passed with one child, and once the rank is
-    full every remaining column is free.  A walk ending with `free` free
-    columns and g chosen stands for C(free, j) subsets of size g + j of
-    the same rank, which ends[free][g] expands with binomials at the end.
-    So the walks number the independent column subsets (at most
-    sum_{g <= rank} C(n, g)), not 2^n, and each costs one basis reduction.
+    Columns are bit vectors over the row index, and full is their rank.  A
+    DFS over the columns branches only on a column outside the span of
+    those chosen so far; a column inside it leaves the rank of every
+    completion unchanged, so it is counted as free and passed with one
+    child, and once the rank is full every remaining column is free.  A
+    walk ending with `free` free columns and g chosen stands for C(free, j)
+    subsets of size g + j of the same rank, which ends[free][g] expands
+    with binomials at the end.  So the walks number the independent column
+    subsets (at most sum_{g <= full} C(n, g)), not 2^n, and each costs one
+    basis reduction.  Only the include child recurses; the free and exclude
+    children continue the loop, and an include child that is already a
+    leaf is written into ends directly.
     """
     n = len(columns)
-    full = rank_of_bitrows(columns)
     ends = [[0] * (n + 1) for _ in range(n + 1)]
     basis: list[int] = []
 
     def walk(i: int, r: int, g: int, free: int) -> None:
-        if i == n or r == full or g == size:
-            # With g == size the rest is excluded and only C(., 0) = 1 is read.
-            ends[free + n - i][g] += base + r
-            return
-        col = columns[i]
-        for b in basis:
-            col = min(col, col ^ b)
-        if not col:
-            walk(i + 1, r, g, free + 1)
-            return
-        if size is None or size - g <= free + n - i - 1:
-            walk(i + 1, r, g, free)
-        basis.append(col)
-        walk(i + 1, r + 1, g + 1, free)
-        basis.pop()
+        while i < n and r < full and g != size:
+            col = columns[i]
+            for b in basis:
+                if col ^ b < col:
+                    col ^= b
+            i += 1
+            if not col:
+                free += 1
+                continue
+            if i == n or r + 1 == full or g + 1 == size:
+                ends[free + n - i][g + 1] += base + r + 1
+            else:
+                basis.append(col)
+                walk(i, r + 1, g + 1, free)
+                basis.pop()
+            if size is not None and size - g > free + n - i:
+                return  # too few columns left to exclude this one
+        # With g == size the rest is excluded and only C(., 0) = 1 is read.
+        ends[free + n - i][g] += base + r
 
     walk(0, 0, 0, 0)
     for free, row in enumerate(ends):
@@ -139,6 +152,24 @@ def _subset_rank_sums(columns: list[int], acc: list[int], base: int, size: int |
             if total:
                 for j in range(free + 1) if size is None else (size - g,):
                     acc[g + j] += comb(free, j) * total
+
+
+def _generator_rank_sums(gen: BinaryMatrix, size: int | None = None) -> list[int]:
+    """Entry g is the rank sum over all g-column submatrices of a full-rank
+    gen; with a size, only entry size is computed.
+
+    When n - k < k the sums are walked on the columns of a dual generator H,
+    which has fewer rows: by matroid duality
+    rank_G(S) = |S| - (n - k) + rank_H(complement of S), so
+    e_g = e^H_{n-g} + C(n, g)(k - n + g), a walk of the (n-g)-subsets of H.
+    """
+    n, k = gen.cols, gen.rows
+    acc = [0] * (n + 1)
+    if n - k < k:
+        _subset_rank_sums(dual_columns(gen), n - k, acc, 0, None if size is None else n - size)
+        return [acc[n - g] + comb(n, g) * (k - n + g) for g in range(n + 1)]
+    _subset_rank_sums(gen.columns(), k, acc, 0, size)
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -149,9 +180,7 @@ def info_functions(code: ComponentCode) -> tuple[int, ...]:
     The table does not depend on the generator representation, only on the
     row space.
     """
-    acc = [0] * (code.n + 1)
-    _subset_rank_sums(code.gen.columns(), acc, 0)
-    return tuple(acc)
+    return tuple(_generator_rank_sums(code.gen))
 
 
 def _split_rank_sums(code: ComponentCode, size: int | None = None) -> list[list[int]]:
@@ -160,7 +189,7 @@ def _split_rank_sums(code: ComponentCode, size: int | None = None) -> list[list[
     Selecting h identity columns T pins those rows, so the rank of
     [G_S | I_T] equals |T| plus the rank of G_S with the T rows deleted;
     each identity mask projects the rows out instead of building augmented
-    matrices.
+    matrices.  G has full row rank, so the projected columns have rank k - h.
     """
     n, k = code.n, code.k
     cols = code.gen.columns()
@@ -169,7 +198,7 @@ def _split_rank_sums(code: ComponentCode, size: int | None = None) -> list[list[
         h = t_mask.bit_count()
         keep = ~t_mask
         acc = [0] * (n + 1)
-        _subset_rank_sums([c & keep for c in cols], acc, h, size)
+        _subset_rank_sums([c & keep for c in cols], k - h, acc, h, size)
         for g in range(n + 1):
             table[g][h] += acc[g]
     return table
@@ -230,11 +259,10 @@ def _removal_deficit(gen: BinaryMatrix, s: int) -> int:
     """k C(n, s) minus the rank sum over all (n-s)-column submatrices.
 
     Zero for a full-rank gen exactly when its minimum distance exceeds s.
+    On the dual side it is s C(n, s) - e^H_s, a walk of s-subsets.
     """
     n = gen.cols
-    acc = [0] * (n + 1)
-    _subset_rank_sums(gen.columns(), acc, 0, n - s)
-    return gen.rows * comb(n, s) - acc[n - s]
+    return gen.rows * comb(n, s) - _generator_rank_sums(gen, n - s)[n - s]
 
 
 @lru_cache(maxsize=None)

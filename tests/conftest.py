@@ -111,6 +111,21 @@ def random_component_code(rng: random.Random, n: int, k: int) -> ComponentCode:
     return ComponentCode(random_full_rank(rng, n, k))
 
 
+def hamming_15_11() -> ComponentCode:
+    """Systematic [I_11 | P], P's rows the eleven 4-bit words of weight >= 2."""
+    parities = [v for v in range(16) if v.bit_count() >= 2]
+    return ComponentCode(BinaryMatrix(tuple((1 << i) | (v << 11) for i, v in enumerate(parities)), 15))
+
+
+def seeded_dmin2_code(seed: int, n: int, k: int) -> ComponentCode:
+    """The first random (n, k) code of minimum distance exactly 2 drawn from the seed."""
+    rng = random.Random(seed)
+    while True:
+        code = random_component_code(rng, n, k)
+        if min_distance_bruteforce(code) == 2:
+            return code
+
+
 def random_generic_dmin2(rng: random.Random, max_n: int = 7) -> ComponentCode:
     """A full-rank code with 2 <= n <= max_n, 1 <= k < n and d_min >= 2."""
     while True:

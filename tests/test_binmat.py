@@ -6,9 +6,10 @@ import random
 
 import pytest
 
-from dgldpc.binmat import BinaryMatrix, rank
+from dgldpc.binmat import BinaryMatrix, dual_columns, rank, rank_of_bitrows
 
 from conftest import (
+    HAMMING_74_TEXT,
     DimensionMismatchError,
     InvalidSelectionError,
     augment_identity,
@@ -180,3 +181,36 @@ def test_equality_is_bitwise():
     b = BinaryMatrix((1, 2), 2)
     assert a == b
     assert a != BinaryMatrix((1, 3), 2)
+
+
+def dual_rows(cols: list[int]) -> list[int]:
+    """The rows of the matrix whose columns dual_columns returned."""
+    width = max(c.bit_length() for c in cols)
+    return [sum(((c >> t) & 1) << j for j, c in enumerate(cols)) for t in range(width)]
+
+
+def test_dual_columns_span_the_orthogonal_complement():
+    # G H^T = 0 and rank(H) = n - rank(G): H generates the whole dual, for
+    # full-rank, rank-deficient and zero-column matrices alike.
+    rng = random.Random(53)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        m = BinaryMatrix(tuple(rng.randrange(1 << n) for _ in range(rng.randint(1, n))), n)
+        cols = dual_columns(m)
+        r = rank(m)
+        assert len(cols) == n
+        assert all(c < 1 << (n - r) for c in cols)
+        h = dual_rows(cols) if r < n else []
+        assert len(h) == n - r
+        assert rank_of_bitrows(h) == n - r
+        assert all((row & word).bit_count() % 2 == 0 for row in m.bits for word in h)
+
+
+def test_dual_columns_of_hamming_74_are_the_simplex_code():
+    cols = dual_columns(BinaryMatrix.from_text(HAMMING_74_TEXT))
+    assert sorted(cols) == list(range(1, 8))
+
+
+def test_dual_columns_of_a_rank_n_matrix_have_no_rows():
+    assert dual_columns(identity(3)) == [0, 0, 0]
+    assert dual_columns(BinaryMatrix((0b11, 0b01), 2)) == [0, 0]

@@ -19,7 +19,7 @@ from dgldpc import codes
 from dgldpc.cli import run
 from dgldpc.ensembles import serialize_ensemble
 
-from conftest import HAMMING_74_TEXT, SPC_32_TEXT, fixture_suite
+from conftest import HAMMING_74_TEXT, SPC_32_TEXT, fixture_suite, hamming_15_11, seeded_dmin2_code
 
 E36_DOC = """{
   "variable_nodes": [
@@ -307,6 +307,8 @@ GOLDEN_DIGESTS = {
     "F10": "6de0b35e77faee001ae0823eebd40142b376f80d71ed8176fda41b418877b7d8",
     "code-info hamming74": "00a2c67714e0766b16c93d307b88a718718d1fb4b8ca5c94697b9bfcad737fb9",
     "code-info spc32": "9c2b71e90cea3913b49213c8369c1da1b0d53a0a63268261f18b82a02c176838",
+    "code-info hamming15": "82941ea3e7105c64bcb01a36b062c5d0e9cd73cf2d1707fa6f961aac9a2a554c",
+    "code-info random16 dmin2": "e8ae4094dd9f0c8eef4bb752f5e31bafa0c95691f648eff7cd278f80982066c4",
 }
 
 
@@ -320,7 +322,8 @@ def cli_transcript(argv: list[str]) -> str:
 def golden_transcripts(tmp_path) -> dict[str, str]:
     """analyze, check-stability at q = 0.1/0.4/0.7, threshold and a 101-point
     exit chart at q = 0.3 (CSV, and stdout without the written path) on each
-    fixture ensemble F0-F10; code-info on Hamming (7,4) and SPC (3,2)."""
+    fixture ensemble F0-F10; code-info on Hamming (7,4), SPC (3,2), Hamming
+    (15,11) and a seeded (16,8) code of minimum distance 2."""
     transcripts = {}
     for i, ens in enumerate(fixture_suite()):
         path, csv = tmp_path / f"F{i}.json", tmp_path / f"F{i}.csv"
@@ -332,7 +335,13 @@ def golden_transcripts(tmp_path) -> dict[str, str]:
         parts.append(cli_transcript(chart).replace(str(csv), "CSV"))
         parts.append(csv.read_bytes().decode("utf-8") if csv.exists() else "no CSV\n")
         transcripts[f"F{i}"] = "".join(parts)
-    for name, text in (("hamming74", HAMMING_74_TEXT), ("spc32", SPC_32_TEXT)):
+    codes = (
+        ("hamming74", HAMMING_74_TEXT),
+        ("spc32", SPC_32_TEXT),
+        ("hamming15", hamming_15_11().gen.to_text()),
+        ("random16 dmin2", seeded_dmin2_code(1608, 16, 8).gen.to_text()),
+    )
+    for name, text in codes:
         path = tmp_path / f"{name}.txt"
         path.write_text(text + "\n", encoding="utf-8")
         transcripts[f"code-info {name}"] = cli_transcript(["code-info", str(path)])

@@ -15,11 +15,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dgldpc import codes
 from dgldpc.binmat import BinaryMatrix, rank, rank_of_bitrows
 from dgldpc.codes import (
     ComponentCode,
     EnumerationCapacityError,
     _removal_deficit,
+    _subset_rank_sums,
     delta_params,
     info_functions,
     min_distance_at_least,
@@ -32,6 +34,7 @@ from dgldpc.codes import (
 from conftest import (
     HAMMING_74_TEXT,
     augment_identity,
+    hamming_15_11,
     identity,
     random_component_code,
     rank_drop_of_removal,
@@ -275,12 +278,6 @@ def test_spc_delta_identity():
         assert 2 * delta_params(code).delta_n2 == code.n * (j - 1)
 
 
-def hamming_15_11() -> ComponentCode:
-    """Systematic [I_11 | P], P's rows the eleven 4-bit words of weight >= 2."""
-    parities = [v for v in range(16) if v.bit_count() >= 2]
-    return ComponentCode(BinaryMatrix(tuple((1 << i) | (v << 11) for i, v in enumerate(parities)), 15))
-
-
 def test_delta_params_of_a_dmin3_code_walks_no_identity_mask():
     code = hamming_15_11()
     assert min_distance_bruteforce(code) == 3
@@ -315,6 +312,10 @@ def test_rank_sum_tables_against_duality_and_codeword_oracles(gen):
     code = ComponentCode(gen)
     n, k = code.n, code.k
     e, e_dual = info_functions(code), info_functions(dual_code(code))
+    # info_functions walks the dual itself when n - k < k, so the identity
+    # alone would check it against itself; the selection oracle is independent.
+    assert e == oracle_info_functions(code)
+    assert e_dual == oracle_info_functions(dual_code(code))
     for g in range(n + 1):
         assert e[g] == comb(n, g) * (g - n + k) + e_dual[n - g]
     table = split_info_functions(code)
@@ -325,13 +326,9 @@ def test_rank_sum_tables_against_duality_and_codeword_oracles(gen):
         assert min_distance_at_least(gen, t) == (d >= t)
 
 
-@st.composite
-def generators_with_free_columns(draw) -> BinaryMatrix:
-    """Full-rank generators with n <= 9 (and n + k <= 13, which bounds the
-    split oracle), with repeated columns and often a zero column forced in:
-    the walker branches on neither."""
-    n = draw(st.integers(2, 9))
-    k = draw(st.integers(1, min(n - 1, 13 - n)))
+def draw_generator_with_free_columns(draw, n: int, k: int) -> BinaryMatrix:
+    """A full-rank k x n generator with repeated columns and often a zero
+    column forced in: the walker branches on neither."""
     cols = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=n, max_size=n))
     for j in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
         cols[j] = cols[draw(st.integers(0, n - 1))]
@@ -341,6 +338,61 @@ def generators_with_free_columns(draw) -> BinaryMatrix:
     gen = BinaryMatrix(rows, n)
     assume(rank(gen) == k)
     return gen
+
+
+@st.composite
+def generators_with_free_columns(draw) -> BinaryMatrix:
+    """n <= 9 and n + k <= 13, which bounds the split oracle."""
+    n = draw(st.integers(2, 9))
+    return draw_generator_with_free_columns(draw, n, draw(st.integers(1, min(n - 1, 13 - n))))
+
+
+@st.composite
+def high_rate_generators(draw) -> BinaryMatrix:
+    """n <= 12 and n - k < k, the codes whose rank sums are walked on the dual."""
+    n = draw(st.integers(3, 12))
+    return draw_generator_with_free_columns(draw, n, draw(st.integers(n // 2 + 1, n - 1)))
+
+
+def primal_rank_sums(gen: BinaryMatrix, size: int | None = None) -> list[int]:
+    """The rank sums walked on the generator's own columns."""
+    acc = [0] * (gen.cols + 1)
+    _subset_rank_sums(gen.columns(), gen.rows, acc, 0, size)
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(high_rate_generators())
+@example(BinaryMatrix.from_text(HAMMING_74_TEXT))
+@example(hamming_15_11().gen)
+@example(ComponentCode.single_parity_check(9).gen)
+def test_dual_walk_matches_the_primal_walk(gen):
+    code = ComponentCode(gen)
+    n, k = code.n, code.k
+    assert n - k < k
+    assert info_functions(code) == tuple(primal_rank_sums(gen))
+    for s in range(n + 1):
+        assert _removal_deficit(gen, s) == k * comb(n, s) - primal_rank_sums(gen, n - s)[n - s]
+    assert min_independent_set_size(code) == min_distance_bruteforce(code)
+
+
+def test_high_rate_rank_sums_walk_the_dual_columns(monkeypatch):
+    # Hamming (15,11): info_functions and the removals s = 1, 2, 3 all walk
+    # the 15 four-bit columns of H, not the 11-bit columns of G.
+    walked = []
+
+    def spy(columns, full, *rest):
+        walked.append((len(columns), max(c.bit_length() for c in columns), full))
+        return _subset_rank_sums(columns, full, *rest)
+
+    monkeypatch.setattr(codes, "_subset_rank_sums", spy)
+    info_functions.cache_clear()
+    _removal_deficit.cache_clear()
+    min_independent_set_size.cache_clear()
+    code = hamming_15_11()
+    info_functions(code)
+    assert min_independent_set_size(code) == 3
+    assert walked == [(15, 4, 4)] * 4
 
 
 @settings(max_examples=60, deadline=None)
