@@ -7,7 +7,8 @@ forms, and per ensemble side, as the edge-fraction mixture of those.  Only
 bernstein_eval is floating point.  The a-priori input is an erasure
 probability p with I_A = 1 - p, and variable nodes additionally see the
 communication channel erasure probability q.  Stability reads the slopes
-at p = 0 off row t = 1 (node_slope_row, mixture_slope_row).
+at p = 0 off row t = 1 (node_slope_row, mixture_slope_row).  The check curve
+is proved non-increasing, so inverse_exit_cnd skips most of its bisection.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb
+from math import ceil, comb
 
 from .codes import ComponentCode, delta_params, info_functions, split_info_functions
 from .ensembles import (
@@ -28,12 +29,12 @@ from .ensembles import (
     validate,
 )
 
-MONOTONICITY_GRID = 1024
 INVERSION_WIDTH = 2.0**-60
+NEWTON_STEPS = 30
 
 
 class MonotonicityError(RuntimeError):
-    """The sampled check-side EXIT curve increased somewhere; inversion is blocked."""
+    """A check-side EXIT polynomial failed the exact monotonicity certificate."""
 
 
 class InversionRangeError(RuntimeError):
@@ -230,25 +231,39 @@ def cnd_evaluator(ens: Ensemble) -> Callable[[float], float]:
     return mixture_polynomial(ens, "check").at_q()
 
 
-def _check_decreasing(values: list[float]) -> None:
-    """Raise unless the sampled curve never increases.
-
-    Adjacent float ties are tolerated (extremely flat stretches round to
-    equal doubles); an actual increase means the curve is not invertible.
+def certified_slope(poly: ExitPolynomial) -> tuple[Fraction, ...]:
+    """Bernstein coefficients d C(d-1,t) (b_{t+1} - b_t), b_t = c_t / C(d,t), of
+    -dI_E/dp on the check side; MonotonicityError unless all are >= 0, which
+    proves I_E non-increasing.  Valid nodes pass: b_t is the share of the
+    t-erasure patterns of the other d positions that leave a bit
+    unrecoverable, an up-set (local LYM), and elevation and mixing keep that.
     """
-    for i in range(len(values) - 1):
-        if values[i + 1] > values[i]:
-            raise MonotonicityError(
-                f"check-side EXIT curve increases between grid points {i} and {i + 1}"
-            )
+    d = len(poly.coeffs) - 1
+    b = [row[0] / comb(d, t) for t, row in enumerate(poly.coeffs)]
+    slope = tuple(d * comb(d - 1, t) * (b[t + 1] - b[t]) for t in range(d))
+    if any(s < 0 for s in slope):
+        raise MonotonicityError("check-side EXIT coefficients c_t / C(d,t) decrease in t")
+    return slope
 
 
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
-def _assert_cnd_invertible(ens: Ensemble) -> bool:
+def _certified_cnd(ens: Ensemble) -> tuple:
+    """(f, df/dp, eps, f(0), f(1)) of f = I_{E,C}, certified non-increasing;
+    eps = (5d + 8) u bounds |f - exact| on [0, 1] at degree d, u = 2^-53.
+
+    Count the roundings k (relative error k u / (1 - k u)) that reach each
+    term: float coefficients c_t and C(d,t) - c_t, 1 (the q = 1 collapse is
+    exact); r = p / (1-p), 2 (1 - p and the quotient; above p = 1/2, 1 - p is
+    exact and (1-p) / p rounds once), so 2d in r^t; Horner over terms >= 0,
+    2d, with nothing cancelling; (1-p)**d, d + 2 (pow is within one ulp);
+    the last product, 1.  So s = 1 - f and its complement, both in [0, 1],
+    are each within (5d + 4) u (1 + O(du)), whichever the switch picks; 1 - s
+    (s <= 1/2) rounds once more, below 1 (u); underflow adds 2^-1075 at most
+    per operation; the 2 u to spare cover rounding target +- 2 eps.
+    """
+    slope = tuple(-float(s) for s in certified_slope(mixture_polynomial(ens, "check")))
     f = cnd_evaluator(ens)
-    step = 1.0 / (MONOTONICITY_GRID - 1)
-    _check_decreasing([f(i * step) for i in range(MONOTONICITY_GRID)])
-    return True
+    return f, lambda p: bernstein_eval(slope, p), (5 * len(slope) + 8) * 2.0**-53, f(0.0), f(1.0)
 
 
 def bisect(sign: Callable[[float], float], lo: float, hi: float, width: float) -> float:
@@ -272,26 +287,47 @@ def bisect(sign: Callable[[float], float], lo: float, hi: float, width: float) -
     return 0.5 * (lo + hi)
 
 
-def inverse_exit_cnd(ens: Ensemble, target: float) -> float:
-    """The erasure probability p with I_{E,C}(p) = target, by bisection.
+def inverse_exit_cnd(ens: Ensemble, target: float, *, guess: float | None = None) -> float:
+    """p with I_{E,C}(p) = target in [f(1), 1]: bisect(lambda p: target - f(p),
+    0.0, 1.0, INVERSION_WIDTH), evaluated only where its signs are in doubt.
 
-    Requires target within the curve's range [I_{E,C}(1), 1]; the curve is
-    checked for monotonicity on a fixed grid before the first inversion.
+    f is certified non-increasing and within eps of exact, so f(a) > target
+    + 2 eps makes the sign negative at every m <= a, and f(b) < target - 2 eps
+    positive at every m >= b.  Newton's method from guess (which changes only
+    the work) finds such a and b near the root, and bisection starts in the
+    deepest dyadic cell around [a, b], which it would reach with every sign
+    known.
     """
     if not 0.0 <= target <= 1.0:
         raise ValueError(f"inversion target must be in [0, 1], got {target}")
-    _assert_cnd_invertible(ens)
-    f = cnd_evaluator(ens)
-    flo, fhi = f(0.0), f(1.0)
+    f, slope, eps, flo, fhi = _certified_cnd(ens)
     if target >= flo:
         return 0.0
     if target < fhi - 1e-12:
-        raise InversionRangeError(
-            f"target {target} below the check-side EXIT minimum {fhi}"
-        )
+        raise InversionRangeError(f"target {target} below the check-side EXIT minimum {fhi}")
     if target <= fhi:
         return 1.0
-    return bisect(lambda p: target - f(p), 0.0, 1.0, INVERSION_WIDTH)
+    a, b, above, below = 0.0, 1.0, target + 2 * eps, target - 2 * eps
+    x = guess if guess is not None and 0.0 <= guess <= 1.0 else 0.5
+    for _ in range(NEWTON_STEPS):
+        v, s = f(x), slope(x)
+        a, b = (x, b) if v > above else (a, x) if v < below else (a, b)
+        w = 3 * eps / -s if s < 0 else 1.0
+        step = (v - target) / s if s < 0 else x - 0.5 * (a + b)
+        x = x - step if a < x - step < b else 0.5 * (a + b)
+        if step * step <= w:  # the next Newton step would be about step**2
+            break
+    wa = wb = w
+    while a < x - wa and not f(x - wa) > above:
+        wa *= 2
+    while x + wb < b and not f(x + wb) < below:
+        wb *= 2
+    a, b = max(a, x - wa), min(b, x + wb)
+    lo, hi = int(a * 2**60), ceil(b * 2**60) - 1
+    level = 60 - (lo ^ hi).bit_length()
+    lo = (lo >> (60 - level)) * 2.0**-level
+    return bisect(lambda m: -1.0 if m <= a else 1.0 if m >= b else target - f(m),
+                  lo, lo + 2.0**-level, INVERSION_WIDTH)
 
 
 class ExitCurve(namedtuple("ExitCurve", "points channel_q", defaults=(None,))):
@@ -316,5 +352,9 @@ def sample_exit_chart(ens: Ensemble, q: float, npoints: int) -> tuple[ExitCurve,
     step = 1.0 / (npoints - 1)
     grid = [i * step for i in range(npoints - 1)] + [1.0]
     vnd_points = tuple((ia, fv(1.0 - ia)) for ia in grid)
-    cnd_points = tuple((ia, 1.0 - inverse_exit_cnd(ens, ia)) for ia in grid)
+    roots = []
+    for ia in grid:  # warm start: the quadratic through the last three roots
+        guess = 3 * (roots[-1] - roots[-2]) + roots[-3] if len(roots) >= 3 else None
+        roots.append(inverse_exit_cnd(ens, ia, guess=guess))
+    cnd_points = tuple((ia, 1.0 - p) for ia, p in zip(grid, roots))
     return ExitCurve(vnd_points, channel_q=q), ExitCurve(cnd_points)

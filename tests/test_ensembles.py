@@ -229,7 +229,7 @@ def test_ensemble_keyed_caches_are_bounded():
         exit_charts.mixture_polynomial,
         exit_charts.mixture_slope_row,
         exit_charts.cnd_evaluator,
-        exit_charts._assert_cnd_invertible,
+        exit_charts._certified_cnd,
     ]
     for cache in caches:
         cache.cache_clear()

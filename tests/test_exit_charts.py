@@ -11,14 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dgldpc import exit_charts
 from dgldpc.codes import ComponentCode, info_functions, min_distance_at_least, split_info_functions
 from dgldpc.exit_charts import (
-    MONOTONICITY_GRID,
+    INVERSION_WIDTH,
     ExitPolynomial,
     InversionRangeError,
-    _check_decreasing,
     bernstein_eval,
     bisect,
+    certified_slope,
     cnd_evaluator,
     code_polynomial,
     exit_coefficients,
@@ -34,9 +35,12 @@ from dgldpc.exit_charts import (
 from dgldpc.stability import dgldpc_stability_check, stability_report
 
 from conftest import (
+    HAMMING_74_TEXT,
     SPC_32_TEXT,
     ensemble,
+    fixture_suite,
     generic_node,
+    mixed_side,
     random_component_code,
     random_full_rank,
     rep_node,
@@ -275,10 +279,16 @@ def test_bisect_stops_on_the_frozen_bracket():
     assert p in (math.nextafter(0.7, 0.0), 0.7)
 
 
-def test_decreasing_guard_flags_increase():
-    _check_decreasing([1.0, 0.5, 0.5, 0.2])
+def test_certificate_refuses_a_non_monotone_polynomial():
+    # b_t = c_t / C(2,t) = 0, 1/2, 1: I_E = 1 - p^2 falls, -dI_E/dp = 2p
+    assert certified_slope(ExitPolynomial(((Fraction(0),), (Fraction(1),), (Fraction(1),)))) == (1, 1)
+    # b_t = 0, 1/2, 1/2 - 10^-30: I_E rises by 10^-30 p^2 near p = 1, which no
+    # float sample of the curve can see; the exact certificate refuses it
+    rising = ExitPolynomial(((Fraction(0),), (Fraction(1),), (Fraction(1, 2) - Fraction(1, 10**30),)))
     with pytest.raises(MonotonicityError):
-        _check_decreasing([1.0, 0.4, 0.41])
+        certified_slope(rising)
+    with pytest.raises(MonotonicityError):
+        certified_slope(ExitPolynomial(((Fraction(0),), (Fraction(2),), (Fraction(0),))))
 
 
 def test_sample_exit_chart_endpoints(rep3_spc6):
@@ -322,12 +332,13 @@ def test_long_spc_check_curve_stays_nonnegative_and_invertible(j):
     # near p = 1, (1-p)^(j-1) falls below one ulp of 1; forming it as
     # 1 - (1 - (1-p)^(j-1)) there gives noise of either sign
     ens = ensemble([rep_node(3, 1.0)], [spc_node(j, 1.0)])
-    step = 1.0 / (MONOTONICITY_GRID - 1)
-    grid = [i * step for i in range(MONOTONICITY_GRID)]
+    step = 1.0 / 1023
+    grid = [i * step for i in range(1024)]
     values = [cnd_evaluator(ens)(p) for p in grid]
     for p, value in zip(grid, values):
         assert value == pytest.approx((1 - p) ** (j - 1), rel=1e-13, abs=0)
-    _check_decreasing(values)
+    # -dI_E/dp = (j-1) (1-p)^(j-2): one nonzero Bernstein coefficient, proved >= 0
+    assert certified_slope(mixture_polynomial(ens, "check")) == (j - 1,) + (0,) * (j - 2)
     assert abs(inverse_exit_cnd(ens, 0.5) - (1 - 0.5 ** (1 / (j - 1)))) <= 1e-10
     _, cnd = sample_exit_chart(ens, 0.3, 101)
     assert cnd.points[0] == (0.0, 0.0) and cnd.points[-1] == (1.0, 1.0)
@@ -413,3 +424,111 @@ def test_over_p_refuses_a_nonzero_row_zero():
     # 1 - I_E = 1 - p, as of a minimum-distance-1 node, is not p times a polynomial
     with pytest.raises(ValueError, match="row 0"):
         ExitPolynomial(((Fraction(1),), (Fraction(0),))).over_p()
+
+
+def reference_inverse(ens, target):
+    """The plain bisection from [0, 1] that inverse_exit_cnd must reproduce."""
+    f = cnd_evaluator(ens)
+    if target >= f(0.0):
+        return 0.0
+    if target < f(1.0) - 1e-12:
+        raise InversionRangeError(target)
+    if target <= f(1.0):
+        return 1.0
+    return bisect(lambda p: target - f(p), 0.0, 1.0, INVERSION_WIDTH)
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except InversionRangeError:
+        return InversionRangeError
+
+
+@st.composite
+def check_sides(draw):
+    """mixed_side("check", max_n=8) draws, and single SPC checks up to length 32."""
+    if draw(st.booleans()):
+        return draw(mixed_side("check", max_n=8))
+    return [spc_node(draw(st.integers(2, 32)), 1.0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(check_sides(), st.lists(st.floats(0.0, 1.0), max_size=8))
+@example([spc_node(6, 1.0)], [])
+@example([generic_node(HAMMING_74_TEXT, 0.5), spc_node(32, 0.5)], [0.5])
+@example([generic_node("110", 1.0)], [1 / 3])
+# float noise about the root: a zero margin on the certified signs changes these
+@example([spc_node(18, 1.0)], [0.6920000000000001])
+@example([spc_node(26, 1.0)], [0.894])
+def test_inverse_is_the_plain_bisection(checks, targets):
+    ens = ensemble([rep_node(3, 1.0)], checks)
+    f = cnd_evaluator(ens)
+    edges = [f(1.0), math.nextafter(f(1.0), 2.0), 1.0 - 2.0**-53, 2.0**-1074, 0.32768]
+    for target in targets + edges:
+        assert outcome(inverse_exit_cnd, ens, target) == outcome(reference_inverse, ens, target)
+    grid = [i * (1.0 / 200) for i in range(200)] + [1.0]
+    expected = [outcome(reference_inverse, ens, ia) for ia in grid]
+    if InversionRangeError in expected:
+        with pytest.raises(InversionRangeError):
+            sample_exit_chart(ens, 0.3, 201)
+    else:
+        _, cnd = sample_exit_chart(ens, 0.3, 201)
+        assert cnd.points == tuple((ia, 1.0 - p) for ia, p in zip(grid, expected))
+
+
+@settings(max_examples=40, deadline=None)
+@given(check_sides(), st.floats(0.0, 1.0), st.floats(-10.0, 10.0) | st.just(math.nan) | st.none())
+def test_the_guess_changes_no_result(checks, target, guess):
+    ens = ensemble([rep_node(3, 1.0)], checks)
+    assert outcome(inverse_exit_cnd, ens, target, guess=guess) == outcome(reference_inverse, ens, target)
+
+
+near = st.one_of(st.floats(0.0, 2.0**-10), st.floats(0.5 - 2.0**-10, 0.5 + 2.0**-10), st.floats(1.0 - 2.0**-10, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(check_sides(), st.lists(near, min_size=1, max_size=8))
+def test_check_curve_float_error_is_within_eps(checks, points):
+    ens = ensemble([rep_node(3, 1.0)], checks)
+    f, _, eps, _, _ = exit_charts._certified_cnd(ens)
+    c = [row[0] for row in mixture_polynomial(ens, "check").coeffs]
+    d = len(c) - 1
+    for p in map(Fraction, points):
+        exact = 1 - sum(ct * p**t * (1 - p) ** (d - t) for t, ct in enumerate(c))
+        assert abs(Fraction(f(float(p))) - exact) <= Fraction(eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_side("check"))
+def test_check_curves_have_nondecreasing_normalized_coefficients(checks):
+    ens = ensemble([rep_node(3, 1.0)], checks)
+    for poly in [mixture_polynomial(ens, "check")] + [node_polynomial(t, "check") for t in checks]:
+        c = [row[0] for row in poly.coeffs]
+        b = [ct / math.comb(len(c) - 1, t) for t, ct in enumerate(c)]
+        assert b == sorted(b)
+        assert min(certified_slope(poly)) >= 0
+
+
+def test_chart_inversion_makes_fewer_than_16_curve_evaluations_per_point(monkeypatch):
+    # plain bisection from [0, 1] makes about 55 per point on these fixtures
+    calls = [0]
+
+    def counting(fn):
+        def counted(p):
+            calls[0] += 1
+            return fn(p)
+
+        return counted
+
+    certified = exit_charts._certified_cnd
+
+    def counting_certified(ens):
+        f, slope, *rest = certified(ens)
+        return (counting(f), counting(slope), *rest)
+
+    monkeypatch.setattr(exit_charts, "_certified_cnd", counting_certified)
+    for ens in fixture_suite():
+        calls[0] = 0
+        sample_exit_chart(ens, 0.3, 1001)
+        assert calls[0] < 16 * 1001
