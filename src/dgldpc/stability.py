@@ -95,7 +95,7 @@ class StabilityReport(
     __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        """The report as JSON, with the slopes also taken against I_A = 1 - p (negated)."""
+        """The report as JSON, with the slopes also taken against I_A = 1 - p (0.0 - x, never -0)."""
         return {
             "cnd_slope_at_zero": self.cnd_slope_at_zero,
             "vnd_slope_fn": list(self.vnd_slope_coeffs),
@@ -103,8 +103,8 @@ class StabilityReport(
             "dmin2_check_terms": list(self.dmin2_check_terms),
             "dmin2_var_terms": [list(t) for t in self.dmin2_var_terms],
             "applicability": self.applicability._asdict(),
-            "cnd_slope_at_zero_ia": -self.cnd_slope_at_zero,
-            "vnd_slope_fn_ia": [-c for c in self.vnd_slope_coeffs],
+            "cnd_slope_at_zero_ia": 0.0 - self.cnd_slope_at_zero,
+            "vnd_slope_fn_ia": [0.0 - c for c in self.vnd_slope_coeffs],
         }
 
 

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tomllib
@@ -292,19 +293,21 @@ def test_console_script_target_is_run():
 
 
 # SHA-256 of each fixture's CLI transcript (see golden_transcripts); any byte
-# change to a report, a chart CSV or an exit status changes its digest.
+# change to a report, a chart CSV or an exit status changes its digest.  The
+# F0-F10 digests were re-pinned when zero _ia slopes stopped printing as -0:
+# each is the digest of the earlier transcript with every -0 token made 0.
 GOLDEN_DIGESTS = {
-    "F0": "73c4d18dc29fa32da280e0224d3b2e077bc6abfc6c67c6d8f4232dfb0045d272",
-    "F1": "b89a0876e572e3ef9f10baabd99e9f3a99a83803fa8ff63035e1508393079528",
-    "F2": "36c5b383c462db2457b15175846d3bd40ba4a64049bedb8f27792040770f858d",
-    "F3": "61d74383893e5d5d96ce3f68a1eb7978acb5543b7c0fbefde3fa5d536697a4db",
-    "F4": "2b9043c2f77a1c8e0882378686b4804f64698b9a29e77cef1ca87b0ff28dca03",
-    "F5": "c3080963c505ed40af067f870a30fd2840f1d3571411dbc060f0a787cb17144b",
-    "F6": "c181b99095fd2f0218b1c4f84031bd4010eeda8ec7703154a733cbf1f74cc62e",
-    "F7": "2cc4cbd04fbb5e5c6fbfa4202f3cfc38c9718053e2043a8266d3dc73647d484e",
-    "F8": "c491b4f1b02ca432fccbee7f37e1c48427b162a38387456c96fd2a1529cb59f1",
-    "F9": "259631b78219de44f48187d9619197b1a0e868da45313b471691323f375fcc07",
-    "F10": "6de0b35e77faee001ae0823eebd40142b376f80d71ed8176fda41b418877b7d8",
+    "F0": "b3fb1866e3e88a11a9522748efa2b59fec779e687e609e4cf4ecc24833315a47",
+    "F1": "935d80931084a5e5408f97d8afbc47f93551b0de518942e9f49d6f521857e455",
+    "F2": "d6bee8770db8d12e7bae1ae55af43e5feb64d52c5475b64691e5c03c98e7c7b4",
+    "F3": "1e11223736fb6a93ded820a087f12be3a480ff4c12117d67b9de9eb3a1e79886",
+    "F4": "baa2a8e68d1d7dfaae13762ac9acf7542fa0e7255afc4aa2b503ec559ba7865c",
+    "F5": "5541c63d33158a987deab3584c7226cdb155f0306430a0552f52f45a2bf5461d",
+    "F6": "ea3036da062a4f2ee6fbfcb31f7bf278cf25ea845817e429a4354d3d4eda69e4",
+    "F7": "68af9195f5febebc18c3f5745f2b1ddaba7cde28bce11f702870094cf729ce21",
+    "F8": "832972ae7a58d881673273d023f727a2acfb9702d90c26ac293a549250cc769f",
+    "F9": "ad6d113052fafd5ed34f211993ec51cd899c01c5837ef1d13989b05924510574",
+    "F10": "5f4467eabc9599151f015291a13dd32cee96c36374f78d54ab7fa2f428dd8c48",
     "code-info hamming74": "00a2c67714e0766b16c93d307b88a718718d1fb4b8ca5c94697b9bfcad737fb9",
     "code-info spc32": "9c2b71e90cea3913b49213c8369c1da1b0d53a0a63268261f18b82a02c176838",
     "code-info hamming15": "82941ea3e7105c64bcb01a36b062c5d0e9cd73cf2d1707fa6f961aac9a2a554c",
@@ -354,6 +357,15 @@ def test_cli_outputs_match_the_golden_digests(tmp_path):
         for name, text in golden_transcripts(tmp_path).items()
     }
     assert digests == GOLDEN_DIGESTS
+
+
+def test_analyze_prints_no_negative_zero(tmp_path, capsys):
+    for i, ens in enumerate(fixture_suite()):
+        path = tmp_path / f"F{i}.json"
+        path.write_text(serialize_ensemble(ens), encoding="utf-8")
+        assert run(["analyze", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"(?<![\w.])-0(?![\w.])", out) is None, f"F{i}: {out}"
 
 
 def test_every_public_name_resolves():
