@@ -288,15 +288,15 @@ def bisect(sign: Callable[[float], float], lo: float, hi: float, width: float) -
 
 
 def inverse_exit_cnd(ens: Ensemble, target: float, *, guess: float | None = None) -> float:
-    """p with I_{E,C}(p) = target in [f(1), 1]: bisect(lambda p: target - f(p),
-    0.0, 1.0, INVERSION_WIDTH), evaluated only where its signs are in doubt.
+    """p with f(p) = target, f = I_{E,C} and target in [f(1), 1]: exactly what
+    bisect(lambda p: target - f(p), 0.0, 1.0, INVERSION_WIDTH) returns.
 
     f is certified non-increasing and within eps of exact, so f(a) > target
     + 2 eps makes the sign negative at every m <= a, and f(b) < target - 2 eps
     positive at every m >= b.  Newton's method from guess (which changes only
-    the work) finds such a and b near the root, and bisection starts in the
-    deepest dyadic cell around [a, b], which it would reach with every sign
-    known.
+    the work) finds such a and b near the root; bisection starts in the
+    deepest dyadic cell around [a, b], which it reaches with every sign
+    known, and evaluates f only inside (a, b).
     """
     if not 0.0 <= target <= 1.0:
         raise ValueError(f"inversion target must be in [0, 1], got {target}")
@@ -323,9 +323,9 @@ def inverse_exit_cnd(ens: Ensemble, target: float, *, guess: float | None = None
     while x + wb < b and not f(x + wb) < below:
         wb *= 2
     a, b = max(a, x - wa), min(b, x + wb)
-    lo, hi = int(a * 2**60), ceil(b * 2**60) - 1
-    level = 60 - (lo ^ hi).bit_length()
-    lo = (lo >> (60 - level)) * 2.0**-level
+    i, j = int(a * 2**60), ceil(b * 2**60) - 1  # the cells of width 2^-60 at a and b
+    level = 60 - (i ^ j).bit_length()
+    lo = (i >> (60 - level)) * 2.0**-level
     return bisect(lambda m: -1.0 if m <= a else 1.0 if m >= b else target - f(m),
                   lo, lo + 2.0**-level, INVERSION_WIDTH)
 
