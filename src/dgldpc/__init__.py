@@ -35,7 +35,6 @@ from .exit_charts import (
 from .stability import (
     StabilityCheck,
     StabilityReport,
-    derivative_matching_check,
     dgldpc_stability_boundary,
     dgldpc_stability_check,
     gldpc_stability_bound,
@@ -58,7 +57,6 @@ __all__ = [
     "cnd_evaluator",
     "de_iterate",
     "delta_params",
-    "derivative_matching_check",
     "design_rate",
     "dgldpc_stability_boundary",
     "dgldpc_stability_check",

@@ -73,16 +73,9 @@ class BinaryMatrix(namedtuple("BinaryMatrix", "bits cols")):
             for row in self.bits
         )
 
-    def column(self, j: int) -> int:
-        """Column j as a rows-bit int (bit i = entry of row i)."""
-        word = 0
-        for i, row in enumerate(self.bits):
-            word |= ((row >> j) & 1) << i
-        return word
-
     def columns(self) -> list[int]:
-        """All columns as rows-bit ints."""
-        return [self.column(j) for j in range(self.cols)]
+        """All columns as rows-bit ints (bit i of column j = entry (i, j))."""
+        return [sum(((row >> j) & 1) << i for i, row in enumerate(self.bits)) for j in range(self.cols)]
 
 
 def rank_of_bitrows(rows: Iterable[int]) -> int:
@@ -108,30 +101,38 @@ def rank(m: BinaryMatrix) -> int:
     return rank_of_bitrows(m.bits)
 
 
-def dual_columns(m: BinaryMatrix) -> list[int]:
-    """Columns of a generator matrix of the dual of m's row space.
+def dual_columns(m: BinaryMatrix) -> tuple[list[int], list[int]]:
+    """Columns of a generator matrix of the dual of m's row space, and the
+    pivot messages.
 
     One Gauss-Jordan elimination brings m to reduced row echelon form; the
     dual has one row per non-pivot column f: e_f plus e_p for each pivot
     row p that has bit f.  Column j comes back as an (n - rank)-bit int
     (bit t = entry of dual row t), so a rank-n matrix gives n zero columns
-    instead of a matrix with no rows.
+    instead of a matrix with no rows.  Rows carry above bit n the set of
+    m's rows they sum (bit i = row i): messages[p] for the reduced row with
+    pivot p, 0 off the pivots.  A row-space word c is the sum of the
+    reduced rows at its pivot bits, so XOR of messages[j] over c's bits
+    j is a u with u m = c.
     """
+    n = m.cols
     pivots: dict[int, int] = {}  # pivot column -> its row, zero on every other pivot column
-    for row in m.bits:
+    for i, row in enumerate(m.bits):
+        row |= 1 << (n + i)
         for p, r in pivots.items():
             if row >> p & 1:
                 row ^= r
-        if row:
+        if row & ((1 << n) - 1):
             p = (row & -row).bit_length() - 1
             for q in pivots:
                 if pivots[q] >> p & 1:
                     pivots[q] ^= row
             pivots[p] = row
-    free = [j for j in range(m.cols) if j not in pivots]
-    cols = [0] * m.cols
+    free = [j for j in range(n) if j not in pivots]
+    cols, messages = [0] * n, [0] * n
     for t, f in enumerate(free):
         cols[f] = 1 << t
     for p, r in pivots.items():
         cols[p] = sum((r >> f & 1) << t for t, f in enumerate(free))
-    return cols
+        messages[p] = r >> n
+    return cols, messages

@@ -2,7 +2,8 @@
 
 A component code is an (n, k) binary linear block code given by a full-rank
 generator matrix.  Every quantity the erasure-channel analysis needs is a
-sum of GF(2) ranks over column subsets, enumerated by one walker:
+sum of GF(2) ranks over column subsets, the first three enumerated by one
+walker:
 
   * information functions: for each g, the rank sum over all g-column
     submatrices of the generator matrix (representation independent);
@@ -10,10 +11,10 @@ sum of GF(2) ranks over column subsets, enumerated by one walker:
     joined with h columns of the k x k identity (representation dependent);
   * the rank deficit after removing s columns, zero exactly when the
     minimum distance exceeds s (checked against codeword enumeration);
-  * the rank-deficiency totals over (n-2)-column submatrices that are the
-    only way minimum-distance-2 codes enter the stability condition; they
-    are zero for d_min >= 3, and the stability analysis reads that case off
-    them rather than testing the distance separately.
+  * the rank-deficiency totals over (n-2)-column submatrices, the only way
+    minimum-distance-2 codes enter the stability condition, in closed form
+    from the codewords of weight <= 2; they are zero for d_min >= 3, and
+    the stability analysis reads that case off them.
 
 All tables are exact integers.  The walker branches only on columns
 outside the span of those already chosen, so its work is the number of
@@ -166,7 +167,7 @@ def _generator_rank_sums(gen: BinaryMatrix, size: int | None = None) -> list[int
     n, k = gen.cols, gen.rows
     acc = [0] * (n + 1)
     if n - k < k:
-        _subset_rank_sums(dual_columns(gen), n - k, acc, 0, None if size is None else n - size)
+        _subset_rank_sums(dual_columns(gen)[0], n - k, acc, 0, None if size is None else n - size)
         return [acc[n - g] + comb(n, g) * (k - n + g) for g in range(n + 1)]
     _subset_rank_sums(gen.columns(), k, acc, 0, size)
     return acc
@@ -215,10 +216,8 @@ def split_info_functions(code: ComponentCode) -> tuple[tuple[int, ...], ...]:
 def split_info_row(code: ComponentCode, g: int) -> tuple[int, ...]:
     """Split information functions for a single g, all h = 0..k.
 
-    Cheaper than the full table when only a few g cells are needed (the
-    stability analysis uses g = n-2 only): per identity mask it walks at
-    most C(n, g) column subsets, fewer where columns are dependent,
-    instead of up to 2^n.
+    Per identity mask it walks at most C(n, g) column subsets instead of
+    up to 2^n; row n-2 is the walked oracle for delta_params.
     """
     if not 0 <= g <= code.n:
         raise ValueError(f"g must be in 0..{code.n}, got {g}")
@@ -289,17 +288,28 @@ def min_distance_at_least(gen: BinaryMatrix, t: int) -> bool:
 
 @lru_cache(maxsize=None)
 def delta_params(code: ComponentCode) -> DeltaParams:
-    """Rank-deficiency totals at submatrix size n-2.
+    """Rank-deficiency totals at submatrix size n-2, with no subset walk.
 
-    delta_n2 = k*C(n,2) - e~_{n-2}; delta_n2_kz[z] = k*C(n,2)*C(k,z)
-    - e~_{n-2,k-z}.  Both vanish exactly when the minimum distance is at
-    least 3, which delta_n2 = 0 shows before any identity mask is walked.
+    delta_n2_kz[z] = k*C(n,2)*C(k,z) - e~_{n-2,k-z}; delta_n2 = its z = k
+    entry, k*C(n,2) - e_{n-2}.  Both vanish exactly when d_min >= 3.
+    Removing columns i, j and joining identity columns T lowers the rank by
+    the dimension of the codewords on {i, j} whose messages u (uG = c)
+    vanish on T: e_i if H_i = 0, e_j if H_j = 0, e_i + e_j if H_i = H_j (H
+    a dual generator).  Of those at most three words, each counts in the
+    C(k - |u|, k - z) sets T that miss u, and three words (dimension 2)
+    count one less where T misses u1 | u2.
     """
     n, k = code.n, code.k
-    delta_n2 = _removal_deficit(code.gen, 2)
-    if delta_n2 == 0:
-        return DeltaParams(0, (0,) * (k + 1))
-    row = split_info_row(code, n - 2)
-    full = k * comb(n, 2)
-    delta_kz = tuple(full * comb(k, z) - row[k - z] for z in range(k + 1))
-    return DeltaParams(delta_n2, delta_kz)
+    h, messages = dual_columns(code.gen)
+    by_weight = [0] * (k + 1)
+    for j in range(n):
+        for i in range(j):
+            words = [messages[t] for t in (i, j) if not h[t]]
+            if h[i] == h[j]:
+                words.append(messages[i] ^ messages[j])
+            for u in words:
+                by_weight[u.bit_count()] += 1
+            if len(words) == 3:
+                by_weight[(words[0] | words[1]).bit_count()] -= 1
+    delta_kz = tuple(sum(c * comb(k - w, k - z) for w, c in enumerate(by_weight)) for z in range(k + 1))
+    return DeltaParams(delta_kz[k], delta_kz)

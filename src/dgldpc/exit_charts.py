@@ -196,9 +196,8 @@ def mixture_polynomial(ens: Ensemble, side: str) -> ExitPolynomial:
 def node_slope_row(node: NodeType, side: str) -> tuple[Fraction, ...]:
     """Row t = 1 of the node polynomial, without building the whole table.
 
-    A generalized node's row is 2 Delta_{n-2}[z] / n from delta_params
-    (at most C(n,2) 2^k subset walks instead of up to 2^(n+k), none when
-    d_min >= 3).
+    A generalized node's row is 2 Delta_{n-2}[z] / n from delta_params, in
+    closed form with no walk (the full table walks up to 2^(n+k) subsets).
     """
     if not is_generalized(node, side):
         return node_polynomial(node, side).coeffs[1]

@@ -13,8 +13,9 @@ contributes.  Both sides are row t = 1 of the exact EXIT polynomials
 (exit_charts.mixture_slope_row): lhs is the variable row evaluated in q and
 the bracket of rhs is the check row.  Every decision is read off these rows:
 the minimum-distance-2 generalized types are those whose row is nonzero
-(codes.delta_params is zero for d_min >= 3), and derivative matching, the
-tangency of the two curves at p = 0, is the margin rhs - lhs at q.
+(codes.delta_params is zero for d_min >= 3).  Derivative matching (the
+curves tangent at p = 0) is the stability-limited threshold q* = q_stab
+that density_evolution.find_threshold reports with x* = 0.
 
 lhs never decreases in q: a generalized type's row[z] / C(k, z) is n - 1
 times the average rank deficiency of [G_S | I_T] over (n-2)-subsets S and
@@ -38,11 +39,6 @@ from .ensembles import Ensemble, is_generalized, validate
 from .exit_charts import bernstein_eval, bisect, mixture_slope_row, node_slope_row
 
 STABILITY_SLACK = 1e-12
-TANGENCY_TOL = 1e-9
-
-
-class InverseSlopeUndefinedError(RuntimeError):
-    """The check-side EXIT slope at p = 0 is zero, so its inverse has none."""
 
 
 class Applicability(namedtuple("Applicability", "is_gldpc all_var_dmin_ge3 all_chk_dmin_ge3")):
@@ -62,16 +58,6 @@ class BoundaryResult(namedtuple("BoundaryResult", "points vacuous")):
 
     points holds at most one root.  vacuous is set when the right side is
     infinite (the condition never binds and there is no boundary to find).
-    """
-
-    __slots__ = ()
-
-
-class DerivativeMatching(namedtuple("DerivativeMatching", "slope_gap tangent_at_zero")):
-    """Tangency diagnosis of the two chart curves at I_A = 1 (p = 0).
-
-    Both curves start at I_E = 1 there: validation admits only d_min >= 2
-    component codes, whose EXIT row t = 0 vanishes.
     """
 
     __slots__ = ()
@@ -194,30 +180,11 @@ def dgldpc_stability_boundary(ens: Ensemble) -> BoundaryResult:
     return BoundaryResult(points=(bisect(lambda q: lhs(q) - rhs, 0.0, 1.0, 0.0),), vacuous=False)
 
 
-def derivative_matching_check(ens: Ensemble, q: float) -> DerivativeMatching:
-    """Compare the VND slope against the inverse CND slope at p = 0.
-
-    slope_gap = dI_{E,V}/dp - 1/(dI_{E,C}/dp), both at p = 0, which is the
-    stability margin rhs - lhs at q; a gap of zero (within tolerance) is the
-    tangency that makes the stability bound hold with equality.
-    """
-    validate(ens)
-    if _bracket(ens) == 0:
-        raise InverseSlopeUndefinedError(
-            "check-side EXIT slope at p=0 is zero; the inverse curve has no defined slope"
-        )
-    slope_gap = dgldpc_stability_check(ens, q).margin
-    return DerivativeMatching(
-        slope_gap=slope_gap,
-        tangent_at_zero=abs(slope_gap) <= TANGENCY_TOL,
-    )
-
-
 def stability_report(ens: Ensemble) -> StabilityReport:
     """Assemble the full stability analysis of a validated ensemble.
 
-    Reads only row t = 1 of the EXIT polynomials, so generalized nodes cost
-    their delta_params walks and never the full split table.
+    Reads only row t = 1 of the EXIT polynomials, so a generalized node
+    costs its closed-form delta_params and never the full split table.
     """
     validate(ens)
 

@@ -31,12 +31,9 @@ from dgldpc.exit_charts import (
     cnd_evaluator,
     code_polynomial,
     exit_coefficients,
-    mixture_slope_row,
     vnd_evaluator_at_q,
 )
 from dgldpc.stability import (
-    InverseSlopeUndefinedError,
-    derivative_matching_check,
     dgldpc_stability_check,
     gldpc_stability_bound,
     stability_report,
@@ -155,26 +152,14 @@ def test_criterion_5_equality_case():
         ens = ensemble([rep_node(2, 1.0)], [spc_node(6, 1.0)])
         result = find_threshold(ens)
         bound = gldpc_stability_bound(ens)
-        assert abs(result.q_star - 0.2) <= 1e-12
         assert abs(bound - 0.2) <= 1e-15
-        # the threshold is the stability boundary itself (g_q peaks at
-        # x = 0), so the two chart curves are tangent at p = 0 there
-        match = derivative_matching_check(ens, result.q_star)
-        assert abs(match.slope_gap) <= 1e-6
-        assert match.tangent_at_zero
+        # derivative matching: the threshold is the stability boundary itself
+        # (g_q peaks at x = 0), where the two chart curves are tangent at p = 0
+        assert result.x_star == 0.0
+        assert result.q_star == bound
+        assert abs(dgldpc_stability_check(ens, result.q_star).margin) <= 1e-12
         elapsed = time.monotonic() - start
         assert elapsed < 5.0, f"took {elapsed:.1f}s"
-
-
-def test_slope_gap_is_the_stability_margin_on_the_fixtures():
-    for ens in fixture_suite():
-        for q in [i / 10 for i in range(11)]:
-            if mixture_slope_row(ens, "check")[0] == 0:
-                with pytest.raises(InverseSlopeUndefinedError):
-                    derivative_matching_check(ens, q)
-            else:
-                margin = dgldpc_stability_check(ens, q).margin
-                assert derivative_matching_check(ens, q).slope_gap == margin
 
 
 def test_criterion_6_necessity(suite_thresholds):
@@ -250,7 +235,9 @@ def test_thresholds_match_closed_forms_and_density_evolution(suite_thresholds):
         assert abs(suite_thresholds[i][1].q_star - q) <= 1e-6, i
         assert suite_thresholds[i][1].x_star > 0.0, i
     for i in (1, *closed_forms):
-        assert suite_thresholds[i][1].x_star == 0.0, i
+        ens, result = suite_thresholds[i]
+        assert result.x_star == 0.0, i
+        assert abs(dgldpc_stability_check(ens, result.q_star).margin) <= 1e-12, i
 
 
 def test_criterion_10_format_round_trip(tmp_path, capsys):

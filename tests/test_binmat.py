@@ -189,14 +189,24 @@ def dual_rows(cols: list[int]) -> list[int]:
     return [sum(((c >> t) & 1) << j for j, c in enumerate(cols)) for t in range(width)]
 
 
+def row_sum(rows: tuple[int, ...], u: int) -> int:
+    """u m: the XOR of the rows picked by the set bits of u."""
+    word = 0
+    for i, row in enumerate(rows):
+        if u >> i & 1:
+            word ^= row
+    return word
+
+
 def test_dual_columns_span_the_orthogonal_complement():
     # G H^T = 0 and rank(H) = n - rank(G): H generates the whole dual, for
-    # full-rank, rank-deficient and zero-column matrices alike.
+    # full-rank, rank-deficient and zero-column matrices alike.  The pivot
+    # messages recover a message of every word of the row space.
     rng = random.Random(53)
     for _ in range(60):
         n = rng.randint(1, 12)
         m = BinaryMatrix(tuple(rng.randrange(1 << n) for _ in range(rng.randint(1, n))), n)
-        cols = dual_columns(m)
+        cols, messages = dual_columns(m)
         r = rank(m)
         assert len(cols) == n
         assert all(c < 1 << (n - r) for c in cols)
@@ -204,13 +214,22 @@ def test_dual_columns_span_the_orthogonal_complement():
         assert len(h) == n - r
         assert rank_of_bitrows(h) == n - r
         assert all((row & word).bit_count() % 2 == 0 for row in m.bits for word in h)
+        assert len(messages) == n
+        assert sum(1 for u in messages if u) == r
+        assert all(u < 1 << m.rows for u in messages)
+        for _ in range(8):
+            word = row_sum(m.bits, rng.randrange(1 << m.rows))
+            u = row_sum(tuple(messages), word)
+            assert row_sum(m.bits, u) == word
 
 
 def test_dual_columns_of_hamming_74_are_the_simplex_code():
-    cols = dual_columns(BinaryMatrix.from_text(HAMMING_74_TEXT))
+    cols, messages = dual_columns(BinaryMatrix.from_text(HAMMING_74_TEXT))
     assert sorted(cols) == list(range(1, 8))
+    assert messages == [1, 2, 4, 8, 0, 0, 0]  # systematic: row i has the pivot i
 
 
 def test_dual_columns_of_a_rank_n_matrix_have_no_rows():
-    assert dual_columns(identity(3)) == [0, 0, 0]
-    assert dual_columns(BinaryMatrix((0b11, 0b01), 2)) == [0, 0]
+    assert dual_columns(identity(3)) == ([0, 0, 0], [1, 2, 4])
+    # e_0 is row 1 and e_1 the sum of rows 0 and 1
+    assert dual_columns(BinaryMatrix((0b11, 0b01), 2)) == ([0, 0], [2, 3])

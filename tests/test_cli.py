@@ -66,7 +66,7 @@ def test_code_info_report(tmp_path, capsys):
 
 
 def test_code_info_walks_the_two_removal_subsets_once(tmp_path):
-    # delta_params and min_independent_set_size (s = 1, then 2) share the s = 2 walk
+    # min_independent_set_size walks s = 1, then 2; delta_params walks nothing
     path = tmp_path / "g42.txt"
     path.write_text("1100\n0111\n", encoding="utf-8")
     for cache in (codes._removal_deficit, codes.delta_params, codes.min_independent_set_size):
@@ -312,6 +312,8 @@ GOLDEN_DIGESTS = {
     "code-info spc32": "9c2b71e90cea3913b49213c8369c1da1b0d53a0a63268261f18b82a02c176838",
     "code-info hamming15": "82941ea3e7105c64bcb01a36b062c5d0e9cd73cf2d1707fa6f961aac9a2a554c",
     "code-info random16 dmin2": "e8ae4094dd9f0c8eef4bb752f5e31bafa0c95691f648eff7cd278f80982066c4",
+    "code-info weight1": "154629bb71178425fc685cb2dc2d98157c36854fca13170aefef094fec5a38f7",
+    "code-info three words": "7e80fe4633ea2961521cd46127138ea5c3c645083383e6cb59291145d01840f9",
 }
 
 
@@ -326,7 +328,9 @@ def golden_transcripts(tmp_path) -> dict[str, str]:
     """analyze, check-stability at q = 0.1/0.4/0.7, threshold and a 101-point
     exit chart at q = 0.3 (CSV, and stdout without the written path) on each
     fixture ensemble F0-F10; code-info on Hamming (7,4), SPC (3,2), Hamming
-    (15,11) and a seeded (16,8) code of minimum distance 2."""
+    (15,11), a seeded (16,8) code of minimum distance 2, a (4,2) code with a
+    weight-1 codeword, and a (4,3) code whose columns 0 and 1 carry three
+    codewords."""
     transcripts = {}
     for i, ens in enumerate(fixture_suite()):
         path, csv = tmp_path / f"F{i}.json", tmp_path / f"F{i}.csv"
@@ -343,6 +347,8 @@ def golden_transcripts(tmp_path) -> dict[str, str]:
         ("spc32", SPC_32_TEXT),
         ("hamming15", hamming_15_11().gen.to_text()),
         ("random16 dmin2", seeded_dmin2_code(1608, 16, 8).gen.to_text()),
+        ("weight1", "1000\n0111"),
+        ("three words", "1000\n0100\n0011"),
     )
     for name, text in codes:
         path = tmp_path / f"{name}.txt"

@@ -33,12 +33,14 @@ from dgldpc.codes import (
 
 from conftest import (
     HAMMING_74_TEXT,
+    SPC_32_TEXT,
     augment_identity,
     hamming_15_11,
     identity,
     random_component_code,
     rank_drop_of_removal,
     same_row_space,
+    seeded_dmin2_code,
     select_columns,
 )
 
@@ -399,6 +401,11 @@ def test_high_rate_rank_sums_walk_the_dual_columns(monkeypatch):
 @given(generators_with_free_columns())
 @example(BinaryMatrix.from_text("1100\n0011"))
 @example(BinaryMatrix.from_text("10110\n01100"))
+@example(BinaryMatrix.from_text("11"))
+@example(BinaryMatrix.from_text("10"))
+@example(BinaryMatrix.from_text("1000\n0100\n0011"))  # columns 0, 1: a 2-dimensional subcode
+@example(BinaryMatrix.from_text(SPC_32_TEXT))
+@example(BinaryMatrix.from_text(HAMMING_74_TEXT))
 def test_rank_sum_tables_match_the_selection_oracles(gen):
     code = ComponentCode(gen)
     n, k = code.n, code.k
@@ -410,6 +417,35 @@ def test_rank_sum_tables_match_the_selection_oracles(gen):
         assert split_info_row(code, g) == table[g]
     for s in range(n + 1):
         assert _removal_deficit(gen, s) == k * comb(n, s) - plain[n - s]
+    full = k * comb(n, 2)
+    assert delta_params(code) == (
+        full - plain[n - 2],
+        tuple(full * comb(k, z) - table[n - 2][k - z] for z in range(k + 1)),
+    )
+
+
+def test_delta_params_of_a_seeded_dmin2_code_match_the_split_row():
+    code = seeded_dmin2_code(1608, 16, 8)
+    n, k = code.n, code.k
+    full = k * comb(n, 2)
+    row = split_info_row(code, n - 2)
+    assert delta_params(code) == (full - row[0], tuple(full * comb(k, z) - row[k - z] for z in range(k + 1)))
+    assert delta_params(code).delta_n2 > 0
+
+
+def test_delta_params_walk_no_subset(monkeypatch):
+    walked = []
+
+    def spy(*args):
+        walked.append(len(args[0]))
+        return _subset_rank_sums(*args)
+
+    monkeypatch.setattr(codes, "_subset_rank_sums", spy)
+    for cache in (delta_params, split_info_row, _removal_deficit):
+        cache.cache_clear()
+    for code in (hamming_15_11(), seeded_dmin2_code(1608, 16, 8)):
+        delta_params(code)
+    assert walked == []
 
 
 def test_split_table_of_a_two_direction_code_has_a_closed_form():

@@ -17,9 +17,8 @@ from dgldpc.density_evolution import (
     find_threshold,
 )
 from dgldpc.ensembles import design_rate
-from dgldpc.exit_charts import mixture_slope_row, sample_exit_chart
+from dgldpc.exit_charts import mixture_polynomial, mixture_slope_row, sample_exit_chart
 from dgldpc.stability import (
-    derivative_matching_check,
     dgldpc_stability_boundary,
     dgldpc_stability_check,
     gldpc_stability_bound,
@@ -96,10 +95,19 @@ def test_threshold_rep3_spc6(rep3_spc6_threshold):
     assert result.q_star <= 1 - design_rate(ens) + 1e-3
 
 
+def probe_succeeds(ens, q: float) -> bool:
+    """find_threshold's probe decision: the peak of g_q on its grid is below 1."""
+    c = mixture_polynomial(ens, "check").over_p()
+    degree = len(c) - 1 + (len(mixture_polynomial(ens, "variable").coeffs) - 2) * len(c)
+    steps = de.GRID_PER_DEGREE * (degree + 1)
+    return de._peak(erasure_ratio(ens, q), [i / steps for i in range(steps + 1)])[0] < 1.0
+
+
 def test_threshold_bracket_width(rep3_spc6_threshold):
-    _, result = rep3_spc6_threshold
+    ens, result = rep3_spc6_threshold
     # midpoint of a bracket no wider than 1e-7: both ends within 5e-8
-    assert de.BRACKET_WIDTH == 1e-7
+    assert probe_succeeds(ens, result.q_star - 1e-7)
+    assert not probe_succeeds(ens, result.q_star + 1e-7)
 
 
 def test_threshold_trace_retained_on_request(rep2_spc6):
@@ -120,9 +128,9 @@ def test_threshold_below_stability_bound(rep2_spc6, rep3_spc6_threshold):
 def test_equality_case_threshold_and_tangency(rep2_spc6):
     result = find_threshold(rep2_spc6)
     bound = gldpc_stability_bound(rep2_spc6)
-    assert abs(result.q_star - bound) <= 1e-12
-    match = derivative_matching_check(rep2_spc6, bound)
-    assert match.tangent_at_zero
+    assert result.x_star == 0.0
+    assert result.q_star == bound
+    assert abs(dgldpc_stability_check(rep2_spc6, result.q_star).margin) <= 1e-12
 
 
 def test_chart_consistency_around_threshold(rep3_spc6_threshold):

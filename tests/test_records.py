@@ -17,7 +17,6 @@ from dgldpc.exit_charts import ExitCurve, ExitPolynomial, mixture_polynomial
 from dgldpc.stability import (
     Applicability,
     BoundaryResult,
-    DerivativeMatching,
     StabilityCheck,
     StabilityReport,
 )
@@ -42,7 +41,6 @@ def sample_records():
         applicability,
         StabilityCheck(True, 0.1, 0.2, 0.1),
         BoundaryResult((0.2,), False),
-        DerivativeMatching(0.0, True),
         StabilityReport(-5.0, (0.0, 1.0), 0.2, (5.0,), ((),), applicability),
     ]
 
@@ -61,7 +59,6 @@ def test_field_names_and_order():
         ("is_gldpc", "all_var_dmin_ge3", "all_chk_dmin_ge3"),
         ("holds", "lhs", "rhs", "margin"),
         ("points", "vacuous"),
-        ("slope_gap", "tangent_at_zero"),
         (
             "cnd_slope_at_zero",
             "vnd_slope_coeffs",
@@ -104,7 +101,6 @@ def test_equal_fields_give_equal_objects_and_hashes():
 def test_repr_names_the_fields():
     assert repr(rep_node(3, 0.5)) == "NodeType(kind='repetition', edge_fraction=0.5, length=3, generator=None)"
     assert repr(BinaryMatrix((3,), 2)) == "BinaryMatrix(bits=(3,), cols=2)"
-    assert repr(DerivativeMatching(0.0, True)) == "DerivativeMatching(slope_gap=0.0, tangent_at_zero=True)"
 
 
 def test_an_equal_but_distinct_ensemble_hits_the_cache():

@@ -21,8 +21,6 @@ from dgldpc.exit_charts import (
     node_slope_row,
 )
 from dgldpc.stability import (
-    InverseSlopeUndefinedError,
-    derivative_matching_check,
     dgldpc_stability_boundary,
     dgldpc_stability_check,
     gldpc_stability_bound,
@@ -191,21 +189,6 @@ def test_reciprocal_beyond_the_float_range_is_inf():
     assert not result.vacuous
 
 
-def test_derivative_matching_ldpc(rep2_spc6):
-    at_bound = derivative_matching_check(rep2_spc6, 0.2)
-    assert at_bound.slope_gap == 0.0
-    assert at_bound.tangent_at_zero
-    below = derivative_matching_check(rep2_spc6, 0.1)
-    assert below.slope_gap > 0
-    assert not below.tangent_at_zero
-
-
-def test_derivative_matching_rejects_zero_cnd_slope():
-    ens = ensemble([rep_node(2, 1.0)], [generic_node(HAMMING_74_TEXT, 1.0)])
-    with pytest.raises(InverseSlopeUndefinedError):
-        derivative_matching_check(ens, 0.5)
-
-
 def test_report_fields_and_flags(g32var_spc6, rep3_spc6):
     report = stability_report(g32var_spc6)
     assert report.cnd_slope_at_zero == -5.0
@@ -263,13 +246,13 @@ def test_report_never_builds_the_split_table():
     stability_report(ens)
     dgldpc_stability_check(ens, 0.3)
     dgldpc_stability_boundary(ens)
-    derivative_matching_check(ens, 0.3)
     assert split_info_functions.cache_info().currsize == 0
     assert code_polynomial.cache_info().currsize == 0
 
 
 def test_validate_and_report_walk_each_code_once_at_two_removals(monkeypatch):
-    # the d_min >= 3 decision is read off delta_params, so no second s = 2 walk
+    # the d_min >= 3 decision is read off delta_params, which walks no subset,
+    # and validation's d_min >= 2 test removes one column at a time
     removals = []
     walk = codes._removal_deficit
 
@@ -283,7 +266,7 @@ def test_validate_and_report_walk_each_code_once_at_two_removals(monkeypatch):
     ens = ensemble([generic_node("1100\n0111", 1.0)], [spc_node(6, 1.0)])
     validate(ens)
     stability_report(ens)
-    assert removals.count(2) == 1
+    assert removals == [1]
 
 
 @st.composite
