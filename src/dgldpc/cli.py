@@ -88,6 +88,7 @@ def _check_probability(value: float, name: str) -> float:
 def _cmd_code_info(args) -> int:
     code = ComponentCode.from_text(Path(args.input).read_text(encoding="utf-8"))
     deltas = delta_params(code)
+    info = info_functions(code)  # min_independent_set_size reads this table
     report = {
         "n": code.n,
         "k": code.k,
@@ -95,7 +96,7 @@ def _cmd_code_info(args) -> int:
             "bruteforce": min_distance_bruteforce(code),
             "independent_set": min_independent_set_size(code),
         },
-        "info_functions": list(info_functions(code)),
+        "info_functions": list(info),
         "delta_n2": deltas.delta_n2,
         "delta_n2_kz": list(deltas.delta_n2_kz),
     }

@@ -69,9 +69,9 @@ class ThresholdResult(
     endpoint checks at q = 0 and q = 1.  x_star is 0.0 when the threshold
     is the stability boundary, and otherwise where g_q peaks at the
     largest accepted q, which approaches the interior fixed point.  With a
-    trace requested, one de_iterate run at that q (bounded by max_iters
-    and tol) gives residual_trace and iterations_at_threshold; without
-    one they are None and 0.
+    trace requested, one de_iterate run at that q, with its default
+    iteration cap and tolerance, gives residual_trace and
+    iterations_at_threshold; without one they are None and 0.
     """
 
     __slots__ = ()
@@ -169,12 +169,7 @@ def _peak(g: Callable[[float], float], xs: Sequence[float]) -> tuple[float, floa
     return best
 
 
-def find_threshold(
-    ens: Ensemble,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = DEFAULT_TOL,
-    record_trace: bool = False,
-) -> ThresholdResult:
+def find_threshold(ens: Ensemble, record_trace: bool = False) -> ThresholdResult:
     """The decoding threshold q* from the fixed-point condition g_q < 1 on (0, 1].
 
     Each probe samples g_q on a grid of GRID_PER_DEGREE points per unit of
@@ -218,7 +213,7 @@ def find_threshold(
     else:
         q_star = bisect(lambda q: -1 if succeeds(q) else 1, 0.0, 1.0, BRACKET_WIDTH)
         x_star = accepted[1]
-    run = de_iterate(ens, accepted[0], max_iters, tol, record_trace=True) if record_trace else None
+    run = de_iterate(ens, accepted[0], record_trace=True) if record_trace else None
     return ThresholdResult(
         q_star=q_star,
         iterations_at_threshold=0 if run is None else run.iters,

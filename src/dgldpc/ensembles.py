@@ -16,8 +16,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .binmat import MAX_DIM, BinaryMatrix, rank
-from .codes import ComponentCode, min_distance_at_least
+from .binmat import MAX_DIM, BinaryMatrix, dual_columns, rank
+from .codes import ComponentCode
 
 KINDS = ("repetition", "spc", "generic")
 FRACTION_SUM_TOL = 1e-12
@@ -136,7 +136,7 @@ def _validate_side(types: tuple[NodeType, ...], side: str) -> None:
         gen = t.generator
         if rank(gen) != gen.rows:
             raise EnsembleValidationError(f"{label}: generator matrix is rank deficient")
-        if not min_distance_at_least(gen, 2):
+        if not all(dual_columns(gen)[0]):  # a zero dual column is a weight-1 codeword
             raise EnsembleValidationError(f"{label}: minimum distance is 1, need >= 2")
         if not gen.rows < gen.cols:
             raise EnsembleValidationError(
@@ -207,7 +207,7 @@ def _parse_node(obj, side: str, index: int) -> NodeType:
         return NodeType(kind=kind, edge_fraction=float(fraction), length=length)
     except EnsembleFormatError:
         raise
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:  # OverflowError: an int too large for a float
         raise EnsembleFormatError(f"{label}: {e}") from e
 
 

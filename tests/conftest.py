@@ -7,6 +7,7 @@ import random
 from typing import Sequence
 
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from dgldpc.binmat import BinaryMatrix, rank, rank_of_bitrows
@@ -201,3 +202,17 @@ def rep2_spc6() -> Ensemble:
 def g32var_spc6() -> Ensemble:
     """The minimum-distance-2 generic (3,2) variable node against SPC-6 checks."""
     return ensemble([generic_node(SPC_32_TEXT, 1.0)], [spc_node(6, 1.0)])
+
+
+def draw_generator_with_free_columns(draw, n: int, k: int) -> BinaryMatrix:
+    """A full-rank k x n generator with repeated columns and often a zero
+    column forced in: the walker branches on neither."""
+    cols = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=n, max_size=n))
+    for j in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+        cols[j] = cols[draw(st.integers(0, n - 1))]
+    if draw(st.booleans()):
+        cols[draw(st.integers(0, n - 1))] = 0
+    rows = tuple(sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(k))
+    gen = BinaryMatrix(rows, n)
+    assume(rank(gen) == k)
+    return gen

@@ -65,14 +65,26 @@ def test_code_info_report(tmp_path, capsys):
     assert doc["delta_n2_kz"] == [0, 2, 3]
 
 
-def test_code_info_walks_the_two_removal_subsets_once(tmp_path):
-    # min_independent_set_size walks s = 1, then 2; delta_params walks nothing
-    path = tmp_path / "g42.txt"
-    path.write_text("1100\n0111\n", encoding="utf-8")
-    for cache in (codes._removal_deficit, codes.delta_params, codes.min_independent_set_size):
-        cache.cache_clear()
-    assert run(["code-info", str(path)]) == 0
-    assert codes._removal_deficit.cache_info().misses == 2
+def test_code_info_walks_each_code_once(tmp_path, monkeypatch):
+    # the one walk is the information functions: min_independent_set_size
+    # reads them and delta_params walks nothing.  The (4, 2) code is walked
+    # on its own 2-bit columns, Hamming (15, 11) on the 4-bit dual columns.
+    walked = []
+    walk = codes._subset_rank_sums
+
+    def spy(columns, full, *rest):
+        walked.append((len(columns), max(c.bit_length() for c in columns), full))
+        return walk(columns, full, *rest)
+
+    monkeypatch.setattr(codes, "_subset_rank_sums", spy)
+    path = tmp_path / "code.txt"
+    for text, expected in (("1100\n0111\n", (4, 2, 2)), (hamming_15_11().gen.to_text(), (15, 4, 4))):
+        for cache in (codes.info_functions, codes.delta_params, codes.min_independent_set_size):
+            cache.cache_clear()
+        walked.clear()
+        path.write_text(text, encoding="utf-8")
+        assert run(["code-info", str(path)]) == 0
+        assert walked == [expected]
 
 
 def test_analyze_report(e36_path, capsys):
@@ -188,6 +200,16 @@ def test_validation_error_status(tmp_path, capsys):
     path.write_text(doc, encoding="utf-8")
     assert run(["analyze", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_oversized_edge_fraction_status(tmp_path, capsys):
+    doc = E36_DOC.replace('"length": 3, "edge_fraction": 1.0', '"length": 3, "edge_fraction": 1' + "0" * 400)
+    path = tmp_path / "huge.json"
+    path.write_text(doc, encoding="utf-8")
+    assert run(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: variable_nodes[0]: ")
+    assert err.count("\n") == 1
 
 
 def test_missing_file_status(capsys):

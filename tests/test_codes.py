@@ -20,7 +20,6 @@ from dgldpc.binmat import BinaryMatrix, rank, rank_of_bitrows
 from dgldpc.codes import (
     ComponentCode,
     EnumerationCapacityError,
-    _removal_deficit,
     _subset_rank_sums,
     delta_params,
     info_functions,
@@ -35,6 +34,7 @@ from conftest import (
     HAMMING_74_TEXT,
     SPC_32_TEXT,
     augment_identity,
+    draw_generator_with_free_columns,
     hamming_15_11,
     identity,
     random_component_code,
@@ -143,6 +143,9 @@ def test_split_info_row_matches_full_table(hamming74):
     table = split_info_functions(hamming74)
     for g in (0, hamming74.n - 2, hamming74.n):
         assert split_info_row(hamming74, g) == table[g]
+    for g in (-1, hamming74.n + 1):
+        with pytest.raises(ValueError, match="g must be in"):
+            split_info_row(hamming74, g)
 
 
 def test_info_functions_representation_independent():
@@ -284,9 +287,9 @@ def test_delta_params_of_a_dmin3_code_walks_no_identity_mask():
     code = hamming_15_11()
     assert min_distance_bruteforce(code) == 3
     delta_params.cache_clear()
-    split_info_row.cache_clear()
+    split_info_functions.cache_clear()
     assert delta_params(code).delta_n2_kz == (0,) * 12
-    assert split_info_row.cache_info().currsize == 0
+    assert split_info_functions.cache_info().currsize == 0
 
 
 def dual_code(code: ComponentCode) -> ComponentCode:
@@ -328,20 +331,6 @@ def test_rank_sum_tables_against_duality_and_codeword_oracles(gen):
         assert min_distance_at_least(gen, t) == (d >= t)
 
 
-def draw_generator_with_free_columns(draw, n: int, k: int) -> BinaryMatrix:
-    """A full-rank k x n generator with repeated columns and often a zero
-    column forced in: the walker branches on neither."""
-    cols = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=n, max_size=n))
-    for j in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
-        cols[j] = cols[draw(st.integers(0, n - 1))]
-    if draw(st.booleans()):
-        cols[draw(st.integers(0, n - 1))] = 0
-    rows = tuple(sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(k))
-    gen = BinaryMatrix(rows, n)
-    assume(rank(gen) == k)
-    return gen
-
-
 @st.composite
 def generators_with_free_columns(draw) -> BinaryMatrix:
     """n <= 9 and n + k <= 13, which bounds the split oracle."""
@@ -356,11 +345,9 @@ def high_rate_generators(draw) -> BinaryMatrix:
     return draw_generator_with_free_columns(draw, n, draw(st.integers(n // 2 + 1, n - 1)))
 
 
-def primal_rank_sums(gen: BinaryMatrix, size: int | None = None) -> list[int]:
+def primal_rank_sums(gen: BinaryMatrix) -> list[int]:
     """The rank sums walked on the generator's own columns."""
-    acc = [0] * (gen.cols + 1)
-    _subset_rank_sums(gen.columns(), gen.rows, acc, 0, size)
-    return acc
+    return _subset_rank_sums(gen.columns(), gen.rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -372,15 +359,20 @@ def test_dual_walk_matches_the_primal_walk(gen):
     code = ComponentCode(gen)
     n, k = code.n, code.k
     assert n - k < k
-    assert info_functions(code) == tuple(primal_rank_sums(gen))
+    primal = primal_rank_sums(gen)
+    assert info_functions(code) == tuple(primal)
+    d = min_distance_bruteforce(code)
+    assert min_independent_set_size(code) == d
     for s in range(n + 1):
-        assert _removal_deficit(gen, s) == k * comb(n, s) - primal_rank_sums(gen, n - s)[n - s]
-    assert min_independent_set_size(code) == min_distance_bruteforce(code)
+        # every s-column removal keeps the rank exactly when s < d_min
+        assert (primal[n - s] == k * comb(n, s)) == (s < d)
+        assert min_distance_at_least(gen, s + 1) == (s < d)
 
 
 def test_high_rate_rank_sums_walk_the_dual_columns(monkeypatch):
-    # Hamming (15,11): info_functions and the removals s = 1, 2, 3 all walk
-    # the 15 four-bit columns of H, not the 11-bit columns of G.
+    # Hamming (15,11): info_functions walks the 15 four-bit columns of H,
+    # not the 11-bit columns of G; min_independent_set_size reads that table
+    # and min_distance_at_least walks H again.
     walked = []
 
     def spy(columns, full, *rest):
@@ -389,12 +381,13 @@ def test_high_rate_rank_sums_walk_the_dual_columns(monkeypatch):
 
     monkeypatch.setattr(codes, "_subset_rank_sums", spy)
     info_functions.cache_clear()
-    _removal_deficit.cache_clear()
     min_independent_set_size.cache_clear()
     code = hamming_15_11()
     info_functions(code)
     assert min_independent_set_size(code) == 3
-    assert walked == [(15, 4, 4)] * 4
+    assert walked == [(15, 4, 4)]
+    assert min_distance_at_least(code.gen, 3) and not min_distance_at_least(code.gen, 4)
+    assert walked == [(15, 4, 4)] * 3
 
 
 @settings(max_examples=60, deadline=None)
@@ -415,8 +408,10 @@ def test_rank_sum_tables_match_the_selection_oracles(gen):
     assert split_info_functions(code) == table
     for g in range(n + 1):
         assert split_info_row(code, g) == table[g]
-    for s in range(n + 1):
-        assert _removal_deficit(gen, s) == k * comb(n, s) - plain[n - s]
+    deficits = [k * comb(n, s) - plain[n - s] for s in range(n + 1)]
+    assert min_independent_set_size(code) == next(s for s, deficit in enumerate(deficits) if deficit)
+    for t in range(n + 2):
+        assert min_distance_at_least(gen, t) == (not any(deficits[:t]))
     full = k * comb(n, 2)
     assert delta_params(code) == (
         full - plain[n - 2],
@@ -441,7 +436,7 @@ def test_delta_params_walk_no_subset(monkeypatch):
         return _subset_rank_sums(*args)
 
     monkeypatch.setattr(codes, "_subset_rank_sums", spy)
-    for cache in (delta_params, split_info_row, _removal_deficit):
+    for cache in (delta_params, split_info_functions):
         cache.cache_clear()
     for code in (hamming_15_11(), seeded_dmin2_code(1608, 16, 8)):
         delta_params(code)

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import dgldpc.density_evolution as de
 from dgldpc.density_evolution import (
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
     DensityEvolutionAnomalyError,
     de_iterate,
     erasure_ratio,
@@ -110,10 +112,13 @@ def test_threshold_bracket_width(rep3_spc6_threshold):
     assert not probe_succeeds(ens, result.q_star + 1e-7)
 
 
-def test_threshold_trace_retained_on_request(rep2_spc6):
-    result = find_threshold(rep2_spc6, max_iters=2000, record_trace=True)
+def test_threshold_trace_retained_on_request(rep3_spc6):
+    # at the interior threshold the traced DE run converges within the cap
+    result = find_threshold(rep3_spc6, record_trace=True)
     assert result.residual_trace is not None
     assert result.residual_trace[0][0] == 1
+    assert len(result.residual_trace) == result.iterations_at_threshold < DEFAULT_MAX_ITERS
+    assert result.residual_trace[-1][1] < DEFAULT_TOL
 
 
 def test_threshold_below_stability_bound(rep2_spc6, rep3_spc6_threshold):

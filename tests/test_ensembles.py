@@ -5,8 +5,12 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dgldpc import ensembles, exit_charts
+from dgldpc.binmat import BinaryMatrix
+from dgldpc.codes import ComponentCode, min_distance_bruteforce
 from dgldpc.ensembles import (
     ENSEMBLE_CACHE_SIZE,
     EnsembleFormatError,
@@ -26,7 +30,7 @@ from dgldpc.exit_charts import (
 )
 from dgldpc.stability import dgldpc_stability_check, stability_report
 
-from conftest import SPC_32_TEXT, ensemble, generic_node, rep_node, spc_node
+from conftest import SPC_32_TEXT, draw_generator_with_free_columns, ensemble, generic_node, rep_node, spc_node
 
 MINIMAL_DOC = """{
   "variable_nodes": [
@@ -47,6 +51,32 @@ def test_validate_rejects_identity_generator():
     ens = ensemble([generic_node("10\n01", 1.0)], [spc_node(6, 1.0)])
     with pytest.raises(EnsembleValidationError, match="minimum distance"):
         validate(ens)
+
+
+@st.composite
+def generators_up_to_full_rank(draw) -> BinaryMatrix:
+    """k <= n <= 10, with zero and repeated columns forced in."""
+    n = draw(st.integers(2, 10))
+    return draw_generator_with_free_columns(draw, n, draw(st.integers(1, n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(generators_up_to_full_rank())
+@example(BinaryMatrix.from_text("10\n01"))
+@example(BinaryMatrix.from_text("1100\n0011"))
+@example(BinaryMatrix.from_text("1000\n0111"))
+def test_validate_accepts_a_generic_node_exactly_when_dmin_is_at_least_2(gen):
+    # a k = n generator spans every word, the weight-1 words included
+    dmin = min_distance_bruteforce(ComponentCode(gen)) if gen.rows < gen.cols else 1
+    for ens in (
+        ensemble([generic_node(gen.to_text(), 1.0)], [spc_node(6, 1.0)]),
+        ensemble([rep_node(3, 1.0)], [generic_node(gen.to_text(), 1.0)]),
+    ):
+        if dmin >= 2:
+            assert validate(ens) is ens
+        else:
+            with pytest.raises(EnsembleValidationError, match="minimum distance is 1"):
+                validate(ens)
 
 
 def test_validate_rejects_bad_fraction_sum():
@@ -119,6 +149,13 @@ def test_parse_rejects_ragged_matrix():
         '{"kind": "generic", "generator": "101\\n01", "edge_fraction": 1.0}',
     )
     with pytest.raises(EnsembleFormatError, match="malformed matrix literal"):
+        parse_ensemble(doc)
+
+
+def test_parse_rejects_an_edge_fraction_too_large_for_a_float():
+    # json reads 1 followed by 400 zeros as an int that float() overflows on
+    doc = MINIMAL_DOC.replace('"length": 3, "edge_fraction": 1.0', '"length": 3, "edge_fraction": 1' + "0" * 400)
+    with pytest.raises(EnsembleFormatError, match=r"variable_nodes\[0\]: int too large"):
         parse_ensemble(doc)
 
 

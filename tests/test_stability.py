@@ -250,23 +250,23 @@ def test_report_never_builds_the_split_table():
     assert code_polynomial.cache_info().currsize == 0
 
 
-def test_validate_and_report_walk_each_code_once_at_two_removals(monkeypatch):
-    # the d_min >= 3 decision is read off delta_params, which walks no subset,
-    # and validation's d_min >= 2 test removes one column at a time
-    removals = []
-    walk = codes._removal_deficit
+def test_validate_and_report_walk_no_subset(monkeypatch):
+    # validation reads d_min >= 2 off the dual columns and the d_min >= 3
+    # decision is read off delta_params, so neither walks a column subset
+    walked = []
+    walk = codes._subset_rank_sums
 
-    def counted(gen, s):
-        removals.append(s)
-        return walk(gen, s)
+    def spy(*args):
+        walked.append(len(args[0]))
+        return walk(*args)
 
-    monkeypatch.setattr(codes, "_removal_deficit", counted)
+    monkeypatch.setattr(codes, "_subset_rank_sums", spy)
     for cache in (ensembles._validate_cached, codes.delta_params, node_slope_row, mixture_slope_row):
         cache.cache_clear()
     ens = ensemble([generic_node("1100\n0111", 1.0)], [spc_node(6, 1.0)])
     validate(ens)
-    stability_report(ens)
-    assert removals == [1]
+    assert not stability_report(ens).applicability.all_var_dmin_ge3  # the d_min-2 code is seen
+    assert walked == []
 
 
 @st.composite
