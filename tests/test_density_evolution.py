@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,12 +12,15 @@ from hypothesis import strategies as st
 
 import dgldpc.density_evolution as de
 from dgldpc.density_evolution import (
+    BRACKET_WIDTH,
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
+    MAX_HALVINGS,
     DensityEvolutionAnomalyError,
     de_iterate,
     erasure_ratio,
     find_threshold,
+    fixed_point_coefficients,
 )
 from dgldpc.ensembles import design_rate
 from dgldpc.exit_charts import mixture_polynomial, mixture_slope_row, sample_exit_chart
@@ -97,19 +101,12 @@ def test_threshold_rep3_spc6(rep3_spc6_threshold):
     assert result.q_star <= 1 - design_rate(ens) + 1e-3
 
 
-def probe_succeeds(ens, q: float) -> bool:
-    """find_threshold's probe decision: the peak of g_q on its grid is below 1."""
-    c = mixture_polynomial(ens, "check").over_p()
-    degree = len(c) - 1 + (len(mixture_polynomial(ens, "variable").coeffs) - 2) * len(c)
-    steps = de.GRID_PER_DEGREE * (degree + 1)
-    return de._peak(erasure_ratio(ens, q), [i / steps for i in range(steps + 1)])[0] < 1.0
-
-
 def test_threshold_bracket_width(rep3_spc6_threshold):
     ens, result = rep3_spc6_threshold
-    # midpoint of a bracket no wider than 1e-7: both ends within 5e-8
-    assert probe_succeeds(ens, result.q_star - 1e-7)
-    assert not probe_succeeds(ens, result.q_star + 1e-7)
+    # midpoint of a bracket no wider than 1e-7: both ends within 5e-8.  DE,
+    # which shares no code with the probes, decodes below and stalls above
+    assert de_iterate(ens, result.q_star - 1e-7).success
+    assert not de_iterate(ens, result.q_star + 1e-7).success
 
 
 def test_threshold_trace_retained_on_request(rep3_spc6):
@@ -223,11 +220,102 @@ def test_threshold_agrees_with_density_evolution(variables, checks, q):
 
 def test_rising_slope_at_the_stability_boundary_means_an_interior_threshold():
     # g_q(x) / q = 5 lam2 + (25 lam3 - 10 lam2) x + O(x^2): with lam3 / lam2
-    # just above 0.4, g rises from g(0) = 1 at q_stab to a peak near
-    # x = 2e-4, inside the first grid step, so only the slope at 0 shows it
+    # just above 0.4, g rises from g(0) = 1 at q_stab to a peak near x = 2e-4
     ens = ensemble([rep_node(2, 0.714), rep_node(3, 0.286)], [spc_node(6, 1.0)])
     (q_stab,) = dgldpc_stability_boundary(ens).points
     result = find_threshold(ens)
     assert 0.0 < result.x_star < 1e-3
     assert q_stab - 2e-7 < result.q_star < q_stab
     assert erasure_ratio(ens, q_stab)(result.x_star) > 1.0
+
+
+def test_threshold_never_exceeds_the_stability_boundary():
+    # lam3 / lam2 = 2/5 makes g_q'(0) = 0 exactly, so the probe at q_stab is
+    # undecided; the bisection's midpoint lands above q_stab and is clamped
+    ens = ensemble([rep_node(2, 0.625), rep_node(3, 0.25), rep_node(4, 0.125)], [spc_node(6, 1.0)])
+    (q_stab,) = dgldpc_stability_boundary(ens).points
+    result = find_threshold(ens)
+    assert q_stab - BRACKET_WIDTH <= result.q_star <= q_stab
+    assert result.x_star == 0.0
+
+
+@pytest.mark.parametrize(
+    "variables, checks, q_star, probes",
+    [
+        # composite degrees 41, 61 and 132 of g_q, beyond the fixtures
+        ([generic_node(HAMMING_74_TEXT, 1.0)], [spc_node(8, 1.0)], 0.1837623417377472, 26),
+        ([rep_node(3, 1.0)], [spc_node(32, 1.0)], 0.07760176062583923, 26),
+        (
+            [rep_node(2, 0.3), rep_node(3, 0.4), rep_node(8, 0.3)],
+            [spc_node(16, 0.5), spc_node(20, 0.5)],
+            0.158759206533432,
+            27,
+        ),
+    ],
+)
+def test_thresholds_are_pinned_to_the_bit(variables, checks, q_star, probes):
+    # values of the earlier sampled-grid probe, which the certified one keeps
+    result = find_threshold(ensemble(variables, checks))
+    assert result.q_star == q_star
+    assert result.bisection_steps == probes
+
+
+def times(a, b):
+    """Product of coefficient lists in the basis x^t (1-x)^(d-t)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, s in enumerate(a):
+        for j, t in enumerate(b):
+            out[i + j] += s * t
+    return out
+
+
+def exact_fixed_point_coefficients(ens, q: Fraction) -> list[Fraction]:
+    """Bernstein coefficients of g_q = c(x) v_q(x c(x)) in exact rationals."""
+    y = [row[0] for row in mixture_polynomial(ens, "check").coeffs]
+    info = [math.comb(len(y) - 1, t) - e for t, e in enumerate(y)]
+    rows = mixture_polynomial(ens, "variable").coeffs[1:]
+    k, dv = len(rows[0]) - 1, len(rows) - 1
+    g = []
+    for t, row in enumerate(rows):
+        term = y[1:]
+        for factor in [y] * t + [info] * (dv - t):
+            term = times(term, factor)
+        v = sum(c * q**z * (1 - q) ** (k - z) for z, c in enumerate(row))
+        g = [a + v * b for a, b in zip_longest(g, term, fillvalue=0)]
+    return [a / math.comb(len(g) - 1, i) for i, a in enumerate(g)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mixed_side("variable", max_n=6),
+    mixed_side("check", max_n=6),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**MAX_HALVINGS - 1),
+)
+@example([rep_node(3, 1.0)], [spc_node(8, 1.0)], 0.5, 0)
+@example([generic_node(HAMMING_74_TEXT, 1.0)], [spc_node(8, 1.0)], 0.3, 2**MAX_HALVINGS - 1)
+def test_probe_coefficients_are_within_eps_of_exact(variables, checks, q, path):
+    # every cell on a random halving path down to the depth cap, against
+    # exact de Casteljau halving; 2^-1000 covers underflow at tiny q
+    ens = ensemble(variables, checks)
+    b, eps = fixed_point_coefficients(ens, q)
+    exact = exact_fixed_point_coefficients(ens, Fraction(q))
+    den = math.lcm(*(e.denominator for e in exact))
+    nums = [e.numerator * (den // e.denominator) for e in exact]
+    for level in range(MAX_HALVINGS + 1):
+        for f, n in zip(b, nums, strict=True):
+            e = Fraction(n, den)
+            assert abs(Fraction(f) - e) <= eps * e + Fraction(1, 2**1000)
+        if level == MAX_HALVINGS:
+            break
+        right = path >> level & 1
+        b = de._halve(b)[right]
+        ends = [[nums[0]], [nums[-1]]]  # 2^j times level j's averages at each end
+        while len(nums) > 1:
+            nums = [s + t for s, t in zip(nums, nums[1:])]
+            ends[0].append(nums[0])
+            ends[1].append(nums[-1])
+        d = len(ends[right]) - 1
+        nums = [x << (d - j) for j, x in enumerate(ends[right])]
+        nums = nums[::-1] if right else nums
+        den <<= d

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dgldpc import ensembles, exit_charts
+from dgldpc import density_evolution, ensembles, exit_charts
 from dgldpc.binmat import BinaryMatrix
 from dgldpc.codes import ComponentCode, min_distance_bruteforce
 from dgldpc.ensembles import (
@@ -267,6 +267,7 @@ def test_ensemble_keyed_caches_are_bounded():
         exit_charts.mixture_slope_row,
         exit_charts.cnd_evaluator,
         exit_charts._certified_cnd,
+        density_evolution._fixed_point_basis,
     ]
     for cache in caches:
         cache.cache_clear()
@@ -277,6 +278,7 @@ def test_ensemble_keyed_caches_are_bounded():
         vnd_evaluator_at_q(ens, 0.5)
         mixture_slope_row(ens, "variable")
         inverse_exit_cnd(ens, 0.5)
+        density_evolution.fixed_point_coefficients(ens, 0.5)
     for cache in caches:
         assert cache.cache_info().maxsize == ENSEMBLE_CACHE_SIZE
         assert cache.cache_info().currsize == ENSEMBLE_CACHE_SIZE
