@@ -4,7 +4,7 @@ Reports go to stdout as JSON with deterministic formatting (fixed key
 order, 17-significant-digit floats, +inf as the string "inf"); diagnostics
 and the optional --verbose summary go to stderr.  Exit status: 0 success,
 1 stability violated (check-stability only), 2 parse/validation error,
-3 numerical anomaly.
+3 failed monotonicity certificate or inversion target out of range.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .codes import (
     min_distance_bruteforce,
     min_independent_set_size,
 )
-from .density_evolution import DensityEvolutionAnomalyError, find_threshold
+from .density_evolution import find_threshold
 from .ensembles import design_rate, parse_ensemble, validate
 from .exit_charts import InversionRangeError, MonotonicityError, sample_exit_chart
 from .stability import dgldpc_stability_check, stability_report
@@ -30,7 +30,7 @@ STATUS_STABILITY_VIOLATED = 1
 STATUS_INPUT_ERROR = 2
 STATUS_NUMERICAL_ERROR = 3
 
-_NUMERICAL_ERRORS = (MonotonicityError, InversionRangeError, DensityEvolutionAnomalyError)
+_NUMERICAL_ERRORS = (MonotonicityError, InversionRangeError)
 
 
 def _format_json(value, indent: int = 0) -> str:

@@ -7,8 +7,8 @@ forms, and per ensemble side, as the edge-fraction mixture of those.  Only
 bernstein_eval is floating point.  The a-priori input is an erasure
 probability p with I_A = 1 - p, and variable nodes additionally see the
 communication channel erasure probability q.  Stability reads the slopes
-at p = 0 off row t = 1 (node_slope_row, mixture_slope_row).  The check curve
-is proved non-increasing, so inverse_exit_cnd skips most of its bisection.
+at p = 0 off row t = 1 (node_slope_row, mixture_slope_row).  _mix proves
+each mixture monotone in p and q, which inverse_exit_cnd and DE rely on.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ NEWTON_STEPS = 30
 
 
 class MonotonicityError(RuntimeError):
-    """A check-side EXIT polynomial failed the exact monotonicity certificate."""
+    """An EXIT mixture failed the exact monotonicity certificate (see _mix)."""
 
 
 class InversionRangeError(RuntimeError):
@@ -150,7 +150,15 @@ def _elevate(c: Sequence[Fraction], degree: int) -> list[Fraction]:
 
 
 def _mix(parts) -> ExitPolynomial:
-    """Weighted sum of (weight, coeffs) pairs, elevated to a common (d, K)."""
+    """Weighted sum of (weight, coeffs) pairs, elevated to a common (d, K),
+    proved nondecreasing in p and in q: MonotonicityError unless b[t][z] =
+    c[t][z] / (C(d,t) C(K,z)) never decreases in t or in z, since 1 - I_E has
+    coefficients b in the basis C(d,t) C(K,z) p^t (1-p)^(d-t) q^z (1-q)^(K-z)
+    and so d/dp and d/dq have d (b[t+1][z] - b[t][z]) and K (b[t][z+1] -
+    b[t][z]).  Valid nodes pass: b[t][z] is the share of the patterns erasing
+    t of the other d positions and z of the K channel bits that leave a bit
+    unrecoverable, an up-set (local LYM), and elevation and mixing keep that.
+    """
     d = max(len(rows) for _, rows in parts) - 1
     k = max(len(rows[0]) for _, rows in parts) - 1
     total = [[Fraction(0)] * (k + 1) for _ in range(d + 1)]
@@ -159,6 +167,9 @@ def _mix(parts) -> ExitPolynomial:
         for z, column in enumerate(columns):
             for t, c in enumerate(_elevate(column, d)):
                 total[t][z] += weight * c
+    b = [[c / (comb(d, t) * comb(k, z)) for z, c in enumerate(row)] for t, row in enumerate(total)]
+    if any(x > y for line in b + list(zip(*b)) for x, y in zip(line, line[1:])):  # in z, then in t
+        raise MonotonicityError("EXIT coefficients c[t][z] / (C(d,t) C(K,z)) decrease in t or in z")
     return ExitPolynomial(tuple(map(tuple, total)))
 
 
@@ -232,17 +243,10 @@ def cnd_evaluator(ens: Ensemble) -> Callable[[float], float]:
 
 def certified_slope(poly: ExitPolynomial) -> tuple[Fraction, ...]:
     """Bernstein coefficients d C(d-1,t) (b_{t+1} - b_t), b_t = c_t / C(d,t), of
-    -dI_E/dp on the check side; MonotonicityError unless all are >= 0, which
-    proves I_E non-increasing.  Valid nodes pass: b_t is the share of the
-    t-erasure patterns of the other d positions that leave a bit
-    unrecoverable, an up-set (local LYM), and elevation and mixing keep that.
-    """
+    -dI_E/dp on the check side; all >= 0 for a mixture, as _mix proved."""
     d = len(poly.coeffs) - 1
     b = [row[0] / comb(d, t) for t, row in enumerate(poly.coeffs)]
-    slope = tuple(d * comb(d - 1, t) * (b[t + 1] - b[t]) for t in range(d))
-    if any(s < 0 for s in slope):
-        raise MonotonicityError("check-side EXIT coefficients c_t / C(d,t) decrease in t")
-    return slope
+    return tuple(d * comb(d - 1, t) * (b[t + 1] - b[t]) for t in range(d))
 
 
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)

@@ -17,10 +17,10 @@ the minimum-distance-2 generalized types are those whose row is nonzero
 curves tangent at p = 0) is the stability-limited threshold q* = q_stab
 that density_evolution.find_threshold reports with x* = 0.
 
-lhs never decreases in q: a generalized type's row[z] / C(k, z) is n - 1
-times the average rank deficiency of [G_S | I_T] over (n-2)-subsets S and
-(k-z)-subsets T, which removing identity columns (raising z) cannot lower;
-repetition rows are (0, 1) or zero.  As lhs(0) = 0 < rhs, the condition
+lhs never decreases in q: exit_charts._mix proves row[z] / C(K, z)
+nondecreasing in z (a generalized type's is n - 1 times the average rank
+deficiency of [G_S | I_T] over (n-2)-subsets S and (k-z)-subsets T, which
+fewer identity columns cannot lower).  As lhs(0) = 0 < rhs, the condition
 reads q <= q_stab for one root q_stab, which exists exactly when
 lhs(1) = row[-1] >= rhs.  Without minimum-distance-2 generalized variable
 types q_stab = 1 / (lambda_2 * bracket), lambda_2 being row[-1]; otherwise

@@ -4,6 +4,7 @@ and the literal submatrix helpers the brute-force oracles are built from."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import Sequence
 
 import pytest
@@ -81,6 +82,11 @@ def rank_drop_of_removal(code: ComponentCode, removed) -> int:
     cols = code.gen.columns()
     remaining = [c for j, c in enumerate(cols) if j not in removed_set]
     return code.k - rank_of_bitrows(remaining)
+
+
+def gamma(k: int) -> Fraction:
+    """The relative error bound k u / (1 - k u) of k roundings, u = 2^-53."""
+    return Fraction(k, 2**53 - k)
 
 
 def rep_node(j: int, fraction: float) -> NodeType:

@@ -10,7 +10,6 @@ import os
 import re
 import subprocess
 import sys
-import tomllib
 from pathlib import Path
 
 import pytest
@@ -309,6 +308,7 @@ def test_module_entry_point_runs_the_cli(tmp_path):
 
 
 def test_console_script_target_is_run():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+; the package supports 3.10
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["dgldpc"]
     assert target == "dgldpc.cli:run"

@@ -11,26 +11,33 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dgldpc.density_evolution as de
+from dgldpc import exit_charts
+from dgldpc.cli import run
 from dgldpc.density_evolution import (
     BRACKET_WIDTH,
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     MAX_HALVINGS,
-    DensityEvolutionAnomalyError,
     de_iterate,
     erasure_ratio,
     find_threshold,
     fixed_point_coefficients,
 )
 from dgldpc.ensembles import design_rate
-from dgldpc.exit_charts import mixture_polynomial, mixture_slope_row, sample_exit_chart
+from dgldpc.exit_charts import (
+    ExitPolynomial,
+    MonotonicityError,
+    mixture_polynomial,
+    mixture_slope_row,
+    sample_exit_chart,
+)
 from dgldpc.stability import (
     dgldpc_stability_boundary,
     dgldpc_stability_check,
     gldpc_stability_bound,
 )
 
-from conftest import HAMMING_74_TEXT, ensemble, generic_node, mixed_side, rep_node, spc_node
+from conftest import HAMMING_74_TEXT, ensemble, gamma, generic_node, mixed_side, rep_node, spc_node
 
 
 @pytest.fixture(scope="module")
@@ -69,10 +76,37 @@ def test_success_monotone_in_q(rep3_spc6):
     assert not any(outcomes[first_failure:])
 
 
-def test_anomaly_guard_trips_on_increasing_trajectory(rep3_spc6, monkeypatch):
-    monkeypatch.setattr(de, "erasure_ratio", lambda ens, q: (lambda x: 1.5))
-    with pytest.raises(DensityEvolutionAnomalyError):
-        de_iterate(rep3_spc6, 0.8, max_iters=50)
+# b[t][z] = c[t][z] / (C(2,t) C(1,z)) falls from b[1][1] = 1/2 to b[2][1] = 0 in
+# t, and from b[2][0] = 1 to b[2][1] = 0 in z; every other step rises or stays
+FALLS_IN_T = ExitPolynomial(tuple(tuple(map(Fraction, row)) for row in ((0, 0), (0, 1), (0, 0))))
+FALLS_IN_Z = ExitPolynomial(tuple(tuple(map(Fraction, row)) for row in ((0, 0), (0, 0), (1, 0))))
+REP3_SPC7_DOC = """{
+  "variable_nodes": [{"kind": "repetition", "length": 3, "edge_fraction": 1.0}],
+  "check_nodes": [{"kind": "spc", "length": 7, "edge_fraction": 1.0}]
+}
+"""
+
+
+@pytest.mark.parametrize("poly", [FALLS_IN_T, FALLS_IN_Z], ids=["t", "z"])
+def test_threshold_refuses_a_variable_polynomial_that_falls(poly, tmp_path, monkeypatch, capsys):
+    # the mixture certificate stands where the runtime trajectory guard was:
+    # the threshold refuses before any DE step.  A refused mixture is never
+    # cached; clearing drops one that another test may have built
+    mixture_polynomial.cache_clear()
+    real = exit_charts.node_polynomial
+    rep3 = rep_node(3, 1.0)
+    monkeypatch.setattr(
+        exit_charts, "node_polynomial",
+        lambda t, side: poly if (t, side) == (rep3, "variable") else real(t, side),
+    )
+    with pytest.raises(MonotonicityError):
+        find_threshold(ensemble([rep3], [spc_node(7, 1.0)]))
+    path = tmp_path / "rep3_spc7.json"
+    path.write_text(REP3_SPC7_DOC, encoding="utf-8")
+    assert run(["threshold", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "decrease in t or in z" in captured.err
 
 
 def test_de_steps_do_not_cancel_near_zero(rep2_spc6):
@@ -89,6 +123,51 @@ def test_de_steps_do_not_cancel_near_zero(rep2_spc6):
         assert abs(level * g(level) - exact_step(level)) <= Fraction(1e-15) * exact_step(level)
         t = next(i for i, x in enumerate(xs) if x < level)
         assert abs(xs[t + 1] - exact_step(xs[t])) <= Fraction(1e-15) * exact_step(xs[t])
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_side("variable", max_n=6), mixed_side("check", max_n=6), st.floats(0.0, 1.0))
+@example([rep_node(3, 1.0)], [spc_node(6, 1.0)], 0.45)
+def test_de_trajectories_rise_only_by_float_error(variables, checks, q):
+    # What the runtime guard checked, now proved from the certified mixtures.
+    # bernstein_eval at degree m is within gamma(5m + 4) of exact (counted as
+    # for exit_charts._certified_cnd).  A step computes y = x c(x) within
+    # E = gamma(5 mc + 5), and x' = (y / y~) F(y~), F(p) = p v_q(p), within
+    # g = gamma(5 (mc + K + mv) + 13): c, v_q's coefficients and sum, two
+    # products.  F and x c(x) are nondecreasing, so x' lies between f-(x) =
+    # (1 - g) / (1 + E) F((1 - E) y) and f+(x) = (1 + g) / (1 - E) F((1 + E) y),
+    # both nondecreasing, and f+ / f- <= rho = (1 + g) / (1 - g) ((1 + E) /
+    # (1 - E))^(mv + 2), as F's basis terms (1-p)^(mv-t) shrink as p grows.
+    # f- <= x_0 everywhere, so the orbit of f- from x_0 bounds the trace from
+    # below and falls to f-'s largest fixed point, above which f-(x) <= x:
+    # no step exceeds rho times its start.
+    ens = ensemble(variables, checks)
+    mc = len(mixture_polynomial(ens, "check").over_p()) - 1
+    rows = mixture_polynomial(ens, "variable").coeffs
+    mv, k = len(rows) - 2, len(rows[0]) - 1
+    g, e = gamma(5 * (mc + k + mv) + 13), gamma(5 * mc + 5)
+    rho = (1 + g) / (1 - g) * ((1 + e) / (1 - e)) ** (mv + 2)
+    xs = [Fraction(x) for _, x in de_iterate(ens, q, max_iters=2000, record_trace=True).trace]
+    assert all(b <= rho * a for a, b in zip(xs, xs[1:]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mixed_side("variable", max_n=6),
+    mixed_side("check", max_n=6),
+    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
+)
+def test_probe_coefficients_grow_with_q(variables, checks, qs):
+    # v_q[t] grows with q (its row over C(K, z) is certified nondecreasing in
+    # z) and g_q = sum_t v_q[t] B_t with B_t >= 0, so each exact coefficient
+    # grows; the floats are within eps relative, plus 2^-1000 for underflow
+    ens = ensemble(variables, checks)
+    probes = [fixed_point_coefficients(ens, q) for q in sorted(qs)]
+    slack = Fraction(2, 2**1000)
+    for (low, eps), (high, _) in zip(probes, probes[1:]):
+        eps = Fraction(eps)
+        for a, b in zip(low, high):
+            assert Fraction(a) * (1 - eps) <= Fraction(b) * (1 + eps) + slack
 
 
 def test_threshold_rep3_spc6(rep3_spc6_threshold):

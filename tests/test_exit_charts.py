@@ -280,15 +280,22 @@ def test_bisect_stops_on_the_frozen_bracket():
 
 
 def test_certificate_refuses_a_non_monotone_polynomial():
+    # the certificate stands where every mixture is built
+    def mix(*rows):
+        return exit_charts._mix([(Fraction(1), tuple(tuple(map(Fraction, row)) for row in rows))])
+
     # b_t = c_t / C(2,t) = 0, 1/2, 1: I_E = 1 - p^2 falls, -dI_E/dp = 2p
-    assert certified_slope(ExitPolynomial(((Fraction(0),), (Fraction(1),), (Fraction(1),)))) == (1, 1)
+    assert certified_slope(mix((0,), (1,), (1,))) == (1, 1)
     # b_t = 0, 1/2, 1/2 - 10^-30: I_E rises by 10^-30 p^2 near p = 1, which no
     # float sample of the curve can see; the exact certificate refuses it
-    rising = ExitPolynomial(((Fraction(0),), (Fraction(1),), (Fraction(1, 2) - Fraction(1, 10**30),)))
+    tiny = Fraction(1, 10**30)
+    for rows in [((0,), (1,), (Fraction(1, 2) - tiny,)), ((0,), (2,), (0,))]:
+        with pytest.raises(MonotonicityError):
+            mix(*rows)
+    # the same in q: b[1][z] = c[1][z] / (C(1,1) C(2,z)) = 1/2, 1/2 - 10^-30, 1/2
+    assert mix((0, 0, 0), (Fraction(1, 2), 1, Fraction(1, 2))).coeffs[1][1] == 1
     with pytest.raises(MonotonicityError):
-        certified_slope(rising)
-    with pytest.raises(MonotonicityError):
-        certified_slope(ExitPolynomial(((Fraction(0),), (Fraction(2),), (Fraction(0),))))
+        mix((0, 0, 0), (Fraction(1, 2), 1 - 2 * tiny, Fraction(1, 2)))
 
 
 def test_sample_exit_chart_endpoints(rep3_spc6):
@@ -499,15 +506,25 @@ def test_check_curve_float_error_is_within_eps(checks, points):
         assert abs(Fraction(f(float(p))) - exact) <= Fraction(eps)
 
 
+def normalized(poly: ExitPolynomial) -> list[list[Fraction]]:
+    """b[t][z] = c[t][z] / (C(d,t) C(K,z))."""
+    d, k = len(poly.coeffs) - 1, len(poly.coeffs[0]) - 1
+    return [
+        [c / (math.comb(d, t) * math.comb(k, z)) for z, c in enumerate(row)]
+        for t, row in enumerate(poly.coeffs)
+    ]
+
+
 @settings(max_examples=60, deadline=None)
-@given(mixed_side("check"))
-def test_check_curves_have_nondecreasing_normalized_coefficients(checks):
-    ens = ensemble([rep_node(3, 1.0)], checks)
-    for poly in [mixture_polynomial(ens, "check")] + [node_polynomial(t, "check") for t in checks]:
-        c = [row[0] for row in poly.coeffs]
-        b = [ct / math.comb(len(c) - 1, t) for t, ct in enumerate(c)]
-        assert b == sorted(b)
-        assert min(certified_slope(poly)) >= 0
+@given(mixed_side("variable"), mixed_side("check"))
+def test_check_curves_have_nondecreasing_normalized_coefficients(variables, checks):
+    # both sides, in t (p) and in z (q), node by node and mixed
+    ens = ensemble(variables, checks)
+    for side, types in (("variable", variables), ("check", checks)):
+        for poly in [mixture_polynomial(ens, side)] + [node_polynomial(t, side) for t in types]:
+            b = normalized(poly)
+            assert all(list(line) == sorted(line) for line in b + list(zip(*b)))
+    assert min(certified_slope(mixture_polynomial(ens, "check"))) >= 0
 
 
 def test_chart_inversion_makes_fewer_than_16_curve_evaluations_per_point(monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -33,6 +34,7 @@ from conftest import (
     SPC_32_TEXT,
     ensemble,
     fixture_suite,
+    gamma,
     generic_node,
     mixed_side,
     random_generic_dmin2,
@@ -337,6 +339,18 @@ def test_boundary_is_the_one_crossing_of_a_nondecreasing_lhs(variables, checks):
         assert lhs(max(r - 1e-9, 0.0)) <= rhs <= lhs(min(r + 1e-9, 1.0))
     if not result.points:
         assert lhs(1.0) <= rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_side("variable"), mixed_side("check"))
+def test_stability_lhs_grows_with_q(variables, checks):
+    # the certified row makes the exact lhs nondecreasing in q; each float
+    # is bernstein_eval at degree K, within gamma(5K + 4) of exact (counted
+    # as for exit_charts._certified_cnd)
+    ens = ensemble(variables, checks)
+    eps = gamma(5 * (len(mixture_slope_row(ens, "variable")) - 1) + 4)
+    lhs = [Fraction(dgldpc_stability_check(ens, i / 64).lhs) for i in range(65)]
+    assert all(a * (1 - eps) <= b * (1 + eps) for a, b in zip(lhs, lhs[1:]))
 
 
 def assert_root_at_the_gldpc_bound(ens):
