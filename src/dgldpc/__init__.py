@@ -2,8 +2,8 @@
 
 The package computes EXIT functions of generalized component codes from
 generator-matrix rank enumeration, evaluates the stability condition and
-its closed-form threshold bound, and cross-checks both against a
-density-evolution threshold search.
+its closed-form threshold bound, and proves the decoding threshold from
+the fixed-point polynomial of density evolution.
 """
 
 from .binmat import BinaryMatrix, rank

@@ -37,13 +37,18 @@ from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
-from .binmat import BinaryMatrix, dual_columns, rank
+from .binmat import MAX_DIM, BinaryMatrix, dual_columns, rank
 
 MAX_BRUTEFORCE_DIMENSION = 24
 
 
 class EnumerationCapacityError(ValueError):
     """The requested enumeration is beyond the supported size cap."""
+
+
+def _check_length(j: int, name: str) -> None:
+    if not 2 <= j <= MAX_DIM:
+        raise ValueError(f"{name} length must be in 2..{MAX_DIM} (the dimension cap), got {j}")
 
 
 class ComponentCode(namedtuple("ComponentCode", "gen")):
@@ -83,15 +88,13 @@ class ComponentCode(namedtuple("ComponentCode", "gen")):
     @classmethod
     def repetition(cls, j: int) -> "ComponentCode":
         """The (j, 1) repetition code: a single all-ones generator row."""
-        if j < 2:
-            raise ValueError(f"repetition length must be >= 2, got {j}")
+        _check_length(j, "repetition")
         return cls(BinaryMatrix(((1 << j) - 1,), j))
 
     @classmethod
     def single_parity_check(cls, j: int) -> "ComponentCode":
         """The (j, j-1) SPC code in systematic form [I | all-ones column]."""
-        if j < 2:
-            raise ValueError(f"SPC length must be >= 2, got {j}")
+        _check_length(j, "SPC")
         rows = tuple((1 << i) | (1 << (j - 1)) for i in range(j - 1))
         return cls(BinaryMatrix(rows, j))
 

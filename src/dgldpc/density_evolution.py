@@ -88,9 +88,9 @@ def de_iterate(ens: Ensemble, q: float, max_iters: int = DEFAULT_MAX_ITERS, tol:
     """Run the fixed-point recursion at channel erasure q.
 
     Success means the message erasure dropped below tol within max_iters
-    evaluations (x_0 counts as the first).  A trajectory that stalls at a
-    fixed point above tol exits early as a failure, since further
-    iterations cannot move it.
+    evaluations (x_0 counts as the first).  The trajectory never rises
+    beyond float error, so one that stops falling above tol has reached a
+    fixed point, or a float cycle around one, and exits early as a failure.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -102,7 +102,7 @@ def de_iterate(ens: Ensemble, q: float, max_iters: int = DEFAULT_MAX_ITERS, tol:
         iters += 1
         if trace is not None:
             trace.append((iters, x_next))
-        if x_next == x:
+        if x_next >= x:
             break
         x = x_next
     return DeRun(success=x < tol, final_x=x, iters=iters, trace=None if trace is None else tuple(trace))

@@ -16,7 +16,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .binmat import MAX_DIM, BinaryMatrix, dual_columns, rank
+from .binmat import BinaryMatrix, dual_columns
 from .codes import ComponentCode
 
 KINDS = ("repetition", "spc", "generic")
@@ -33,8 +33,16 @@ class EnsembleValidationError(ValueError):
     """A structurally well-formed ensemble violates a validity invariant."""
 
 
+def _is_number(value, types=(int, float)) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 class NodeType(namedtuple("NodeType", "kind edge_fraction length generator")):
-    """One node type: a component code kind plus its edge fraction."""
+    """One node type: a component code kind plus its edge fraction.
+
+    Construction checks each field on its own; whether length or generator
+    make a valid component code is for component_code, called by validate.
+    """
 
     __slots__ = ()
 
@@ -47,16 +55,18 @@ class NodeType(namedtuple("NodeType", "kind edge_fraction length generator")):
     ) -> "NodeType":
         if kind not in KINDS:
             raise ValueError(f"unknown node kind {kind!r}")
+        if not _is_number(edge_fraction) or not 0.0 < edge_fraction <= 1.0:
+            raise ValueError(f"edge fraction must be a number in (0, 1], got {edge_fraction!r}")
         if kind == "generic":
-            if generator is None or length is not None:
+            if not isinstance(generator, BinaryMatrix) or length is not None:
                 raise ValueError("generic node types carry a generator matrix and no length")
         else:
             if length is None or generator is not None:
                 raise ValueError(f"{kind} node types carry a length and no generator")
+            if not _is_number(length, int):
+                raise ValueError(f"node length must be an integer, got {length!r}")
             if length < 1:
                 raise ValueError(f"node length must be positive, got {length}")
-        if not 0.0 < edge_fraction <= 1.0:
-            raise ValueError(f"edge fraction must be in (0, 1], got {edge_fraction}")
         return super().__new__(cls, kind, edge_fraction, length, generator)
 
     @classmethod
@@ -103,12 +113,6 @@ def is_generalized(node: NodeType, side: str) -> bool:
     return node.kind != ("repetition" if side == "variable" else "spc")
 
 
-def _node_signature(node: NodeType):
-    if node.kind == "generic":
-        return (node.kind, node.generator.bits, node.generator.cols)
-    return (node.kind, node.length)
-
-
 def _validate_side(types: tuple[NodeType, ...], side: str) -> None:
     if not types:
         raise EnsembleValidationError(f"{side} side has no node types")
@@ -118,30 +122,20 @@ def _validate_side(types: tuple[NodeType, ...], side: str) -> None:
             f"{side} edge fractions sum to {total!r}, expected 1 within {FRACTION_SUM_TOL}"
         )
     seen = set()
-    for t in types:
-        sig = _node_signature(t)
-        if sig in seen:
-            raise EnsembleValidationError(f"duplicate {side} type {t.describe()}")
-        seen.add(sig)
     for i, t in enumerate(types):
         label = f"{side} type {i} ({t.describe()})"
-        if t.kind in ("repetition", "spc"):
-            if t.length < 2:
-                raise EnsembleValidationError(f"{label}: length must be >= 2")
-            if t.length > MAX_DIM:
-                raise EnsembleValidationError(
-                    f"{label}: length exceeds the {MAX_DIM} dimension cap"
-                )
-            continue
-        gen = t.generator
-        if rank(gen) != gen.rows:
-            raise EnsembleValidationError(f"{label}: generator matrix is rank deficient")
-        if not all(dual_columns(gen)[0]):  # a zero dual column is a weight-1 codeword
-            raise EnsembleValidationError(f"{label}: minimum distance is 1, need >= 2")
-        if not gen.rows < gen.cols:
-            raise EnsembleValidationError(
-                f"{label}: code dimensions must satisfy k < n, got k={gen.rows}, n={gen.cols}"
-            )
+        key = t._replace(edge_fraction=1.0)
+        if key in seen:
+            raise EnsembleValidationError(f"{label}: duplicate of an earlier type")
+        seen.add(key)
+        try:
+            # component_code builds the rep/SPC generators, checking their lengths
+            gen = component_code(t).gen if t.generator is None else t.generator
+            if not all(dual_columns(gen)[0]):  # a zero dual column is a weight-1 codeword
+                raise ValueError("minimum distance is 1, need >= 2")
+            component_code(t)
+        except ValueError as e:
+            raise EnsembleValidationError(f"{label}: {e}") from e
 
 
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
@@ -179,34 +173,19 @@ def _parse_node(obj, side: str, index: int) -> NodeType:
     label = f"{side}[{index}]"
     if not isinstance(obj, dict):
         raise EnsembleFormatError(f"{label}: expected an object, got {type(obj).__name__}")
-    allowed = {"kind", "length", "generator", "edge_fraction"}
-    unknown = set(obj) - allowed
+    unknown = set(obj) - set(NodeType._fields)
     if unknown:
         raise EnsembleFormatError(f"{label}: unknown keys {sorted(unknown)}")
-    kind = obj.get("kind")
-    if kind not in KINDS:
-        raise EnsembleFormatError(f"{label}: unknown kind {kind!r}")
-    fraction = obj.get("edge_fraction")
-    if not isinstance(fraction, (int, float)) or isinstance(fraction, bool):
-        raise EnsembleFormatError(f"{label}: edge_fraction must be a number")
+    fields = dict.fromkeys(NodeType._fields) | obj
+    if isinstance(fields["generator"], str):
+        try:
+            fields["generator"] = BinaryMatrix.from_text(fields["generator"])
+        except ValueError as e:
+            raise EnsembleFormatError(f"{label}: malformed matrix literal: {e}") from e
     try:
-        if kind == "generic":
-            if "generator" not in obj:
-                raise EnsembleFormatError(f"{label}: generic node needs a generator")
-            literal = obj["generator"]
-            if not isinstance(literal, str):
-                raise EnsembleFormatError(f"{label}: generator must be a matrix literal string")
-            try:
-                gen = BinaryMatrix.from_text(literal)
-            except ValueError as e:
-                raise EnsembleFormatError(f"{label}: malformed matrix literal: {e}") from e
-            return NodeType(kind="generic", edge_fraction=float(fraction), generator=gen)
-        length = obj.get("length")
-        if not isinstance(length, int) or isinstance(length, bool):
-            raise EnsembleFormatError(f"{label}: {kind} node needs an integer length")
-        return NodeType(kind=kind, edge_fraction=float(fraction), length=length)
-    except EnsembleFormatError:
-        raise
+        if _is_number(fields["edge_fraction"], int):
+            fields["edge_fraction"] = float(fields["edge_fraction"])
+        return NodeType(**fields)
     except (ValueError, OverflowError) as e:  # OverflowError: an int too large for a float
         raise EnsembleFormatError(f"{label}: {e}") from e
 

@@ -211,6 +211,46 @@ def test_oversized_edge_fraction_status(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def rep(length, fraction=1.0, **extra) -> dict:
+    return {"kind": "repetition", "length": length, "edge_fraction": fraction, **extra}
+
+
+def generic(generator, fraction=1.0, **extra) -> dict:
+    return {"kind": "generic", "generator": generator, "edge_fraction": fraction, **extra}
+
+
+INVALID_VARIABLE_NODES = [
+    pytest.param([{"kind": "hamming", "length": 3, "edge_fraction": 1.0}], "variable_nodes[0]", id="unknown-kind"),
+    pytest.param([rep(3.0)], "variable_nodes[0]", id="float-length"),
+    pytest.param([rep(3, True)], "variable_nodes[0]", id="bool-fraction"),
+    pytest.param([rep(3, "1.0")], "variable_nodes[0]", id="string-fraction"),
+    pytest.param([rep(3, 10**400)], "variable_nodes[0]", id="fraction-too-large-for-a-float"),
+    pytest.param([{"kind": "generic", "edge_fraction": 1.0}], "variable_nodes[0]", id="missing-generator"),
+    pytest.param([generic(5)], "variable_nodes[0]", id="non-string-generator"),
+    pytest.param([generic("101\n011", length=3)], "variable_nodes[0]", id="generic-with-length"),
+    pytest.param([rep(3, generator="111")], "variable_nodes[0]", id="repetition-with-generator"),
+    pytest.param([rep(1)], "variable type 0 (repetition(1))", id="length-1"),
+    pytest.param([rep(33)], "variable type 0 (repetition(33))", id="length-33"),
+    pytest.param([rep(10**18)], f"variable type 0 (repetition({10**18}))", id="length-1e18"),
+    pytest.param([generic("101\n101")], "variable type 0 (generic 2x3)", id="rank-deficient"),
+    pytest.param([generic("10\n01")], "variable type 0 (generic 2x2)", id="k-equals-n"),
+    pytest.param([generic("10\n01\n11")], "variable type 0 (generic 3x2)", id="k-above-n"),
+    pytest.param([rep(3, 0.5), rep(3, 0.5)], "variable type 1 (repetition(3))", id="duplicate-types"),
+]
+
+
+@pytest.mark.parametrize("variables, label", INVALID_VARIABLE_NODES)
+def test_invalid_nodes_exit_2_with_a_labelled_error(variables, label, tmp_path, capsys):
+    doc = {"variable_nodes": variables, "check_nodes": [{"kind": "spc", "length": 6, "edge_fraction": 1.0}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {label}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_missing_file_status(capsys):
     assert run(["analyze", "/nonexistent/nowhere.json"]) == 2
     assert "error:" in capsys.readouterr().err

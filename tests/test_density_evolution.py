@@ -58,6 +58,17 @@ def test_rep3_spc6_around_threshold(rep3_spc6):
     assert not de_iterate(rep3_spc6, 0.45).success
 
 
+def test_de_above_threshold_stops_at_its_fixed_point(rep3_spc6_threshold):
+    # the float trajectory ends in a 2- or 3-cycle around x*, on which x_next
+    # never equals x: only stopping once x stops falling ends it
+    ens, result = rep3_spc6_threshold
+    q = result.q_star + 0.01
+    run = de_iterate(ens, q)
+    assert not run.success
+    assert run.iters < 1000
+    assert erasure_ratio(ens, q)(run.final_x) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_trajectory_trace_is_monotone(rep3_spc6):
     run = de_iterate(rep3_spc6, 0.3, record_trace=True)
     assert run.success
@@ -295,6 +306,16 @@ def test_threshold_agrees_with_density_evolution(variables, checks, q):
     # where one ulp is 1.8e-15, so the 1e-15 bound is relative above 1
     product = float(mixture_slope_row(ens, "check")[0] * lhs_row_at(ens, q))
     assert abs(erasure_ratio(ens, q)(0.0) - product) <= 1e-15 * max(1.0, product)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_side("variable", max_n=6), mixed_side("check", max_n=6))
+@example([rep_node(3, 1.0)], [spc_node(6, 1.0)])
+def test_threshold_obeys_the_area_bound(variables, checks):
+    # DE converges only where the variable curve clears the inverse check
+    # curve; their areas, 1 - A_V(q) >= A_C, give q <= 1 - R
+    ens = ensemble(variables, checks)
+    assert find_threshold(ens).q_star <= 1 - design_rate(ens) + BRACKET_WIDTH
 
 
 def test_rising_slope_at_the_stability_boundary_means_an_interior_threshold():

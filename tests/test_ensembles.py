@@ -13,6 +13,8 @@ from dgldpc.binmat import BinaryMatrix
 from dgldpc.codes import ComponentCode, min_distance_bruteforce
 from dgldpc.ensembles import (
     ENSEMBLE_CACHE_SIZE,
+    KINDS,
+    Ensemble,
     EnsembleFormatError,
     EnsembleValidationError,
     NodeType,
@@ -118,6 +120,60 @@ def test_validate_error_names_offending_type():
         validate(ens)
 
 
+SMALL_MATRICES = st.builds(
+    lambda n, bits: BinaryMatrix(tuple(b & ((1 << n) - 1) for b in bits), n),
+    st.integers(0, 6),
+    st.lists(st.integers(0, 63), min_size=1, max_size=3),
+)
+
+ANY_FIELD = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 40), st.integers(), st.floats(), st.text(max_size=3),
+    st.sampled_from(KINDS), SMALL_MATRICES,
+)
+
+
+@st.composite
+def side_fields(draw) -> list[tuple]:
+    """NodeType field values for one or two types, each value usually of the
+    shape its kind carries, one time in eight anything at all."""
+    count = draw(st.integers(1, 2))
+
+    def field(plausible):
+        return draw(ANY_FIELD if draw(st.integers(0, 7)) == 0 else plausible)
+
+    def node() -> tuple:
+        kind = field(st.sampled_from(KINDS))
+        generic = kind == "generic"
+        return (
+            kind,
+            field(st.sampled_from([1.0, 1]) if count == 1 else st.just(0.5)),
+            field(st.none() if generic else st.integers(1, 8)),
+            field(SMALL_MATRICES if generic else st.none()),
+        )
+
+    return [node() for _ in range(count)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(side_fields(), side_fields())
+@example([("repetition", 1.0, 3.0, None)], [("spc", 1.0, 6, None)])
+@example([("repetition", 1.0, 3, None)], [("generic", 1.0, None, "101\n011")])
+@example([("repetition", 1, 3, None)], [("spc", 1.0, 10**18, None)])
+def test_arbitrary_node_fields_are_refused_or_analysed(variables, checks):
+    # refused when built, refused by validate, or analysed: never a TypeError
+    # or AttributeError from deeper down
+    try:
+        ens = Ensemble(tuple(NodeType(*f) for f in variables), tuple(NodeType(*f) for f in checks))
+    except ValueError:
+        return
+    try:
+        validate(ens)
+    except EnsembleValidationError:
+        return
+    stability_report(ens)
+    design_rate(ens)
+
+
 def test_design_rate_examples():
     assert design_rate(ensemble([rep_node(3, 1.0)], [spc_node(6, 1.0)])) == pytest.approx(0.5, abs=1e-15)
     assert design_rate(ensemble([rep_node(2, 1.0)], [spc_node(4, 1.0)])) == pytest.approx(0.5, abs=1e-15)
@@ -161,7 +217,7 @@ def test_parse_rejects_an_edge_fraction_too_large_for_a_float():
 
 def test_parse_rejects_unknown_kind():
     doc = MINIMAL_DOC.replace('"repetition"', '"hamming"')
-    with pytest.raises(EnsembleFormatError, match="unknown kind"):
+    with pytest.raises(EnsembleFormatError, match=r"variable_nodes\[0\]: unknown node kind 'hamming'"):
         parse_ensemble(doc)
 
 

@@ -32,6 +32,7 @@ from dgldpc.exit_charts import (
     vnd_evaluator_at_q,
     MonotonicityError,
 )
+from dgldpc.ensembles import component_code, design_rate
 from dgldpc.stability import dgldpc_stability_check, stability_report
 
 from conftest import (
@@ -43,6 +44,7 @@ from conftest import (
     mixed_side,
     random_component_code,
     random_full_rank,
+    random_generic_dmin2,
     rep_node,
     spc_node,
 )
@@ -525,6 +527,48 @@ def test_check_curves_have_nondecreasing_normalized_coefficients(variables, chec
             b = normalized(poly)
             assert all(list(line) == sorted(line) for line in b + list(zip(*b)))
     assert min(certified_slope(mixture_polynomial(ens, "check"))) >= 0
+
+
+def areas(poly: ExitPolynomial) -> list[Fraction]:
+    """Per z, the integral over p in [0, 1] of the row-z part of 1 - I_E;
+    p^t (1-p)^(d-t) integrates to 1 / ((d+1) C(d,t))."""
+    d = len(poly.coeffs) - 1
+    return [
+        sum(row[z] / ((d + 1) * math.comb(d, t)) for t, row in enumerate(poly.coeffs))
+        for z in range(len(poly.coeffs[0]))
+    ]
+
+
+def assert_area_theorem(poly: ExitPolynomial, code: ComponentCode) -> None:
+    """Ashikhmin-Kramer-ten Brink: the area under 1 - I_E is (k/n) q on the
+    variable side, (k/n) sum_z (z/K) C(K,z) q^z (1-q)^(K-z), and k/n on the
+    check side (K = 0)."""
+    k = len(poly.coeffs[0]) - 1
+    rate = Fraction(code.k, code.n)
+    expected = [rate * Fraction(z, k) * math.comb(k, z) for z in range(k + 1)] if k else [rate]
+    assert areas(poly) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["variable", "check"]))
+@example(0, "variable")
+def test_code_polynomials_obey_the_area_theorem(seed, side):
+    code = random_generic_dmin2(random.Random(seed), max_n=9)
+    assert_area_theorem(code_polynomial(code, side), code)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_side("variable"), mixed_side("check"))
+@example([rep_node(3, 1.0)], [spc_node(6, 1.0)])
+def test_mixture_areas_give_the_design_rate(variables, checks):
+    # closed-form rep/SPC polynomials included; A_V(1) is the z = K area
+    ens = ensemble(variables, checks)
+    for side, types in (("variable", variables), ("check", checks)):
+        for t in types:
+            assert_area_theorem(node_polynomial(t, side), component_code(t))
+    a_v = areas(mixture_polynomial(ens, "variable"))[-1]
+    (a_c,) = areas(mixture_polynomial(ens, "check"))
+    assert float(1 - (1 - a_c) / a_v) == design_rate(ens)
 
 
 def test_chart_inversion_makes_fewer_than_16_curve_evaluations_per_point(monkeypatch):
