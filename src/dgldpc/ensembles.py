@@ -1,12 +1,12 @@
 """Edge-perspective node-type mixtures and their on-disk JSON description.
 
 An ensemble lists variable-node and check-node types, each with the
-fraction of graph edges attached to it.  Repetition and SPC kinds carry
-closed-form erasure-channel behaviour; "generic" kinds carry an explicit
-generator matrix and go through the exact information-function machinery.
-Any kind may appear on either side: a repetition code used as a check node
-(or an SPC used as a variable node) is simply treated as a generalized
-node with the canonical generator.
+fraction of graph edges attached to it.  Repetition and SPC kinds carry a
+length and stand for their canonical generators; "generic" kinds carry an
+explicit generator matrix.  Any kind may appear on either side, and every
+node is analysed as its component code.  Only the stability report tells
+the generalized nodes (all but repetition variable and SPC check nodes)
+apart, as the paper classifies ensembles by them.
 """
 
 from __future__ import annotations
@@ -98,7 +98,6 @@ class Ensemble(namedtuple("Ensemble", "variable_types check_types")):
         return tuple(w / total for w in exact)
 
 
-@lru_cache(maxsize=None)
 def component_code(node: NodeType) -> ComponentCode:
     """The component code of a node type (canonical generator for rep/SPC)."""
     if node.kind == "repetition":
@@ -106,11 +105,6 @@ def component_code(node: NodeType) -> ComponentCode:
     if node.kind == "spc":
         return ComponentCode.single_parity_check(node.length)
     return ComponentCode(node.generator)
-
-
-def is_generalized(node: NodeType, side: str) -> bool:
-    """All but repetition variable nodes and SPC check nodes are generalized."""
-    return node.kind != ("repetition" if side == "variable" else "spc")
 
 
 def _validate_side(types: tuple[NodeType, ...], side: str) -> None:

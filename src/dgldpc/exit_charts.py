@@ -1,13 +1,13 @@
 """Exact EXIT functions on the binary erasure channel.
 
 Every EXIT function is one exact polynomial in Bernstein form (see
-ExitPolynomial): per node type, from the integer coefficient tables of
-the (split) information functions or from the repetition / SPC closed
-forms, and per ensemble side, as the edge-fraction mixture of those.  Only
+ExitPolynomial): per component code, from the integer coefficient tables
+of its (split) information functions, repetition and SPC nodes included,
+and per ensemble side, as the edge-fraction mixture of those.  Only
 bernstein_eval is floating point.  The a-priori input is an erasure
 probability p with I_A = 1 - p, and variable nodes additionally see the
 communication channel erasure probability q.  Stability reads the slopes
-at p = 0 off row t = 1 (node_slope_row, mixture_slope_row).  _mix proves
+at p = 0 off row t = 1 (code_slope_row, mixture_slope_row).  _mix proves
 each mixture monotone in p and q, which inverse_exit_cnd and DE rely on.
 """
 
@@ -23,9 +23,7 @@ from .codes import ComponentCode, delta_params, info_functions, split_info_funct
 from .ensembles import (
     ENSEMBLE_CACHE_SIZE,
     Ensemble,
-    NodeType,
     component_code,
-    is_generalized,
     validate,
 )
 
@@ -175,44 +173,25 @@ def _mix(parts) -> ExitPolynomial:
 
 @lru_cache(maxsize=None)
 def code_polynomial(code: ComponentCode, side: str) -> ExitPolynomial:
-    """A generalized node's polynomial, c[t][z] = a_t[z] / n; side is "variable" or "check"."""
+    """A node's polynomial, c[t][z] = a_t[z] / n; side is "variable" or "check"."""
     rows = exit_coefficients(code, side)
     return ExitPolynomial(tuple(tuple(Fraction(a, code.n) for a in row) for row in rows))
-
-
-@lru_cache(maxsize=None)
-def node_polynomial(node: NodeType, side: str) -> ExitPolynomial:
-    """A node type's polynomial on the given side.
-
-    Closed forms need no enumeration: a repetition(j) variable node has
-    1 - I_E = q p^(j-1), an SPC(j) check node 1 - (1-p)^(j-1).
-    """
-    if is_generalized(node, side):
-        return code_polynomial(component_code(node), side)
-    d = node.length - 1
-    if side == "variable":
-        return ExitPolynomial(tuple((Fraction(0), Fraction(t == d)) for t in range(d + 1)))
-    return ExitPolynomial(tuple((Fraction(comb(d, t) if t else 0),) for t in range(d + 1)))
 
 
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
 def mixture_polynomial(ens: Ensemble, side: str) -> ExitPolynomial:
     """The edge-fraction mixture of one side's node polynomials."""
     validate(ens)
-    parts = [(w, node_polynomial(t, side).coeffs) for t, w in zip(ens.types(side), ens.weights(side))]
+    codes = map(component_code, ens.types(side))
+    parts = [(w, code_polynomial(code, side).coeffs) for code, w in zip(codes, ens.weights(side))]
     return _mix(parts)
 
 
 @lru_cache(maxsize=None)
-def node_slope_row(node: NodeType, side: str) -> tuple[Fraction, ...]:
-    """Row t = 1 of the node polynomial, without building the whole table.
-
-    A generalized node's row is 2 Delta_{n-2}[z] / n from delta_params, in
-    closed form with no walk (the full table walks up to 2^(n+k) subsets).
-    """
-    if not is_generalized(node, side):
-        return node_polynomial(node, side).coeffs[1]
-    code = component_code(node)
+def code_slope_row(code: ComponentCode, side: str) -> tuple[Fraction, ...]:
+    """Row t = 1 of code_polynomial(code, side), without building the table:
+    2 Delta_{n-2}[z] / n from delta_params, in closed form with no walk (the
+    full table walks up to 2^(n+k) subsets)."""
     params = delta_params(code)
     deltas = params.delta_n2_kz if side == "variable" else (params.delta_n2,)
     return tuple(Fraction(2 * x, code.n) for x in deltas)
@@ -220,13 +199,14 @@ def node_slope_row(node: NodeType, side: str) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
 def mixture_slope_row(ens: Ensemble, side: str) -> tuple[Fraction, ...]:
-    """Row t = 1 of mixture_polynomial(ens, side), from the node slope rows.
+    """Row t = 1 of mixture_polynomial(ens, side), from the code slope rows.
 
     Elevation in p leaves row 1 unchanged because c[0] = 0 for every
     node, so the rows mix as one-row polynomials.
     """
     validate(ens)
-    parts = [(w, (node_slope_row(t, side),)) for t, w in zip(ens.types(side), ens.weights(side))]
+    codes = map(component_code, ens.types(side))
+    parts = [(w, (code_slope_row(code, side),)) for code, w in zip(codes, ens.weights(side))]
     return _mix(parts).coeffs[0]
 
 

@@ -35,8 +35,8 @@ from collections.abc import Callable
 from fractions import Fraction
 from math import comb
 
-from .ensembles import Ensemble, is_generalized, validate
-from .exit_charts import bernstein_eval, bisect, mixture_slope_row, node_slope_row
+from .ensembles import Ensemble, component_code, validate
+from .exit_charts import bernstein_eval, bisect, code_slope_row, mixture_slope_row
 
 STABILITY_SLACK = 1e-12
 
@@ -96,11 +96,13 @@ class StabilityReport(
 
 def _dmin2_types(ens: Ensemble, side: str) -> list:
     """(index, type) of the generalized minimum-distance-2 types of one side:
-    those with a nonzero slope row (the row of a d_min >= 3 code is zero)."""
+    those with a nonzero slope row (the row of a d_min >= 3 code is zero).
+    All but repetition variable nodes and SPC check nodes are generalized."""
+    plain = "repetition" if side == "variable" else "spc"
     return [
         (i, t)
         for i, t in enumerate(ens.types(side))
-        if is_generalized(t, side) and any(node_slope_row(t, side))
+        if t.kind != plain and any(code_slope_row(component_code(t), side))
     ]
 
 
@@ -137,7 +139,7 @@ def vnd_slope_coefficients(ens: Ensemble) -> tuple[float, ...]:
     for z, c in enumerate(row):
         for m in range(k - z + 1):
             coeffs[z + m] -= c * comb(k - z, m) * (-1) ** m
-    dmin2_k = [len(node_slope_row(t, "variable")) - 1 for _, t in _dmin2_types(ens, "variable")]
+    dmin2_k = [component_code(t).k for _, t in _dmin2_types(ens, "variable")]
     return tuple(float(c) for c in coeffs[: max([1] + dmin2_k) + 1])
 
 
@@ -192,7 +194,7 @@ def stability_report(ens: Ensemble) -> StabilityReport:
         terms = [()] * len(ens.types(side))
         weights = ens.weights(side)
         for i, t in _dmin2_types(ens, side):
-            terms[i] = tuple(float(weights[i] * c) for c in node_slope_row(t, side))
+            terms[i] = tuple(float(weights[i] * c) for c in code_slope_row(component_code(t), side))
         return terms
 
     applicability = Applicability(

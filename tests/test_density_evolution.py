@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import dgldpc.density_evolution as de
 from dgldpc import exit_charts
 from dgldpc.cli import run
+from dgldpc.codes import ComponentCode
 from dgldpc.density_evolution import (
     BRACKET_WIDTH,
     DEFAULT_MAX_ITERS,
@@ -104,14 +105,14 @@ def test_threshold_refuses_a_variable_polynomial_that_falls(poly, tmp_path, monk
     # the threshold refuses before any DE step.  A refused mixture is never
     # cached; clearing drops one that another test may have built
     mixture_polynomial.cache_clear()
-    real = exit_charts.node_polynomial
-    rep3 = rep_node(3, 1.0)
+    real = exit_charts.code_polynomial
+    rep3 = ComponentCode.repetition(3)
     monkeypatch.setattr(
-        exit_charts, "node_polynomial",
-        lambda t, side: poly if (t, side) == (rep3, "variable") else real(t, side),
+        exit_charts, "code_polynomial",
+        lambda code, side: poly if (code, side) == (rep3, "variable") else real(code, side),
     )
     with pytest.raises(MonotonicityError):
-        find_threshold(ensemble([rep3], [spc_node(7, 1.0)]))
+        find_threshold(ensemble([rep_node(3, 1.0)], [spc_node(7, 1.0)]))
     path = tmp_path / "rep3_spc7.json"
     path.write_text(REP3_SPC7_DOC, encoding="utf-8")
     assert run(["threshold", str(path)]) == 3

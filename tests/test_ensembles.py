@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dgldpc import density_evolution, ensembles, exit_charts
+from dgldpc import codes, density_evolution, ensembles, exit_charts
 from dgldpc.binmat import BinaryMatrix
 from dgldpc.codes import ComponentCode, min_distance_bruteforce
 from dgldpc.ensembles import (
@@ -338,3 +338,20 @@ def test_ensemble_keyed_caches_are_bounded():
     for cache in caches:
         assert cache.cache_info().maxsize == ENSEMBLE_CACHE_SIZE
         assert cache.cache_info().currsize == ENSEMBLE_CACHE_SIZE
+
+
+def test_code_keyed_caches_hold_one_entry_per_code():
+    # 200 edge-fraction mixtures of the same three codes share their entries
+    caches = (exit_charts.code_polynomial, exit_charts.code_slope_row, codes.delta_params)
+    for cache in caches:
+        cache.cache_clear()
+    count = 200
+    for i in range(1, count + 1):
+        w = i / (count + 1)
+        ens = ensemble([rep_node(2, w), rep_node(3, 1.0 - w)], [spc_node(6, 1.0)])
+        stability_report(ens)
+        design_rate(ens)
+        exit_charts.mixture_polynomial(ens, "variable")
+        exit_charts.mixture_polynomial(ens, "check")
+    # (rep2, variable), (rep3, variable), (SPC6, check); delta_params is keyed by code alone
+    assert [cache.cache_info().currsize for cache in caches] == [3, 3, 3]

@@ -22,12 +22,11 @@ from dgldpc.exit_charts import (
     certified_slope,
     cnd_evaluator,
     code_polynomial,
+    code_slope_row,
     exit_coefficients,
     inverse_exit_cnd,
     mixture_polynomial,
     mixture_slope_row,
-    node_polynomial,
-    node_slope_row,
     sample_exit_chart,
     vnd_evaluator_at_q,
     MonotonicityError,
@@ -324,16 +323,19 @@ def test_chart_curves_cross_above_threshold(rep3_spc6):
     assert min(gaps) < 0
 
 
-def test_generic_check_curves_never_build_the_split_table():
+def test_generic_check_curves_never_build_the_split_table(monkeypatch):
     ens = ensemble([rep_node(3, 1.0)], [generic_node("1100\n0111", 0.5), spc_node(6, 0.5)])
-    # earlier tests may hold this code's polynomials in the upper caches
-    for cache in (split_info_functions, code_polynomial, node_polynomial, mixture_polynomial,
-                  cnd_evaluator):
+    # earlier tests may hold these codes' polynomials in the upper caches
+    for cache in (split_info_functions, code_polynomial, mixture_polynomial, cnd_evaluator):
         cache.cache_clear()
+    split, real = [], split_info_functions
+    monkeypatch.setattr(exit_charts, "split_info_functions", lambda code: split.append(code) or real(code))
     cnd_evaluator(ens)(0.3)
+    assert split == [] and code_polynomial.cache_info().currsize == 2
+    # the chart's variable curve needs the rep3 node's split table, and only it
     sample_exit_chart(ens, 0.3, 11)
-    assert split_info_functions.cache_info().currsize == 0
-    assert code_polynomial.cache_info().currsize == 1
+    assert split == [ComponentCode.repetition(3)]
+    assert code_polynomial.cache_info().currsize == 3
 
 
 @pytest.mark.parametrize("j", [8, 16, 32])
@@ -354,12 +356,22 @@ def test_long_spc_check_curve_stays_nonnegative_and_invertible(j):
 
 
 def test_closed_form_polynomials_equal_generic_declarations():
-    for j in range(2, 9):
-        rep = node_polynomial(rep_node(j, 1.0), "variable").coeffs
-        assert rep == code_polynomial(ComponentCode.repetition(j), "variable").coeffs
-        spc = node_polynomial(spc_node(j, 1.0), "check").coeffs
-        assert spc == code_polynomial(ComponentCode.single_parity_check(j), "check").coeffs
-        assert all(isinstance(c, Fraction) for row in rep + spc for c in row)
+    # repetition(j) variable: 1 - I_E = q p^(j-1), one coefficient at t = d, z = 1;
+    # SPC(j) check: 1 - (1-p)^(j-1) = sum_{t >= 1} C(d,t) p^t (1-p)^(d-t)
+    for j in range(2, 33):
+        d = j - 1
+        rep, spc = ComponentCode.repetition(j), ComponentCode.single_parity_check(j)
+        rep_form = tuple((Fraction(0), Fraction(t == d)) for t in range(d + 1))
+        spc_form = tuple((Fraction(math.comb(d, t) if t else 0),) for t in range(d + 1))
+        polys = (code_polynomial(rep, "variable").coeffs, code_polynomial(spc, "check").coeffs)
+        assert polys == (rep_form, spc_form)
+        assert all(isinstance(c, Fraction) for coeffs in polys for row in coeffs for c in row)
+        assert code_slope_row(rep, "variable") == (0, int(j == 2))
+        assert code_slope_row(spc, "check") == (j - 1,)
+
+
+def node_exit(node, side: str) -> ExitPolynomial:
+    return code_polynomial(component_code(node), side)
 
 
 def random_dmin2_generator(rng: random.Random, n_max: int):
@@ -374,10 +386,9 @@ def test_slope_row_from_delta_params_equals_full_table_row():
     rng = random.Random(11)
     for _ in range(12):
         gen = random_dmin2_generator(rng, 7)
-        node = generic_node(gen.to_text(), 1.0)
         code = ComponentCode(gen)
         for side in ("variable", "check"):
-            assert node_slope_row(node, side) == code_polynomial(code, side).coeffs[1]
+            assert code_slope_row(code, side) == code_polynomial(code, side).coeffs[1]
 
 
 def test_bernstein_eval_is_exact_at_the_ends():
@@ -414,9 +425,9 @@ unit = st.floats(0.0, 1.0)
 )
 def test_mixture_is_the_edge_fraction_sum_of_its_types(variables, checks, p, q):
     ens = ensemble(variables, checks)
-    per_type_v = sum(t.edge_fraction * node_polynomial(t, "variable").at_q(q)(p) for t in variables)
+    per_type_v = sum(t.edge_fraction * node_exit(t, "variable").at_q(q)(p) for t in variables)
     assert abs(vnd_evaluator_at_q(ens, q)(p) - per_type_v) <= 1e-14
-    per_type_c = sum(t.edge_fraction * node_polynomial(t, "check").at_q()(p) for t in checks)
+    per_type_c = sum(t.edge_fraction * node_exit(t, "check").at_q()(p) for t in checks)
     assert abs(cnd_evaluator(ens)(p) - per_type_c) <= 1e-14
     assert 0.0 <= vnd_evaluator_at_q(ens, q)(p) <= 1.0 and 0.0 <= cnd_evaluator(ens)(p) <= 1.0
     assert stability_report(ens).cnd_slope_at_zero == float(-mixture_polynomial(ens, "check").coeffs[1][0])
@@ -523,7 +534,7 @@ def test_check_curves_have_nondecreasing_normalized_coefficients(variables, chec
     # both sides, in t (p) and in z (q), node by node and mixed
     ens = ensemble(variables, checks)
     for side, types in (("variable", variables), ("check", checks)):
-        for poly in [mixture_polynomial(ens, side)] + [node_polynomial(t, side) for t in types]:
+        for poly in [mixture_polynomial(ens, side)] + [node_exit(t, side) for t in types]:
             b = normalized(poly)
             assert all(list(line) == sorted(line) for line in b + list(zip(*b)))
     assert min(certified_slope(mixture_polynomial(ens, "check"))) >= 0
@@ -561,11 +572,11 @@ def test_code_polynomials_obey_the_area_theorem(seed, side):
 @given(mixed_side("variable"), mixed_side("check"))
 @example([rep_node(3, 1.0)], [spc_node(6, 1.0)])
 def test_mixture_areas_give_the_design_rate(variables, checks):
-    # closed-form rep/SPC polynomials included; A_V(1) is the z = K area
+    # rep/SPC nodes included; A_V(1) is the z = K area
     ens = ensemble(variables, checks)
     for side, types in (("variable", variables), ("check", checks)):
         for t in types:
-            assert_area_theorem(node_polynomial(t, side), component_code(t))
+            assert_area_theorem(node_exit(t, side), component_code(t))
     a_v = areas(mixture_polynomial(ens, "variable"))[-1]
     (a_c,) = areas(mixture_polynomial(ens, "check"))
     assert float(1 - (1 - a_c) / a_v) == design_rate(ens)

@@ -14,13 +14,7 @@ from hypothesis import strategies as st
 from dgldpc import codes, ensembles
 from dgldpc.codes import ComponentCode, min_distance_bruteforce, split_info_functions
 from dgldpc.ensembles import validate
-from dgldpc.exit_charts import (
-    code_polynomial,
-    mixture_polynomial,
-    mixture_slope_row,
-    node_polynomial,
-    node_slope_row,
-)
+from dgldpc.exit_charts import code_polynomial, code_slope_row, mixture_polynomial, mixture_slope_row
 from dgldpc.stability import (
     dgldpc_stability_boundary,
     dgldpc_stability_check,
@@ -243,7 +237,7 @@ def test_report_never_builds_the_split_table():
         [spc_node(6, 0.5), generic_node("1100\n0111", 0.5)],
     )
     # earlier tests may hold these codes' full polynomials in the upper caches
-    for cache in (split_info_functions, code_polynomial, node_polynomial, mixture_polynomial):
+    for cache in (split_info_functions, code_polynomial, mixture_polynomial):
         cache.cache_clear()
     stability_report(ens)
     dgldpc_stability_check(ens, 0.3)
@@ -263,7 +257,7 @@ def test_validate_and_report_walk_no_subset(monkeypatch):
         return walk(*args)
 
     monkeypatch.setattr(codes, "_subset_rank_sums", spy)
-    for cache in (ensembles._validate_cached, codes.delta_params, node_slope_row, mixture_slope_row):
+    for cache in (ensembles._validate_cached, codes.delta_params, code_slope_row, mixture_slope_row):
         cache.cache_clear()
     ens = ensemble([generic_node("1100\n0111", 1.0)], [spc_node(6, 1.0)])
     validate(ens)
@@ -321,7 +315,7 @@ def test_variable_slope_row_of_a_dmin2_code_is_nondecreasing(seed):
     # [G_S | I_T] over |S| = n - 2, |T| = k - z, which fewer identity
     # columns cannot lower
     code = random_generic_dmin2(random.Random(seed))
-    row = node_slope_row(generic_node(code.gen.to_text(), 1.0), "variable")
+    row = code_slope_row(code, "variable")
     assert len(row) == code.k + 1
     assert nondecreasing_from_zero(row)
 
