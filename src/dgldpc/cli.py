@@ -2,17 +2,19 @@
 
 Reports go to stdout as JSON with deterministic formatting (fixed key
 order, 17-significant-digit floats, +inf as the string "inf"); diagnostics
-and the optional --verbose summary go to stderr.  Exit status: 0 success,
-1 stability violated (check-stability only), 2 parse/validation error,
-3 failed monotonicity certificate or inversion target out of range.
+and the optional --verbose summary go to stderr.  Exit status: 0 success
+or help, 1 stability violated (check-stability only), 2 usage error (a
+usage: and an error: line on stderr) or parse/validation error, 3 failed
+monotonicity certificate or inversion target out of range.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .codes import (
     ComponentCode,
@@ -175,37 +177,129 @@ def _cmd_check_stability(args) -> int:
     return 0 if check.holds else STATUS_STABILITY_VIOLATED
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dgldpc",
-        description="Erasure-channel EXIT, stability and threshold analysis of D-GLDPC ensembles.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_VERBOSE = ("--verbose", None, False, "human-readable summary on stderr")
+_Q = ("--q", float, None, "channel erasure probability")
+# Parser, help and dispatch read this table (argparse, its gettext import and
+# its parser tree cost about 6 ms a command).  Per command: handler, help line
+# and the options beside the input path, each (flag, type, default, help);
+# type None makes a switch, and a value with no default is required.
+_COMMANDS = {
+    "code-info": (_cmd_code_info, "analyze one generator matrix literal file", (_VERBOSE,)),
+    "analyze": (_cmd_analyze, "validate an ensemble and report its stability analysis", (_VERBOSE,)),
+    "threshold": (_cmd_threshold, "locate the density-evolution threshold",
+                  (_VERBOSE, ("--trace", None, False, "retain the residual trace"))),
+    "exit-chart": (_cmd_exit_chart, "sample the two chart curves to CSV",
+                   (_VERBOSE, _Q, ("--npoints", int, 101, "grid points (default 101)"),
+                    ("--out", str, None, "output CSV path"))),
+    "check-stability": (_cmd_check_stability, "evaluate the stability inequality", (_VERBOSE, _Q)),
+}
 
-    def add(name: str, handler, help_text: str):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", help="input file path")
-        p.add_argument("--verbose", action="store_true", help="human-readable summary on stderr")
-        p.set_defaults(handler=handler)
-        return p
 
-    add("code-info", _cmd_code_info, "analyze one generator matrix literal file")
-    add("analyze", _cmd_analyze, "validate an ensemble and report its stability analysis")
-    p_thr = add("threshold", _cmd_threshold, "locate the density-evolution threshold")
-    p_thr.add_argument("--trace", action="store_true", help="retain the residual trace")
-    p_chart = add("exit-chart", _cmd_exit_chart, "sample the two chart curves to CSV")
-    p_chart.add_argument("--q", type=float, required=True, help="channel erasure probability")
-    p_chart.add_argument("--npoints", type=int, default=101, help="grid points (default 101)")
-    p_chart.add_argument("--out", required=True, help="output CSV path")
-    p_check = add("check-stability", _cmd_check_stability, "evaluate the stability inequality")
-    p_check.add_argument("--q", type=float, required=True, help="channel erasure probability")
-    return parser
+class _UsageError(Exception):
+    """The command line does not fit the grammar."""
+
+
+def _help(name: str | None) -> str:
+    """The help of one command, or of the command line if name is None;
+    its first line is the usage line."""
+    if name is None:
+        usage, rows = "dgldpc [-h] COMMAND ...", [(cmd, spec[1]) for cmd, spec in _COMMANDS.items()]
+    else:
+        options = _COMMANDS[name][2]
+        shown = [f"{o[0]} {o[0][2:].upper()}" if o[1] else o[0] for o in options]
+        parts = [s if o[2] is None else f"[{s}]" for o, s in zip(options, shown)]
+        usage = " ".join([f"dgldpc {name} [-h]", *parts, "input"])
+        rows = [("input", "input file path")] + [(s, o[3]) for o, s in zip(options, shown)]
+    rows.append(("-h, --help", "show this help and exit"))
+    return "\n".join([f"usage: {usage}", ""] + [f"  {left:<19}{text}" for left, text in rows]) + "\n"
+
+
+def _read_option(arg: str, specs: dict):
+    """argparse's reading of one argument before "--": None for a positional,
+    else (flag, text after "=" or None), flag None for an unknown option."""
+    prefix, eq, value = arg.partition("=")
+    explicit = value if eq else None
+    if prefix in specs:
+        return prefix, explicit
+    if len(arg) < 2 or arg[0] != "-":
+        return None
+    if arg[1] == "-":  # a unique prefix of a long flag
+        matches = [flag for flag in specs if flag.startswith(prefix)]
+        if len(matches) > 1:
+            raise _UsageError(f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], explicit
+    elif arg[:2] in specs:  # "-h" and more letters, each read as another flag
+        return arg[:2], arg[2:]
+    return None if re.match(r"-\d+$|-\d*\.\d+$", arg) or " " in arg else (None, None)
+
+
+def _parse(argv: list[str], name: str | None = None) -> tuple | int:
+    """(handler, args) for argv, or the exit status once help (0) or a usage
+    error (2) is printed; name is the command whose arguments argv holds,
+    None the whole command line.  Arguments after the first "--" are
+    positional, and a repeated option keeps its last value."""
+    options = _COMMANDS[name][2] if name else ()
+    specs = dict.fromkeys(("-h", "--help")) | {o[0]: o for o in options}
+    values = {o[0][2:]: o[2] for o in options}
+    sep = argv.index("--") if "--" in argv else len(argv)
+    rest, todo = [], iter(range(sep))  # rest: positionals and unknown options before "--"
+    try:
+        kinds = [_read_option(arg, specs) for arg in argv[:sep]]
+        for i in todo:
+            if kinds[i] is None and name is None:  # the command
+                if argv[i] not in _COMMANDS:
+                    raise _UsageError(f"invalid command {argv[i]!r}")
+                parsed = _parse(argv[i + 1:], argv[i])
+                if rest and not isinstance(parsed, int):
+                    raise _UsageError("unrecognized arguments: " + " ".join(argv[j] for j in rest))
+                return parsed
+            flag, explicit = kinds[i] or (None, None)
+            spec = specs.get(flag)
+            if flag is None:
+                rest.append(i)
+            elif spec is None or spec[1] is None:  # -h/--help or a switch
+                if explicit is not None and not (flag == "-h" and explicit and not explicit.strip("h")):
+                    raise _UsageError(f"argument {flag}: ignored explicit argument {explicit!r}")
+                if spec is None:
+                    sys.stdout.write(_help(name))
+                    return 0
+                values[flag[2:]] = True
+            else:
+                if explicit is None:
+                    j = next(todo, sep)
+                    if j == sep or kinds[j] is not None:
+                        raise _UsageError(f"argument {flag}: expected one argument")
+                    explicit = argv[j]
+                try:
+                    values[flag[2:]] = spec[1](explicit)
+                except ValueError:
+                    message = f"argument {flag}: invalid {spec[1].__name__} value: {explicit!r}"
+                    raise _UsageError(message) from None
+        if name is None:
+            raise _UsageError("the following arguments are required: COMMAND")
+        paths = [j for j in rest if kinds[j] is None] + list(range(sep + 1, len(argv)))
+        missing = ["input"][:not paths] + [f"--{k}" for k, v in values.items() if v is None]
+        if missing:
+            raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+        unused = set(rest + paths) - {paths[0]}
+        if sep < len(argv) and abs(paths[0] - sep) != 1:  # "--" is dropped only next to the input path
+            unused.add(sep)
+        if unused:
+            raise _UsageError("unrecognized arguments: " + " ".join(argv[j] for j in sorted(unused)))
+    except _UsageError as e:
+        usage = _help(name).split("\n", 1)[0]
+        sys.stderr.write(f"{usage}\ndgldpc{' ' + name if name else ''}: error: {e}\n")
+        return STATUS_INPUT_ERROR
+    return _COMMANDS[name][0], SimpleNamespace(input=argv[paths[0]], **values)
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parsed = _parse(sys.argv[1:] if argv is None else list(argv))
+    if isinstance(parsed, int):
+        return parsed
     try:
-        return args.handler(args)
+        return parsed[0](parsed[1])
     except _NUMERICAL_ERRORS as e:
         sys.stderr.write(f"error: {e}\n")
         return STATUS_NUMERICAL_ERROR

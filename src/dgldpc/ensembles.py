@@ -97,6 +97,11 @@ class Ensemble(namedtuple("Ensemble", "variable_types check_types")):
         total = sum(exact)
         return tuple(w / total for w in exact)
 
+    def codes(self, side: str) -> tuple[ComponentCode, ...]:
+        """One side's component codes, aligned with types(side): validates the
+        ensemble, which builds each code once."""
+        return _validate_cached(self)[side != "variable"]
+
 
 def component_code(node: NodeType) -> ComponentCode:
     """The component code of a node type (canonical generator for rep/SPC)."""
@@ -107,7 +112,7 @@ def component_code(node: NodeType) -> ComponentCode:
     return ComponentCode(node.generator)
 
 
-def _validate_side(types: tuple[NodeType, ...], side: str) -> None:
+def _validate_side(types: tuple[NodeType, ...], side: str) -> tuple[ComponentCode, ...]:
     if not types:
         raise EnsembleValidationError(f"{side} side has no node types")
     total = sum(t.edge_fraction for t in types)
@@ -115,7 +120,7 @@ def _validate_side(types: tuple[NodeType, ...], side: str) -> None:
         raise EnsembleValidationError(
             f"{side} edge fractions sum to {total!r}, expected 1 within {FRACTION_SUM_TOL}"
         )
-    seen = set()
+    seen, codes = set(), []
     for i, t in enumerate(types):
         label = f"{side} type {i} ({t.describe()})"
         key = t._replace(edge_fraction=1.0)
@@ -123,20 +128,19 @@ def _validate_side(types: tuple[NodeType, ...], side: str) -> None:
             raise EnsembleValidationError(f"{label}: duplicate of an earlier type")
         seen.add(key)
         try:
-            # component_code builds the rep/SPC generators, checking their lengths
-            gen = component_code(t).gen if t.generator is None else t.generator
-            if not all(dual_columns(gen)[0]):  # a zero dual column is a weight-1 codeword
+            # A zero dual column is a weight-1 codeword.  component_code checks
+            # rep/SPC lengths are >= 2, which makes their d_min (j and 2) >= 2.
+            if t.generator is not None and not all(dual_columns(t.generator)[0]):
                 raise ValueError("minimum distance is 1, need >= 2")
-            component_code(t)
+            codes.append(component_code(t))
         except ValueError as e:
             raise EnsembleValidationError(f"{label}: {e}") from e
+    return tuple(codes)
 
 
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
-def _validate_cached(ens: Ensemble) -> bool:
-    _validate_side(ens.variable_types, "variable")
-    _validate_side(ens.check_types, "check")
-    return True
+def _validate_cached(ens: Ensemble) -> tuple[tuple[ComponentCode, ...], tuple[ComponentCode, ...]]:
+    return _validate_side(ens.variable_types, "variable"), _validate_side(ens.check_types, "check")
 
 
 def validate(ens: Ensemble) -> Ensemble:
@@ -151,15 +155,8 @@ def validate(ens: Ensemble) -> Ensemble:
 
 def design_rate(ens: Ensemble) -> float:
     """Design rate 1 - [sum rho_i (n_i-k_i)/n_i] / [sum lambda_i k_i/n_i]."""
-    validate(ens)
-    var_sum = sum(
-        w * Fraction(code.k, code.n)
-        for w, code in zip(ens.weights("variable"), map(component_code, ens.variable_types))
-    )
-    chk_sum = sum(
-        w * Fraction(code.n - code.k, code.n)
-        for w, code in zip(ens.weights("check"), map(component_code, ens.check_types))
-    )
+    var_sum = sum(w * Fraction(c.k, c.n) for w, c in zip(ens.weights("variable"), ens.codes("variable")))
+    chk_sum = sum(w * Fraction(c.n - c.k, c.n) for w, c in zip(ens.weights("check"), ens.codes("check")))
     return float(1 - chk_sum / var_sum)
 
 

@@ -20,12 +20,7 @@ from functools import cached_property, lru_cache
 from math import ceil, comb
 
 from .codes import ComponentCode, delta_params, info_functions, split_info_functions
-from .ensembles import (
-    ENSEMBLE_CACHE_SIZE,
-    Ensemble,
-    component_code,
-    validate,
-)
+from .ensembles import ENSEMBLE_CACHE_SIZE, Ensemble
 
 INVERSION_WIDTH = 2.0**-60
 NEWTON_STEPS = 30
@@ -181,9 +176,7 @@ def code_polynomial(code: ComponentCode, side: str) -> ExitPolynomial:
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
 def mixture_polynomial(ens: Ensemble, side: str) -> ExitPolynomial:
     """The edge-fraction mixture of one side's node polynomials."""
-    validate(ens)
-    codes = map(component_code, ens.types(side))
-    parts = [(w, code_polynomial(code, side).coeffs) for code, w in zip(codes, ens.weights(side))]
+    parts = [(w, code_polynomial(code, side).coeffs) for code, w in zip(ens.codes(side), ens.weights(side))]
     return _mix(parts)
 
 
@@ -204,9 +197,7 @@ def mixture_slope_row(ens: Ensemble, side: str) -> tuple[Fraction, ...]:
     Elevation in p leaves row 1 unchanged because c[0] = 0 for every
     node, so the rows mix as one-row polynomials.
     """
-    validate(ens)
-    codes = map(component_code, ens.types(side))
-    parts = [(w, (code_slope_row(code, side),)) for code, w in zip(codes, ens.weights(side))]
+    parts = [(w, (code_slope_row(code, side),)) for code, w in zip(ens.codes(side), ens.weights(side))]
     return _mix(parts).coeffs[0]
 
 

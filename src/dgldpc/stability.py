@@ -33,9 +33,10 @@ import math
 from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
-from .ensembles import Ensemble, component_code, validate
+from .ensembles import ENSEMBLE_CACHE_SIZE, Ensemble
 from .exit_charts import bernstein_eval, bisect, code_slope_row, mixture_slope_row
 
 STABILITY_SLACK = 1e-12
@@ -94,16 +95,14 @@ class StabilityReport(
         }
 
 
-def _dmin2_types(ens: Ensemble, side: str) -> list:
-    """(index, type) of the generalized minimum-distance-2 types of one side:
-    those with a nonzero slope row (the row of a d_min >= 3 code is zero).
-    All but repetition variable nodes and SPC check nodes are generalized."""
+@lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
+def _dmin2_types(ens: Ensemble, side: str) -> tuple[int, ...]:
+    """Indices of the generalized minimum-distance-2 types of one side: those
+    with a nonzero slope row (the row of a d_min >= 3 code is zero).  All but
+    repetition variable nodes and SPC check nodes are generalized."""
     plain = "repetition" if side == "variable" else "spc"
-    return [
-        (i, t)
-        for i, t in enumerate(ens.types(side))
-        if t.kind != plain and any(code_slope_row(component_code(t), side))
-    ]
+    pairs = enumerate(zip(ens.types(side), ens.codes(side)))
+    return tuple(i for i, (t, code) in pairs if t.kind != plain and any(code_slope_row(code, side)))
 
 
 def _reciprocal(x: Fraction) -> float:
@@ -139,7 +138,7 @@ def vnd_slope_coefficients(ens: Ensemble) -> tuple[float, ...]:
     for z, c in enumerate(row):
         for m in range(k - z + 1):
             coeffs[z + m] -= c * comb(k - z, m) * (-1) ** m
-    dmin2_k = [component_code(t).k for _, t in _dmin2_types(ens, "variable")]
+    dmin2_k = [ens.codes("variable")[i].k for i in _dmin2_types(ens, "variable")]
     return tuple(float(c) for c in coeffs[: max([1] + dmin2_k) + 1])
 
 
@@ -151,7 +150,6 @@ def gldpc_stability_bound(ens: Ensemble) -> float | None:
     None when a minimum-distance-2 generalized variable type prevents
     factoring q out of the inequality.  Otherwise lambda_2 is row 1 at q = 1.
     """
-    validate(ens)
     if _dmin2_types(ens, "variable"):
         return None
     return _reciprocal(mixture_slope_row(ens, "variable")[-1] * _bracket(ens))
@@ -188,13 +186,11 @@ def stability_report(ens: Ensemble) -> StabilityReport:
     Reads only row t = 1 of the EXIT polynomials, so a generalized node
     costs its closed-form delta_params and never the full split table.
     """
-    validate(ens)
-
     def dmin2_terms(side: str) -> list[tuple[float, ...]]:
         terms = [()] * len(ens.types(side))
-        weights = ens.weights(side)
-        for i, t in _dmin2_types(ens, side):
-            terms[i] = tuple(float(weights[i] * c) for c in code_slope_row(component_code(t), side))
+        weights, codes = ens.weights(side), ens.codes(side)
+        for i in _dmin2_types(ens, side):
+            terms[i] = tuple(float(weights[i] * c) for c in code_slope_row(codes[i], side))
         return terms
 
     applicability = Applicability(

@@ -11,11 +11,14 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 from dgldpc.density_evolution import de_iterate
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def load_tracer():
@@ -57,3 +60,13 @@ def test_every_child_import_resolves():
 def test_de_iterate_takes_max_iters():
     # the tracer counts a probe as capped when its iterations reach max_iters
     assert "max_iters" in inspect.signature(de_iterate).parameters
+
+
+def test_cli_import_loads_every_traced_module():
+    # the tracer wraps only the modules that `import dgldpc.cli` has loaded
+    modules = sorted({f"dgldpc.{mod}" for mod, _ in load_tracer().TRACED})
+    script = "import sys; sys.path.insert(0, sys.argv[1]); import dgldpc.cli; print(' '.join(sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script, str(SRC)], capture_output=True, text=True, check=True
+    )
+    assert [m for m in modules if m not in out.stdout.split()] == []

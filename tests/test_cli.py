@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -13,9 +14,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dgldpc
-from dgldpc import codes
+from dgldpc import cli, codes, ensembles
 from dgldpc.cli import run
 from dgldpc.ensembles import serialize_ensemble
 
@@ -347,6 +350,24 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert json.loads(done.stdout)["info_functions"] == [0, 3, 6, 2]
 
 
+def test_module_help_names_every_command_and_option():
+    env = dict(os.environ, PYTHONPATH=str(Path(dgldpc.__file__).resolve().parents[1]))
+
+    def module(*args):
+        return subprocess.run([sys.executable, "-m", "dgldpc.cli", *args], capture_output=True, text=True, env=env)
+
+    done = module("--help")
+    assert done.returncode == 0 and done.stdout.startswith("usage: dgldpc ")
+    assert all(name in done.stdout for name in cli._COMMANDS)
+    for name, (_, _, options) in cli._COMMANDS.items():
+        done = module(name, "--help")
+        assert done.returncode == 0 and done.stdout.startswith(f"usage: dgldpc {name} ")
+        assert all(flag in done.stdout for flag in ["input", "-h", "--help"] + [o[0] for o in options])
+    done = module()
+    assert done.returncode == 2 and done.stdout == ""
+    assert [line.split(":")[0] for line in done.stderr.splitlines()] == ["usage", "dgldpc"]
+
+
 def test_console_script_target_is_run():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+; the package supports 3.10
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -448,3 +469,133 @@ def test_readme_quickstart_runs():
     with contextlib.redirect_stdout(out):
         exec(block, {})
     assert out.getvalue().splitlines()[:2] == ["0.2", "0.2"]
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the command line was read with before the table
+    parser: the reference for its grammar."""
+    parser = argparse.ArgumentParser(
+        prog="dgldpc",
+        description="Erasure-channel EXIT, stability and threshold analysis of D-GLDPC ensembles.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name: str, handler, help_text: str):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("input", help="input file path")
+        p.add_argument("--verbose", action="store_true", help="human-readable summary on stderr")
+        p.set_defaults(handler=handler)
+        return p
+
+    add("code-info", cli._cmd_code_info, "analyze one generator matrix literal file")
+    add("analyze", cli._cmd_analyze, "validate an ensemble and report its stability analysis")
+    p_thr = add("threshold", cli._cmd_threshold, "locate the density-evolution threshold")
+    p_thr.add_argument("--trace", action="store_true", help="retain the residual trace")
+    p_chart = add("exit-chart", cli._cmd_exit_chart, "sample the two chart curves to CSV")
+    p_chart.add_argument("--q", type=float, required=True, help="channel erasure probability")
+    p_chart.add_argument("--npoints", type=int, default=101, help="grid points (default 101)")
+    p_chart.add_argument("--out", required=True, help="output CSV path")
+    p_check = add("check-stability", cli._cmd_check_stability, "evaluate the stability inequality")
+    p_check.add_argument("--q", type=float, required=True, help="channel erasure probability")
+    return parser
+
+
+LONG_FLAGS = ["--help", "--verbose", "--trace", "--q", "--npoints", "--out", "--bogus"]
+VALUES = ["in.json", "0.3", "-0.5", "-.5", "-5.", "1e-3", "-1e-3", "inf", "nan", "7", "-3", "0x10", "1_0",
+          "x", "", " 2 ", "a b", "-", "-1 "]
+
+
+def option_words(flags, shortest: int = 3):
+    """A long flag cut to a prefix, then its value as the next argument or
+    after "=" ("--" is left out there: see test_an_option_value_of_two_dashes_is_text)."""
+    prefix = st.builds(lambda flag, k: flag[:max(k, shortest)], st.sampled_from(flags), st.integers(2, 9))
+    value = st.sampled_from(VALUES)
+    return st.one_of(st.builds(lambda p, v: [p, v], prefix, value),
+                     st.builds(lambda p, v: [f"{p}={v}"], prefix, value))
+
+
+# Stray arguments: flag prefixes ("--" alone is the separator, "--=v" fits
+# every long flag), "-h" with more letters, unknown options, commands, values.
+TOKENS = st.one_of(
+    st.builds(lambda flag, k: flag[:k], st.sampled_from(LONG_FLAGS), st.integers(3, 9)),
+    option_words(LONG_FLAGS, shortest=2).map(lambda words: words[-1]),
+    st.sampled_from(VALUES + list(cli._COMMANDS) + ["bogus", "-hh", "-hx", "-h=h", "-x", "---"]),
+    st.sampled_from(["--", "-h", "--=in.json"]),
+)
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A command with an input and its required options, shuffled with stray
+    words, sometimes behind stray arguments."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    required = [o[0] for o in cli._COMMANDS[command][2] if o[1] and o[2] is None]
+    words = [[draw(st.sampled_from(VALUES))]] + [draw(option_words([flag])) for flag in required]
+    words += draw(st.lists(st.one_of(option_words(LONG_FLAGS), TOKENS.map(lambda t: [t])), max_size=3))
+    before = draw(st.lists(TOKENS, max_size=2)) if draw(st.integers(0, 3)) == 0 else []
+    return before + [command] + [token for word in draw(st.permutations(words)) for token in word]
+
+
+def read_with(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as e:  # how argparse ends on help and on a usage error
+            result = e.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the grammar kept is that of Python 3.11's "
+                    "argparse; argparse changed its reading of '--' in later versions")
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+@example(["analyze", "in.json", "--verbose", "--"])  # a "--" not next to the input is left over
+@example(["analyze", "--", "--"])  # the input "--"
+@example(["analyze", "-h", "--=x"])  # an ambiguous prefix fails before help
+@example(["--verbose", "analyze", "-h"])  # an unknown option ahead of the command waits for the end
+@example(["exit-chart", "in.json", "--q", "-5.", "--out", "c.csv"])  # "-5." is not a negative number
+def test_table_parser_reads_argv_as_argparse_did(argv):
+    expected, _, _ = read_with(lambda a: vars(reference_parser().parse_args(a)), argv)
+    if isinstance(expected, dict):  # accepted: the same handler and values
+        (handler, args), out, err = read_with(cli._parse, argv)
+        assert handler is expected.pop("handler") and out == err == ""
+        del expected["command"]
+        assert repr(sorted(vars(args).items())) == repr(sorted(expected.items()))  # repr: nan equals nan
+        return
+    status, out, err = read_with(run, argv)
+    if expected == 0:  # help
+        assert status == 0 and out.startswith("usage: dgldpc") and err == ""
+    else:
+        assert (expected, status, out) == (2, 2, "")
+        lines = err.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("usage: dgldpc") and ": error: " in lines[1]
+
+
+def test_an_option_value_of_two_dashes_is_text(capsys):
+    # argparse stripped "--" from an option's values, so --out=-- gave [] and a
+    # traceback in the command; the value is now the text "--"
+    _, args = cli._parse(["exit-chart", "in.json", "--q", "0.3", "--out=--"])
+    assert args.out == "--"
+    assert run(["exit-chart", "in.json", "--q=--", "--out", "c.csv"]) == 2
+    assert capsys.readouterr().err.endswith("error: argument --q: invalid float value: '--'\n")
+
+
+def test_each_component_code_is_built_once_per_command(tmp_path, monkeypatch):
+    built = []
+    new = codes.ComponentCode.__new__
+
+    def spy(cls, gen):
+        built.append(gen)
+        return new(cls, gen)
+
+    monkeypatch.setattr(codes.ComponentCode, "__new__", spy)
+    for index, types in ((8, 5), (5, 4)):
+        path = tmp_path / f"F{index}.json"
+        path.write_text(serialize_ensemble(fixture_suite()[index]), encoding="utf-8")
+        for argv in (["analyze", path], ["threshold", path], ["check-stability", path, "--q", "0.3"],
+                     ["exit-chart", path, "--q", "0.3", "--npoints", "5", "--out", tmp_path / "c.csv"]):
+            ensembles._validate_cached.cache_clear()
+            built.clear()
+            assert run([str(a) for a in argv]) in (0, 1)
+            assert len(built) == types, argv[0]

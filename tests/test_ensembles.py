@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dgldpc import codes, density_evolution, ensembles, exit_charts
+from dgldpc import codes, density_evolution, ensembles, exit_charts, stability
 from dgldpc.binmat import BinaryMatrix
 from dgldpc.codes import ComponentCode, min_distance_bruteforce
 from dgldpc.ensembles import (
@@ -324,6 +324,7 @@ def test_ensemble_keyed_caches_are_bounded():
         exit_charts.cnd_evaluator,
         exit_charts._certified_cnd,
         density_evolution._fixed_point_basis,
+        stability._dmin2_types,
     ]
     for cache in caches:
         cache.cache_clear()
@@ -333,6 +334,7 @@ def test_ensemble_keyed_caches_are_bounded():
         ens = ensemble([rep_node(2, w), rep_node(3, 1.0 - w)], [spc_node(6, 1.0)])
         vnd_evaluator_at_q(ens, 0.5)
         mixture_slope_row(ens, "variable")
+        stability_report(ens)
         inverse_exit_cnd(ens, 0.5)
         density_evolution.fixed_point_coefficients(ens, 0.5)
     for cache in caches:
