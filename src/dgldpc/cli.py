@@ -10,10 +10,10 @@ monotonicity certificate or inversion target out of range.
 
 from __future__ import annotations
 
+import gc
 import math
 import re
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 from .codes import (
@@ -76,8 +76,8 @@ def _note(verbose: bool, text: str) -> None:
 
 
 def _load_ensemble(path: str):
-    text = Path(path).read_text(encoding="utf-8")
-    ens = parse_ensemble(text)
+    with open(path, encoding="utf-8") as f:
+        ens = parse_ensemble(f.read())
     return validate(ens)
 
 
@@ -88,7 +88,8 @@ def _check_probability(value: float, name: str) -> float:
 
 
 def _cmd_code_info(args) -> int:
-    code = ComponentCode.from_text(Path(args.input).read_text(encoding="utf-8"))
+    with open(args.input, encoding="utf-8") as f:
+        code = ComponentCode.from_text(f.read())
     deltas = delta_params(code)
     info = info_functions(code)  # min_independent_set_size reads this table
     report = {
@@ -150,7 +151,8 @@ def _cmd_exit_chart(args) -> int:
     lines = ["ia,vnd,cnd_inv"]
     for (ia, vnd), (_, cnd) in zip(vnd_curve.points, cnd_curve.points):
         lines.append(f"{ia:.17g},{vnd:.17g},{cnd:.17g}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(args.out, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
     _note(args.verbose, f"wrote {args.npoints} chart points at q={args.q:g} to {args.out}")
     _emit({"written": args.out, "points": args.npoints, "q": args.q})
     return 0
@@ -309,5 +311,12 @@ def run(argv=None) -> int:
         return STATUS_INPUT_ERROR
 
 
+def main(argv=None) -> int:
+    """run(argv), then freeze the heap so that interpreter exit collects nothing (~9 ms)."""
+    status = run(argv)
+    gc.freeze()  # not os._exit (skips atexit and stdio flushing), not gc.disable() (keeps cycles)
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(run())
+    sys.exit(main())

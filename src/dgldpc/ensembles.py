@@ -11,7 +11,6 @@ apart, as the paper classifies ensembles by them.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -183,6 +182,7 @@ def _parse_node(obj, side: str, index: int) -> NodeType:
 
 def parse_ensemble(text: str) -> Ensemble:
     """Parse the JSON description format; validation is a separate step."""
+    import json  # here, not at the top: code-info reads no JSON
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -218,6 +218,7 @@ def serialize_ensemble(ens: Ensemble) -> str:
         obj["edge_fraction"] = t.edge_fraction
         return obj
 
+    import json
     doc = {
         "variable_nodes": [node_obj(t) for t in ens.variable_types],
         "check_nodes": [node_obj(t) for t in ens.check_types],

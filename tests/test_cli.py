@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -45,6 +46,10 @@ G32_SPC6_DOC = """{
   ]
 }
 """
+
+# a valid check code with an all-zero generator column keeps the CND curve
+# away from 0, so sampling the inverse at ia = 0 must fail (exit status 3)
+ZERO_COLUMN_DOC = E36_DOC.replace('{"kind": "spc", "length": 6', '{"kind": "generic", "generator": "110"')
 
 
 @pytest.fixture
@@ -260,19 +265,8 @@ def test_missing_file_status(capsys):
 
 
 def test_numerical_anomaly_status(tmp_path, capsys):
-    # a valid check code with an all-zero generator column keeps the CND
-    # curve away from 0, so sampling the inverse at ia = 0 must fail
-    doc = """{
-  "variable_nodes": [
-    {"kind": "repetition", "length": 3, "edge_fraction": 1.0}
-  ],
-  "check_nodes": [
-    {"kind": "generic", "generator": "110", "edge_fraction": 1.0}
-  ]
-}
-"""
     path = tmp_path / "zerocol.json"
-    path.write_text(doc, encoding="utf-8")
+    path.write_text(ZERO_COLUMN_DOC, encoding="utf-8")
     out = tmp_path / "chart.csv"
     assert run(["exit-chart", str(path), "--q", "0.3", "--out", str(out)]) == 3
     assert "error:" in capsys.readouterr().err
@@ -338,23 +332,27 @@ def test_reciprocal_beyond_the_float_range_prints_inf(tmp_path, capsys):
     assert report["rhs"] == "inf" and report["margin"] == "inf" and report["holds"] is True
 
 
+def module_env() -> dict:
+    """The environment of a child interpreter, its stdout block-buffered as by default."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dgldpc.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def test_module_entry_point_runs_the_cli(tmp_path):
     path = tmp_path / "spc32.txt"
     path.write_text("101\n011\n", encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(Path(dgldpc.__file__).resolve().parents[1]))
     done = subprocess.run(
         [sys.executable, "-m", "dgldpc.cli", "code-info", str(path)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=module_env(),
     )
     assert done.returncode == 0
     assert json.loads(done.stdout)["info_functions"] == [0, 3, 6, 2]
 
 
 def test_module_help_names_every_command_and_option():
-    env = dict(os.environ, PYTHONPATH=str(Path(dgldpc.__file__).resolve().parents[1]))
-
     def module(*args):
-        return subprocess.run([sys.executable, "-m", "dgldpc.cli", *args], capture_output=True, text=True, env=env)
+        return subprocess.run([sys.executable, "-m", "dgldpc.cli", *args], capture_output=True, text=True, env=module_env())
 
     done = module("--help")
     assert done.returncode == 0 and done.stdout.startswith("usage: dgldpc ")
@@ -368,11 +366,76 @@ def test_module_help_names_every_command_and_option():
     assert [line.split(":")[0] for line in done.stderr.splitlines()] == ["usage", "dgldpc"]
 
 
-def test_console_script_target_is_run():
+def test_console_script_target_is_main(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "e26.json"
+    path.write_text(E26_DOC, encoding="utf-8")
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+    argvs = (["analyze", str(path)], ["check-stability", str(path), "--q", "0.5"], ["analyze"])
+    assert [cli.main(argv) for argv in argvs] == [run(argv) for argv in argvs] == [0, 1, 2]
+    assert len(frozen) == len(argvs)
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+; the package supports 3.10
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["dgldpc"]
-    assert target == "dgldpc.cli:run"
+    assert target == "dgldpc.cli:main"
+
+
+# One command per exit status; {csv} is the chart path, the rest name input files.
+ENTRY_POINT_ARGVS = {
+    "analyze": ["analyze", "{e36}", "--verbose"],
+    "threshold": ["threshold", "{e36}"],
+    "stability holds": ["check-stability", "{e26}", "--q", "0.1"],
+    "stability violated": ["check-stability", "{e26}", "--q", "0.5", "--verbose"],
+    "exit-chart": ["exit-chart", "{e36}", "--q", "0.3", "--npoints", "11", "--out", "{csv}"],
+    "usage error": ["exit-chart", "{e36}", "--q", "0.3"],
+    "numerical error": ["exit-chart", "{zerocol}", "--q", "0.3", "--out", "{csv}"],
+}
+
+
+@pytest.mark.parametrize("case", list(ENTRY_POINT_ARGVS))
+def test_module_entry_point_matches_run_in_process(case, tmp_path):
+    names = {"e36": E36_DOC, "e26": E26_DOC, "zerocol": ZERO_COLUMN_DOC}
+    for name, doc in names.items():
+        (tmp_path / f"{name}.json").write_text(doc, encoding="utf-8")
+    csv = tmp_path / "chart.csv"
+    argv = [a.format(csv=csv, **{n: tmp_path / f"{n}.json" for n in names}) for a in ENTRY_POINT_ARGVS[case]]
+
+    def chart() -> bytes | None:
+        data = csv.read_bytes() if csv.exists() else None
+        csv.unlink(missing_ok=True)
+        return data
+
+    done = subprocess.run([sys.executable, "-m", "dgldpc.cli", *argv], capture_output=True, env=module_env())
+    module = (done.returncode, done.stdout, done.stderr, chart())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = run(argv)
+    assert module == (status, out.getvalue().encode(), err.getvalue().encode(), chart())
+    assert status == {"stability violated": 1, "usage error": 2, "numerical error": 3}.get(case, 0)
+
+
+def test_main_exits_with_a_frozen_heap_and_runs_atexit(tmp_path):
+    path = tmp_path / "spc32.txt"
+    path.write_text("101\n011\n", encoding="utf-8")
+    script = (
+        "import atexit, gc, sys; from dgldpc.cli import main; "
+        "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}')); "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, "code-info", str(path)], capture_output=True, text=True, env=module_env()
+    )
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["info_functions"] == [0, 3, 6, 2]
+    assert done.stderr.startswith("frozen ") and int(done.stderr.split()[1]) > 0
+
+
+def test_run_leaves_the_collector_as_it_found_it(e36_path, tmp_path, capsys):
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert run(["analyze", e36_path]) == 0
+    assert run(["exit-chart", e36_path, "--q", "0.3", "--npoints", "5", "--out", str(tmp_path / "c.csv")]) == 0
+    assert run(["analyze"]) == 2
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
 # SHA-256 of each fixture's CLI transcript (see golden_transcripts); any byte

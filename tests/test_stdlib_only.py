@@ -11,8 +11,9 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dgldpc"
 # dataclasses pulls in inspect, which pulls in ast, dis and tokenize: about
 # 10 ms of every command's start-up; argparse and the gettext it imports cost
-# 2-3 ms more.
-HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "argparse", "gettext")
+# 2-3 ms more.  Under -S, pathlib (with urllib.parse and fnmatch) costs about
+# 7 ms and json about 8 ms, and only the ensemble commands need json.
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "argparse", "gettext", "pathlib", "json")
 
 
 def test_package_imports_only_the_standard_library():
