@@ -5,7 +5,8 @@ order, 17-significant-digit floats, +inf as the string "inf"); diagnostics
 and the optional --verbose summary go to stderr.  Exit status: 0 success
 or help, 1 stability violated (check-stability only), 2 usage error (a
 usage: and an error: line on stderr) or parse/validation error, 3 failed
-monotonicity certificate or inversion target out of range.
+monotonicity certificate or inversion target out of range.  Each _cmd_*
+handler returns (report, --verbose summary, exit status); only run writes.
 """
 
 from __future__ import annotations
@@ -66,117 +67,70 @@ def _format_json(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _emit(obj) -> None:
-    sys.stdout.write(_format_json(obj) + "\n")
-
-
-def _note(verbose: bool, text: str) -> None:
-    if verbose:
-        sys.stderr.write(text + "\n")
-
-
 def _load_ensemble(path: str):
     with open(path, encoding="utf-8") as f:
         ens = parse_ensemble(f.read())
     return validate(ens)
 
 
-def _check_probability(value: float, name: str) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
-    return value
-
-
-def _cmd_code_info(args) -> int:
+def _cmd_code_info(args) -> tuple[dict, str, int]:
     with open(args.input, encoding="utf-8") as f:
         code = ComponentCode.from_text(f.read())
     deltas = delta_params(code)
     info = info_functions(code)  # min_independent_set_size reads this table
+    d_min = min_distance_bruteforce(code)
     report = {
         "n": code.n,
         "k": code.k,
-        "min_distance": {
-            "bruteforce": min_distance_bruteforce(code),
-            "independent_set": min_independent_set_size(code),
-        },
+        "min_distance": {"bruteforce": d_min, "independent_set": min_independent_set_size(code)},
         "info_functions": list(info),
         "delta_n2": deltas.delta_n2,
         "delta_n2_kz": list(deltas.delta_n2_kz),
     }
-    _note(args.verbose, f"({code.n},{code.k}) code, d_min={report['min_distance']['bruteforce']}")
-    _emit(report)
-    return 0
+    return report, f"({code.n},{code.k}) code, d_min={d_min}", 0
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple[dict, str, int]:
     ens = _load_ensemble(args.input)
     rate = design_rate(ens)
-    report = stability_report(ens)
-    _note(
-        args.verbose,
+    report = {"valid": True, "design_rate": rate, "stability": stability_report(ens).to_json_dict()}
+    summary = (
         f"valid ensemble: {len(ens.variable_types)} variable / {len(ens.check_types)} check types, "
-        f"design rate {rate:.6g}",
+        f"design rate {rate:.6g}"
     )
-    _emit(
-        {
-            "valid": True,
-            "design_rate": rate,
-            "stability": report.to_json_dict(),
-        }
-    )
-    return 0
+    return report, summary, 0
 
 
-def _cmd_threshold(args) -> int:
-    ens = _load_ensemble(args.input)
-    result = find_threshold(ens, record_trace=args.trace)
+def _cmd_threshold(args) -> tuple[dict, str, int]:
+    result = find_threshold(_load_ensemble(args.input), record_trace=args.trace)
     mechanism = (
         "stability-limited (x* = 0)"
         if result.x_star == 0.0
         else f"interior fixed point at x* = {result.x_star:.6g}"
     )
-    _note(
-        args.verbose,
+    summary = (
         f"q* = {result.q_star:.8f} after {result.bisection_steps} probes "
-        f"(converged={result.converged}): {mechanism}",
+        f"(converged={result.converged}): {mechanism}"
     )
-    _emit(result.to_json_dict())
-    return 0
+    return result.to_json_dict(), summary, 0
 
 
-def _cmd_exit_chart(args) -> int:
-    _check_probability(args.q, "--q")
-    ens = _load_ensemble(args.input)
-    vnd_curve, cnd_curve = sample_exit_chart(ens, args.q, args.npoints)
+def _cmd_exit_chart(args) -> tuple[dict, str, int]:
+    vnd_curve, cnd_curve = sample_exit_chart(_load_ensemble(args.input), args.q, args.npoints)
     lines = ["ia,vnd,cnd_inv"]
     for (ia, vnd), (_, cnd) in zip(vnd_curve.points, cnd_curve.points):
         lines.append(f"{ia:.17g},{vnd:.17g},{cnd:.17g}")
     with open(args.out, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
-    _note(args.verbose, f"wrote {args.npoints} chart points at q={args.q:g} to {args.out}")
-    _emit({"written": args.out, "points": args.npoints, "q": args.q})
-    return 0
+    summary = f"wrote {args.npoints} chart points at q={args.q:g} to {args.out}"
+    return {"written": args.out, "points": args.npoints, "q": args.q}, summary, 0
 
 
-def _cmd_check_stability(args) -> int:
-    _check_probability(args.q, "--q")
-    ens = _load_ensemble(args.input)
-    check = dgldpc_stability_check(ens, args.q)
-    _note(
-        args.verbose,
-        f"stability at q={args.q:g}: lhs={check.lhs:.6g} rhs={check.rhs:.6g} "
-        f"{'holds' if check.holds else 'VIOLATED'}",
-    )
-    _emit(
-        {
-            "q": args.q,
-            "holds": check.holds,
-            "lhs": check.lhs,
-            "rhs": check.rhs,
-            "margin": check.margin,
-        }
-    )
-    return 0 if check.holds else STATUS_STABILITY_VIOLATED
+def _cmd_check_stability(args) -> tuple[dict, str, int]:
+    check = dgldpc_stability_check(_load_ensemble(args.input), args.q)
+    verdict = "holds" if check.holds else "VIOLATED"
+    summary = f"stability at q={args.q:g}: lhs={check.lhs:.6g} rhs={check.rhs:.6g} {verdict}"
+    return {"q": args.q, **check._asdict()}, summary, 0 if check.holds else STATUS_STABILITY_VIOLATED
 
 
 _VERBOSE = ("--verbose", None, False, "human-readable summary on stderr")
@@ -300,8 +254,11 @@ def run(argv=None) -> int:
     parsed = _parse(sys.argv[1:] if argv is None else list(argv))
     if isinstance(parsed, int):
         return parsed
+    handler, args = parsed
     try:
-        return parsed[0](parsed[1])
+        if not 0.0 <= getattr(args, "q", 0.0) <= 1.0:
+            raise ValueError(f"--q must be in [0, 1], got {args.q}")
+        report, summary, status = handler(args)
     except _NUMERICAL_ERRORS as e:
         sys.stderr.write(f"error: {e}\n")
         return STATUS_NUMERICAL_ERROR
@@ -309,6 +266,10 @@ def run(argv=None) -> int:
         message = str(e).replace("\n", " ")
         sys.stderr.write(f"error: {message}\n")
         return STATUS_INPUT_ERROR
+    if args.verbose:
+        sys.stderr.write(summary + "\n")
+    sys.stdout.write(_format_json(report) + "\n")
+    return status
 
 
 def main(argv=None) -> int:

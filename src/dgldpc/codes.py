@@ -148,6 +148,7 @@ def _subset_rank_sums(columns: list[int], full: int, base: int = 0) -> list[int]
         ends[free + n - i][g] += base + r
 
     walk(0, 0, 0, 0)
+    walk = None  # the closure holds its own cell: break the cycle so refcounting frees ends and basis
     sums = [0] * (n + 1)
     for free, row in enumerate(ends):
         for g, total in enumerate(row):

@@ -38,7 +38,7 @@ from math import comb, fsum, lcm
 from operator import add, mul
 
 from .ensembles import ENSEMBLE_CACHE_SIZE, Ensemble
-from .exit_charts import bernstein_eval, bisect, mixture_polynomial
+from .exit_charts import bernstein_eval, bernstein_product, bisect, mixture_polynomial
 from .stability import dgldpc_stability_boundary
 
 DEFAULT_MAX_ITERS = 100_000
@@ -119,15 +119,6 @@ def erasure_ratio(ens: Ensemble, q: float) -> Callable[[float], float]:
     return g
 
 
-def _times(a: list[int], b: list[int]) -> list[int]:
-    """Product in the basis x^t (1-x)^(d-t), where products add indices."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, s in enumerate(a):
-        for j, t in enumerate(b):
-            out[i + j] += s * t
-    return out
-
-
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
 def _fixed_point_basis(ens: Ensemble) -> tuple[tuple[tuple[float, ...], ...], float]:
     """(columns, eps): columns[i][t] is Bernstein coefficient i of B_t =
@@ -152,9 +143,9 @@ def _fixed_point_basis(ens: Ensemble) -> tuple[tuple[tuple[float, ...], ...], fl
     info = [comb(dc, t) * scale - e for t, e in enumerate(erasure)]
     rising, falling = [erasure[1:]], [[1]]  # c y^t and (1-y)^t, times scale^(t+1) and scale^t
     for _ in range(dv):
-        rising.append(_times(rising[-1], erasure))
-        falling.append(_times(falling[-1], info))
-    basis = [_times(r, f) for r, f in zip(rising, reversed(falling))]
+        rising.append(bernstein_product(rising[-1], erasure))
+        falling.append(bernstein_product(falling[-1], info))
+    basis = [bernstein_product(r, f) for r, f in zip(rising, reversed(falling))]
     d, den = len(basis[0]) - 1, scale ** (dv + 1)
     columns = tuple(tuple(b[i] / (den * comb(d, i)) for b in basis) for i in range(d + 1))
     return columns, (5 * k + MAX_HALVINGS * d + 9) * 2.0**-53

@@ -131,15 +131,20 @@ def bernstein_eval(c: Sequence[float], x: float) -> float:
     return acc * x ** (len(c) - 1)
 
 
-def _elevate(c: Sequence[Fraction], degree: int) -> list[Fraction]:
-    """Bernstein coefficients of the same polynomial at a higher degree."""
-    extra = degree + 1 - len(c)
-    out = [Fraction(0)] * (degree + 1)
-    for t, ct in enumerate(c):
-        if ct:
-            for i in range(extra + 1):
-                out[t + i] += ct * comb(extra, i)
+def bernstein_product(a: Sequence, b: Sequence) -> list:
+    """Product in the basis x^t (1-x)^(d-t), where products add indices."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, s in enumerate(a):
+        if s:
+            for j, t in enumerate(b):
+                out[i + j] += s * t
     return out
+
+
+def _elevate(c: Sequence[Fraction], degree: int) -> list[Fraction]:
+    """Bernstein coefficients of the same polynomial at a higher degree: c times (x + 1 - x)^extra."""
+    extra = degree + 1 - len(c)
+    return bernstein_product(c, [comb(extra, i) for i in range(extra + 1)])
 
 
 def _mix(parts) -> ExitPolynomial:
@@ -213,11 +218,12 @@ def cnd_evaluator(ens: Ensemble) -> Callable[[float], float]:
 
 
 def certified_slope(poly: ExitPolynomial) -> tuple[Fraction, ...]:
-    """Bernstein coefficients d C(d-1,t) (b_{t+1} - b_t), b_t = c_t / C(d,t), of
-    -dI_E/dp on the check side; all >= 0 for a mixture, as _mix proved."""
-    d = len(poly.coeffs) - 1
-    b = [row[0] / comb(d, t) for t, row in enumerate(poly.coeffs)]
-    return tuple(d * comb(d - 1, t) * (b[t + 1] - b[t]) for t in range(d))
+    """Bernstein coefficients d C(d-1,t) (b_{t+1} - b_t) = (t+1) c_{t+1} - (d-t) c_t,
+    b_t = c_t / C(d,t), of -dI_E/dp on the check side; all >= 0 for a
+    mixture, as _mix proved."""
+    c = [row[0] for row in poly.coeffs]
+    d = len(c) - 1
+    return tuple((t + 1) * c[t + 1] - (d - t) * c[t] for t in range(d))
 
 
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)

@@ -295,6 +295,59 @@ def test_verbose_goes_to_stderr(e36_path, capsys):
     assert "design rate" in verbose.err
 
 
+
+# Each command's --verbose line, verbatim, with its exit status; {h74} and
+# {e26} name the Hamming (7,4) and E26 input files, {csv} the chart path.
+VERBOSE_LINES = [
+    (["code-info", "{h74}"], 0, "(7,4) code, d_min=3\n"),
+    (["analyze", "{e26}"], 0, "valid ensemble: 1 variable / 1 check types, design rate 0.666667\n"),
+    (["threshold", "{e26}"], 0, "q* = 0.20000000 after 3 probes (converged=True): stability-limited (x* = 0)\n"),
+    (["exit-chart", "{e26}", "--q", "0.3", "--npoints", "5", "--out", "{csv}"], 0,
+     "wrote 5 chart points at q=0.3 to {csv}\n"),
+    (["check-stability", "{e26}", "--q", "0.1"], 0, "stability at q=0.1: lhs=0.1 rhs=0.2 holds\n"),
+    (["check-stability", "{e26}", "--q", "0.5"], 1, "stability at q=0.5: lhs=0.5 rhs=0.2 VIOLATED\n"),
+]
+
+
+def verbose_case(tmp_path, argv: list[str], line: str) -> tuple[list[str], str]:
+    """argv and the expected --verbose line with the input and chart paths filled in."""
+    paths = {"h74": tmp_path / "h74.txt", "e26": tmp_path / "e26.json", "csv": tmp_path / "chart.csv"}
+    paths["h74"].write_text(HAMMING_74_TEXT + "\n", encoding="utf-8")
+    paths["e26"].write_text(E26_DOC, encoding="utf-8")
+    return [a.format(**paths) for a in argv], line.format(**paths)
+
+
+@pytest.mark.parametrize(
+    "argv, status, line", VERBOSE_LINES, ids=[" ".join(argv[:1] + argv[2:4]) for argv, _, _ in VERBOSE_LINES]
+)
+def test_verbose_line_of_each_command(argv, status, line, tmp_path, capsys):
+    argv, line = verbose_case(tmp_path, argv, line)
+    assert run(argv) == status
+    plain = capsys.readouterr()
+    assert run(argv + ["--verbose"]) == status
+    verbose = capsys.readouterr()
+    assert (verbose.out, plain.err, verbose.err) == (plain.out, "", line)
+
+
+def test_handlers_return_their_output_and_only_run_writes(tmp_path, capsys):
+    called = set()
+    for argv, status, line in VERBOSE_LINES:
+        argv, line = verbose_case(tmp_path, argv, line)
+        handler, args = cli._parse(argv + ["--verbose"])
+        result = handler(args)
+        called.add(handler)
+        assert capsys.readouterr() == ("", "")
+        assert [type(x) for x in result] == [dict, str, int]
+        report, summary, code = result
+        assert (summary + "\n", code) == (line, status)
+        for verbose in (False, True):
+            assert run(argv + ["--verbose"] * verbose) == status
+            out, err = capsys.readouterr()
+            assert out == cli._format_json(report) + "\n"  # one JSON document
+            assert json.loads(out) == json.loads(cli._format_json(report))
+            assert err == (line if verbose else "")
+    assert called == {spec[0] for spec in cli._COMMANDS.values()}
+
 def test_hamming_check_analysis(tmp_path, capsys):
     doc = json.dumps(
         {

@@ -7,6 +7,7 @@ binmat primitives, which stays independent of the production enumeration.
 
 from __future__ import annotations
 
+import gc
 import random
 from itertools import combinations
 from math import comb
@@ -147,6 +148,22 @@ def test_split_info_row_matches_full_table(hamming74):
         with pytest.raises(ValueError, match="g must be in"):
             split_info_row(hamming74, g)
 
+
+
+def test_subset_walk_is_freed_without_the_cyclic_collector(hamming74):
+    # the recursive walk closure refers to itself; unless that cycle is
+    # broken, every call leaves its ends table and basis for the collector
+    columns = hamming74.gen.columns()
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            _subset_rank_sums(columns, hamming74.k)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 def test_info_functions_representation_independent():
     rng = random.Random(23)
