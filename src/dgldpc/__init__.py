@@ -9,7 +9,6 @@ the fixed-point polynomial of density evolution.
 from .binmat import BinaryMatrix, rank
 from .codes import (
     ComponentCode,
-    DeltaParams,
     delta_params,
     info_functions,
     min_distance_bruteforce,
@@ -26,7 +25,6 @@ from .ensembles import (
     validate,
 )
 from .exit_charts import (
-    ExitCurve,
     cnd_evaluator,
     inverse_exit_cnd,
     sample_exit_chart,
@@ -47,9 +45,7 @@ __all__ = [
     "BinaryMatrix",
     "ComponentCode",
     "DeRun",
-    "DeltaParams",
     "Ensemble",
-    "ExitCurve",
     "NodeType",
     "StabilityCheck",
     "StabilityReport",

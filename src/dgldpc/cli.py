@@ -7,6 +7,7 @@ or help, 1 stability violated (check-stability only), 2 usage error (a
 usage: and an error: line on stderr) or parse/validation error, 3 failed
 monotonicity certificate or inversion target out of range.  Each _cmd_*
 handler returns (report, --verbose summary, exit status); only run writes.
+This module alone knows the report format: the layers return plain values.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ STATUS_INPUT_ERROR = 2
 STATUS_NUMERICAL_ERROR = 3
 
 _NUMERICAL_ERRORS = (MonotonicityError, InversionRangeError)
+# JSON's string escapes: \" and \\, the short forms, else \u00XX below U+0020
+_ESCAPES = {c: f"\\u{c:04x}" for c in range(32)}
+_ESCAPES |= {ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')}
 
 
 def _format_json(value, indent: int = 0) -> str:
@@ -43,7 +47,7 @@ def _format_json(value, indent: int = 0) -> str:
         if not value:
             return "{}"
         items = ",\n".join(
-            f'{pad}  "{k}": {_format_json(v, indent + 1)}' for k, v in value.items()
+            f"{pad}  {_format_json(k)}: {_format_json(v, indent + 1)}" for k, v in value.items()
         )
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
@@ -62,8 +66,7 @@ def _format_json(value, indent: int = 0) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{escaped}"'
+        return f'"{value.translate(_ESCAPES)}"'
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -76,16 +79,16 @@ def _load_ensemble(path: str):
 def _cmd_code_info(args) -> tuple[dict, str, int]:
     with open(args.input, encoding="utf-8") as f:
         code = ComponentCode.from_text(f.read())
-    deltas = delta_params(code)
+    deltas = delta_params(code)  # the last entry is delta_n2
     info = info_functions(code)  # min_independent_set_size reads this table
     d_min = min_distance_bruteforce(code)
     report = {
         "n": code.n,
         "k": code.k,
         "min_distance": {"bruteforce": d_min, "independent_set": min_independent_set_size(code)},
-        "info_functions": list(info),
-        "delta_n2": deltas.delta_n2,
-        "delta_n2_kz": list(deltas.delta_n2_kz),
+        "info_functions": info,
+        "delta_n2": deltas[-1],
+        "delta_n2_kz": deltas,
     }
     return report, f"({code.n},{code.k}) code, d_min={d_min}", 0
 
@@ -93,7 +96,19 @@ def _cmd_code_info(args) -> tuple[dict, str, int]:
 def _cmd_analyze(args) -> tuple[dict, str, int]:
     ens = _load_ensemble(args.input)
     rate = design_rate(ens)
-    report = {"valid": True, "design_rate": rate, "stability": stability_report(ens).to_json_dict()}
+    rep = stability_report(ens)
+    stability = {
+        "cnd_slope_at_zero": rep.cnd_slope_at_zero,
+        "vnd_slope_fn": rep.vnd_slope_coeffs,
+        "gldpc_bound": rep.gldpc_bound,
+        "dmin2_check_terms": rep.dmin2_check_terms,
+        "dmin2_var_terms": rep.dmin2_var_terms,
+        "applicability": rep.applicability._asdict(),
+        # the slopes also taken against I_A = 1 - p: 0.0 - x, never -0
+        "cnd_slope_at_zero_ia": 0.0 - rep.cnd_slope_at_zero,
+        "vnd_slope_fn_ia": [0.0 - c for c in rep.vnd_slope_coeffs],
+    }
+    report = {"valid": True, "design_rate": rate, "stability": stability}
     summary = (
         f"valid ensemble: {len(ens.variable_types)} variable / {len(ens.check_types)} check types, "
         f"design rate {rate:.6g}"
@@ -112,16 +127,16 @@ def _cmd_threshold(args) -> tuple[dict, str, int]:
         f"q* = {result.q_star:.8f} after {result.bisection_steps} probes "
         f"(converged={result.converged}): {mechanism}"
     )
-    return result.to_json_dict(), summary, 0
+    report = result._asdict()
+    del report["x_star"]  # named by the summary only
+    return report, summary, 0
 
 
 def _cmd_exit_chart(args) -> tuple[dict, str, int]:
-    vnd_curve, cnd_curve = sample_exit_chart(_load_ensemble(args.input), args.q, args.npoints)
-    lines = ["ia,vnd,cnd_inv"]
-    for (ia, vnd), (_, cnd) in zip(vnd_curve.points, cnd_curve.points):
-        lines.append(f"{ia:.17g},{vnd:.17g},{cnd:.17g}")
+    rows = sample_exit_chart(_load_ensemble(args.input), args.q, args.npoints)
     with open(args.out, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("ia,vnd,cnd_inv\n")
+        f.writelines(f"{ia:.17g},{vnd:.17g},{cnd:.17g}\n" for ia, vnd, cnd in rows)
     summary = f"wrote {args.npoints} chart points at q={args.q:g} to {args.out}"
     return {"written": args.out, "points": args.npoints, "q": args.q}, summary, 0
 

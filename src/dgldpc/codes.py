@@ -99,18 +99,8 @@ class ComponentCode(namedtuple("ComponentCode", "gen")):
         return cls(BinaryMatrix(rows, j))
 
 
-class DeltaParams(namedtuple("DeltaParams", "delta_n2 delta_n2_kz")):
-    """Total rank deficiencies over (n-2)-column submatrices.
-
-    delta_n2 (an int) counts plain generator-column subsets; delta_n2_kz[z]
-    counts subsets of n-2 generator columns joined with k-z identity columns.
-    """
-
-    __slots__ = ()
-
-
-def _subset_rank_sums(columns: list[int], full: int, base: int = 0) -> list[int]:
-    """Entry g is the sum of base + rank over every g-subset of the columns.
+def _subset_rank_sums(columns: list[int], full: int) -> list[int]:
+    """Entry g is the rank sum over every g-subset of the columns.
 
     Columns are bit vectors over the row index, and full is their rank.  A
     DFS over the columns branches only on a column outside the span of
@@ -140,12 +130,12 @@ def _subset_rank_sums(columns: list[int], full: int, base: int = 0) -> list[int]
                 free += 1
                 continue
             if i == n or r + 1 == full:
-                ends[free + n - i][g + 1] += base + r + 1
+                ends[free + n - i][g + 1] += r + 1
             else:
                 basis.append(col)
                 walk(i, r + 1, g + 1, free)
                 basis.pop()
-        ends[free + n - i][g] += base + r
+        ends[free + n - i][g] += r
 
     walk(0, 0, 0, 0)
     walk = None  # the closure holds its own cell: break the cycle so refcounting frees ends and basis
@@ -192,7 +182,8 @@ def split_info_functions(code: ComponentCode) -> tuple[tuple[int, ...], ...]:
     Selecting h identity columns T pins those rows, so the rank of
     [G_S | I_T] equals |T| plus the rank of G_S with the T rows deleted;
     each identity mask projects the rows out instead of building augmented
-    matrices.  G has full row rank, so the projected columns have rank k - h.
+    matrices and adds h to each of the C(n, g) ranks.  G has full row rank,
+    so the projected columns have rank k - h.
     """
     n, k = code.n, code.k
     cols = code.gen.columns()
@@ -200,8 +191,8 @@ def split_info_functions(code: ComponentCode) -> tuple[tuple[int, ...], ...]:
     for t_mask in range(1 << k):
         h = t_mask.bit_count()
         keep = ~t_mask
-        for g, total in enumerate(_subset_rank_sums([c & keep for c in cols], k - h, h)):
-            table[g][h] += total
+        for g, total in enumerate(_subset_rank_sums([c & keep for c in cols], k - h)):
+            table[g][h] += total + h * comb(n, g)
     return tuple(map(tuple, table))
 
 
@@ -268,11 +259,11 @@ def min_distance_at_least(gen: BinaryMatrix, t: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def delta_params(code: ComponentCode) -> DeltaParams:
+def delta_params(code: ComponentCode) -> tuple[int, ...]:
     """Rank-deficiency totals at submatrix size n-2, with no subset walk.
 
-    delta_n2_kz[z] = k*C(n,2)*C(k,z) - e~_{n-2,k-z}; delta_n2 = its z = k
-    entry, k*C(n,2) - e_{n-2}.  Both vanish exactly when d_min >= 3.
+    Entry z is delta_n2_kz[z] = k*C(n,2)*C(k,z) - e~_{n-2,k-z}; the last,
+    z = k, is delta_n2 = k*C(n,2) - e_{n-2}.  All vanish exactly when d_min >= 3.
     Removing columns i, j and joining identity columns T lowers the rank by
     the dimension of the codewords on {i, j} whose messages u (uG = c)
     vanish on T: e_i if H_i = 0, e_j if H_j = 0, e_i + e_j if H_i = H_j (H
@@ -292,5 +283,4 @@ def delta_params(code: ComponentCode) -> DeltaParams:
                 by_weight[u.bit_count()] += 1
             if len(words) == 3:
                 by_weight[(words[0] | words[1]).bit_count()] -= 1
-    delta_kz = tuple(sum(c * comb(k - w, k - z) for w, c in enumerate(by_weight)) for z in range(k + 1))
-    return DeltaParams(delta_kz[k], delta_kz)
+    return tuple(sum(c * comb(k - w, k - z) for w, c in enumerate(by_weight)) for z in range(k + 1))

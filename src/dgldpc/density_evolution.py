@@ -75,13 +75,6 @@ class ThresholdResult(
 
     __slots__ = ()
 
-    def to_json_dict(self) -> dict:
-        doc = self._asdict()
-        del doc["x_star"]
-        if self.residual_trace is not None:
-            doc["residual_trace"] = [list(r) for r in self.residual_trace]
-        return doc
-
 
 def de_iterate(ens: Ensemble, q: float, max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAULT_TOL,
                record_trace: bool = False) -> DeRun:

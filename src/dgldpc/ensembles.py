@@ -186,9 +186,9 @@ def parse_ensemble(text: str) -> Ensemble:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
-        raise EnsembleFormatError(
-            f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from e
+        raise EnsembleFormatError(f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError:
+        raise EnsembleFormatError("arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise EnsembleFormatError("top level must be an object")
     unknown = set(doc) - {"variable_nodes", "check_nodes"}

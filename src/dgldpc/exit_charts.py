@@ -190,9 +190,8 @@ def code_slope_row(code: ComponentCode, side: str) -> tuple[Fraction, ...]:
     """Row t = 1 of code_polynomial(code, side), without building the table:
     2 Delta_{n-2}[z] / n from delta_params, in closed form with no walk (the
     full table walks up to 2^(n+k) subsets)."""
-    params = delta_params(code)
-    deltas = params.delta_n2_kz if side == "variable" else (params.delta_n2,)
-    return tuple(Fraction(2 * x, code.n) for x in deltas)
+    deltas = delta_params(code)
+    return tuple(Fraction(2 * x, code.n) for x in (deltas if side == "variable" else deltas[-1:]))
 
 
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
@@ -310,31 +309,20 @@ def inverse_exit_cnd(ens: Ensemble, target: float, *, guess: float | None = None
                   lo, lo + 2.0**-level, INVERSION_WIDTH)
 
 
-class ExitCurve(namedtuple("ExitCurve", "points channel_q", defaults=(None,))):
-    """Sampled chart curve: points (ia, value) with ia strictly increasing.
+def sample_exit_chart(ens: Ensemble, q: float, npoints: int) -> list[tuple[float, float, float]]:
+    """Sample the two chart curves on a uniform I_A grid: rows (ia, vnd, cnd_inv).
 
-    channel_q is set on variable-side curves, None on check-side ones.
-    """
-
-    __slots__ = ()
-
-
-def sample_exit_chart(ens: Ensemble, q: float, npoints: int) -> tuple[ExitCurve, ExitCurve]:
-    """Sample the two chart curves on a uniform I_A grid.
-
-    The first curve is I_{E,V}(1 - ia, q) against ia; the second is the
-    inverse check curve 1 - p(ia) where I_{E,C}(p) = ia, so successful
-    decoding at q corresponds to the first lying above the second.
+    vnd is I_{E,V}(1 - ia, q); cnd_inv is the inverse check curve 1 - p(ia)
+    where I_{E,C}(p) = ia, so successful decoding at q corresponds to vnd
+    lying above cnd_inv.
     """
     if npoints < 2:
         raise ValueError(f"npoints must be >= 2, got {npoints}")
     fv = vnd_evaluator_at_q(ens, q)
     step = 1.0 / (npoints - 1)
     grid = [i * step for i in range(npoints - 1)] + [1.0]
-    vnd_points = tuple((ia, fv(1.0 - ia)) for ia in grid)
     roots = []
     for ia in grid:  # warm start: the quadratic through the last three roots
         guess = 3 * (roots[-1] - roots[-2]) + roots[-3] if len(roots) >= 3 else None
         roots.append(inverse_exit_cnd(ens, ia, guess=guess))
-    cnd_points = tuple((ia, 1.0 - p) for ia, p in zip(grid, roots))
-    return ExitCurve(vnd_points, channel_q=q), ExitCurve(cnd_points)
+    return [(ia, fv(1.0 - ia), 1.0 - p) for ia, p in zip(grid, roots)]

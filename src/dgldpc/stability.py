@@ -81,19 +81,6 @@ class StabilityReport(
 
     __slots__ = ()
 
-    def to_json_dict(self) -> dict:
-        """The report as JSON, with the slopes also taken against I_A = 1 - p (0.0 - x, never -0)."""
-        return {
-            "cnd_slope_at_zero": self.cnd_slope_at_zero,
-            "vnd_slope_fn": list(self.vnd_slope_coeffs),
-            "gldpc_bound": self.gldpc_bound,
-            "dmin2_check_terms": list(self.dmin2_check_terms),
-            "dmin2_var_terms": [list(t) for t in self.dmin2_var_terms],
-            "applicability": self.applicability._asdict(),
-            "cnd_slope_at_zero_ia": 0.0 - self.cnd_slope_at_zero,
-            "vnd_slope_fn_ia": [0.0 - c for c in self.vnd_slope_coeffs],
-        }
-
 
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
 def _dmin2_types(ens: Ensemble, side: str) -> tuple[int, ...]:

@@ -174,7 +174,7 @@ def test_criterion_7_generic_equals_closed_form():
     with criterion(7, "generic re-declarations leave stability slopes unchanged"):
         for j in range(3, 7):
             spc_code = ComponentCode.single_parity_check(j)
-            assert 2 * delta_params(spc_code).delta_n2 == spc_code.n * (j - 1)
+            assert 2 * delta_params(spc_code)[-1] == spc_code.n * (j - 1)
             closed = ensemble([rep_node(3, 1.0)], [spc_node(j, 1.0)])
             generic = ensemble([rep_node(3, 1.0)], [generic_node(spc_code.gen.to_text(), 1.0)])
             slopes = [stability_report(e).cnd_slope_at_zero for e in (closed, generic)]

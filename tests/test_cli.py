@@ -170,6 +170,16 @@ def test_exit_chart_csv(e36_path, tmp_path, capsys):
     assert doc["written"] == str(out)
 
 
+def test_report_strings_escape_control_characters(e36_path, tmp_path, capsys):
+    # a raw tab or carriage return inside a JSON string makes the report unparseable
+    out = tmp_path / "a\tb\rc\"d\\e.csv"
+    assert run(["exit-chart", e36_path, "--q", "0.3", "--npoints", "3", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert json.loads(stdout)["written"] == str(out)
+    assert '/a\\tb\\rc\\"d\\\\e.csv",' in stdout
+    assert cli._format_json("\x00\x1f\b\f\n\x7f\u00e9") == json.dumps("\x00\x1f\b\f\n\x7f\u00e9", ensure_ascii=False)
+
+
 def test_check_stability_exit_codes(tmp_path, capsys):
     path = tmp_path / "e26.json"
     path.write_text(E26_DOC, encoding="utf-8")
@@ -199,6 +209,16 @@ def test_parse_error_status_and_message(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def test_deeply_nested_input_is_a_format_error(tmp_path, capsys):
+    # json.loads runs out of recursion depth: a one-line error and exit 2, not a traceback and exit 1
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert run(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: arrays or objects nested too deeply\n"
 
 
 def test_validation_error_status(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from itertools import zip_longest
@@ -24,7 +25,7 @@ from dgldpc.density_evolution import (
     find_threshold,
     fixed_point_coefficients,
 )
-from dgldpc.ensembles import design_rate
+from dgldpc.ensembles import design_rate, serialize_ensemble
 from dgldpc.exit_charts import (
     ExitPolynomial,
     MonotonicityError,
@@ -228,17 +229,18 @@ def test_equality_case_threshold_and_tangency(rep2_spc6):
 
 def test_chart_consistency_around_threshold(rep3_spc6_threshold):
     ens, result = rep3_spc6_threshold
-    vnd, cnd = sample_exit_chart(ens, result.q_star - 0.01, 101)
-    gaps = [v - c for (_, v), (_, c) in zip(vnd.points, cnd.points)]
+    gaps = [v - c for _, v, c in sample_exit_chart(ens, result.q_star - 0.01, 101)]
     assert all(g > 0 for g in gaps[:-1])  # curves share the exact point (1, 1)
-    vnd2, cnd2 = sample_exit_chart(ens, result.q_star + 0.01, 101)
-    gaps2 = [v - c for (_, v), (_, c) in zip(vnd2.points[:-1], cnd2.points[:-1])]
+    gaps2 = [v - c for _, v, c in sample_exit_chart(ens, result.q_star + 0.01, 101)[:-1]]
     assert min(gaps2) < 0
 
 
-def test_threshold_result_json(rep3_spc6_threshold):
-    _, result = rep3_spc6_threshold
-    doc = result.to_json_dict()
+def test_threshold_result_json(rep3_spc6_threshold, tmp_path, capsys):
+    ens, result = rep3_spc6_threshold
+    path = tmp_path / "rep3_spc6.json"
+    path.write_text(serialize_ensemble(ens), encoding="utf-8")
+    assert run(["threshold", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {
         "q_star",
         "iterations_at_threshold",
@@ -248,6 +250,7 @@ def test_threshold_result_json(rep3_spc6_threshold):
     }
     assert doc["residual_trace"] is None
     assert isinstance(doc["q_star"], float)
+    assert doc["q_star"] == result.q_star
 
 
 def test_threshold_dgldpc_ensemble(g32var_spc6):

@@ -300,26 +300,21 @@ def test_certificate_refuses_a_non_monotone_polynomial():
 
 
 def test_sample_exit_chart_endpoints(rep3_spc6):
-    vnd, cnd = sample_exit_chart(rep3_spc6, 0.3, 2)
-    assert [ia for ia, _ in vnd.points] == [0.0, 1.0]
-    assert vnd.channel_q == 0.3
-    assert cnd.channel_q is None
-    assert vnd.points[1][1] == 1.0
-    assert cnd.points[1] == (1.0, 1.0)
+    rows = sample_exit_chart(rep3_spc6, 0.3, 2)
+    assert [ia for ia, _, _ in rows] == [0.0, 1.0]
+    assert rows[1] == (1.0, 1.0, 1.0)  # (ia, vnd, cnd_inv)
     with pytest.raises(ValueError):
         sample_exit_chart(rep3_spc6, 0.3, 1)
 
 
 def test_chart_tunnel_open_below_threshold(rep3_spc6):
-    vnd, cnd = sample_exit_chart(rep3_spc6, 0.3, 101)
-    gaps = [v - c for (_, v), (_, c) in zip(vnd.points, cnd.points)]
+    gaps = [v - c for _, v, c in sample_exit_chart(rep3_spc6, 0.3, 101)]
     assert all(g > 0 for g in gaps[:-1])  # endpoint (1,1) is shared by both curves
     assert abs(gaps[-1]) <= 1e-12
 
 
 def test_chart_curves_cross_above_threshold(rep3_spc6):
-    vnd, cnd = sample_exit_chart(rep3_spc6, 0.5, 101)
-    gaps = [v - c for (_, v), (_, c) in zip(vnd.points[:-1], cnd.points[:-1])]
+    gaps = [v - c for _, v, c in sample_exit_chart(rep3_spc6, 0.5, 101)[:-1]]
     assert min(gaps) < 0
 
 
@@ -351,8 +346,8 @@ def test_long_spc_check_curve_stays_nonnegative_and_invertible(j):
     # -dI_E/dp = (j-1) (1-p)^(j-2): one nonzero Bernstein coefficient, proved >= 0
     assert certified_slope(mixture_polynomial(ens, "check")) == (j - 1,) + (0,) * (j - 2)
     assert abs(inverse_exit_cnd(ens, 0.5) - (1 - 0.5 ** (1 / (j - 1)))) <= 1e-10
-    _, cnd = sample_exit_chart(ens, 0.3, 101)
-    assert cnd.points[0] == (0.0, 0.0) and cnd.points[-1] == (1.0, 1.0)
+    cnd = [(ia, c) for ia, _, c in sample_exit_chart(ens, 0.3, 101)]
+    assert cnd[0] == (0.0, 0.0) and cnd[-1] == (1.0, 1.0)
 
 
 def test_closed_form_polynomials_equal_generic_declarations():
@@ -493,8 +488,8 @@ def test_inverse_is_the_plain_bisection(checks, targets):
         with pytest.raises(InversionRangeError):
             sample_exit_chart(ens, 0.3, 201)
     else:
-        _, cnd = sample_exit_chart(ens, 0.3, 201)
-        assert cnd.points == tuple((ia, 1.0 - p) for ia, p in zip(grid, expected))
+        cnd = [(ia, c) for ia, _, c in sample_exit_chart(ens, 0.3, 201)]
+        assert cnd == [(ia, 1.0 - p) for ia, p in zip(grid, expected)]
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,10 +10,10 @@ from fractions import Fraction
 import pytest
 
 from dgldpc.binmat import BinaryMatrix
-from dgldpc.codes import ComponentCode, DeltaParams
+from dgldpc.codes import ComponentCode
 from dgldpc.density_evolution import DeRun, ThresholdResult
 from dgldpc.ensembles import Ensemble, NodeType, parse_ensemble
-from dgldpc.exit_charts import ExitCurve, ExitPolynomial, mixture_polynomial
+from dgldpc.exit_charts import ExitPolynomial, mixture_polynomial
 from dgldpc.stability import (
     Applicability,
     BoundaryResult,
@@ -31,11 +31,9 @@ def sample_records():
     return [
         gen,
         ComponentCode(gen),
-        DeltaParams(1, (0, 2)),
         rep_node(3, 1.0),
         ensemble([rep_node(3, 1.0)], [spc_node(6, 1.0)]),
         ExitPolynomial(((Fraction(0),), (Fraction(1, 2),))),
-        ExitCurve(((0.0, 1.0), (1.0, 0.0)), channel_q=0.5),
         DeRun(True, 0.0, 3, ((1, 0.5), (2, 0.25), (3, 0.0))),
         ThresholdResult(0.2, 0, 7, True),
         applicability,
@@ -49,11 +47,9 @@ def test_field_names_and_order():
     assert [type(r)._fields for r in sample_records()] == [
         ("bits", "cols"),
         ("gen",),
-        ("delta_n2", "delta_n2_kz"),
         ("kind", "edge_fraction", "length", "generator"),
         ("variable_types", "check_types"),
         ("coeffs",),
-        ("points", "channel_q"),
         ("success", "final_x", "iters", "trace"),
         ("q_star", "iterations_at_threshold", "bisection_steps", "converged", "residual_trace", "x_star"),
         ("is_gldpc", "all_var_dmin_ge3", "all_chk_dmin_ge3"),
@@ -131,8 +127,6 @@ def test_keyword_construction_and_defaults():
     assert (generic.length, generic.generator) == (None, gen)
     assert NodeType("spc", 0.5, 6) == spc
     assert Ensemble(check_types=(spc,), variable_types=(generic,)).variable_types == (generic,)
-    curve = ExitCurve(((0.0, 1.0),))
-    assert curve.channel_q is None
     result = ThresholdResult(q_star=0.2, iterations_at_threshold=0, bisection_steps=3, converged=True)
     assert (result.residual_trace, result.x_star) == (None, 0.0)
     assert DeRun(success=False, final_x=0.5, iters=9).trace is None

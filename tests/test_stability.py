@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from dgldpc import codes, ensembles
 from dgldpc.codes import ComponentCode, min_distance_bruteforce, split_info_functions
-from dgldpc.ensembles import validate
+from dgldpc.cli import run
+from dgldpc.ensembles import serialize_ensemble, validate
 from dgldpc.exit_charts import code_polynomial, code_slope_row, mixture_polynomial, mixture_slope_row
 from dgldpc.stability import (
     dgldpc_stability_boundary,
@@ -210,17 +212,25 @@ def test_report_dmin2_terms_only_for_dmin2_types():
     assert all(v == 0.0 for v in report.dmin2_var_terms[1])
 
 
-def test_report_json_encoding(g32var_spc6, rep3_spc6):
-    doc = stability_report(g32var_spc6).to_json_dict()
+def analyze_stability(ens, tmp_path, capsys) -> dict:
+    """The stability object of the analyze command's report on ens."""
+    path = tmp_path / "ensemble.json"
+    path.write_text(serialize_ensemble(ens), encoding="utf-8")
+    assert run(["analyze", str(path)]) == 0
+    return json.loads(capsys.readouterr().out)["stability"]
+
+
+def test_report_json_encoding(g32var_spc6, rep3_spc6, tmp_path, capsys):
+    doc = analyze_stability(g32var_spc6, tmp_path, capsys)
     assert doc["gldpc_bound"] is None
     assert doc["vnd_slope_fn"] == [0.0, -4 / 3, -2 / 3]
     assert doc["cnd_slope_at_zero_ia"] == 5.0
-    doc2 = stability_report(rep3_spc6).to_json_dict()
-    assert doc2["gldpc_bound"] == math.inf
+    doc2 = analyze_stability(rep3_spc6, tmp_path, capsys)
+    assert doc2["gldpc_bound"] == "inf"
 
 
-def test_ia_orientation_is_negated(g32var_spc6):
-    doc = stability_report(g32var_spc6).to_json_dict()
+def test_ia_orientation_is_negated(g32var_spc6, tmp_path, capsys):
+    doc = analyze_stability(g32var_spc6, tmp_path, capsys)
     assert doc["cnd_slope_at_zero_ia"] == -doc["cnd_slope_at_zero"]
     assert doc["vnd_slope_fn_ia"] == [-c for c in doc["vnd_slope_fn"]]
 

@@ -1,5 +1,6 @@
 """The package stays pure stdlib: every absolute import is standard library,
-and importing the command line loads none of the heavy introspection modules."""
+and importing the command line, or running code-info, loads none of the heavy
+introspection modules."""
 
 from __future__ import annotations
 
@@ -43,3 +44,21 @@ def test_cli_import_loads_no_heavy_modules():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.split() == []
+
+
+def test_code_info_run_loads_no_heavy_modules(tmp_path):
+    """A whole command, report formatting included, not only the import."""
+    path = tmp_path / "hamming74.txt"
+    path.write_text("1000110\n0100101\n0010011\n0001111\n", encoding="utf-8")
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from dgldpc.cli import run; "
+        "status = run(['code-info', sys.argv[2]]); "
+        f"print(' '.join(m for m in {HEAVY_MODULES!r} if m in sys.modules), file=sys.stderr); "
+        "sys.exit(status)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script, str(PACKAGE.parent), str(path)],
+        capture_output=True, text=True, check=True,
+    )
+    assert '"min_distance": {\n    "bruteforce": 3' in out.stdout
+    assert out.stderr.split() == []
