@@ -41,7 +41,7 @@ _ESCAPES |= {ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')}
 
 
 def _format_json(value, indent: int = 0) -> str:
-    """Deterministic JSON: insertion-ordered keys, .17g floats, inf -> "inf"."""
+    """Deterministic JSON: insertion-ordered keys, .17g floats, inf -> "inf", lone surrogates -> \\udcXX."""
     pad = "  " * indent
     if isinstance(value, dict):
         if not value:
@@ -66,7 +66,7 @@ def _format_json(value, indent: int = 0) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
-        return f'"{value.translate(_ESCAPES)}"'
+        return '"' + value.translate(_ESCAPES).encode("utf-8", "backslashreplace").decode() + '"'
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

@@ -8,38 +8,35 @@ erasure q, slope_VND(q) >= 1 / slope_CND with both sides negative, reads
           <= rhs = 1 / (rho'_SPC(1) + sum_i (2 rho_i / n_i) D_i).
 
 The sums run over the generalized types with minimum distance 2 (D_i is the
-augmented rank-deficiency table of type i); no other component code
-contributes.  Both sides are row t = 1 of the exact EXIT polynomials
-(exit_charts.mixture_slope_row): lhs is the variable row evaluated in q and
-the bracket of rhs is the check row.  Every decision is read off these rows:
-the minimum-distance-2 generalized types are those whose row is nonzero
-(codes.delta_params is zero for d_min >= 3).  Derivative matching (the
-curves tangent at p = 0) is the stability-limited threshold q* = q_stab
-that density_evolution.find_threshold reports with x* = 0.
+augmented rank-deficiency table of type i), those whose row is nonzero
+(codes.delta_params is zero for d_min >= 3).  Both sides are row t = 1 of the
+exact EXIT polynomials (exit_charts.mixture_slope_row): lhs is the variable
+row evaluated in q and the bracket of rhs is the check row.  Every decision
+is made on these rows exactly, in Fractions, and every reported float is
+correctly rounded.  Derivative matching (the curves tangent at p = 0) is the
+stability-limited threshold q* = q_stab that density_evolution.find_threshold
+reports with x* = 0.
 
 lhs never decreases in q: exit_charts._mix proves row[z] / C(K, z)
 nondecreasing in z (a generalized type's is n - 1 times the average rank
 deficiency of [G_S | I_T] over (n-2)-subsets S and (k-z)-subsets T, which
 fewer identity columns cannot lower).  As lhs(0) = 0 < rhs, the condition
 reads q <= q_stab for one root q_stab, which exists exactly when
-lhs(1) = row[-1] >= rhs.  Without minimum-distance-2 generalized variable
-types q_stab = 1 / (lambda_2 * bracket), lambda_2 being row[-1]; otherwise
-it has no closed form and is found by bisection.
+lhs(1) = row[-1] >= rhs.  It is reported as the float nearest the root;
+without minimum-distance-2 generalized variable types that is the bound
+1 / (lambda_2 * bracket), lambda_2 being row[-1].
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from .ensembles import ENSEMBLE_CACHE_SIZE, Ensemble
-from .exit_charts import bernstein_eval, bisect, code_slope_row, mixture_slope_row
-
-STABILITY_SLACK = 1e-12
+from .exit_charts import code_slope_row, mixture_slope_row
 
 
 class Applicability(namedtuple("Applicability", "is_gldpc all_var_dmin_ge3 all_chk_dmin_ge3")):
@@ -92,23 +89,20 @@ def _dmin2_types(ens: Ensemble, side: str) -> tuple[int, ...]:
     return tuple(i for i, (t, code) in pairs if t.kind != plain and any(code_slope_row(code, side)))
 
 
-def _reciprocal(x: Fraction) -> float:
-    """1 / x correctly rounded; +inf for x = 0 and beyond the float range."""
+def _float(x: Fraction | float) -> float:
+    """x correctly rounded; +-inf beyond the float range."""
     try:
-        return float(1 / x) if x else math.inf
+        return float(x)
     except OverflowError:
-        return math.inf
+        return math.inf if x > 0 else -math.inf
 
 
-def _bracket(ens: Ensemble) -> Fraction:
-    """The check row: rho'_SPC(1) + sum over d_min=2 generalized types of 2 rho D / n."""
-    return mixture_slope_row(ens, "check")[0]
-
-
-def _stability_lhs(ens: Ensemble) -> Callable[[float], float]:
-    """q -> minus the variable-side slope at p = 0: row 1 evaluated in q."""
-    row = [float(c) for c in mixture_slope_row(ens, "variable")]
-    return lambda q: bernstein_eval(row, q)
+def _lhs(ens: Ensemble, q: Fraction) -> Fraction:
+    """Minus the variable-side slope at p = 0: row 1 at q, sum_z c[z] q^z (1-q)^(K-z), exactly."""
+    row = mixture_slope_row(ens, "variable")
+    n, d = q.as_integer_ratio()
+    k = len(row) - 1
+    return sum(c * (n**z * (d - n) ** (k - z)) for z, c in enumerate(row)) / d**k
 
 
 def vnd_slope_coefficients(ens: Ensemble) -> tuple[float, ...]:
@@ -139,32 +133,34 @@ def gldpc_stability_bound(ens: Ensemble) -> float | None:
     """
     if _dmin2_types(ens, "variable"):
         return None
-    return _reciprocal(mixture_slope_row(ens, "variable")[-1] * _bracket(ens))
+    product = mixture_slope_row(ens, "variable")[-1] * mixture_slope_row(ens, "check")[0]
+    return _float(1 / product) if product else math.inf
 
 
 def dgldpc_stability_check(ens: Ensemble, q: float) -> StabilityCheck:
-    """Evaluate both sides of the stability inequality at the given q."""
-    lhs = _stability_lhs(ens)(q)
-    rhs = _reciprocal(_bracket(ens))
-    return StabilityCheck(
-        holds=lhs <= rhs + STABILITY_SLACK,
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-    )
+    """Both sides of the stability inequality at Fraction(repr(q)), the decimal
+    typed (up to 15 significant digits): holds is exact, and lhs, rhs and
+    margin = rhs - lhs are correctly rounded."""
+    bracket = mixture_slope_row(ens, "check")[0]
+    lhs = _lhs(ens, Fraction(repr(q)))
+    rhs = 1 / bracket if bracket else math.inf
+    return StabilityCheck(holds=lhs <= rhs, lhs=_float(lhs), rhs=_float(rhs), margin=_float(rhs - lhs))
 
 
 def dgldpc_stability_boundary(ens: Ensemble) -> BoundaryResult:
-    """The one q in [0, 1] where lhs(q) = rhs, if any, bisected to an ulp.
-
-    A root exists exactly when row[-1] * bracket >= 1 (lhs(1) >= rhs, in
-    exact rationals), lhs being nondecreasing with lhs(0) = 0 < rhs.
-    """
-    bracket = _bracket(ens)
+    """The one q in [0, 1] where lhs(q) = rhs, if any, as the float nearest it:
+    dyadic rationals bisected on the exact sign of lhs * bracket - 1 until both
+    ends round to one float.  A root exists exactly when row[-1] * bracket >= 1
+    (lhs(1) >= rhs), lhs being nondecreasing with lhs(0) = 0 < rhs."""
+    bracket = mixture_slope_row(ens, "check")[0]
     if bracket == 0 or mixture_slope_row(ens, "variable")[-1] * bracket < 1:
         return BoundaryResult(points=(), vacuous=bracket == 0)
-    lhs, rhs = _stability_lhs(ens), _reciprocal(bracket)
-    return BoundaryResult(points=(bisect(lambda q: lhs(q) - rhs, 0.0, 1.0, 0.0),), vacuous=False)
+    lo, hi = Fraction(0), Fraction(1)  # lhs(lo) < rhs <= lhs(hi)
+    while float(lo) != float(hi):
+        mid = (lo + hi) / 2
+        excess = _lhs(ens, mid) * bracket - 1
+        lo, hi = (mid, hi) if excess < 0 else (lo, mid) if excess > 0 else (mid, mid)
+    return BoundaryResult(points=(float(lo),), vacuous=False)
 
 
 def stability_report(ens: Ensemble) -> StabilityReport:
@@ -186,7 +182,7 @@ def stability_report(ens: Ensemble) -> StabilityReport:
         all_chk_dmin_ge3=not _dmin2_types(ens, "check"),
     )
     return StabilityReport(
-        cnd_slope_at_zero=float(-_bracket(ens)),
+        cnd_slope_at_zero=float(-mixture_slope_row(ens, "check")[0]),
         vnd_slope_coeffs=vnd_slope_coefficients(ens),
         gldpc_bound=gldpc_stability_bound(ens),
         dmin2_check_terms=tuple(row[0] if row else 0.0 for row in dmin2_terms("check")),

@@ -180,6 +180,17 @@ def test_report_strings_escape_control_characters(e36_path, tmp_path, capsys):
     assert cli._format_json("\x00\x1f\b\f\n\x7f\u00e9") == json.dumps("\x00\x1f\b\f\n\x7f\u00e9", ensure_ascii=False)
 
 
+def test_a_path_that_is_not_utf8_is_escaped_in_the_report(e36_path, tmp_path):
+    # the undecodable byte reaches Python as a lone surrogate, which UTF-8
+    # cannot encode: the report carries it as the JSON escape \udcff
+    out = os.fsencode(tmp_path) + b"/\xff.csv"
+    argv = ["exit-chart", e36_path, "--q", "0.3", "--npoints", "3", "--out", out]
+    done = subprocess.run([sys.executable, "-m", "dgldpc.cli", *argv], capture_output=True, env=module_env())
+    assert done.returncode == 0 and os.path.exists(out)
+    report = json.loads(done.stdout.decode("utf-8"))
+    assert os.fsencode(report["written"]) == out
+
+
 def test_check_stability_exit_codes(tmp_path, capsys):
     path = tmp_path / "e26.json"
     path.write_text(E26_DOC, encoding="utf-8")
@@ -191,6 +202,17 @@ def test_check_stability_exit_codes(tmp_path, capsys):
     assert doc["holds"] is False
     assert doc["lhs"] == 0.5
     assert doc["rhs"] == pytest.approx(0.2, abs=1e-15)
+
+
+@pytest.mark.parametrize("q, holds", [("0.2", True), ("0.2000000000001", False), ("0.2000000000002", False)])
+def test_check_stability_is_decided_exactly_at_the_boundary(q, holds, tmp_path, capsys):
+    # F1's boundary is 1/5: the typed decimal is read exactly, so 1e-13 past it is a violation
+    path = tmp_path / "e26.json"
+    path.write_text(E26_DOC, encoding="utf-8")
+    assert run(["check-stability", str(path), "--q", q]) == (0 if holds else 1)
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["holds"] is holds
+    assert doc["margin"] == 0.0 if holds else doc["margin"] < 0
 
 
 def test_check_stability_worked_example(tmp_path, capsys):
@@ -515,18 +537,22 @@ def test_run_leaves_the_collector_as_it_found_it(e36_path, tmp_path, capsys):
 # change to a report, a chart CSV or an exit status changes its digest.  The
 # F0-F10 digests were re-pinned when zero _ia slopes stopped printing as -0:
 # each is the digest of the earlier transcript with every -0 token made 0.
+# F1, F2, F5-F8 and F10 were re-pinned when the stability condition came to be
+# decided in rationals: check-stability's lhs and margin became correctly
+# rounded (their last digits moved) and F6's q* moved 2 ulps down to the
+# float nearest its root; nothing else in those transcripts changed.
 GOLDEN_DIGESTS = {
     "F0": "b3fb1866e3e88a11a9522748efa2b59fec779e687e609e4cf4ecc24833315a47",
-    "F1": "935d80931084a5e5408f97d8afbc47f93551b0de518942e9f49d6f521857e455",
-    "F2": "d6bee8770db8d12e7bae1ae55af43e5feb64d52c5475b64691e5c03c98e7c7b4",
+    "F1": "7e160477f23d39370b88e502ae85a441a7a027269a91ac6bc0494e8b3161a47c",
+    "F2": "de3f4cd96d9591538ba25db695f86d58cc0535457764d84bc3033ba79b6cb8ce",
     "F3": "1e11223736fb6a93ded820a087f12be3a480ff4c12117d67b9de9eb3a1e79886",
     "F4": "baa2a8e68d1d7dfaae13762ac9acf7542fa0e7255afc4aa2b503ec559ba7865c",
-    "F5": "5541c63d33158a987deab3584c7226cdb155f0306430a0552f52f45a2bf5461d",
-    "F6": "ea3036da062a4f2ee6fbfcb31f7bf278cf25ea845817e429a4354d3d4eda69e4",
-    "F7": "68af9195f5febebc18c3f5745f2b1ddaba7cde28bce11f702870094cf729ce21",
-    "F8": "832972ae7a58d881673273d023f727a2acfb9702d90c26ac293a549250cc769f",
+    "F5": "6f0e9d04bd1456298fd2cfab8467f7377ea3388fc2a477b2d10700747b8062a7",
+    "F6": "caee182977dc9017f0429b6840597cc6f3c80a97bc31b7c6a008ac6993c253b9",
+    "F7": "e503ac1e5d9a88aee6defe93f02d9b7d588e4a17c76c8e6d52a956312f791d04",
+    "F8": "702b000a156f2389fa125d81e2befc58463fcbb2f62d4a5bf7ac1472a6bdc753",
     "F9": "ad6d113052fafd5ed34f211993ec51cd899c01c5837ef1d13989b05924510574",
-    "F10": "5f4467eabc9599151f015291a13dd32cee96c36374f78d54ab7fa2f428dd8c48",
+    "F10": "2e5fcf5cbb79abf5c8ed4edcd21e4cc66e1c4d3d9680926bcd5f38aaf45038fa",
     "code-info hamming74": "00a2c67714e0766b16c93d307b88a718718d1fb4b8ca5c94697b9bfcad737fb9",
     "code-info spc32": "9c2b71e90cea3913b49213c8369c1da1b0d53a0a63268261f18b82a02c176838",
     "code-info hamming15": "82941ea3e7105c64bcb01a36b062c5d0e9cd73cf2d1707fa6f961aac9a2a554c",

@@ -9,13 +9,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dgldpc import codes, ensembles
 from dgldpc.codes import ComponentCode, min_distance_bruteforce, split_info_functions
 from dgldpc.cli import run
-from dgldpc.ensembles import serialize_ensemble, validate
+from dgldpc.density_evolution import find_threshold
+from dgldpc.ensembles import NodeType, serialize_ensemble, validate
 from dgldpc.exit_charts import code_polynomial, code_slope_row, mixture_polynomial, mixture_slope_row
 from dgldpc.stability import (
     dgldpc_stability_boundary,
@@ -30,7 +31,6 @@ from conftest import (
     SPC_32_TEXT,
     ensemble,
     fixture_suite,
-    gamma,
     generic_node,
     mixed_side,
     random_generic_dmin2,
@@ -115,8 +115,8 @@ def test_stability_check_matches_bound_for_gldpc(rep2_spc6):
     bound = gldpc_stability_bound(rep2_spc6)
     for q in (0.05, 0.19, 0.2, 0.21, 0.9):
         check = dgldpc_stability_check(rep2_spc6, q)
-        assert check.holds == (q <= bound + 1e-12)
-        assert check.margin == pytest.approx(check.rhs - check.lhs, abs=0)
+        assert check.holds == (q <= bound)
+        assert check.margin == float(Fraction(1, 5) - Fraction(repr(q)))  # lhs = q, rhs = 1/5
 
 
 def test_stability_check_at_zero(g32var_spc6):
@@ -348,13 +348,11 @@ def test_boundary_is_the_one_crossing_of_a_nondecreasing_lhs(variables, checks):
 @settings(max_examples=40, deadline=None)
 @given(mixed_side("variable"), mixed_side("check"))
 def test_stability_lhs_grows_with_q(variables, checks):
-    # the certified row makes the exact lhs nondecreasing in q; each float
-    # is bernstein_eval at degree K, within gamma(5K + 4) of exact (counted
-    # as for exit_charts._certified_cnd)
+    # the certified row makes the exact lhs nondecreasing in q, and correctly
+    # rounded floats of a nondecreasing rational are nondecreasing
     ens = ensemble(variables, checks)
-    eps = gamma(5 * (len(mixture_slope_row(ens, "variable")) - 1) + 4)
-    lhs = [Fraction(dgldpc_stability_check(ens, i / 64).lhs) for i in range(65)]
-    assert all(a * (1 - eps) <= b * (1 + eps) for a, b in zip(lhs, lhs[1:]))
+    lhs = [dgldpc_stability_check(ens, i / 64).lhs for i in range(65)]
+    assert all(a <= b for a, b in zip(lhs, lhs[1:]))
 
 
 def assert_root_at_the_gldpc_bound(ens):
@@ -365,7 +363,7 @@ def assert_root_at_the_gldpc_bound(ens):
     if mixture_slope_row(ens, "variable")[-1] * mixture_slope_row(ens, "check")[0] >= 1:
         assert bound <= 1
         assert len(points) == 1
-        assert abs(points[0] - bound) <= 2**-52
+        assert points[0] == bound
     else:
         assert bound >= 1
         assert points == ()
@@ -394,6 +392,15 @@ def test_boundary_root_at_q_one_is_exact():
     assert not result.vacuous
 
 
+@pytest.mark.parametrize("k, root", [(1, 1.0), (3, 1 - 2**-52)])
+def test_boundary_root_halfway_between_two_floats_rounds_to_even(k, root):
+    # lambda_2 = 1 / (2 - k 2^-53) against rho'(1) = 2 puts the root at
+    # 1 - k 2^-54, halfway between two floats: the even one, as float() rounds the bound
+    ens = ensemble([rep_node(2, 0.5), rep_node(3, 0.5 - k * 2**-54)], [spc_node(3, 1.0)])
+    assert dgldpc_stability_boundary(ens).points == (root,)
+    assert gldpc_stability_bound(ens) == root
+
+
 def test_boundary_roots_of_the_fixtures_to_an_ulp():
     closed_forms = {
         1: 0.2,
@@ -409,3 +416,92 @@ def test_boundary_roots_of_the_fixtures_to_an_ulp():
         assert abs(point - root) <= 2**-52, i
     assert dgldpc_stability_boundary(suite[1]).points == (0.2,)
     assert dgldpc_stability_boundary(suite[2]).points == (0.5,)
+
+
+def test_stability_limited_threshold_is_the_closed_form_bound():
+    # the first two once came out 1 ulp below their bounds, as
+    # 0.27777777777777773 and 0.20833333333333331
+    cases = [
+        ensemble([rep_node(2, 0.9), rep_node(3, 0.1)], [spc_node(5, 1.0)]),
+        ensemble([rep_node(2, 0.8), rep_node(3, 0.2)], [spc_node(7, 1.0)]),
+    ]
+    rng = random.Random(5)
+    for _ in range(40):
+        lengths = sorted({2, *rng.sample(range(3, 9), rng.randint(0, 2))})
+        weights = [rng.randint(1, 9) for _ in lengths]
+        variables = [rep_node(j, w / sum(weights)) for j, w in zip(lengths, weights)]
+        cases.append(ensemble(variables, [spc_node(rng.randint(3, 12), 1.0)]))
+    results = [find_threshold(ens) for ens in cases]
+    limited = [(ens, r.q_star) for ens, r in zip(cases, results) if r.x_star == 0.0]
+    assert len(limited) >= 20 and results[0].x_star == results[1].x_star == 0.0
+    for ens, q_star in limited:
+        assert q_star == gldpc_stability_bound(ens)
+
+
+def exact_excess(ens, q: Fraction) -> Fraction:
+    """lhs(q) * bracket - 1 in rationals, row 1 summed term by term: the
+    condition holds at q exactly when this is <= 0."""
+    row = mixture_slope_row(ens, "variable")
+    k = len(row) - 1
+    lhs = sum(c * q**z * (1 - q) ** (k - z) for z, c in enumerate(row))
+    return lhs * mixture_slope_row(ens, "check")[0] - 1
+
+
+def assert_boundary_is_the_float_nearest_the_root(ens):
+    # a bisection in rationals to 2^-80 around the root: float() is monotone,
+    # so the float nearest the root lies between the floats of the two ends
+    points = dgldpc_stability_boundary(ens).points
+    if mixture_slope_row(ens, "check")[0] == 0 or exact_excess(ens, Fraction(1)) < 0:
+        assert points == ()
+        return
+    lo, hi = Fraction(0), Fraction(1)
+    while hi - lo > Fraction(1, 2**80):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if exact_excess(ens, mid) >= 0 else (mid, hi)
+    assert float(lo) <= points[0] <= float(hi)
+
+
+def test_boundary_of_the_fixtures_is_the_float_nearest_the_root():
+    for ens in fixture_suite():
+        assert_boundary_is_the_float_nearest_the_root(ens)
+
+
+def with_spc_variable(variables, j: int) -> list:
+    """The drawn types at half their fractions beside a generic SPC(j) variable
+    node (K = j - 1 up to 31) at the other half."""
+    spc = generic_node(ComponentCode.single_parity_check(j).gen.to_text(), 0.5)
+    return [NodeType(t.kind, t.edge_fraction / 2, t.length, t.generator) for t in variables] + [spc]
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_side("variable"), mixed_side("check"), st.sampled_from([None, 3, 8, 16, 32]))
+@example([rep_node(2, 1.0)], [spc_node(6, 1.0)], 16)  # K = 15: the float root was about 4 ulps high
+def test_boundary_of_drawn_ensembles_is_the_float_nearest_the_root(variables, checks, j):
+    variables = variables if j is None else with_spc_variable(variables, j)
+    assert_boundary_is_the_float_nearest_the_root(ensemble(variables, checks))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    mixed_side("variable"),
+    mixed_side("check"),
+    st.floats(0.0, 1.0),
+    st.one_of(st.none(), st.tuples(st.integers(1, 17), st.integers(-3, 3))),
+)
+@example([rep_node(2, 1.0)], [spc_node(6, 1.0)], 0.2000000000001, None)  # once held within a 1e-12 slack
+def test_holds_is_the_exact_sign_at_the_decimal_q(variables, checks, q, near):
+    # near = (digits, ulps): q is the boundary root cut to that many digits
+    # and moved that many ulps, where a float decision would go wrong
+    ens = ensemble(variables, checks)
+    points = dgldpc_stability_boundary(ens).points
+    if near is not None:
+        assume(points)
+        digits, ulps = near
+        q = float(f"{points[0]:.{digits}g}")
+        for _ in range(abs(ulps)):
+            q = math.nextafter(q, math.copysign(math.inf, ulps))
+        assume(0.0 <= q <= 1.0)
+    check = dgldpc_stability_check(ens, q)
+    assert check.holds == (exact_excess(ens, Fraction(repr(q))) <= 0)
+    assert not (check.holds and check.margin < 0)
+    assert not (not check.holds and check.margin > 0)
