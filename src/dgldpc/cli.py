@@ -144,7 +144,10 @@ def _cmd_exit_chart(args) -> tuple[dict, str, int]:
 def _cmd_check_stability(args) -> tuple[dict, str, int]:
     check = dgldpc_stability_check(_load_ensemble(args.input), args.q)
     verdict = "holds" if check.holds else "VIOLATED"
-    summary = f"stability at q={args.q:g}: lhs={check.lhs:.6g} rhs={check.rhs:.6g} {verdict}"
+    summary = (
+        f"stability at q={args.q!r}: lhs={check.lhs:.6g} rhs={check.rhs:.6g} "
+        f"margin={check.margin:.3g} {verdict}"
+    )
     return {"q": args.q, **check._asdict()}, summary, 0 if check.holds else STATUS_STABILITY_VIOLATED
 
 

@@ -174,7 +174,6 @@ def info_functions(code: ComponentCode) -> tuple[int, ...]:
     return tuple(_generator_rank_sums(code.gen))
 
 
-@lru_cache(maxsize=None)
 def split_info_functions(code: ComponentCode) -> tuple[tuple[int, ...], ...]:
     """Exact split information functions: entry [g][h], g = 0..n, h = 0..k,
     is the rank sum over g generator and h identity columns.
@@ -204,7 +203,6 @@ def split_info_row(code: ComponentCode, g: int) -> tuple[int, ...]:
     return split_info_functions(code)[g]
 
 
-@lru_cache(maxsize=None)
 def min_distance_bruteforce(code: ComponentCode) -> int:
     """Minimum Hamming weight over all 2^k - 1 nonzero codewords.
 
@@ -233,7 +231,6 @@ def min_distance_bruteforce(code: ComponentCode) -> int:
     return best
 
 
-@lru_cache(maxsize=None)
 def min_independent_set_size(code: ComponentCode) -> int:
     """Smallest t such that removing some t columns drops the generator rank.
 
@@ -258,7 +255,6 @@ def min_distance_at_least(gen: BinaryMatrix, t: int) -> bool:
     return _generator_rank_sums(gen)[n - s] == gen.rows * comb(n, s)
 
 
-@lru_cache(maxsize=None)
 def delta_params(code: ComponentCode) -> tuple[int, ...]:
     """Rank-deficiency totals at submatrix size n-2, with no subset walk.
 

@@ -20,7 +20,8 @@ from .codes import ComponentCode
 
 KINDS = ("repetition", "spc", "generic")
 FRACTION_SUM_TOL = 1e-12
-# Entries each lru_cache keyed by an Ensemble keeps; a command uses one ensemble.
+# Cache only what a command re-reads.  Entries each lru_cache keyed by an
+# Ensemble keeps; a command uses one ensemble.
 ENSEMBLE_CACHE_SIZE = 64
 
 

@@ -171,7 +171,6 @@ def _mix(parts) -> ExitPolynomial:
     return ExitPolynomial(tuple(map(tuple, total)))
 
 
-@lru_cache(maxsize=None)
 def code_polynomial(code: ComponentCode, side: str) -> ExitPolynomial:
     """A node's polynomial, c[t][z] = a_t[z] / n; side is "variable" or "check"."""
     rows = exit_coefficients(code, side)
@@ -185,7 +184,6 @@ def mixture_polynomial(ens: Ensemble, side: str) -> ExitPolynomial:
     return _mix(parts)
 
 
-@lru_cache(maxsize=None)
 def code_slope_row(code: ComponentCode, side: str) -> tuple[Fraction, ...]:
     """Row t = 1 of code_polynomial(code, side), without building the table:
     2 Delta_{n-2}[z] / n from delta_params, in closed form with no walk (the
@@ -210,7 +208,6 @@ def vnd_evaluator_at_q(ens: Ensemble, q: float) -> Callable[[float], float]:
     return mixture_polynomial(ens, "variable").at_q(q)
 
 
-@lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
 def cnd_evaluator(ens: Ensemble) -> Callable[[float], float]:
     """p -> I_{E,C} mixture."""
     return mixture_polynomial(ens, "check").at_q()

@@ -1,16 +1,22 @@
 """Shared fixtures: canonical codes, node-type builders, random code sampling,
-and the literal submatrix helpers the brute-force oracles are built from."""
+the literal submatrix helpers the brute-force oracles are built from, and a
+spy on the subset walks that no-walk tests count."""
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Sequence
 
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
+import dgldpc
+from dgldpc import codes, exit_charts
 from dgldpc.binmat import BinaryMatrix, rank, rank_of_bitrows
 from dgldpc.codes import ComponentCode, min_distance_bruteforce
 from dgldpc.ensembles import Ensemble, NodeType
@@ -222,3 +228,39 @@ def draw_generator_with_free_columns(draw, n: int, k: int) -> BinaryMatrix:
     gen = BinaryMatrix(rows, n)
     assume(rank(gen) == k)
     return gen
+
+
+def package_caches() -> dict:
+    """Every module-level lru_cache in dgldpc.*, by qualified name."""
+    caches = {}
+    for info in pkgutil.iter_modules(dgldpc.__path__, "dgldpc."):
+        module = importlib.import_module(info.name)
+        for name, fn in vars(module).items():
+            if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
+                caches[f"{module.__name__}.{name}"] = fn
+    return caches
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Cold caches, then a record of the work the codes layer does:
+    walks.subsets gets (columns, bits of the widest, rank) for each
+    _subset_rank_sums walk, and walks.split the code of each
+    split_info_functions call."""
+    for cache in package_caches().values():
+        cache.cache_clear()
+    record = SimpleNamespace(subsets=[], split=[])
+    walk, split = codes._subset_rank_sums, codes.split_info_functions
+
+    def spy_walk(columns, full):
+        record.subsets.append((len(columns), max(c.bit_length() for c in columns), full))
+        return walk(columns, full)
+
+    def spy_split(code):
+        record.split.append(code)
+        return split(code)
+
+    monkeypatch.setattr(codes, "_subset_rank_sums", spy_walk)
+    for module in (codes, exit_charts):
+        monkeypatch.setattr(module, "split_info_functions", spy_split)
+    return record

@@ -23,7 +23,14 @@ from dgldpc import cli, codes, ensembles
 from dgldpc.cli import run
 from dgldpc.ensembles import serialize_ensemble
 
-from conftest import HAMMING_74_TEXT, SPC_32_TEXT, fixture_suite, hamming_15_11, seeded_dmin2_code
+from conftest import (
+    HAMMING_74_TEXT,
+    SPC_32_TEXT,
+    fixture_suite,
+    hamming_15_11,
+    package_caches,
+    seeded_dmin2_code,
+)
 
 E36_DOC = """{
   "variable_nodes": [
@@ -72,26 +79,16 @@ def test_code_info_report(tmp_path, capsys):
     assert doc["delta_n2_kz"] == [0, 2, 3]
 
 
-def test_code_info_walks_each_code_once(tmp_path, monkeypatch):
+def test_code_info_walks_each_code_once(tmp_path, walks):
     # the one walk is the information functions: min_independent_set_size
     # reads them and delta_params walks nothing.  The (4, 2) code is walked
     # on its own 2-bit columns, Hamming (15, 11) on the 4-bit dual columns.
-    walked = []
-    walk = codes._subset_rank_sums
-
-    def spy(columns, full, *rest):
-        walked.append((len(columns), max(c.bit_length() for c in columns), full))
-        return walk(columns, full, *rest)
-
-    monkeypatch.setattr(codes, "_subset_rank_sums", spy)
     path = tmp_path / "code.txt"
     for text, expected in (("1100\n0111\n", (4, 2, 2)), (hamming_15_11().gen.to_text(), (15, 4, 4))):
-        for cache in (codes.info_functions, codes.delta_params, codes.min_independent_set_size):
-            cache.cache_clear()
-        walked.clear()
+        walks.subsets.clear()
         path.write_text(text, encoding="utf-8")
         assert run(["code-info", str(path)]) == 0
-        assert walked == [expected]
+        assert walks.subsets == [expected]
 
 
 def test_analyze_report(e36_path, capsys):
@@ -346,8 +343,12 @@ VERBOSE_LINES = [
     (["threshold", "{e26}"], 0, "q* = 0.20000000 after 3 probes (converged=True): stability-limited (x* = 0)\n"),
     (["exit-chart", "{e26}", "--q", "0.3", "--npoints", "5", "--out", "{csv}"], 0,
      "wrote 5 chart points at q=0.3 to {csv}\n"),
-    (["check-stability", "{e26}", "--q", "0.1"], 0, "stability at q=0.1: lhs=0.1 rhs=0.2 holds\n"),
-    (["check-stability", "{e26}", "--q", "0.5"], 1, "stability at q=0.5: lhs=0.5 rhs=0.2 VIOLATED\n"),
+    (["check-stability", "{e26}", "--q", "0.1"], 0, "stability at q=0.1: lhs=0.1 rhs=0.2 margin=0.1 holds\n"),
+    (["check-stability", "{e26}", "--q", "0.5"], 1,
+     "stability at q=0.5: lhs=0.5 rhs=0.2 margin=-0.3 VIOLATED\n"),
+    # q as typed and the sign of the margin, where lhs and rhs print alike
+    (["check-stability", "{e26}", "--q", "0.2000000000001"], 1,
+     "stability at q=0.2000000000001: lhs=0.2 rhs=0.2 margin=-1e-13 VIOLATED\n"),
 ]
 
 
@@ -761,3 +762,28 @@ def test_each_component_code_is_built_once_per_command(tmp_path, monkeypatch):
             built.clear()
             assert run([str(a) for a in argv]) in (0, 1)
             assert len(built) == types, argv[0]
+
+
+def test_every_cache_is_hit_by_some_command(tmp_path, capsys):
+    # Cache only what a command re-reads.  Each command starts from cold
+    # caches, as in its own process; F1 is a fixture of rep/SPC nodes, F8
+    # mixes in a minimum-distance-2 generic variable and a Hamming check node.
+    caches = package_caches()
+    assert "dgldpc.codes.info_functions" in caches
+    hits = dict.fromkeys(caches, 0)
+    code = tmp_path / "h74.txt"
+    code.write_text(HAMMING_74_TEXT + "\n", encoding="utf-8")
+    commands = [["code-info", code]]
+    for index in (1, 8):
+        path = tmp_path / f"F{index}.json"
+        path.write_text(serialize_ensemble(fixture_suite()[index]), encoding="utf-8")
+        commands += [["analyze", path], ["threshold", path], ["check-stability", path, "--q", "0.3"],
+                     ["exit-chart", path, "--q", "0.3", "--npoints", "5", "--out", tmp_path / "c.csv"]]
+    for argv in commands:
+        for cache in caches.values():
+            cache.cache_clear()
+        assert run([str(a) for a in argv]) in (0, 1)
+        for name, cache in caches.items():
+            hits[name] += cache.cache_info().hits
+    capsys.readouterr()
+    assert [name for name, n in hits.items() if not n] == []

@@ -296,13 +296,11 @@ def test_spc_delta_identity():
         assert 2 * delta_params(code)[-1] == code.n * (j - 1)
 
 
-def test_delta_params_of_a_dmin3_code_walks_no_identity_mask():
+def test_delta_params_of_a_dmin3_code_walks_no_identity_mask(walks):
     code = hamming_15_11()
     assert min_distance_bruteforce(code) == 3
-    delta_params.cache_clear()
-    split_info_functions.cache_clear()
     assert delta_params(code) == (0,) * 12
-    assert split_info_functions.cache_info().currsize == 0
+    assert walks.split == []
 
 
 def dual_code(code: ComponentCode) -> ComponentCode:
@@ -382,25 +380,16 @@ def test_dual_walk_matches_the_primal_walk(gen):
         assert min_distance_at_least(gen, s + 1) == (s < d)
 
 
-def test_high_rate_rank_sums_walk_the_dual_columns(monkeypatch):
+def test_high_rate_rank_sums_walk_the_dual_columns(walks):
     # Hamming (15,11): info_functions walks the 15 four-bit columns of H,
     # not the 11-bit columns of G; min_independent_set_size reads that table
     # and min_distance_at_least walks H again.
-    walked = []
-
-    def spy(columns, full, *rest):
-        walked.append((len(columns), max(c.bit_length() for c in columns), full))
-        return _subset_rank_sums(columns, full, *rest)
-
-    monkeypatch.setattr(codes, "_subset_rank_sums", spy)
-    info_functions.cache_clear()
-    min_independent_set_size.cache_clear()
     code = hamming_15_11()
     info_functions(code)
     assert min_independent_set_size(code) == 3
-    assert walked == [(15, 4, 4)]
+    assert walks.subsets == [(15, 4, 4)]
     assert min_distance_at_least(code.gen, 3) and not min_distance_at_least(code.gen, 4)
-    assert walked == [(15, 4, 4)] * 3
+    assert walks.subsets == [(15, 4, 4)] * 3
 
 
 @settings(max_examples=60, deadline=None)
@@ -440,19 +429,10 @@ def test_delta_params_of_a_seeded_dmin2_code_match_the_split_row():
     assert delta_params(code)[-1] > 0
 
 
-def test_delta_params_walk_no_subset(monkeypatch):
-    walked = []
-
-    def spy(*args):
-        walked.append(len(args[0]))
-        return _subset_rank_sums(*args)
-
-    monkeypatch.setattr(codes, "_subset_rank_sums", spy)
-    for cache in (delta_params, split_info_functions):
-        cache.cache_clear()
+def test_delta_params_walk_no_subset(walks):
     for code in (hamming_15_11(), seeded_dmin2_code(1608, 16, 8)):
         delta_params(code)
-    assert walked == []
+    assert walks.subsets == []
 
 
 def test_split_table_of_a_two_direction_code_has_a_closed_form():

@@ -321,7 +321,6 @@ def test_ensemble_keyed_caches_are_bounded():
         ensembles._validate_cached,
         exit_charts.mixture_polynomial,
         exit_charts.mixture_slope_row,
-        exit_charts.cnd_evaluator,
         exit_charts._certified_cnd,
         density_evolution._fixed_point_basis,
         stability._dmin2_types,
@@ -343,17 +342,16 @@ def test_ensemble_keyed_caches_are_bounded():
 
 
 def test_code_keyed_caches_hold_one_entry_per_code():
-    # 200 edge-fraction mixtures of the same three codes share their entries
-    caches = (exit_charts.code_polynomial, exit_charts.code_slope_row, codes.delta_params)
-    for cache in caches:
-        cache.cache_clear()
+    # the one unbounded cache: 200 edge-fraction mixtures of the same four
+    # codes share its entries, one per check code
+    codes.info_functions.cache_clear()
     count = 200
     for i in range(1, count + 1):
         w = i / (count + 1)
-        ens = ensemble([rep_node(2, w), rep_node(3, 1.0 - w)], [spc_node(6, 1.0)])
+        ens = ensemble([rep_node(2, w), rep_node(3, 1.0 - w)], [spc_node(5, 0.5), spc_node(6, 0.5)])
         stability_report(ens)
         design_rate(ens)
         exit_charts.mixture_polynomial(ens, "variable")
         exit_charts.mixture_polynomial(ens, "check")
-    # (rep2, variable), (rep3, variable), (SPC6, check); delta_params is keyed by code alone
-    assert [cache.cache_info().currsize for cache in caches] == [3, 3, 3]
+    info = codes.info_functions.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (None, 2, 2)

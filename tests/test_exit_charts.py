@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dgldpc import exit_charts
-from dgldpc.codes import ComponentCode, info_functions, min_distance_at_least, split_info_functions
+from dgldpc.codes import ComponentCode, info_functions, min_distance_at_least
 from dgldpc.exit_charts import (
     INVERSION_WIDTH,
     ExitPolynomial,
@@ -318,19 +318,15 @@ def test_chart_curves_cross_above_threshold(rep3_spc6):
     assert min(gaps) < 0
 
 
-def test_generic_check_curves_never_build_the_split_table(monkeypatch):
+def test_generic_check_curves_never_build_the_split_table(walks):
     ens = ensemble([rep_node(3, 1.0)], [generic_node("1100\n0111", 0.5), spc_node(6, 0.5)])
-    # earlier tests may hold these codes' polynomials in the upper caches
-    for cache in (split_info_functions, code_polynomial, mixture_polynomial, cnd_evaluator):
-        cache.cache_clear()
-    split, real = [], split_info_functions
-    monkeypatch.setattr(exit_charts, "split_info_functions", lambda code: split.append(code) or real(code))
     cnd_evaluator(ens)(0.3)
-    assert split == [] and code_polynomial.cache_info().currsize == 2
+    # one walk per check code, for its information functions: the (4, 2)
+    # code's on G, SPC(6)'s on the one row of its dual
+    assert walks.split == [] and walks.subsets == [(4, 2, 2), (6, 1, 1)]
     # the chart's variable curve needs the rep3 node's split table, and only it
     sample_exit_chart(ens, 0.3, 11)
-    assert split == [ComponentCode.repetition(3)]
-    assert code_polynomial.cache_info().currsize == 3
+    assert walks.split == [ComponentCode.repetition(3)]
 
 
 @pytest.mark.parametrize("j", [8, 16, 32])

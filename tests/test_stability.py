@@ -12,12 +12,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dgldpc import codes, ensembles
-from dgldpc.codes import ComponentCode, min_distance_bruteforce, split_info_functions
+from dgldpc.codes import ComponentCode, min_distance_bruteforce
 from dgldpc.cli import run
 from dgldpc.density_evolution import find_threshold
 from dgldpc.ensembles import NodeType, serialize_ensemble, validate
-from dgldpc.exit_charts import code_polynomial, code_slope_row, mixture_polynomial, mixture_slope_row
+from dgldpc.exit_charts import code_slope_row, mixture_slope_row
 from dgldpc.stability import (
     dgldpc_stability_boundary,
     dgldpc_stability_check,
@@ -241,38 +240,25 @@ def test_slope_coefficients_keep_the_degree_of_the_dmin2_types():
     assert vnd_slope_coefficients(ens) == (0.0, -0.5, 0.0)
 
 
-def test_report_never_builds_the_split_table():
+def test_report_never_builds_the_split_table(walks):
     ens = ensemble(
         [generic_node(SPC_32_TEXT, 0.5), generic_node(HAMMING_74_TEXT, 0.5)],
         [spc_node(6, 0.5), generic_node("1100\n0111", 0.5)],
     )
-    # earlier tests may hold these codes' full polynomials in the upper caches
-    for cache in (split_info_functions, code_polynomial, mixture_polynomial):
-        cache.cache_clear()
     stability_report(ens)
     dgldpc_stability_check(ens, 0.3)
     dgldpc_stability_boundary(ens)
-    assert split_info_functions.cache_info().currsize == 0
-    assert code_polynomial.cache_info().currsize == 0
+    # nor any node's full polynomial, whose check side walks the information functions
+    assert walks.split == [] and walks.subsets == []
 
 
-def test_validate_and_report_walk_no_subset(monkeypatch):
+def test_validate_and_report_walk_no_subset(walks):
     # validation reads d_min >= 2 off the dual columns and the d_min >= 3
     # decision is read off delta_params, so neither walks a column subset
-    walked = []
-    walk = codes._subset_rank_sums
-
-    def spy(*args):
-        walked.append(len(args[0]))
-        return walk(*args)
-
-    monkeypatch.setattr(codes, "_subset_rank_sums", spy)
-    for cache in (ensembles._validate_cached, codes.delta_params, code_slope_row, mixture_slope_row):
-        cache.cache_clear()
     ens = ensemble([generic_node("1100\n0111", 1.0)], [spc_node(6, 1.0)])
     validate(ens)
     assert not stability_report(ens).applicability.all_var_dmin_ge3  # the d_min-2 code is seen
-    assert walked == []
+    assert walks.subsets == []
 
 
 @st.composite
