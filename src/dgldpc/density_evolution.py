@@ -24,8 +24,9 @@ stability product, so the threshold is limited either at x -> 0, where it
 is the stability boundary q_stab, or by an interior fixed point x* > 0.
 Each probe is a proof: g_q = sum_t v_q[t] B_t over a q-independent basis
 with nonnegative Bernstein coefficients, and de Casteljau halving narrows
-its convex hull (Farouki, CAGD 2012) until a proven rounding bound eps
-decides every cell.  An undecided probe fails; q* never exceeds q_stab.
+its convex hull (Farouki, CAGD 2012) until every cell is decided exactly,
+in integers over one denominator (a float q is a rational).  An undecided
+probe fails; x -> 0 is owned by the stability boundary, which q* never exceeds.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from functools import lru_cache
 from heapq import heappop, heappush
-from math import comb, fsum, lcm
+from math import comb, lcm
 from operator import add, mul
 
 from .ensembles import ENSEMBLE_CACHE_SIZE, Ensemble
@@ -113,24 +114,18 @@ def erasure_ratio(ens: Ensemble, q: float) -> Callable[[float], float]:
 
 
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
-def _fixed_point_basis(ens: Ensemble) -> tuple[tuple[tuple[float, ...], ...], float]:
-    """(columns, eps): columns[i][t] is Bernstein coefficient i of B_t =
-    c y^t (1-y)^(dv-t), y = x c(x), so that g_q = sum_t v_q[t] B_t at degree D.
+def _fixed_point_basis(ens: Ensemble) -> tuple[tuple, tuple, int]:
+    """(columns, rows, den) in integers: g_q = sum_t v_q[t] B_t at degree D,
+    where Bernstein coefficient i of B_t = c y^t (1-y)^(dv-t), y = x c(x), is
+    columns[i][t] / den and v_q[t] = sum_z rows[t][z] q^z (1-q)^(K-z).
 
-    y and 1 - y are the check mixture's erasure and information forms, so
-    each coefficient is a sum of nonnegative integers divided once.  eps =
-    (5K + MAX_HALVINGS D + 9) u, u = 2^-53, K the variable degree in q, bounds
-    the relative error of every cell coefficient of a probe.  Count the
-    roundings k (relative error k u / (1 - k u)) reaching one: basis, 1;
-    v_q[t], bernstein_eval at degree K, 5K + 4 (counted as for
-    exit_charts._certified_cnd); product, 1; fsum over t, 1; a halving, D
-    (_halve), so MAX_HALVINGS D at the depth cap.  All terms are >= 0, so
-    nothing cancels; k u < 2^-20 keeps the bound below (k + 1) u, and the u
-    to spare covers underflow (2^-1075 an operation) at 1 +- eps.
+    y and 1 - y are the check mixture's erasure and information forms, the
+    variable rows are scaled by the lcm of their denominators, and column i
+    by lcm(C(D, .)) / C(D, i), so that one denominator serves them all.
     """
     y = [row[0] for row in mixture_polynomial(ens, "check").coeffs]
-    variable = mixture_polynomial(ens, "variable").coeffs
-    dc, dv, k = len(y) - 1, len(variable) - 2, len(variable[0]) - 1
+    variable = mixture_polynomial(ens, "variable").coeffs[1:]
+    dc, dv = len(y) - 1, len(variable) - 1
     scale = lcm(*(f.denominator for f in y))
     erasure = [f.numerator * (scale // f.denominator) for f in y]
     info = [comb(dc, t) * scale - e for t, e in enumerate(erasure)]
@@ -139,65 +134,67 @@ def _fixed_point_basis(ens: Ensemble) -> tuple[tuple[tuple[float, ...], ...], fl
         rising.append(bernstein_product(rising[-1], erasure))
         falling.append(bernstein_product(falling[-1], info))
     basis = [bernstein_product(r, f) for r, f in zip(rising, reversed(falling))]
-    d, den = len(basis[0]) - 1, scale ** (dv + 1)
-    columns = tuple(tuple(b[i] / (den * comb(d, i)) for b in basis) for i in range(d + 1))
-    return columns, (5 * k + MAX_HALVINGS * d + 9) * 2.0**-53
+    d, vscale = len(basis[0]) - 1, lcm(*(f.denominator for row in variable for f in row))
+    norm = lcm(*(comb(d, i) for i in range(d + 1)))
+    columns = tuple(tuple(b[i] * (norm // comb(d, i)) for b in basis) for i in range(d + 1))
+    rows = tuple(tuple(f.numerator * (vscale // f.denominator) for f in row) for row in variable)
+    return columns, rows, scale ** (dv + 1) * norm * vscale
 
 
-def fixed_point_coefficients(ens: Ensemble, q: float) -> tuple[list[float], float]:
-    """(b, eps): g_q = sum_i b[i] C(D,i) x^i (1-x)^(D-i), so min b <= g_q <= max b,
-    and each b[i] is within eps b[i] of exact (see _fixed_point_basis)."""
-    columns, eps = _fixed_point_basis(ens)
-    v = mixture_polynomial(ens, "variable").over_p(q)
-    return [fsum(map(mul, v, col)) for col in columns], eps
+def fixed_point_coefficients(ens: Ensemble, q: float) -> tuple[list[int], int]:
+    """(b, den) in integers: g_q = sum_i (b[i] / den) C(D,i) x^i (1-x)^(D-i)
+    exactly, so min b / den <= g_q <= max b / den.  The float q is a / m."""
+    columns, rows, den = _fixed_point_basis(ens)
+    (a, m), k = q.as_integer_ratio(), len(rows[0]) - 1
+    v = [sum(r * a**z * (m - a) ** (k - z) for z, r in enumerate(row)) for row in rows]
+    return [sum(map(mul, v, col)) for col in columns], den * m**k
 
 
-def _halve(b: list[float]) -> tuple[list[float], list[float]]:
-    """De Casteljau at x = 1/2: the Bernstein coefficients of the two halves.
-    Level j sums hold 2^j times the averages, so a level rounds once, and
-    they stay below 2^(D+10) < 2^1024 for node lengths up to 32."""
+def _halve(b: list[int]) -> tuple[list[int], list[int]]:
+    """De Casteljau at x = 1/2: the Bernstein coefficients of the two halves,
+    times 2^D.  Level j sums hold 2^j times the averages, shifted by D - j."""
     left, right = [b[0]], [b[-1]]
     while len(b) > 1:
         b = list(map(add, b, b[1:]))
         left.append(b[0])
         right.append(b[-1])
-    scale = [2.0**-j for j in range(len(left))]
-    return list(map(mul, left, scale)), list(map(mul, right, scale))[::-1]
+    d = len(left) - 1
+    return [x << d - j for j, x in enumerate(left)], [x << d - j for j, x in enumerate(right)][::-1]
 
 
 def find_threshold(ens: Ensemble, record_trace: bool = False) -> ThresholdResult:
     """The decoding threshold q* from the fixed-point condition g_q < 1 on (0, 1].
 
-    A probe proves or fails: it halves the cells of g_q, highest coefficient
-    first.  A cell closes when its coefficients are below 1 - eps; the one at
-    x = 0 needs that only past g_q(0), the stability product.  A cell end at
-    or above 1 + eps fails the probe, and so does a cell still open at the
-    depth cap (undecided).  So x -> 0 is left to the stability boundary
-    q_stab: a success there gives q* = q_stab after one probe.  Otherwise q
-    is bisected over [0, 1] to BRACKET_WIDTH and q_star is the bracket's
-    midpoint, clamped to q_stab (x* = 0 when the clamp binds).  converged
-    reports that q = 0 succeeded and q = 1 failed.
+    A probe proves or fails, exactly: it halves the cells of g_q, highest
+    coefficient first.  A cell closes when its coefficients are below 1; a
+    cell end at or above 1 fails the probe, as does a cell still open at the
+    depth cap (undecided).  g_q(0), the stability product, is never
+    compared with 1: x -> 0 is owned by the stability boundary q_stab, and a
+    success there gives q* = q_stab after one probe.  Otherwise q is bisected
+    over [0, 1] to BRACKET_WIDTH and q_star is the bracket's midpoint, clamped
+    to q_stab (x* = 0 when the clamp binds).  converged reports that q = 0
+    succeeded and q = 1 failed.
     """
     probes, accepted = 0, (0.0, 0.0, 1.0)  # q, lo and width of the highest cell of the last success
 
     def succeeds(q: float) -> bool:
         nonlocal probes, accepted
         probes += 1
-        b, eps = fixed_point_coefficients(ens, q)
-        cells, best = [(-max(b), 0.0, 1.0, b)], (-1.0, 0.0, 1.0)
+        b, den = fixed_point_coefficients(ens, q)
+        cells, best = [(-max(b) / den, 0.0, 1.0, b, den)], (-1.0, 0.0, 1.0)
         while cells:
-            _, lo, width, b = heappop(cells)
-            if b[0] >= 1 + eps or b[-1] >= 1 + eps:
+            _, lo, width, b, den = heappop(cells)
+            if b[-1] >= den or lo > 0.0 and b[0] >= den:
                 return False
-            top = max(b[1:] if lo == 0.0 else b, default=0.0)
-            if top < 1 - eps:
-                best = max(best, (top, lo, width))
+            top = max(b[1:] if lo == 0.0 else b, default=0)
+            if top < den:
+                best = max(best, (top / den, lo, width))
             elif width == 2.0**-MAX_HALVINGS:
                 return False
             else:
-                width *= 0.5
+                width, den = width * 0.5, den << len(b) - 1
                 for start, half in zip((lo, lo + width), _halve(b)):
-                    heappush(cells, (-max(half), start, width, half))
+                    heappush(cells, (-max(half) / den, start, width, half, den))
         accepted = (q, *best[1:])
         return True
 

@@ -80,13 +80,14 @@ class StabilityReport(
 
 
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
-def _dmin2_types(ens: Ensemble, side: str) -> tuple[int, ...]:
-    """Indices of the generalized minimum-distance-2 types of one side: those
-    with a nonzero slope row (the row of a d_min >= 3 code is zero).  All but
-    repetition variable nodes and SPC check nodes are generalized."""
+def _dmin2_types(ens: Ensemble, side: str) -> dict[int, tuple[Fraction, ...]]:
+    """The generalized minimum-distance-2 types of one side, index -> slope
+    row: those with a nonzero row (the row of a d_min >= 3 code is zero).
+    All but repetition variable nodes and SPC check nodes are generalized."""
     plain = "repetition" if side == "variable" else "spc"
     pairs = enumerate(zip(ens.types(side), ens.codes(side)))
-    return tuple(i for i, (t, code) in pairs if t.kind != plain and any(code_slope_row(code, side)))
+    rows = {i: code_slope_row(code, side) for i, (t, code) in pairs if t.kind != plain}
+    return {i: row for i, row in rows.items() if any(row)}
 
 
 def _float(x: Fraction | float) -> float:
@@ -171,9 +172,9 @@ def stability_report(ens: Ensemble) -> StabilityReport:
     """
     def dmin2_terms(side: str) -> list[tuple[float, ...]]:
         terms = [()] * len(ens.types(side))
-        weights, codes = ens.weights(side), ens.codes(side)
-        for i in _dmin2_types(ens, side):
-            terms[i] = tuple(float(weights[i] * c) for c in code_slope_row(codes[i], side))
+        weights = ens.weights(side)
+        for i, row in _dmin2_types(ens, side).items():
+            terms[i] = tuple(float(weights[i] * c) for c in row)
         return terms
 
     applicability = Applicability(

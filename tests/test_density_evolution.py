@@ -172,15 +172,13 @@ def test_de_trajectories_rise_only_by_float_error(variables, checks, q):
 )
 def test_probe_coefficients_grow_with_q(variables, checks, qs):
     # v_q[t] grows with q (its row over C(K, z) is certified nondecreasing in
-    # z) and g_q = sum_t v_q[t] B_t with B_t >= 0, so each exact coefficient
-    # grows; the floats are within eps relative, plus 2^-1000 for underflow
+    # z) and g_q = sum_t v_q[t] B_t with B_t >= 0, so each coefficient b / den
+    # grows, exactly
     ens = ensemble(variables, checks)
     probes = [fixed_point_coefficients(ens, q) for q in sorted(qs)]
-    slack = Fraction(2, 2**1000)
-    for (low, eps), (high, _) in zip(probes, probes[1:]):
-        eps = Fraction(eps)
-        for a, b in zip(low, high):
-            assert Fraction(a) * (1 - eps) <= Fraction(b) * (1 + eps) + slack
+    for (low, low_den), (high, high_den) in zip(probes, probes[1:]):
+        for a, b in zip(low, high, strict=True):
+            assert a * high_den <= b * low_den
 
 
 def test_threshold_rep3_spc6(rep3_spc6_threshold):
@@ -398,22 +396,20 @@ def exact_fixed_point_coefficients(ens, q: Fraction) -> list[Fraction]:
 )
 @example([rep_node(3, 1.0)], [spc_node(8, 1.0)], 0.5, 0)
 @example([generic_node(HAMMING_74_TEXT, 1.0)], [spc_node(8, 1.0)], 0.3, 2**MAX_HALVINGS - 1)
-def test_probe_coefficients_are_within_eps_of_exact(variables, checks, q, path):
-    # every cell on a random halving path down to the depth cap, against
-    # exact de Casteljau halving; 2^-1000 covers underflow at tiny q
+def test_probe_coefficients_equal_exact_halving(variables, checks, q, path):
+    # every cell on a random halving path down to the depth cap equals
+    # integer de Casteljau halving of independently built rational coefficients
     ens = ensemble(variables, checks)
-    b, eps = fixed_point_coefficients(ens, q)
+    b, b_den = fixed_point_coefficients(ens, q)
     exact = exact_fixed_point_coefficients(ens, Fraction(q))
     den = math.lcm(*(e.denominator for e in exact))
     nums = [e.numerator * (den // e.denominator) for e in exact]
     for level in range(MAX_HALVINGS + 1):
-        for f, n in zip(b, nums, strict=True):
-            e = Fraction(n, den)
-            assert abs(Fraction(f) - e) <= eps * e + Fraction(1, 2**1000)
+        assert [f * den for f in b] == [n * b_den for n in nums]
         if level == MAX_HALVINGS:
             break
         right = path >> level & 1
-        b = de._halve(b)[right]
+        b, b_den = de._halve(b)[right], b_den << len(b) - 1
         ends = [[nums[0]], [nums[-1]]]  # 2^j times level j's averages at each end
         while len(nums) > 1:
             nums = [s + t for s, t in zip(nums, nums[1:])]

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dgldpc.codes import ComponentCode, min_distance_bruteforce
+from dgldpc import exit_charts
+from dgldpc.codes import ComponentCode, delta_params, min_distance_bruteforce
 from dgldpc.cli import run
 from dgldpc.density_evolution import find_threshold
 from dgldpc.ensembles import NodeType, serialize_ensemble, validate
@@ -32,6 +33,7 @@ from conftest import (
     fixture_suite,
     generic_node,
     mixed_side,
+    package_caches,
     random_generic_dmin2,
     rep_node,
     spc_node,
@@ -209,6 +211,18 @@ def test_report_dmin2_terms_only_for_dmin2_types():
     assert report.dmin2_check_terms == (0.0, 0.0)
     assert report.dmin2_var_terms[0] == ()
     assert all(v == 0.0 for v in report.dmin2_var_terms[1])
+
+
+@pytest.mark.parametrize("index, calls", [(6, 3), (8, 7), (10, 5)])
+def test_report_builds_each_slope_row_once_per_reader(index, calls, monkeypatch):
+    # the two mixture rows read every code's row and _dmin2_types every
+    # generalized code's; the per-type terms reuse the latter's rows
+    for cache in package_caches().values():
+        cache.cache_clear()
+    seen = []
+    monkeypatch.setattr(exit_charts, "delta_params", lambda code: seen.append(code) or delta_params(code))
+    stability_report(fixture_suite()[index])
+    assert len(seen) == calls
 
 
 def analyze_stability(ens, tmp_path, capsys) -> dict:
