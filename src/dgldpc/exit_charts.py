@@ -4,9 +4,10 @@ Every EXIT function is one exact polynomial in Bernstein form (see
 ExitPolynomial): per component code, from the integer coefficient tables
 of its (split) information functions, repetition and SPC nodes included,
 and per ensemble side, as the edge-fraction mixture of those.  Only
-bernstein_eval is floating point.  The a-priori input is an erasure
-probability p with I_A = 1 - p, and variable nodes additionally see the
-communication channel erasure probability q.  Stability reads the slopes
+bernstein_eval is floating point; the check curve's inverse only steers by
+it, and nearest_float_root decides each inverse on exact signs.  The
+a-priori input is an erasure probability p with I_A = 1 - p, and variable
+nodes also see the channel erasure probability q.  Stability reads the slopes
 at p = 0 off row t = 1 (code_slope_row, mixture_slope_row).  _mix proves
 each mixture monotone in p and q, which inverse_exit_cnd and DE rely on.
 """
@@ -17,12 +18,11 @@ from collections import namedtuple
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import ceil, comb
+from math import comb, lcm, ulp
 
 from .codes import ComponentCode, delta_params, info_functions, split_info_functions
 from .ensembles import ENSEMBLE_CACHE_SIZE, Ensemble
 
-INVERSION_WIDTH = 2.0**-60
 NEWTON_STEPS = 30
 
 
@@ -141,6 +141,12 @@ def bernstein_product(a: Sequence, b: Sequence) -> list:
     return out
 
 
+def monomial(c: Sequence) -> list:
+    """Coefficients of x^0 .. x^d in sum_t c[t] x^t (1-x)^(d-t), d = len(c) - 1."""
+    d = len(c) - 1
+    return [sum(c[t] * comb(d - t, k - t) * (-1) ** (k - t) for t in range(k + 1)) for k in range(d + 1)]
+
+
 def _elevate(c: Sequence[Fraction], degree: int) -> list[Fraction]:
     """Bernstein coefficients of the same polynomial at a higher degree: c times (x + 1 - x)^extra."""
     extra = degree + 1 - len(c)
@@ -223,23 +229,15 @@ def certified_slope(poly: ExitPolynomial) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
-def _certified_cnd(ens: Ensemble) -> tuple:
-    """(f, df/dp, eps, f(0), f(1)) of f = I_{E,C}, certified non-increasing;
-    eps = (5d + 8) u bounds |f - exact| on [0, 1] at degree d, u = 2^-53.
-
-    Count the roundings k (relative error k u / (1 - k u)) that reach each
-    term: float coefficients c_t and C(d,t) - c_t, 1 (the q = 1 collapse is
-    exact); r = p / (1-p), 2 (1 - p and the quotient; above p = 1/2, 1 - p is
-    exact and (1-p) / p rounds once), so 2d in r^t; Horner over terms >= 0,
-    2d, with nothing cancelling; (1-p)**d, d + 2 (pow is within one ulp);
-    the last product, 1.  So s = 1 - f and its complement, both in [0, 1],
-    are each within (5d + 4) u (1 + O(du)), whichever the switch picks; 1 - s
-    (s <= 1/2) rounds once more, below 1 (u); underflow adds 2^-1075 at most
-    per operation; the 2 u to spare cover rounding target +- 2 eps.
-    """
-    slope = tuple(-float(s) for s in certified_slope(mixture_polynomial(ens, "check")))
-    f = cnd_evaluator(ens)
-    return f, lambda p: bernstein_eval(slope, p), (5 * len(slope) + 8) * 2.0**-53, f(0.0), f(1.0)
+def _check_curve(ens: Ensemble) -> tuple:
+    """(f, df/dp, m, den) of f = I_{E,C}: the float curve and slope that
+    steer Newton's method, and integers with den (1 - f(p)) = sum_k m[k]
+    p^(d-k) exactly, highest degree first."""
+    poly = mixture_polynomial(ens, "check")
+    slope = tuple(-float(s) for s in certified_slope(poly))
+    den = lcm(*(row[0].denominator for row in poly.coeffs))
+    m = [int(x) for x in reversed(monomial([row[0] * den for row in poly.coeffs]))]
+    return poly.at_q(), lambda p: bernstein_eval(slope, p), m, den
 
 
 def bisect(sign: Callable[[float], float], lo: float, hi: float, width: float) -> float:
@@ -249,61 +247,72 @@ def bisect(sign: Callable[[float], float], lo: float, hi: float, width: float) -
     sign is 0 at once, and stops early once the midpoint rounds to an end
     (the bracket is one ulp wide).  Returns the final midpoint.
     """
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
+    while hi - lo > width and (mid := 0.5 * (lo + hi)) not in (lo, hi):
         s = sign(mid)
         if s == 0:
             return mid
-        if s < 0:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if s < 0 else (lo, mid)
     return 0.5 * (lo + hi)
 
 
-def inverse_exit_cnd(ens: Ensemble, target: float, *, guess: float | None = None) -> float:
-    """p with f(p) = target, f = I_{E,C} and target in [f(1), 1]: exactly what
-    bisect(lambda p: target - f(p), 0.0, 1.0, INVERSION_WIDTH) returns.
+def nearest_float_root(sign: Callable[[int, int], object], x: float | None = None) -> float:
+    """The float nearest the root of a nondecreasing g with g(0) < 0 < g(1),
+    ties to even, where sign(a, d) has the sign of g(a / d) exactly (d a power
+    of two) and is asked only inside (0, 1).  From a candidate x, steps of 1,
+    2, 4, ... ulps walk toward the root until one passes it; floats are then
+    bisected down to two adjacent ones, and the sign at their exact midpoint
+    picks one."""
+    lo, hi, x = 0.0, 1.0, x or 0.0  # no candidate: bisect [0, 1]
+    step = ulp(x)
+    while lo < x < hi:
+        s = sign(*x.as_integer_ratio())
+        if s == 0:
+            return x
+        lo, hi, x = (x, hi, x + step) if s < 0 else (lo, x, x - step)
+        step *= 2
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        s = sign(*mid.as_integer_ratio())
+        if s == 0:
+            return mid
+        lo, hi = (mid, hi) if s < 0 else (lo, mid)
+    (a, d), (b, e) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    s = sign(a * e + b * d, 2 * d * e)
+    return lo if s > 0 else hi if s < 0 else mid  # adjacent: mid rounds to the even one
 
-    f is certified non-increasing and within eps of exact, so f(a) > target
-    + 2 eps makes the sign negative at every m <= a, and f(b) < target - 2 eps
-    positive at every m >= b.  Newton's method from guess (which changes only
-    the work) finds such a and b near the root; bisection starts in the
-    deepest dyadic cell around [a, b], which it reaches with every sign
-    known, and evaluates f only inside (a, b).
-    """
+
+def inverse_exit_cnd(ens: Ensemble, target: float, *, guess: float | None = None) -> float:
+    """The float nearest the p with f(p) = target, f = I_{E,C} and target in
+    [f(1), 1] (refused more than 1e-12 below): nearest_float_root, from the
+    candidate that Newton's method on the float curve reaches from guess
+    (which changes only the work), on the sign of den 2^(d e + s) (target -
+    f(n / 2^e)) for target = t / 2^s, an integer: Horner in n over m, with
+    the powers of 2^e as shifts."""
     if not 0.0 <= target <= 1.0:
         raise ValueError(f"inversion target must be in [0, 1], got {target}")
-    f, slope, eps, flo, fhi = _certified_cnd(ens)
-    if target >= flo:
+    f, slope, m, den = _check_curve(ens)
+    if target == 1.0:
         return 0.0
-    if target < fhi - 1e-12:
-        raise InversionRangeError(f"target {target} below the check-side EXIT minimum {fhi}")
-    if target <= fhi:
-        return 1.0
-    a, b, above, below = 0.0, 1.0, target + 2 * eps, target - 2 * eps
-    x = guess if guess is not None and 0.0 <= guess <= 1.0 else 0.5
+    if target < f(1.0) - 1e-12:
+        raise InversionRangeError(f"target {target} below the check-side EXIT minimum {f(1.0)}")
+    a, b, x = 0.0, 1.0, guess if guess is not None and 0.0 <= guess <= 1.0 else 0.5
     for _ in range(NEWTON_STEPS):
-        v, s = f(x), slope(x)
-        a, b = (x, b) if v > above else (a, x) if v < below else (a, b)
-        w = 3 * eps / -s if s < 0 else 1.0
-        step = (v - target) / s if s < 0 else x - 0.5 * (a + b)
-        x = x - step if a < x - step < b else 0.5 * (a + b)
-        if step * step <= w:  # the next Newton step would be about step**2
+        v, s = f(x) - target, slope(x)
+        a, b = (x, b) if v > 0 else (a, x)
+        step = v / s if s < 0 else x - 0.5 * (a + b)
+        x = x - step if a <= x - step <= b else 0.5 * (a + b)
+        if step * step <= ulp(x):  # the next Newton step would be about step**2
             break
-    wa = wb = w
-    while a < x - wa and not f(x - wa) > above:
-        wa *= 2
-    while x + wb < b and not f(x + wb) < below:
-        wb *= 2
-    a, b = max(a, x - wa), min(b, x + wb)
-    i, j = int(a * 2**60), ceil(b * 2**60) - 1  # the cells of width 2^-60 at a and b
-    level = 60 - (i ^ j).bit_length()
-    lo = (i >> (60 - level)) * 2.0**-level
-    return bisect(lambda m: -1.0 if m <= a else 1.0 if m >= b else target - f(m),
-                  lo, lo + 2.0**-level, INVERSION_WIDTH)
+    t, scale = target.as_integer_ratio()
+    m = [c * scale for c in m]
+    m[-1] += (t - scale) * den
+
+    def sign(n: int, d: int) -> int:
+        acc, e = 0, d.bit_length() - 1
+        for i, c in enumerate(m):
+            acc = acc * n + (c << e * i)
+        return acc
+
+    return nearest_float_root(sign, x)
 
 
 def sample_exit_chart(ens: Ensemble, q: float, npoints: int) -> list[tuple[float, float, float]]:

@@ -22,7 +22,8 @@ nondecreasing in z (a generalized type's is n - 1 times the average rank
 deficiency of [G_S | I_T] over (n-2)-subsets S and (k-z)-subsets T, which
 fewer identity columns cannot lower).  As lhs(0) = 0 < rhs, the condition
 reads q <= q_stab for one root q_stab, which exists exactly when
-lhs(1) = row[-1] >= rhs.  It is reported as the float nearest the root;
+lhs(1) = row[-1] >= rhs.  It is reported as the float nearest the root,
+found by exit_charts.nearest_float_root as each inverse chart point is;
 without minimum-distance-2 generalized variable types that is the bound
 1 / (lambda_2 * bracket), lambda_2 being row[-1].
 """
@@ -33,10 +34,9 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 from .ensembles import ENSEMBLE_CACHE_SIZE, Ensemble
-from .exit_charts import code_slope_row, mixture_slope_row
+from .exit_charts import code_slope_row, mixture_slope_row, monomial, nearest_float_root
 
 
 class Applicability(namedtuple("Applicability", "is_gldpc all_var_dmin_ge3 all_chk_dmin_ge3")):
@@ -114,14 +114,9 @@ def vnd_slope_coefficients(ens: Ensemble) -> tuple[float, ...]:
     largest k of the minimum-distance-2 generalized types (at least 1),
     beyond which every coefficient is zero.
     """
-    row = mixture_slope_row(ens, "variable")
-    k = len(row) - 1
-    coeffs = [Fraction(0)] * (k + 1)
-    for z, c in enumerate(row):
-        for m in range(k - z + 1):
-            coeffs[z + m] -= c * comb(k - z, m) * (-1) ** m
+    coeffs = monomial(mixture_slope_row(ens, "variable"))
     dmin2_k = [ens.codes("variable")[i].k for i in _dmin2_types(ens, "variable")]
-    return tuple(float(c) for c in coeffs[: max([1] + dmin2_k) + 1])
+    return tuple(float(-c) for c in coeffs[: max([1] + dmin2_k) + 1])
 
 
 def gldpc_stability_bound(ens: Ensemble) -> float | None:
@@ -150,18 +145,13 @@ def dgldpc_stability_check(ens: Ensemble, q: float) -> StabilityCheck:
 
 def dgldpc_stability_boundary(ens: Ensemble) -> BoundaryResult:
     """The one q in [0, 1] where lhs(q) = rhs, if any, as the float nearest it:
-    dyadic rationals bisected on the exact sign of lhs * bracket - 1 until both
-    ends round to one float.  A root exists exactly when row[-1] * bracket >= 1
-    (lhs(1) >= rhs), lhs being nondecreasing with lhs(0) = 0 < rhs."""
+    nearest_float_root, with no candidate, on the exact sign of
+    lhs * bracket - 1, when a root exists (row[-1] * bracket >= 1)."""
     bracket = mixture_slope_row(ens, "check")[0]
     if bracket == 0 or mixture_slope_row(ens, "variable")[-1] * bracket < 1:
         return BoundaryResult(points=(), vacuous=bracket == 0)
-    lo, hi = Fraction(0), Fraction(1)  # lhs(lo) < rhs <= lhs(hi)
-    while float(lo) != float(hi):
-        mid = (lo + hi) / 2
-        excess = _lhs(ens, mid) * bracket - 1
-        lo, hi = (mid, hi) if excess < 0 else (lo, mid) if excess > 0 else (mid, mid)
-    return BoundaryResult(points=(float(lo),), vacuous=False)
+    root = nearest_float_root(lambda a, d: _lhs(ens, Fraction(a, d)) * bracket - 1)
+    return BoundaryResult(points=(root,), vacuous=False)
 
 
 def stability_report(ens: Ensemble) -> StabilityReport:

@@ -143,8 +143,10 @@ def test_de_steps_do_not_cancel_near_zero(rep2_spc6):
 @example([rep_node(3, 1.0)], [spc_node(6, 1.0)], 0.45)
 def test_de_trajectories_rise_only_by_float_error(variables, checks, q):
     # What the runtime guard checked, now proved from the certified mixtures.
-    # bernstein_eval at degree m is within gamma(5m + 4) of exact (counted as
-    # for exit_charts._certified_cnd).  A step computes y = x c(x) within
+    # bernstein_eval at degree m is within gamma(5m + 4) of exact: a term
+    # sees 1 rounding in its coefficient, 2m in r^t (r = p / (1-p) rounds
+    # twice), 2m in the Horner sums of terms >= 0, m + 2 in (1-p)**m and 1 in
+    # the last product.  A step computes y = x c(x) within
     # E = gamma(5 mc + 5), and x' = (y / y~) F(y~), F(p) = p v_q(p), within
     # g = gamma(5 (mc + K + mv) + 13): c, v_q's coefficients and sum, two
     # products.  F and x c(x) are nondecreasing, so x' lies between f-(x) =

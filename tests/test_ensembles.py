@@ -321,7 +321,7 @@ def test_ensemble_keyed_caches_are_bounded():
         ensembles._validate_cached,
         exit_charts.mixture_polynomial,
         exit_charts.mixture_slope_row,
-        exit_charts._certified_cnd,
+        exit_charts._check_curve,
         density_evolution._fixed_point_basis,
         stability._dmin2_types,
     ]

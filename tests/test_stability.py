@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dgldpc import exit_charts
+from dgldpc import exit_charts, stability
 from dgldpc.codes import ComponentCode, delta_params, min_distance_bruteforce
 from dgldpc.cli import run
 from dgldpc.density_evolution import find_threshold
@@ -416,6 +416,20 @@ def test_boundary_roots_of_the_fixtures_to_an_ulp():
         assert abs(point - root) <= 2**-52, i
     assert dgldpc_stability_boundary(suite[1]).points == (0.2,)
     assert dgldpc_stability_boundary(suite[2]).points == (0.5,)
+
+
+def test_boundary_lhs_evaluations_are_pinned(monkeypatch):
+    # lhs evaluations per boundary, at most what bisecting dyadic rationals
+    # until both ends rounded to one float took; F2's root 1/2 is the first
+    # probe.  A default candidate at 1/2 would about double the others.
+    most = {1: 56, 2: 1, 6: 59, 7: 60, 8: 54, 10: 55}
+    calls = []
+    lhs = stability._lhs
+    monkeypatch.setattr(stability, "_lhs", lambda ens, q: calls.append(q) or lhs(ens, q))
+    for i, ens in enumerate(fixture_suite()):
+        calls.clear()
+        dgldpc_stability_boundary(ens)
+        assert len(calls) <= most.get(i, 0), i
 
 
 def test_stability_limited_threshold_is_the_closed_form_bound():
