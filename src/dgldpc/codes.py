@@ -215,14 +215,9 @@ def min_distance_bruteforce(code: ComponentCode) -> int:
             f"codeword enumeration supports k <= {MAX_BRUTEFORCE_DIMENSION}, got k={k}"
         )
     rows = code.gen.bits
-    word = 0
-    prev_gray = 0
-    best = code.n + 1
+    word, best = 0, code.n + 1
     for t in range(1, 1 << k):
-        gray = t ^ (t >> 1)
-        flipped = (gray ^ prev_gray).bit_length() - 1
-        word ^= rows[flipped]
-        prev_gray = gray
+        word ^= rows[(t & -t).bit_length() - 1]  # Gray codes t - 1 and t differ in t's lowest set bit
         w = word.bit_count()
         if w < best:
             best = w

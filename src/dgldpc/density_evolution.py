@@ -25,8 +25,9 @@ is the stability boundary q_stab, or by an interior fixed point x* > 0.
 Each probe is a proof: g_q = sum_t v_q[t] B_t over a q-independent basis
 with nonnegative Bernstein coefficients, and de Casteljau halving narrows
 its convex hull (Farouki, CAGD 2012) until every cell is decided exactly,
-in integers over one denominator (a float q is a rational).  An undecided
-probe fails; x -> 0 is owned by the stability boundary, which q* never exceeds.
+in integers over one denominator: v_q's integer monomials in q are evaluated
+at the dyadic float q by exit_charts.dyadic_value.  An undecided probe fails;
+x -> 0 is owned by the stability boundary, which q* never exceeds.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from math import comb, lcm
 from operator import add, mul
 
 from .ensembles import ENSEMBLE_CACHE_SIZE, Ensemble
-from .exit_charts import bernstein_eval, bernstein_product, bisect, mixture_polynomial
+from .exit_charts import bernstein_eval, bernstein_product, bisect, dyadic_value, mixture_polynomial, monomial
 from .stability import dgldpc_stability_boundary
 
 DEFAULT_MAX_ITERS = 100_000
@@ -117,7 +118,7 @@ def erasure_ratio(ens: Ensemble, q: float) -> Callable[[float], float]:
 def _fixed_point_basis(ens: Ensemble) -> tuple[tuple, tuple, int]:
     """(columns, rows, den) in integers: g_q = sum_t v_q[t] B_t at degree D,
     where Bernstein coefficient i of B_t = c y^t (1-y)^(dv-t), y = x c(x), is
-    columns[i][t] / den and v_q[t] = sum_z rows[t][z] q^z (1-q)^(K-z).
+    columns[i][t] / den and v_q[t] = sum_k rows[t][k] q^(K-k) (monomials).
 
     y and 1 - y are the check mixture's erasure and information forms, the
     variable rows are scaled by the lcm of their denominators, and column i
@@ -137,7 +138,7 @@ def _fixed_point_basis(ens: Ensemble) -> tuple[tuple, tuple, int]:
     d, vscale = len(basis[0]) - 1, lcm(*(f.denominator for row in variable for f in row))
     norm = lcm(*(comb(d, i) for i in range(d + 1)))
     columns = tuple(tuple(b[i] * (norm // comb(d, i)) for b in basis) for i in range(d + 1))
-    rows = tuple(tuple(f.numerator * (vscale // f.denominator) for f in row) for row in variable)
+    rows = tuple(tuple(reversed(monomial([int(f * vscale) for f in row]))) for row in variable)
     return columns, rows, scale ** (dv + 1) * norm * vscale
 
 
@@ -146,7 +147,7 @@ def fixed_point_coefficients(ens: Ensemble, q: float) -> tuple[list[int], int]:
     exactly, so min b / den <= g_q <= max b / den.  The float q is a / m."""
     columns, rows, den = _fixed_point_basis(ens)
     (a, m), k = q.as_integer_ratio(), len(rows[0]) - 1
-    v = [sum(r * a**z * (m - a) ** (k - z) for z, r in enumerate(row)) for row in rows]
+    v = [dyadic_value(row, a, m) for row in rows]
     return [sum(map(mul, v, col)) for col in columns], den * m**k
 
 
@@ -203,14 +204,14 @@ def find_threshold(ens: Ensemble, record_trace: bool = False) -> ThresholdResult
     if roots and succeeds(roots[0]):
         q_star = roots[0]
     else:
-        q_star = bisect(lambda q: -1 if succeeds(q) else 1, 0.0, 1.0, BRACKET_WIDTH)
+        q_star = 0.5 * sum(bisect(lambda q: -1 if succeeds(q) else 1, 0.0, 1.0, BRACKET_WIDTH))
     if roots and q_star >= roots[0]:
         q_star, x_star = roots[0], 0.0
     else:  # where g_q turns from rising to falling, around the highest cell
         q, lo, w = accepted
         g = erasure_ratio(ens, q)
-        x_star = bisect(lambda x: g(x) - g(x + PEAK_WIDTH), max(lo - w, 0.0), min(lo + 2 * w, 1.0),
-                        PEAK_WIDTH)
+        x_star = 0.5 * sum(bisect(lambda x: g(x) - g(x + PEAK_WIDTH), max(lo - w, 0.0), min(lo + 2 * w, 1.0),
+                                  PEAK_WIDTH))
     run = de_iterate(ens, accepted[0], record_trace=True) if record_trace else DeRun(False, None, 0)
     return ThresholdResult(q_star=q_star, iterations_at_threshold=run.iters, bisection_steps=probes,
                            converged=low_ok and not high_ok, residual_trace=run.trace, x_star=x_star)

@@ -5,7 +5,9 @@ ExitPolynomial): per component code, from the integer coefficient tables
 of its (split) information functions, repetition and SPC nodes included,
 and per ensemble side, as the edge-fraction mixture of those.  Only
 bernstein_eval is floating point; the check curve's inverse only steers by
-it, and nearest_float_root decides each inverse on exact signs.  The
+it, and nearest_float_root decides each inverse on exact signs, which
+dyadic_value evaluates in integers at a float (a dyadic rational), as it does
+the stability boundary's and the threshold probes' polynomials.  The
 a-priori input is an erasure probability p with I_A = 1 - p, and variable
 nodes also see the channel erasure probability q.  Stability reads the slopes
 at p = 0 off row t = 1 (code_slope_row, mixture_slope_row).  _mix proves
@@ -17,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import comb, lcm, ulp
 
 from .codes import ComponentCode, delta_params, info_functions, split_info_functions
@@ -199,13 +201,19 @@ def code_slope_row(code: ComponentCode, side: str) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
+def code_slope_rows(ens: Ensemble, side: str) -> tuple[tuple[Fraction, ...], ...]:
+    """code_slope_row of each code of one side, in type order, built once per ensemble."""
+    return tuple(code_slope_row(code, side) for code in ens.codes(side))
+
+
+@lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
 def mixture_slope_row(ens: Ensemble, side: str) -> tuple[Fraction, ...]:
     """Row t = 1 of mixture_polynomial(ens, side), from the code slope rows.
 
     Elevation in p leaves row 1 unchanged because c[0] = 0 for every
     node, so the rows mix as one-row polynomials.
     """
-    parts = [(w, (code_slope_row(code, side),)) for code, w in zip(ens.codes(side), ens.weights(side))]
+    parts = [(w, (row,)) for row, w in zip(code_slope_rows(ens, side), ens.weights(side))]
     return _mix(parts).coeffs[0]
 
 
@@ -230,29 +238,38 @@ def certified_slope(poly: ExitPolynomial) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
 def _check_curve(ens: Ensemble) -> tuple:
-    """(f, df/dp, m, den) of f = I_{E,C}: the float curve and slope that
-    steer Newton's method, and integers with den (1 - f(p)) = sum_k m[k]
-    p^(d-k) exactly, highest degree first."""
+    """(s, i, df/dp, f(1), m, den) of f = I_{E,C}: float 1 - f, f and slope that
+    steer Newton's method, the least f, and integers with den (1 - f(p)) =
+    sum_k m[k] p^(d-k) exactly, highest degree first."""
     poly = mixture_polynomial(ens, "check")
+    forms = ([row[0] for row in form] for form in poly.floats)
     slope = tuple(-float(s) for s in certified_slope(poly))
     den = lcm(*(row[0].denominator for row in poly.coeffs))
     m = [int(x) for x in reversed(monomial([row[0] * den for row in poly.coeffs]))]
-    return poly.at_q(), lambda p: bernstein_eval(slope, p), m, den
+    return (*(partial(bernstein_eval, c) for c in (*forms, slope)), poly.at_q()(1.0), m, den)
 
 
-def bisect(sign: Callable[[float], float], lo: float, hi: float, width: float) -> float:
-    """A point where sign changes from negative (below) to positive (above).
+def dyadic_value(m: Sequence[int], n: int, d: int) -> int:
+    """d^k P(n / d) for P(x) = sum_i m[i] x^(k-i), k = len(m) - 1, and d a power
+    of two, exactly in integers: Horner in n, with the powers of d as shifts."""
+    acc, e = 0, d.bit_length() - 1
+    for i, c in enumerate(m):
+        acc = acc * n + (c << e * i)
+    return acc
 
-    Halves [lo, hi] while it is wider than width, returns a midpoint where
-    sign is 0 at once, and stops early once the midpoint rounds to an end
-    (the bracket is one ulp wide).  Returns the final midpoint.
-    """
+
+def bisect(sign: Callable[[float], float], lo: float, hi: float, width: float) -> tuple[float, float]:
+    """The final (lo, hi) where sign changes from negative (below) to positive (above).
+
+    Halves [lo, hi] while it is wider than width, returns (mid, mid) at once
+    for a midpoint where sign is 0, and stops early once the midpoint rounds
+    to an end (the bracket is one ulp wide)."""
     while hi - lo > width and (mid := 0.5 * (lo + hi)) not in (lo, hi):
         s = sign(mid)
         if s == 0:
-            return mid
+            return mid, mid
         lo, hi = (mid, hi) if s < 0 else (lo, mid)
-    return 0.5 * (lo + hi)
+    return lo, hi
 
 
 def nearest_float_root(sign: Callable[[int, int], object], x: float | None = None) -> float:
@@ -270,14 +287,10 @@ def nearest_float_root(sign: Callable[[int, int], object], x: float | None = Non
             return x
         lo, hi, x = (x, hi, x + step) if s < 0 else (lo, x, x - step)
         step *= 2
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        s = sign(*mid.as_integer_ratio())
-        if s == 0:
-            return mid
-        lo, hi = (mid, hi) if s < 0 else (lo, mid)
+    lo, hi = bisect(lambda y: sign(*y.as_integer_ratio()), lo, hi, 0.0)
     (a, d), (b, e) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    s = sign(a * e + b * d, 2 * d * e)
-    return lo if s > 0 else hi if s < 0 else mid  # adjacent: mid rounds to the even one
+    s = sign(a * e + b * d, 2 * d * e) if lo < hi else 1  # lo == hi: an exact zero
+    return lo if s > 0 else hi if s < 0 else 0.5 * (lo + hi)  # adjacent: rounds to the even one
 
 
 def inverse_exit_cnd(ens: Ensemble, target: float, *, guess: float | None = None) -> float:
@@ -285,34 +298,28 @@ def inverse_exit_cnd(ens: Ensemble, target: float, *, guess: float | None = None
     [f(1), 1] (refused more than 1e-12 below): nearest_float_root, from the
     candidate that Newton's method on the float curve reaches from guess
     (which changes only the work), on the sign of den 2^(d e + s) (target -
-    f(n / 2^e)) for target = t / 2^s, an integer: Horner in n over m, with
-    the powers of 2^e as shifts."""
+    f(n / 2^e)) for target = t / 2^s, an integer (dyadic_value).  Newton
+    steers by (1 - target) - s(p) for target >= 1/2, where 1 - target is
+    exact, and by i(p) - target below, so a tiny root is not lost to rounding."""
     if not 0.0 <= target <= 1.0:
         raise ValueError(f"inversion target must be in [0, 1], got {target}")
-    f, slope, m, den = _check_curve(ens)
+    s, i, slope, least, m, den = _check_curve(ens)
     if target == 1.0:
         return 0.0
-    if target < f(1.0) - 1e-12:
-        raise InversionRangeError(f"target {target} below the check-side EXIT minimum {f(1.0)}")
+    if target < least - 1e-12:
+        raise InversionRangeError(f"target {target} below the check-side EXIT minimum {least}")
     a, b, x = 0.0, 1.0, guess if guess is not None and 0.0 <= guess <= 1.0 else 0.5
     for _ in range(NEWTON_STEPS):
-        v, s = f(x) - target, slope(x)
+        v, df = 1.0 - target - s(x) if target >= 0.5 else i(x) - target, slope(x)
         a, b = (x, b) if v > 0 else (a, x)
-        step = v / s if s < 0 else x - 0.5 * (a + b)
+        step = v / df if df < 0 else x - 0.5 * (a + b)
         x = x - step if a <= x - step <= b else 0.5 * (a + b)
-        if step * step <= ulp(x):  # the next Newton step would be about step**2
+        if step * step <= x * ulp(x):  # the next Newton step would be about step**2 / x
             break
     t, scale = target.as_integer_ratio()
     m = [c * scale for c in m]
     m[-1] += (t - scale) * den
-
-    def sign(n: int, d: int) -> int:
-        acc, e = 0, d.bit_length() - 1
-        for i, c in enumerate(m):
-            acc = acc * n + (c << e * i)
-        return acc
-
-    return nearest_float_root(sign, x)
+    return nearest_float_root(partial(dyadic_value, m), x)
 
 
 def sample_exit_chart(ens: Ensemble, q: float, npoints: int) -> list[tuple[float, float, float]]:

@@ -12,7 +12,8 @@ augmented rank-deficiency table of type i), those whose row is nonzero
 (codes.delta_params is zero for d_min >= 3).  Both sides are row t = 1 of the
 exact EXIT polynomials (exit_charts.mixture_slope_row): lhs is the variable
 row evaluated in q and the bracket of rhs is the check row.  Every decision
-is made on these rows exactly, in Fractions, and every reported float is
+is made on these rows exactly (the pointwise check in Fractions, the boundary
+in integers by exit_charts.dyadic_value), and every reported float is
 correctly rounded.  Derivative matching (the curves tangent at p = 0) is the
 stability-limited threshold q* = q_stab that density_evolution.find_threshold
 reports with x* = 0.
@@ -33,10 +34,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 
-from .ensembles import ENSEMBLE_CACHE_SIZE, Ensemble
-from .exit_charts import code_slope_row, mixture_slope_row, monomial, nearest_float_root
+from .ensembles import Ensemble
+from .exit_charts import code_slope_rows, dyadic_value, mixture_slope_row, monomial, nearest_float_root
 
 
 class Applicability(namedtuple("Applicability", "is_gldpc all_var_dmin_ge3 all_chk_dmin_ge3")):
@@ -79,15 +80,13 @@ class StabilityReport(
     __slots__ = ()
 
 
-@lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
 def _dmin2_types(ens: Ensemble, side: str) -> dict[int, tuple[Fraction, ...]]:
     """The generalized minimum-distance-2 types of one side, index -> slope
     row: those with a nonzero row (the row of a d_min >= 3 code is zero).
     All but repetition variable nodes and SPC check nodes are generalized."""
     plain = "repetition" if side == "variable" else "spc"
-    pairs = enumerate(zip(ens.types(side), ens.codes(side)))
-    rows = {i: code_slope_row(code, side) for i, (t, code) in pairs if t.kind != plain}
-    return {i: row for i, row in rows.items() if any(row)}
+    pairs = enumerate(zip(ens.types(side), code_slope_rows(ens, side)))
+    return {i: row for i, (t, row) in pairs if t.kind != plain and any(row)}
 
 
 def _float(x: Fraction | float) -> float:
@@ -96,14 +95,6 @@ def _float(x: Fraction | float) -> float:
         return float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
-
-
-def _lhs(ens: Ensemble, q: Fraction) -> Fraction:
-    """Minus the variable-side slope at p = 0: row 1 at q, sum_z c[z] q^z (1-q)^(K-z), exactly."""
-    row = mixture_slope_row(ens, "variable")
-    n, d = q.as_integer_ratio()
-    k = len(row) - 1
-    return sum(c * (n**z * (d - n) ** (k - z)) for z, c in enumerate(row)) / d**k
 
 
 def vnd_slope_coefficients(ens: Ensemble) -> tuple[float, ...]:
@@ -137,8 +128,9 @@ def dgldpc_stability_check(ens: Ensemble, q: float) -> StabilityCheck:
     """Both sides of the stability inequality at Fraction(repr(q)), the decimal
     typed (up to 15 significant digits): holds is exact, and lhs, rhs and
     margin = rhs - lhs are correctly rounded."""
-    bracket = mixture_slope_row(ens, "check")[0]
-    lhs = _lhs(ens, Fraction(repr(q)))
+    bracket, x, lhs = mixture_slope_row(ens, "check")[0], Fraction(repr(q)), 0
+    for c in reversed(monomial(mixture_slope_row(ens, "variable"))):  # Horner in x
+        lhs = lhs * x + c
     rhs = 1 / bracket if bracket else math.inf
     return StabilityCheck(holds=lhs <= rhs, lhs=_float(lhs), rhs=_float(rhs), margin=_float(rhs - lhs))
 
@@ -146,11 +138,15 @@ def dgldpc_stability_check(ens: Ensemble, q: float) -> StabilityCheck:
 def dgldpc_stability_boundary(ens: Ensemble) -> BoundaryResult:
     """The one q in [0, 1] where lhs(q) = rhs, if any, as the float nearest it:
     nearest_float_root, with no candidate, on the exact sign of
-    lhs * bracket - 1, when a root exists (row[-1] * bracket >= 1)."""
-    bracket = mixture_slope_row(ens, "check")[0]
-    if bracket == 0 or mixture_slope_row(ens, "variable")[-1] * bracket < 1:
+    den (lhs * bracket - 1), an integer polynomial (dyadic_value), when a
+    root exists (row[-1] * bracket >= 1)."""
+    bracket, row = mixture_slope_row(ens, "check")[0], mixture_slope_row(ens, "variable")
+    if bracket == 0 or row[-1] * bracket < 1:
         return BoundaryResult(points=(), vacuous=bracket == 0)
-    root = nearest_float_root(lambda a, d: _lhs(ens, Fraction(a, d)) * bracket - 1)
+    excess = [c * bracket for c in monomial(row)]
+    excess[0] -= 1
+    den = math.lcm(*(c.denominator for c in excess))
+    root = nearest_float_root(partial(dyadic_value, [int(c * den) for c in reversed(excess)]))
     return BoundaryResult(points=(root,), vacuous=False)
 
 

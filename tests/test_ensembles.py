@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dgldpc import codes, density_evolution, ensembles, exit_charts, stability
+from dgldpc import codes, density_evolution, ensembles, exit_charts
 from dgldpc.binmat import BinaryMatrix
 from dgldpc.codes import ComponentCode, min_distance_bruteforce
 from dgldpc.ensembles import (
@@ -320,10 +320,10 @@ def test_ensemble_keyed_caches_are_bounded():
     caches = [
         ensembles._validate_cached,
         exit_charts.mixture_polynomial,
+        exit_charts.code_slope_rows,
         exit_charts.mixture_slope_row,
         exit_charts._check_curve,
         density_evolution._fixed_point_basis,
-        stability._dmin2_types,
     ]
     for cache in caches:
         cache.cache_clear()

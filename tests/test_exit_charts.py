@@ -262,7 +262,7 @@ def test_bisect_returns_an_exact_zero():
         calls.append(x)
         return x - 0.75
 
-    assert bisect(sign, 0.5, 1.0, 2.0**-60) == 0.75
+    assert bisect(sign, 0.5, 1.0, 2.0**-60) == (0.75, 0.75)
     assert calls == [0.75]
 
 
@@ -275,9 +275,8 @@ def test_bisect_stops_on_the_frozen_bracket():
 
     # floats in [0.5, 1) are 2^-53 apart: 52 halvings leave a one-ulp
     # bracket, whose midpoint rounds to an end, well before width 2^-60
-    p = bisect(sign, 0.5, 1.0, 2.0**-60)
+    assert bisect(sign, 0.5, 1.0, 2.0**-60) == (math.nextafter(0.7, 0.0), 0.7)
     assert len(calls) == 52
-    assert p in (math.nextafter(0.7, 0.0), 0.7)
 
 
 def test_certificate_refuses_a_non_monotone_polynomial():
@@ -641,10 +640,10 @@ def test_mixture_areas_give_the_design_rate(variables, checks):
     assert float(1 - (1 - a_c) / a_v) == design_rate(ens)
 
 
-def test_chart_inversion_work_per_point(monkeypatch):
-    # float evaluations (Newton's method and the 1e-12 range check) and exact
-    # signs per point, on average over each 1001-point chart; measured at
-    # 3.7-4.1 and 3.9-4.4 (plain float bisection made about 55 evaluations)
+@pytest.fixture
+def inversion_work(monkeypatch):
+    """Counts of the float evaluations (of the erasure and information forms
+    and of the slope) and of the exact signs that inverse_exit_cnd makes."""
     calls = {"float": 0, "sign": 0}
 
     def counting(fn, key):
@@ -657,12 +656,42 @@ def test_chart_inversion_work_per_point(monkeypatch):
     curve, root = exit_charts._check_curve, exit_charts.nearest_float_root
 
     def counting_curve(ens):
-        f, slope, *exact = curve(ens)
-        return (counting(f, "float"), counting(slope, "float"), *exact)
+        *floats, least, m, den = curve(ens)
+        return (*(counting(f, "float") for f in floats), least, m, den)
 
     monkeypatch.setattr(exit_charts, "_check_curve", counting_curve)
     monkeypatch.setattr(exit_charts, "nearest_float_root", lambda sign, x=None: root(counting(sign, "sign"), x))
+    return calls
+
+
+def test_chart_inversion_work_per_point(inversion_work):
+    # float evaluations (Newton's method) and exact signs per point, on
+    # average over each 1001-point chart; measured at 2.95-3.75 and 3.5-4.0
+    # (plain float bisection made about 55 evaluations)
     for ens in fixture_suite():
-        calls.update(float=0, sign=0)
+        inversion_work.update(float=0, sign=0)
         sample_exit_chart(ens, 0.3, 1001)
-        assert calls["float"] < 4.6 * 1001 and calls["sign"] < 5 * 1001, calls
+        assert inversion_work["float"] < 4.2 * 1001 and inversion_work["sign"] < 4.5 * 1001, inversion_work
+
+
+@pytest.mark.parametrize("index", [0, 3])
+@pytest.mark.parametrize("target", [1 - 1e-6, 1 - 2.0**-40, 1 - 2.0**-53])
+def test_inversion_near_target_one_takes_few_signs(index, target, inversion_work):
+    # Newton steers by (1 - target) - s(p), which does not cancel at a tiny
+    # root; steering by f(p) - target took 33-104 signs here
+    ens = fixture_suite()[index]
+    p = inverse_exit_cnd(ens, target)
+    assert p == reference_inverse(ens, target)
+    assert inversion_work["sign"] <= 6, inversion_work
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=12), st.integers(0, 60), st.integers(0, 2**61))
+@example([3], 0, 0)
+@example([5, -7, 2], 4, 7)
+def test_dyadic_value_is_the_scaled_rational_value(m, e, r):
+    # d^k P(n / d), d = 2^e, at n = 0, n = d and a point between (d = 1 included)
+    d, k = 2**e, len(m) - 1
+    for n in (0, d, r % (d + 1)):
+        value = sum(c * Fraction(n, d) ** (k - i) for i, c in enumerate(m))
+        assert exit_charts.dyadic_value(m, n, d) == value * d**k

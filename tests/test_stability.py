@@ -213,10 +213,10 @@ def test_report_dmin2_terms_only_for_dmin2_types():
     assert all(v == 0.0 for v in report.dmin2_var_terms[1])
 
 
-@pytest.mark.parametrize("index, calls", [(6, 3), (8, 7), (10, 5)])
+@pytest.mark.parametrize("index, calls", [(6, 2), (8, 5), (10, 3)])
 def test_report_builds_each_slope_row_once_per_reader(index, calls, monkeypatch):
-    # the two mixture rows read every code's row and _dmin2_types every
-    # generalized code's; the per-type terms reuse the latter's rows
+    # one delta_params per code: the two mixture rows and _dmin2_types all
+    # read the codes' rows from code_slope_rows
     for cache in package_caches().values():
         cache.cache_clear()
     seen = []
@@ -419,13 +419,15 @@ def test_boundary_roots_of_the_fixtures_to_an_ulp():
 
 
 def test_boundary_lhs_evaluations_are_pinned(monkeypatch):
-    # lhs evaluations per boundary, at most what bisecting dyadic rationals
-    # until both ends rounded to one float took; F2's root 1/2 is the first
-    # probe.  A default candidate at 1/2 would about double the others.
+    # exact signs of lhs * bracket - 1 per boundary, at most what bisecting
+    # dyadic rationals until both ends rounded to one float took; F2's root
+    # 1/2 is the first probe.  A default candidate at 1/2 would about double
+    # the others.
     most = {1: 56, 2: 1, 6: 59, 7: 60, 8: 54, 10: 55}
     calls = []
-    lhs = stability._lhs
-    monkeypatch.setattr(stability, "_lhs", lambda ens, q: calls.append(q) or lhs(ens, q))
+    root = stability.nearest_float_root
+    monkeypatch.setattr(stability, "nearest_float_root",
+                        lambda sign, x=None: root(lambda a, d: calls.append((a, d)) or sign(a, d), x))
     for i, ens in enumerate(fixture_suite()):
         calls.clear()
         dgldpc_stability_boundary(ens)
