@@ -26,8 +26,8 @@ information functions are walked on whichever of G and a dual generator
 H has fewer rows, through the matroid duality
 rank_G(S) = |S| - (n - k) + rank_H(complement of S).  Measured with
 Python 3.11 on a 2-vCPU Intel Xeon: a random (14, 7) split table takes
-85,202 walks of the 2^21 bound (0.07 s), the Hamming (15, 11) one 2.26e6
-of 2^26 (about 1.7 s), and the Hamming (15, 11) information functions,
+85,202 walks of the 2^21 bound (45-65 ms), the Hamming (15, 11) one 2.26e6
+of 2^26 (1.3-1.4 s), and the Hamming (15, 11) information functions,
 walked on H's four rows, 1,381 walks (1 ms; 31,232 walks on G).
 """
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable
 from functools import lru_cache
-from heapq import heappop, heappush
 from math import comb, lcm
 from operator import add, mul
 
@@ -166,15 +165,15 @@ def _halve(b: list[int]) -> tuple[list[int], list[int]]:
 def find_threshold(ens: Ensemble, record_trace: bool = False) -> ThresholdResult:
     """The decoding threshold q* from the fixed-point condition g_q < 1 on (0, 1].
 
-    A probe proves or fails, exactly: it halves the cells of g_q, highest
-    coefficient first.  A cell closes when its coefficients are below 1; a
-    cell end at or above 1 fails the probe, as does a cell still open at the
-    depth cap (undecided).  g_q(0), the stability product, is never
-    compared with 1: x -> 0 is owned by the stability boundary q_stab, and a
-    success there gives q* = q_stab after one probe.  Otherwise q is bisected
-    over [0, 1] to BRACKET_WIDTH and q_star is the bracket's midpoint, clamped
-    to q_stab (x* = 0 when the clamp binds).  converged reports that q = 0
-    succeeded and q = 1 failed.
+    A probe proves or fails, exactly: it halves the cells of g_q depth
+    first, an order that changes no verdict.  A cell closes when its
+    coefficients are below 1; a cell end at or above 1 fails the probe, as
+    does a cell still open at the depth cap (undecided).  g_q(0), the
+    stability product, is never compared with 1: x -> 0 is owned by the
+    stability boundary q_stab, and a success there gives q* = q_stab after
+    one probe.  Otherwise q is bisected over [0, 1] to BRACKET_WIDTH and
+    q_star is the bracket's midpoint, clamped to q_stab (x* = 0 when the
+    clamp binds).  converged reports that q = 0 succeeded and q = 1 failed.
     """
     probes, accepted = 0, (0.0, 0.0, 1.0)  # q, lo and width of the highest cell of the last success
 
@@ -182,9 +181,9 @@ def find_threshold(ens: Ensemble, record_trace: bool = False) -> ThresholdResult
         nonlocal probes, accepted
         probes += 1
         b, den = fixed_point_coefficients(ens, q)
-        cells, best = [(-max(b) / den, 0.0, 1.0, b, den)], (-1.0, 0.0, 1.0)
+        cells, best = [(0.0, 1.0, b, den)], (-1.0, 0.0, 1.0)
         while cells:
-            _, lo, width, b, den = heappop(cells)
+            lo, width, b, den = cells.pop()
             if b[-1] >= den or lo > 0.0 and b[0] >= den:
                 return False
             top = max(b[1:] if lo == 0.0 else b, default=0)
@@ -194,8 +193,7 @@ def find_threshold(ens: Ensemble, record_trace: bool = False) -> ThresholdResult
                 return False
             else:
                 width, den = width * 0.5, den << len(b) - 1
-                for start, half in zip((lo, lo + width), _halve(b)):
-                    heappush(cells, (-max(half) / den, start, width, half, den))
+                cells += [(start, width, half, den) for start, half in zip((lo, lo + width), _halve(b))]
         accepted = (q, *best[1:])
         return True
 

@@ -130,22 +130,30 @@ def hamming_15_11() -> ComponentCode:
     return ComponentCode(BinaryMatrix(tuple((1 << i) | (v << 11) for i, v in enumerate(parities)), 15))
 
 
+# The most codes a d_min redraw loop draws before it fails: 4,500 seeds tried
+# needed at most 15, and a distance function that never accepts would hang.
+MAX_DRAWS = 10_000
+
+
 def seeded_dmin2_code(seed: int, n: int, k: int) -> ComponentCode:
     """The first random (n, k) code of minimum distance exactly 2 drawn from the seed."""
     rng = random.Random(seed)
-    while True:
+    for _ in range(MAX_DRAWS):
         code = random_component_code(rng, n, k)
         if min_distance_bruteforce(code) == 2:
             return code
+    raise AssertionError(f"seed {seed}: no ({n}, {k}) code of minimum distance 2 in {MAX_DRAWS} draws")
 
 
 def random_generic_dmin2(rng: random.Random, max_n: int = 7) -> ComponentCode:
     """A full-rank code with 2 <= n <= max_n, 1 <= k < n and d_min >= 2."""
-    while True:
+    for _ in range(MAX_DRAWS):
         n = rng.randint(2, max_n)
         code = random_component_code(rng, n, rng.randint(1, n - 1))
         if min_distance_bruteforce(code) >= 2:
             return code
+    raise AssertionError(f"no (n, k) code with n <= {max_n} and d_min >= 2 in {MAX_DRAWS} draws, "
+                         f"the last ({code.n}, {code.k})")
 
 
 @st.composite

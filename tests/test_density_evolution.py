@@ -39,7 +39,7 @@ from dgldpc.stability import (
     gldpc_stability_bound,
 )
 
-from conftest import HAMMING_74_TEXT, ensemble, gamma, generic_node, mixed_side, rep_node, spc_node
+from conftest import HAMMING_74_TEXT, ensemble, fixture_suite, gamma, generic_node, mixed_side, rep_node, spc_node
 
 
 @pytest.fixture(scope="module")
@@ -362,6 +362,27 @@ def test_thresholds_are_pinned_to_the_bit(variables, checks, q_star, probes):
     result = find_threshold(ensemble(variables, checks))
     assert result.q_star == q_star
     assert result.bisection_steps == probes
+
+
+def test_threshold_halvings_are_pinned(monkeypatch):
+    # de Casteljau halvings per find_threshold, 940 over F0-F10; depth-first,
+    # breadth-first and highest-coefficient-first cell orders all make these
+    # counts.  The stability-limited fixtures succeed at q_stab on the first
+    # cell.  A cell order or closing rule that halves more fails here
+    most = {0: 139, 2: 138, 3: 131, 4: 142, 5: 126, 7: 126, 9: 138}
+    extra = [
+        ([rep_node(2, 0.3), rep_node(3, 0.4), rep_node(8, 0.3)], [spc_node(16, 0.5), spc_node(20, 0.5)], 140),
+        ([rep_node(12, 1.0)], [spc_node(32, 1.0)], 143),
+    ]  # composite degrees D = 132 and 340
+    cases = [(ens, most.get(i, 0)) for i, ens in enumerate(fixture_suite())]
+    cases += [(ensemble(variables, checks), n) for variables, checks, n in extra]
+    calls = []
+    halve = de._halve
+    monkeypatch.setattr(de, "_halve", lambda b: calls.append(b) or halve(b))
+    for i, (ens, n) in enumerate(cases):
+        calls.clear()
+        find_threshold(ens)
+        assert len(calls) <= n, i
 
 
 def times(a, b):
