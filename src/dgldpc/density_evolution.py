@@ -119,26 +119,24 @@ def _fixed_point_basis(ens: Ensemble) -> tuple[tuple, tuple, int]:
     where Bernstein coefficient i of B_t = c y^t (1-y)^(dv-t), y = x c(x), is
     columns[i][t] / den and v_q[t] = sum_k rows[t][k] q^(K-k) (monomials).
 
-    y and 1 - y are the check mixture's erasure and information forms, the
-    variable rows are scaled by the lcm of their denominators, and column i
-    by lcm(C(D, .)) / C(D, i), so that one denominator serves them all.
+    y and 1 - y are the check mixture's erasure and information forms, each
+    mixture is read as it is, integers over one denominator, and column i is
+    scaled by lcm(C(D, .)) / C(D, i), so that one denominator serves them all.
     """
-    y = [row[0] for row in mixture_polynomial(ens, "check").coeffs]
-    variable = mixture_polynomial(ens, "variable").coeffs[1:]
-    dc, dv = len(y) - 1, len(variable) - 1
-    scale = lcm(*(f.denominator for f in y))
-    erasure = [f.numerator * (scale // f.denominator) for f in y]
+    check, variable = mixture_polynomial(ens, "check"), mixture_polynomial(ens, "variable")
+    erasure = [row[0] for row in check.coeffs]
+    dc, dv, scale = len(erasure) - 1, len(variable.coeffs) - 2, check.den
     info = [comb(dc, t) * scale - e for t, e in enumerate(erasure)]
     rising, falling = [erasure[1:]], [[1]]  # c y^t and (1-y)^t, times scale^(t+1) and scale^t
     for _ in range(dv):
         rising.append(bernstein_product(rising[-1], erasure))
         falling.append(bernstein_product(falling[-1], info))
     basis = [bernstein_product(r, f) for r, f in zip(rising, reversed(falling))]
-    d, vscale = len(basis[0]) - 1, lcm(*(f.denominator for row in variable for f in row))
+    d = len(basis[0]) - 1
     norm = lcm(*(comb(d, i) for i in range(d + 1)))
     columns = tuple(tuple(b[i] * (norm // comb(d, i)) for b in basis) for i in range(d + 1))
-    rows = tuple(tuple(reversed(monomial([int(f * vscale) for f in row]))) for row in variable)
-    return columns, rows, scale ** (dv + 1) * norm * vscale
+    rows = tuple(tuple(reversed(monomial(row))) for row in variable.coeffs[1:])
+    return columns, rows, scale ** (dv + 1) * norm * variable.den
 
 
 def fixed_point_coefficients(ens: Ensemble, q: float) -> tuple[list[int], int]:

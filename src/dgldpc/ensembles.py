@@ -12,8 +12,8 @@ apart, as the paper classifies ensembles by them.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .binmat import BinaryMatrix, dual_columns
 from .codes import ComponentCode
@@ -90,12 +90,13 @@ class Ensemble(namedtuple("Ensemble", "variable_types check_types")):
         """The node types of side "variable" or "check"."""
         return self.variable_types if side == "variable" else self.check_types
 
-    def weights(self, side: str) -> tuple[Fraction, ...]:
-        """One side's edge fractions as exact Fractions scaled to sum to exactly 1
-        (read exactly, the floats 0.2 and 0.8 sum to 1 + 2^-54)."""
-        exact = [Fraction(t.edge_fraction) for t in self.types(side)]
-        total = sum(exact)
-        return tuple(w / total for w in exact)
+    def weights(self, side: str) -> tuple[int, ...]:
+        """One side's edge fractions exactly, as integers over their sum: each
+        float is a / 2^e, scaled to the largest 2^e (read exactly, the floats
+        0.2 and 0.8 sum to 2^54 + 1 over 2^54)."""
+        ratios = [t.edge_fraction.as_integer_ratio() for t in self.types(side)]
+        scale = max(d for _, d in ratios)
+        return tuple(a * (scale // d) for a, d in ratios)
 
     def codes(self, side: str) -> tuple[ComponentCode, ...]:
         """One side's component codes, aligned with types(side): validates the
@@ -154,10 +155,12 @@ def validate(ens: Ensemble) -> Ensemble:
 
 
 def design_rate(ens: Ensemble) -> float:
-    """Design rate 1 - [sum rho_i (n_i-k_i)/n_i] / [sum lambda_i k_i/n_i]."""
-    var_sum = sum(w * Fraction(c.k, c.n) for w, c in zip(ens.weights("variable"), ens.codes("variable")))
-    chk_sum = sum(w * Fraction(c.n - c.k, c.n) for w, c in zip(ens.weights("check"), ens.codes("check")))
-    return float(1 - chk_sum / var_sum)
+    """Design rate 1 - [sum rho_i (n_i-k_i)/n_i] / [sum lambda_i k_i/n_i], in integers."""
+    n = lcm(*(c.n for side in ("variable", "check") for c in ens.codes(side)))
+    var, chk = (sum(w * part(c) * (n // c.n) for w, c in zip(ens.weights(side), ens.codes(side)))
+                for side, part in (("variable", lambda c: c.k), ("check", lambda c: c.n - c.k)))
+    var, chk = var * sum(ens.weights("check")), chk * sum(ens.weights("variable"))  # over one denominator
+    return (var - chk) / var
 
 
 def _parse_node(obj, side: str, index: int) -> NodeType:

@@ -1,24 +1,23 @@
 """Exact EXIT functions on the binary erasure channel.
 
-Every EXIT function is one exact polynomial in Bernstein form (see
-ExitPolynomial): per component code, from the integer coefficient tables
-of its (split) information functions, repetition and SPC nodes included,
-and per ensemble side, as the edge-fraction mixture of those.  Only
-bernstein_eval is floating point; the check curve's inverse only steers by
-it, and nearest_float_root decides each inverse on exact signs, which
+Every EXIT function is one exact polynomial in Bernstein form, integers over
+one denominator (see ExitPolynomial): per component code, from the integer
+coefficient tables of its (split) information functions, repetition and SPC
+nodes included, and per ensemble side, as the edge-fraction mixture of those.
+Only bernstein_eval is floating point; the check curve's inverse only steers
+by it, and nearest_float_root decides each inverse on exact signs, which
 dyadic_value evaluates in integers at a float (a dyadic rational), as it does
-the stability boundary's and the threshold probes' polynomials.  The
-a-priori input is an erasure probability p with I_A = 1 - p, and variable
-nodes also see the channel erasure probability q.  Stability reads the slopes
-at p = 0 off row t = 1 (code_slope_row, mixture_slope_row).  _mix proves
-each mixture monotone in p and q, which inverse_exit_cnd and DE rely on.
+the stability boundary's and the threshold probes' polynomials.  The a-priori
+input is an erasure probability p with I_A = 1 - p, and variable nodes also
+see the channel erasure probability q.  Stability reads the slopes at p = 0
+off row t = 1 (code_slope_row, mixture_slope_row).  _mix proves each mixture
+monotone in p and q, which inverse_exit_cnd and DE rely on.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Sequence
-from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from math import comb, lcm, ulp
 
@@ -58,14 +57,14 @@ def exit_coefficients(code: ComponentCode, side: str) -> tuple[tuple[int, ...], 
     )
 
 
-class ExitPolynomial(namedtuple("ExitPolynomial", "coeffs")):
+class ExitPolynomial(namedtuple("ExitPolynomial", "coeffs den")):
     """Exact EXIT polynomial of a node type or of one side of an ensemble.
 
-    1 - I_E(p, q) = sum_t sum_z c[t][z] p^t (1-p)^(d-t) q^z (1-q)^(K-z)
-    with Fraction coefficients c = coeffs, d = len(coeffs) - 1 and
-    K = len(coeffs[0]) - 1.  K = 0 on the check side, where q does not
-    enter.  Row t = 1 carries the slope at p = 0: every valid node has
-    d_min >= 2, so c[0] = 0 and d(1 - I_E)/dp at p = 0 is row 1 summed in q.
+    1 - I_E(p, q) = sum_t sum_z (c[t][z] / den) p^t (1-p)^(d-t) q^z (1-q)^(K-z):
+    integers c = coeffs over one denominator den > 0, not always reduced, with
+    d = len(coeffs) - 1 and K = len(coeffs[0]) - 1.  K = 0 on the check side,
+    where q does not enter.  Row t = 1 carries the slope at p = 0: every valid
+    node has d_min >= 2, so c[0] = 0 and d(1 - I_E)/dp at p = 0 is row 1 summed in q.
     No __slots__: cached_property keeps floats in the instance __dict__.
     """
 
@@ -73,12 +72,12 @@ class ExitPolynomial(namedtuple("ExitPolynomial", "coeffs")):
     def floats(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
         """Float coefficients of 1 - I_E (c) and of I_E (C(d,t) C(K,z) - c[t][z]).
 
-        The basis sums to 1 with weights C(d,t) C(K,z), so both are >= 0.
-        """
-        d, k = len(self.coeffs) - 1, len(self.coeffs[0]) - 1
-        erasure = tuple(tuple(float(c) for c in row) for row in self.coeffs)
+        The basis sums to 1 with weights C(d,t) C(K,z), so both are >= 0;
+        each is one integer true division, which rounds correctly."""
+        d, k, den = len(self.coeffs) - 1, len(self.coeffs[0]) - 1, self.den
+        erasure = tuple(tuple(c / den for c in row) for row in self.coeffs)
         info = tuple(
-            tuple(float(comb(d, t) * comb(k, z) - c) for z, c in enumerate(row))
+            tuple((comb(d, t) * comb(k, z) * den - c) / den for z, c in enumerate(row))
             for t, row in enumerate(self.coeffs)
         )
         return erasure, info
@@ -149,72 +148,69 @@ def monomial(c: Sequence) -> list:
     return [sum(c[t] * comb(d - t, k - t) * (-1) ** (k - t) for t in range(k + 1)) for k in range(d + 1)]
 
 
-def _elevate(c: Sequence[Fraction], degree: int) -> list[Fraction]:
+def _elevate(c: Sequence[int], degree: int) -> list[int]:
     """Bernstein coefficients of the same polynomial at a higher degree: c times (x + 1 - x)^extra."""
     extra = degree + 1 - len(c)
     return bernstein_product(c, [comb(extra, i) for i in range(extra + 1)])
 
 
 def _mix(parts) -> ExitPolynomial:
-    """Weighted sum of (weight, coeffs) pairs, elevated to a common (d, K),
-    proved nondecreasing in p and in q: MonotonicityError unless b[t][z] =
-    c[t][z] / (C(d,t) C(K,z)) never decreases in t or in z, since 1 - I_E has
-    coefficients b in the basis C(d,t) C(K,z) p^t (1-p)^(d-t) q^z (1-q)^(K-z)
-    and so d/dp and d/dq have d (b[t+1][z] - b[t][z]) and K (b[t][z+1] -
-    b[t][z]).  Valid nodes pass: b[t][z] is the share of the patterns erasing
-    t of the other d positions and z of the K channel bits that leave a bit
-    unrecoverable, an up-set (local LYM), and elevation and mixing keep that.
-    """
-    d = max(len(rows) for _, rows in parts) - 1
-    k = max(len(rows[0]) for _, rows in parts) - 1
-    total = [[Fraction(0)] * (k + 1) for _ in range(d + 1)]
-    for weight, rows in parts:
-        columns = zip(*(_elevate(row, k) for row in rows))
+    """Sum of (weight, polynomial) pairs, integer weights over their sum, as
+    integers over one denominator lcm(dens) sum(weights) at a common (d, K),
+    proved nondecreasing in p and q: MonotonicityError unless b[t][z] =
+    c[t][z] / (C(d,t) C(K,z)), compared by cross-multiplying, never decreases
+    in t or z, since 1 - I_E has coefficients b in the basis C(d,t) C(K,z) p^t
+    (1-p)^(d-t) q^z (1-q)^(K-z), so d/dp and d/dq have d (b[t+1][z] - b[t][z])
+    and K (b[t][z+1] - b[t][z]).  Valid nodes pass: b[t][z] is the share of
+    the patterns erasing t of the other d positions and z of the K channel
+    bits that leave a bit unrecoverable, an up-set (local LYM), and elevation
+    and mixing keep that."""
+    d = max(len(poly.coeffs) for _, poly in parts) - 1
+    k = max(len(poly.coeffs[0]) for _, poly in parts) - 1
+    den = lcm(*(poly.den for _, poly in parts))
+    total = [[0] * (k + 1) for _ in range(d + 1)]
+    for weight, poly in parts:
+        columns = zip(*(_elevate(row, k) for row in poly.coeffs))
         for z, column in enumerate(columns):
             for t, c in enumerate(_elevate(column, d)):
-                total[t][z] += weight * c
-    b = [[c / (comb(d, t) * comb(k, z)) for z, c in enumerate(row)] for t, row in enumerate(total)]
-    if any(x > y for line in b + list(zip(*b)) for x, y in zip(line, line[1:])):  # in z, then in t
+                total[t][z] += weight * (den // poly.den) * c
+    b = [[(c, comb(d, t) * comb(k, z)) for z, c in enumerate(row)] for t, row in enumerate(total)]
+    if any(x * v > y * u for line in b + list(zip(*b)) for (x, u), (y, v) in zip(line, line[1:])):  # in z, then t
         raise MonotonicityError("EXIT coefficients c[t][z] / (C(d,t) C(K,z)) decrease in t or in z")
-    return ExitPolynomial(tuple(map(tuple, total)))
+    return ExitPolynomial(tuple(map(tuple, total)), den * sum(w for w, _ in parts))
 
 
 def code_polynomial(code: ComponentCode, side: str) -> ExitPolynomial:
-    """A node's polynomial, c[t][z] = a_t[z] / n; side is "variable" or "check"."""
-    rows = exit_coefficients(code, side)
-    return ExitPolynomial(tuple(tuple(Fraction(a, code.n) for a in row) for row in rows))
+    """A node's polynomial, the integers a_t[z] over n; side is "variable" or "check"."""
+    return ExitPolynomial(exit_coefficients(code, side), code.n)
 
 
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
 def mixture_polynomial(ens: Ensemble, side: str) -> ExitPolynomial:
     """The edge-fraction mixture of one side's node polynomials."""
-    parts = [(w, code_polynomial(code, side).coeffs) for code, w in zip(ens.codes(side), ens.weights(side))]
-    return _mix(parts)
+    return _mix(list(zip(ens.weights(side), (code_polynomial(code, side) for code in ens.codes(side)))))
 
 
-def code_slope_row(code: ComponentCode, side: str) -> tuple[Fraction, ...]:
-    """Row t = 1 of code_polynomial(code, side), without building the table:
-    2 Delta_{n-2}[z] / n from delta_params, in closed form with no walk (the
-    full table walks up to 2^(n+k) subsets)."""
+def code_slope_row(code: ComponentCode, side: str) -> ExitPolynomial:
+    """Row t = 1 of code_polynomial(code, side), one row over the same n, with no
+    table: 2 Delta_{n-2}[z] from delta_params, in closed form with no walk
+    (the full table walks up to 2^(n+k) subsets)."""
     deltas = delta_params(code)
-    return tuple(Fraction(2 * x, code.n) for x in (deltas if side == "variable" else deltas[-1:]))
+    return ExitPolynomial((tuple(2 * x for x in (deltas if side == "variable" else deltas[-1:])),), code.n)
 
 
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
-def code_slope_rows(ens: Ensemble, side: str) -> tuple[tuple[Fraction, ...], ...]:
+def code_slope_rows(ens: Ensemble, side: str) -> tuple[ExitPolynomial, ...]:
     """code_slope_row of each code of one side, in type order, built once per ensemble."""
     return tuple(code_slope_row(code, side) for code in ens.codes(side))
 
 
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
-def mixture_slope_row(ens: Ensemble, side: str) -> tuple[Fraction, ...]:
-    """Row t = 1 of mixture_polynomial(ens, side), from the code slope rows.
-
-    Elevation in p leaves row 1 unchanged because c[0] = 0 for every
-    node, so the rows mix as one-row polynomials.
-    """
-    parts = [(w, (row,)) for row, w in zip(code_slope_rows(ens, side), ens.weights(side))]
-    return _mix(parts).coeffs[0]
+def mixture_slope_row(ens: Ensemble, side: str) -> ExitPolynomial:
+    """Row t = 1 of mixture_polynomial(ens, side), one row over the same den,
+    mixed from the code slope rows as one-row polynomials: elevation in p
+    leaves row 1 unchanged because c[0] = 0 for every node."""
+    return _mix(list(zip(ens.weights(side), code_slope_rows(ens, side))))
 
 
 def vnd_evaluator_at_q(ens: Ensemble, q: float) -> Callable[[float], float]:
@@ -227,13 +223,13 @@ def cnd_evaluator(ens: Ensemble) -> Callable[[float], float]:
     return mixture_polynomial(ens, "check").at_q()
 
 
-def certified_slope(poly: ExitPolynomial) -> tuple[Fraction, ...]:
-    """Bernstein coefficients d C(d-1,t) (b_{t+1} - b_t) = (t+1) c_{t+1} - (d-t) c_t,
-    b_t = c_t / C(d,t), of -dI_E/dp on the check side; all >= 0 for a
-    mixture, as _mix proved."""
+def certified_slope(poly: ExitPolynomial) -> tuple[float, ...]:
+    """Bernstein coefficients d C(d-1,t) (b_{t+1} - b_t) = ((t+1) c_{t+1} - (d-t) c_t) / den,
+    b_t = c_t / C(d,t), of -dI_E/dp on the check side, correctly rounded; all
+    >= 0 for a mixture, as _mix proved."""
     c = [row[0] for row in poly.coeffs]
     d = len(c) - 1
-    return tuple((t + 1) * c[t + 1] - (d - t) * c[t] for t in range(d))
+    return tuple(((t + 1) * c[t + 1] - (d - t) * c[t]) / poly.den for t in range(d))
 
 
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
@@ -243,10 +239,9 @@ def _check_curve(ens: Ensemble) -> tuple:
     sum_k m[k] p^(d-k) exactly, highest degree first."""
     poly = mixture_polynomial(ens, "check")
     forms = ([row[0] for row in form] for form in poly.floats)
-    slope = tuple(-float(s) for s in certified_slope(poly))
-    den = lcm(*(row[0].denominator for row in poly.coeffs))
-    m = [int(x) for x in reversed(monomial([row[0] * den for row in poly.coeffs]))]
-    return (*(partial(bernstein_eval, c) for c in (*forms, slope)), poly.at_q()(1.0), m, den)
+    slope = tuple(-s for s in certified_slope(poly))
+    m = monomial([row[0] for row in poly.coeffs])[::-1]
+    return (*(partial(bernstein_eval, c) for c in (*forms, slope)), poly.at_q()(1.0), m, poly.den)
 
 
 def dyadic_value(m: Sequence[int], n: int, d: int) -> int:

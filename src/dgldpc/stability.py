@@ -12,8 +12,8 @@ augmented rank-deficiency table of type i), those whose row is nonzero
 (codes.delta_params is zero for d_min >= 3).  Both sides are row t = 1 of the
 exact EXIT polynomials (exit_charts.mixture_slope_row): lhs is the variable
 row evaluated in q and the bracket of rhs is the check row.  Every decision
-is made on these rows exactly (the pointwise check in Fractions, the boundary
-in integers by exit_charts.dyadic_value), and every reported float is
+is made on these rows exactly, in integers over one denominator (the
+boundary by exit_charts.dyadic_value), and every reported float is
 correctly rounded.  Derivative matching (the curves tangent at p = 0) is the
 stability-limited threshold q* = q_stab that density_evolution.find_threshold
 reports with x* = 0.
@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import partial
 
 from .ensembles import Ensemble
-from .exit_charts import code_slope_rows, dyadic_value, mixture_slope_row, monomial, nearest_float_root
+from .exit_charts import ExitPolynomial, code_slope_rows, dyadic_value, mixture_slope_row, monomial, nearest_float_root
 
 
 class Applicability(namedtuple("Applicability", "is_gldpc all_var_dmin_ge3 all_chk_dmin_ge3")):
@@ -80,21 +79,21 @@ class StabilityReport(
     __slots__ = ()
 
 
-def _dmin2_types(ens: Ensemble, side: str) -> dict[int, tuple[Fraction, ...]]:
+def _dmin2_types(ens: Ensemble, side: str) -> dict[int, ExitPolynomial]:
     """The generalized minimum-distance-2 types of one side, index -> slope
     row: those with a nonzero row (the row of a d_min >= 3 code is zero).
     All but repetition variable nodes and SPC check nodes are generalized."""
     plain = "repetition" if side == "variable" else "spc"
     pairs = enumerate(zip(ens.types(side), code_slope_rows(ens, side)))
-    return {i: row for i, (t, row) in pairs if t.kind != plain and any(row)}
+    return {i: row for i, (t, row) in pairs if t.kind != plain and any(row.coeffs[0])}
 
 
-def _float(x: Fraction | float) -> float:
-    """x correctly rounded; +-inf beyond the float range."""
+def _float(a: int, b: int) -> float:
+    """a / b correctly rounded, for b >= 0; +-inf beyond the float range or for b = 0."""
     try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
+        return a / b
+    except (OverflowError, ZeroDivisionError):
+        return math.inf if a > 0 else -math.inf
 
 
 def vnd_slope_coefficients(ens: Ensemble) -> tuple[float, ...]:
@@ -105,9 +104,9 @@ def vnd_slope_coefficients(ens: Ensemble) -> tuple[float, ...]:
     largest k of the minimum-distance-2 generalized types (at least 1),
     beyond which every coefficient is zero.
     """
-    coeffs = monomial(mixture_slope_row(ens, "variable"))
+    (row,), den = mixture_slope_row(ens, "variable")
     dmin2_k = [ens.codes("variable")[i].k for i in _dmin2_types(ens, "variable")]
-    return tuple(float(-c) for c in coeffs[: max([1] + dmin2_k) + 1])
+    return tuple(-c / den for c in monomial(row)[: max([1] + dmin2_k) + 1])
 
 
 def gldpc_stability_bound(ens: Ensemble) -> float | None:
@@ -120,34 +119,39 @@ def gldpc_stability_bound(ens: Ensemble) -> float | None:
     """
     if _dmin2_types(ens, "variable"):
         return None
-    product = mixture_slope_row(ens, "variable")[-1] * mixture_slope_row(ens, "check")[0]
-    return _float(1 / product) if product else math.inf
+    ((b,),), bden = mixture_slope_row(ens, "check")
+    (row,), den = mixture_slope_row(ens, "variable")
+    return _float(den * bden, row[-1] * b)
 
 
 def dgldpc_stability_check(ens: Ensemble, q: float) -> StabilityCheck:
-    """Both sides of the stability inequality at Fraction(repr(q)), the decimal
-    typed (up to 15 significant digits): holds is exact, and lhs, rhs and
-    margin = rhs - lhs are correctly rounded."""
-    bracket, x, lhs = mixture_slope_row(ens, "check")[0], Fraction(repr(q)), 0
-    for c in reversed(monomial(mixture_slope_row(ens, "variable"))):  # Horner in x
-        lhs = lhs * x + c
-    rhs = 1 / bracket if bracket else math.inf
-    return StabilityCheck(holds=lhs <= rhs, lhs=_float(lhs), rhs=_float(rhs), margin=_float(rhs - lhs))
+    """Both sides of the stability inequality at the decimal repr(q) typed (up
+    to 15 significant digits), read exactly as x / scale, scale a power of
+    ten: holds is exact, and lhs, rhs and margin = rhs - lhs are correctly
+    rounded.  In integers, lhs is lhs / den and rhs is rhs / b."""
+    digits, _, exponent = repr(q).partition("e")
+    e = len(digits.partition(".")[2]) - int(exponent or 0)  # q = int(digits without ".") / 10^e
+    x, scale = int(digits.replace(".", "")) * 10 ** max(-e, 0), 10 ** max(e, 0)
+    ((b,),), rhs = mixture_slope_row(ens, "check")
+    (row,), den = mixture_slope_row(ens, "variable")
+    k = len(row) - 1
+    lhs, den = sum(c * x**i * scale ** (k - i) for i, c in enumerate(monomial(row))), den * scale**k
+    return StabilityCheck(holds=lhs * b <= rhs * den, lhs=_float(lhs, den), rhs=_float(rhs, b),
+                          margin=_float(rhs * den - lhs * b, b * den))
 
 
 def dgldpc_stability_boundary(ens: Ensemble) -> BoundaryResult:
     """The one q in [0, 1] where lhs(q) = rhs, if any, as the float nearest it:
     nearest_float_root, with no candidate, on the exact sign of
-    den (lhs * bracket - 1), an integer polynomial (dyadic_value), when a
-    root exists (row[-1] * bracket >= 1)."""
-    bracket, row = mixture_slope_row(ens, "check")[0], mixture_slope_row(ens, "variable")
-    if bracket == 0 or row[-1] * bracket < 1:
-        return BoundaryResult(points=(), vacuous=bracket == 0)
-    excess = [c * bracket for c in monomial(row)]
-    excess[0] -= 1
-    den = math.lcm(*(c.denominator for c in excess))
-    root = nearest_float_root(partial(dyadic_value, [int(c * den) for c in reversed(excess)]))
-    return BoundaryResult(points=(root,), vacuous=False)
+    den bden (lhs * bracket - 1), an integer polynomial (dyadic_value), when
+    a root exists (row[-1] * bracket >= 1)."""
+    ((b,),), bden = mixture_slope_row(ens, "check")
+    (row,), den = mixture_slope_row(ens, "variable")
+    if b == 0 or row[-1] * b < den * bden:
+        return BoundaryResult(points=(), vacuous=b == 0)
+    excess = [c * b for c in monomial(row)]
+    excess[0] -= den * bden
+    return BoundaryResult(points=(nearest_float_root(partial(dyadic_value, excess[::-1])),), vacuous=False)
 
 
 def stability_report(ens: Ensemble) -> StabilityReport:
@@ -157,10 +161,9 @@ def stability_report(ens: Ensemble) -> StabilityReport:
     costs its closed-form delta_params and never the full split table.
     """
     def dmin2_terms(side: str) -> list[tuple[float, ...]]:
-        terms = [()] * len(ens.types(side))
-        weights = ens.weights(side)
-        for i, row in _dmin2_types(ens, side).items():
-            terms[i] = tuple(float(weights[i] * c) for c in row)
+        terms, weights = [()] * len(ens.types(side)), ens.weights(side)
+        for i, ((row,), den) in _dmin2_types(ens, side).items():
+            terms[i] = tuple(weights[i] * c / (sum(weights) * den) for c in row)
         return terms
 
     applicability = Applicability(
@@ -168,8 +171,9 @@ def stability_report(ens: Ensemble) -> StabilityReport:
         all_var_dmin_ge3=not _dmin2_types(ens, "variable"),
         all_chk_dmin_ge3=not _dmin2_types(ens, "check"),
     )
+    ((b,),), bden = mixture_slope_row(ens, "check")
     return StabilityReport(
-        cnd_slope_at_zero=float(-mixture_slope_row(ens, "check")[0]),
+        cnd_slope_at_zero=-b / bden,
         vnd_slope_coeffs=vnd_slope_coefficients(ens),
         gldpc_bound=gldpc_stability_bound(ens),
         dmin2_check_terms=tuple(row[0] if row else 0.0 for row in dmin2_terms("check")),

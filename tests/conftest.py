@@ -95,6 +95,12 @@ def gamma(k: int) -> Fraction:
     return Fraction(k, 2**53 - k)
 
 
+def as_fractions(poly: exit_charts.ExitPolynomial) -> tuple[tuple[Fraction, ...], ...]:
+    """An EXIT polynomial's coefficients as exact Fractions c / den, the form
+    the exact oracles read, independent of the package's integer arithmetic."""
+    return tuple(tuple(Fraction(c, poly.den) for c in row) for row in poly.coeffs)
+
+
 def rep_node(j: int, fraction: float) -> NodeType:
     return NodeType(kind="repetition", edge_fraction=fraction, length=j)
 

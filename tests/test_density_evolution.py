@@ -39,7 +39,9 @@ from dgldpc.stability import (
     gldpc_stability_bound,
 )
 
-from conftest import HAMMING_74_TEXT, ensemble, fixture_suite, gamma, generic_node, mixed_side, rep_node, spc_node
+from conftest import (
+    HAMMING_74_TEXT, as_fractions, ensemble, fixture_suite, gamma, generic_node, mixed_side, rep_node, spc_node,
+)
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +93,8 @@ def test_success_monotone_in_q(rep3_spc6):
 
 # b[t][z] = c[t][z] / (C(2,t) C(1,z)) falls from b[1][1] = 1/2 to b[2][1] = 0 in
 # t, and from b[2][0] = 1 to b[2][1] = 0 in z; every other step rises or stays
-FALLS_IN_T = ExitPolynomial(tuple(tuple(map(Fraction, row)) for row in ((0, 0), (0, 1), (0, 0))))
-FALLS_IN_Z = ExitPolynomial(tuple(tuple(map(Fraction, row)) for row in ((0, 0), (0, 0), (1, 0))))
+FALLS_IN_T = ExitPolynomial(((0, 0), (0, 1), (0, 0)), 1)
+FALLS_IN_Z = ExitPolynomial(((0, 0), (0, 0), (1, 0)), 1)
 REP3_SPC7_DOC = """{
   "variable_nodes": [{"kind": "repetition", "length": 3, "edge_fraction": 1.0}],
   "check_nodes": [{"kind": "spc", "length": 7, "edge_fraction": 1.0}]
@@ -290,7 +292,7 @@ def test_interior_threshold_reports_its_fixed_point(rep3_spc6_threshold):
 
 def lhs_row_at(ens, q: float) -> Fraction:
     """Row t = 1 of the variable mixture evaluated at q in exact rationals."""
-    row = mixture_slope_row(ens, "variable")
+    (row,) = as_fractions(mixture_slope_row(ens, "variable"))
     k, q = len(row) - 1, Fraction(q)
     return sum(c * q**z * (1 - q) ** (k - z) for z, c in enumerate(row))
 
@@ -308,7 +310,7 @@ def test_threshold_agrees_with_density_evolution(variables, checks, q):
         assert not de_iterate(ens, q_star + 1e-3).success
     # g_q(0) is the stability product bracket * lhs(q); it reaches ~10,
     # where one ulp is 1.8e-15, so the 1e-15 bound is relative above 1
-    product = float(mixture_slope_row(ens, "check")[0] * lhs_row_at(ens, q))
+    product = float(as_fractions(mixture_slope_row(ens, "check"))[0][0] * lhs_row_at(ens, q))
     assert abs(erasure_ratio(ens, q)(0.0) - product) <= 1e-15 * max(1.0, product)
 
 
@@ -396,9 +398,9 @@ def times(a, b):
 
 def exact_fixed_point_coefficients(ens, q: Fraction) -> list[Fraction]:
     """Bernstein coefficients of g_q = c(x) v_q(x c(x)) in exact rationals."""
-    y = [row[0] for row in mixture_polynomial(ens, "check").coeffs]
+    y = [row[0] for row in as_fractions(mixture_polynomial(ens, "check"))]
     info = [math.comb(len(y) - 1, t) - e for t, e in enumerate(y)]
-    rows = mixture_polynomial(ens, "variable").coeffs[1:]
+    rows = as_fractions(mixture_polynomial(ens, "variable"))[1:]
     k, dv = len(rows[0]) - 1, len(rows) - 1
     g = []
     for t, row in enumerate(rows):

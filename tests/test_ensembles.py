@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -178,6 +179,14 @@ def test_design_rate_examples():
     assert design_rate(ensemble([rep_node(3, 1.0)], [spc_node(6, 1.0)])) == pytest.approx(0.5, abs=1e-15)
     assert design_rate(ensemble([rep_node(2, 1.0)], [spc_node(4, 1.0)])) == pytest.approx(0.5, abs=1e-15)
     assert design_rate(ensemble([rep_node(2, 1.0)], [spc_node(2, 1.0)])) == pytest.approx(0.0, abs=1e-15)
+    # beneath it, the exact weights: integers over their sum, equal to the
+    # edge fractions read as Fractions and scaled to sum to 1 (an int
+    # fraction and a 2^-60 one included), and the rate correctly rounded
+    for edge in ([0.2, 0.8], [1], [2.0**-60, 1.0]):
+        ens = ensemble([rep_node(j + 2, f) for j, f in enumerate(edge)], [spc_node(6, 1.0)])
+        w, exact = ens.weights("variable"), [Fraction(f) / sum(map(Fraction, edge)) for f in edge]
+        assert all(type(x) is int for x in w) and [Fraction(x, sum(w)) for x in w] == exact
+        assert design_rate(ens) == float(1 - Fraction(1, 6) / sum(f / (j + 2) for j, f in enumerate(exact)))
 
 
 def test_parse_minimal_document():

@@ -37,6 +37,7 @@ from dgldpc.stability import dgldpc_stability_check, stability_report
 from conftest import (
     HAMMING_74_TEXT,
     SPC_32_TEXT,
+    as_fractions,
     ensemble,
     fixture_suite,
     generic_node,
@@ -281,8 +282,9 @@ def test_bisect_stops_on_the_frozen_bracket():
 
 def test_certificate_refuses_a_non_monotone_polynomial():
     # the certificate stands where every mixture is built
-    def mix(*rows):
-        return exit_charts._mix([(Fraction(1), tuple(tuple(map(Fraction, row)) for row in rows))])
+    def mix(*rows):  # rational rows, as integers over their common denominator
+        den = math.lcm(*(Fraction(c).denominator for row in rows for c in row))
+        return exit_charts._mix([(1, ExitPolynomial(tuple(tuple(int(c * den) for c in row) for row in rows), den))])
 
     # b_t = c_t / C(2,t) = 0, 1/2, 1: I_E = 1 - p^2 falls, -dI_E/dp = 2p
     assert certified_slope(mix((0,), (1,), (1,))) == (1, 1)
@@ -293,7 +295,7 @@ def test_certificate_refuses_a_non_monotone_polynomial():
         with pytest.raises(MonotonicityError):
             mix(*rows)
     # the same in q: b[1][z] = c[1][z] / (C(1,1) C(2,z)) = 1/2, 1/2 - 10^-30, 1/2
-    assert mix((0, 0, 0), (Fraction(1, 2), 1, Fraction(1, 2))).coeffs[1][1] == 1
+    assert as_fractions(mix((0, 0, 0), (Fraction(1, 2), 1, Fraction(1, 2))))[1][1] == 1
     with pytest.raises(MonotonicityError):
         mix((0, 0, 0), (Fraction(1, 2), 1 - 2 * tiny, Fraction(1, 2)))
 
@@ -353,11 +355,13 @@ def test_closed_form_polynomials_equal_generic_declarations():
         rep, spc = ComponentCode.repetition(j), ComponentCode.single_parity_check(j)
         rep_form = tuple((Fraction(0), Fraction(t == d)) for t in range(d + 1))
         spc_form = tuple((Fraction(math.comb(d, t) if t else 0),) for t in range(d + 1))
-        polys = (code_polynomial(rep, "variable").coeffs, code_polynomial(spc, "check").coeffs)
-        assert polys == (rep_form, spc_form)
-        assert all(isinstance(c, Fraction) for coeffs in polys for row in coeffs for c in row)
-        assert code_slope_row(rep, "variable") == (0, int(j == 2))
-        assert code_slope_row(spc, "check") == (j - 1,)
+        polys = (code_polynomial(rep, "variable"), code_polynomial(spc, "check"))
+        assert tuple(map(as_fractions, polys)) == (rep_form, spc_form)
+        assert all(poly.den == j for poly in polys)
+        assert all(type(c) is int for poly in polys for row in poly.coeffs for c in row)
+        slopes = (code_slope_row(rep, "variable"), code_slope_row(spc, "check"))
+        assert tuple(map(as_fractions, slopes)) == (((0, int(j == 2)),), ((j - 1,),))
+        assert all(poly.den == j for poly in slopes)
 
 
 def node_exit(node, side: str) -> ExitPolynomial:
@@ -378,7 +382,8 @@ def test_slope_row_from_delta_params_equals_full_table_row():
         gen = random_dmin2_generator(rng, 7)
         code = ComponentCode(gen)
         for side in ("variable", "check"):
-            assert code_slope_row(code, side) == code_polynomial(code, side).coeffs[1]
+            poly = code_polynomial(code, side)
+            assert code_slope_row(code, side) == ExitPolynomial((poly.coeffs[1],), poly.den)
 
 
 def test_bernstein_eval_is_exact_at_the_ends():
@@ -420,9 +425,10 @@ def test_mixture_is_the_edge_fraction_sum_of_its_types(variables, checks, p, q):
     per_type_c = sum(t.edge_fraction * node_exit(t, "check").at_q()(p) for t in checks)
     assert abs(cnd_evaluator(ens)(p) - per_type_c) <= 1e-14
     assert 0.0 <= vnd_evaluator_at_q(ens, q)(p) <= 1.0 and 0.0 <= cnd_evaluator(ens)(p) <= 1.0
-    assert stability_report(ens).cnd_slope_at_zero == float(-mixture_polynomial(ens, "check").coeffs[1][0])
+    assert stability_report(ens).cnd_slope_at_zero == float(-as_fractions(mixture_polynomial(ens, "check"))[1][0])
     for side in ("variable", "check"):
-        assert mixture_slope_row(ens, side) == mixture_polynomial(ens, side).coeffs[1]
+        poly = mixture_polynomial(ens, side)
+        assert mixture_slope_row(ens, side) == ExitPolynomial((poly.coeffs[1],), poly.den)
     # dropping row 0 divides the output erasure by p, with coefficients >= 0
     v, c = mixture_polynomial(ens, "variable").over_p(q), mixture_polynomial(ens, "check").over_p()
     assert min(v) >= 0.0 and min(c) >= 0.0
@@ -433,13 +439,13 @@ def test_mixture_is_the_edge_fraction_sum_of_its_types(variables, checks, p, q):
 def test_over_p_refuses_a_nonzero_row_zero():
     # 1 - I_E = 1 - p, as of a minimum-distance-1 node, is not p times a polynomial
     with pytest.raises(ValueError, match="row 0"):
-        ExitPolynomial(((Fraction(1),), (Fraction(0),))).over_p()
+        ExitPolynomial(((1,), (0,)), 1).over_p()
 
 
 def exact_check_curve(ens):
     """p -> I_{E,C}(p) exactly, for a Fraction p, from the check mixture's
     Bernstein coefficients over their common denominator."""
-    c = [row[0] for row in mixture_polynomial(ens, "check").coeffs]
+    c = [row[0] for row in as_fractions(mixture_polynomial(ens, "check"))]
     den = math.lcm(*(x.denominator for x in c))
     ints, d = [int(x * den) for x in c], len(c) - 1
 
@@ -582,7 +588,7 @@ def normalized(poly: ExitPolynomial) -> list[list[Fraction]]:
     d, k = len(poly.coeffs) - 1, len(poly.coeffs[0]) - 1
     return [
         [c / (math.comb(d, t) * math.comb(k, z)) for z, c in enumerate(row)]
-        for t, row in enumerate(poly.coeffs)
+        for t, row in enumerate(as_fractions(poly))
     ]
 
 
@@ -603,7 +609,7 @@ def areas(poly: ExitPolynomial) -> list[Fraction]:
     p^t (1-p)^(d-t) integrates to 1 / ((d+1) C(d,t))."""
     d = len(poly.coeffs) - 1
     return [
-        sum(row[z] / ((d + 1) * math.comb(d, t)) for t, row in enumerate(poly.coeffs))
+        sum(row[z] / ((d + 1) * math.comb(d, t)) for t, row in enumerate(as_fractions(poly)))
         for z in range(len(poly.coeffs[0]))
     ]
 

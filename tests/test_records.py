@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 
@@ -33,7 +32,7 @@ def sample_records():
         ComponentCode(gen),
         rep_node(3, 1.0),
         ensemble([rep_node(3, 1.0)], [spc_node(6, 1.0)]),
-        ExitPolynomial(((Fraction(0),), (Fraction(1, 2),))),
+        ExitPolynomial(((0,), (1,)), 2),
         DeRun(True, 0.0, 3, ((1, 0.5), (2, 0.25), (3, 0.0))),
         ThresholdResult(0.2, 0, 7, True),
         applicability,
@@ -49,7 +48,7 @@ def test_field_names_and_order():
         ("gen",),
         ("kind", "edge_fraction", "length", "generator"),
         ("variable_types", "check_types"),
-        ("coeffs",),
+        ("coeffs", "den"),
         ("success", "final_x", "iters", "trace"),
         ("q_star", "iterations_at_threshold", "bisection_steps", "converged", "residual_trace", "x_star"),
         ("is_gldpc", "all_var_dmin_ge3", "all_chk_dmin_ge3"),
@@ -111,10 +110,10 @@ def test_an_equal_but_distinct_ensemble_hits_the_cache():
 
 
 def test_exit_polynomial_caches_its_floats():
-    poly = ExitPolynomial(((Fraction(0),), (Fraction(1, 2),)))
+    poly = ExitPolynomial(((0,), (1,)), 2)
     assert poly.floats is poly.floats
     assert poly.floats == (((0.0,), (0.5,)), ((1.0,), (0.5,)))
-    assert poly == ExitPolynomial(((Fraction(0),), (Fraction(1, 2),)))
+    assert poly == ExitPolynomial(((0,), (1,)), 2)
 
 
 def test_keyword_construction_and_defaults():

@@ -29,6 +29,7 @@ from dgldpc.stability import (
 from conftest import (
     HAMMING_74_TEXT,
     SPC_32_TEXT,
+    as_fractions,
     ensemble,
     fixture_suite,
     generic_node,
@@ -132,6 +133,10 @@ def test_stability_check_worked_example(g32var_spc6):
     assert check.lhs == pytest.approx(0.14, abs=1e-15)
     assert check.rhs == pytest.approx(0.2, abs=1e-15)
     assert check.margin == pytest.approx(0.06, abs=1e-15)
+    # repr(1e16) is '1e+16': read as the integer 10^16, with no float power
+    x = Fraction(repr(1e16))
+    lhs = Fraction(2, 3) * (x**2 + 2 * x)  # (2/3)(q^2 + 2q)
+    assert dgldpc_stability_check(g32var_spc6, 1e16) == (False, float(lhs), 0.2, float(Fraction(1, 5) - lhs))
 
 
 def test_stability_check_infinite_rhs():
@@ -325,7 +330,7 @@ def test_variable_slope_row_of_a_dmin2_code_is_nondecreasing(seed):
     # [G_S | I_T] over |S| = n - 2, |T| = k - z, which fewer identity
     # columns cannot lower
     code = random_generic_dmin2(random.Random(seed))
-    row = code_slope_row(code, "variable")
+    (row,) = as_fractions(code_slope_row(code, "variable"))
     assert len(row) == code.k + 1
     assert nondecreasing_from_zero(row)
 
@@ -334,7 +339,7 @@ def test_variable_slope_row_of_a_dmin2_code_is_nondecreasing(seed):
 @given(mixed_side("variable"), mixed_side("check"))
 def test_boundary_is_the_one_crossing_of_a_nondecreasing_lhs(variables, checks):
     ens = ensemble(variables, checks)
-    assert nondecreasing_from_zero(mixture_slope_row(ens, "variable"))
+    assert nondecreasing_from_zero(as_fractions(mixture_slope_row(ens, "variable"))[0])
     lhs = lambda q: dgldpc_stability_check(ens, q).lhs
     rhs = dgldpc_stability_check(ens, 0.0).rhs
     result = dgldpc_stability_boundary(ens)
@@ -360,7 +365,8 @@ def assert_root_at_the_gldpc_bound(ens):
     points = dgldpc_stability_boundary(ens).points
     # decided in exact rationals: lambda_2 * bracket = 1 - 2^-54 has no
     # root in [0, 1], yet its bound 1 + 2^-54 rounds to 1.0
-    if mixture_slope_row(ens, "variable")[-1] * mixture_slope_row(ens, "check")[0] >= 1:
+    (row,), ((bracket,),) = (as_fractions(mixture_slope_row(ens, side)) for side in ("variable", "check"))
+    if row[-1] * bracket >= 1:
         assert bound <= 1
         assert len(points) == 1
         assert points[0] == bound
@@ -454,20 +460,24 @@ def test_stability_limited_threshold_is_the_closed_form_bound():
         assert q_star == gldpc_stability_bound(ens)
 
 
-def exact_excess(ens, q: Fraction) -> Fraction:
-    """lhs(q) * bracket - 1 in rationals, row 1 summed term by term: the
-    condition holds at q exactly when this is <= 0."""
-    row = mixture_slope_row(ens, "variable")
+def exact_sides(ens, q: Fraction) -> tuple[Fraction, Fraction]:
+    """(lhs(q), bracket) in rationals, row 1 summed term by term."""
+    (row,), ((bracket,),) = (as_fractions(mixture_slope_row(ens, side)) for side in ("variable", "check"))
     k = len(row) - 1
-    lhs = sum(c * q**z * (1 - q) ** (k - z) for z, c in enumerate(row))
-    return lhs * mixture_slope_row(ens, "check")[0] - 1
+    return sum(c * q**z * (1 - q) ** (k - z) for z, c in enumerate(row)), bracket
+
+
+def exact_excess(ens, q: Fraction) -> Fraction:
+    """lhs(q) * bracket - 1: the condition holds at q exactly when this is <= 0."""
+    lhs, bracket = exact_sides(ens, q)
+    return lhs * bracket - 1
 
 
 def assert_boundary_is_the_float_nearest_the_root(ens):
     # a bisection in rationals to 2^-80 around the root: float() is monotone,
     # so the float nearest the root lies between the floats of the two ends
     points = dgldpc_stability_boundary(ens).points
-    if mixture_slope_row(ens, "check")[0] == 0 or exact_excess(ens, Fraction(1)) < 0:
+    if exact_sides(ens, Fraction(1))[1] == 0 or exact_excess(ens, Fraction(1)) < 0:
         assert points == ()
         return
     lo, hi = Fraction(0), Fraction(1)
@@ -505,6 +515,8 @@ def test_boundary_of_drawn_ensembles_is_the_float_nearest_the_root(variables, ch
     st.one_of(st.none(), st.tuples(st.integers(1, 17), st.integers(-3, 3))),
 )
 @example([rep_node(2, 1.0)], [spc_node(6, 1.0)], 0.2000000000001, None)  # once held within a 1e-12 slack
+@example([generic_node(SPC_32_TEXT, 1.0)], [spc_node(6, 1.0)], 1e-05, None)  # reprs with exponents
+@example([generic_node(SPC_32_TEXT, 1.0)], [spc_node(6, 1.0)], 5e-324, None)  # lhs rounds to a subnormal
 def test_holds_is_the_exact_sign_at_the_decimal_q(variables, checks, q, near):
     # near = (digits, ulps): q is the boundary root cut to that many digits
     # and moved that many ulps, where a float decision would go wrong
@@ -519,5 +531,9 @@ def test_holds_is_the_exact_sign_at_the_decimal_q(variables, checks, q, near):
         assume(0.0 <= q <= 1.0)
     check = dgldpc_stability_check(ens, q)
     assert check.holds == (exact_excess(ens, Fraction(repr(q))) <= 0)
+    # lhs, rhs and margin are the exact values correctly rounded
+    lhs, bracket = exact_sides(ens, Fraction(repr(q)))
+    rhs = 1 / bracket if bracket else math.inf
+    assert (check.lhs, check.rhs, check.margin) == (float(lhs), float(rhs), float(rhs - lhs))
     assert not (check.holds and check.margin < 0)
     assert not (not check.holds and check.margin > 0)
