@@ -21,7 +21,6 @@ from .ensembles import (
     NodeType,
     design_rate,
     parse_ensemble,
-    serialize_ensemble,
     validate,
 )
 from .exit_charts import (
@@ -65,7 +64,6 @@ __all__ = [
     "parse_ensemble",
     "rank",
     "sample_exit_chart",
-    "serialize_ensemble",
     "split_info_functions",
     "stability_report",
     "validate",

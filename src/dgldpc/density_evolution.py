@@ -25,8 +25,8 @@ is the stability boundary q_stab, or by an interior fixed point x* > 0.
 Each probe is a proof: g_q = sum_t v_q[t] B_t over a q-independent basis
 with nonnegative Bernstein coefficients, and de Casteljau halving narrows
 its convex hull (Farouki, CAGD 2012) until every cell is decided exactly,
-in integers over one denominator: v_q's integer monomials in q are evaluated
-at the dyadic float q by exit_charts.dyadic_value.  An undecided probe fails;
+in integers over one denominator: v_q comes from the variable mixture's
+ExitPolynomial.at_dyadic_q, exact at the dyadic float q.  An undecided probe fails;
 x -> 0 is owned by the stability boundary, which q* never exceeds.
 """
 
@@ -39,7 +39,7 @@ from math import comb, lcm
 from operator import add, mul
 
 from .ensembles import ENSEMBLE_CACHE_SIZE, Ensemble
-from .exit_charts import bernstein_eval, bernstein_product, bisect, dyadic_value, mixture_polynomial, monomial
+from .exit_charts import bernstein_eval, bernstein_product, bisect, mixture_polynomial
 from .stability import dgldpc_stability_boundary
 
 DEFAULT_MAX_ITERS = 100_000
@@ -114,14 +114,15 @@ def erasure_ratio(ens: Ensemble, q: float) -> Callable[[float], float]:
 
 
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
-def _fixed_point_basis(ens: Ensemble) -> tuple[tuple, tuple, int]:
-    """(columns, rows, den) in integers: g_q = sum_t v_q[t] B_t at degree D,
+def _fixed_point_basis(ens: Ensemble) -> tuple[tuple, int]:
+    """(columns, den) in integers: g_q = sum_t (v_q[t] / vden) B_t at degree D,
     where Bernstein coefficient i of B_t = c y^t (1-y)^(dv-t), y = x c(x), is
-    columns[i][t] / den and v_q[t] = sum_k rows[t][k] q^(K-k) (monomials).
+    columns[i][t] / den and (v_q, vden) is the variable mixture's
+    at_dyadic_q(q) without row 0.
 
-    y and 1 - y are the check mixture's erasure and information forms, each
-    mixture is read as it is, integers over one denominator, and column i is
-    scaled by lcm(C(D, .)) / C(D, i), so that one denominator serves them all.
+    y and 1 - y are the check mixture's erasure and information forms, read as
+    they are, integers over one denominator, and column i is scaled by
+    lcm(C(D, .)) / C(D, i), so that one denominator serves them all.
     """
     check, variable = mixture_polynomial(ens, "check"), mixture_polynomial(ens, "variable")
     erasure = [row[0] for row in check.coeffs]
@@ -135,17 +136,15 @@ def _fixed_point_basis(ens: Ensemble) -> tuple[tuple, tuple, int]:
     d = len(basis[0]) - 1
     norm = lcm(*(comb(d, i) for i in range(d + 1)))
     columns = tuple(tuple(b[i] * (norm // comb(d, i)) for b in basis) for i in range(d + 1))
-    rows = tuple(tuple(reversed(monomial(row))) for row in variable.coeffs[1:])
-    return columns, rows, scale ** (dv + 1) * norm * variable.den
+    return columns, scale ** (dv + 1) * norm
 
 
 def fixed_point_coefficients(ens: Ensemble, q: float) -> tuple[list[int], int]:
     """(b, den) in integers: g_q = sum_i (b[i] / den) C(D,i) x^i (1-x)^(D-i)
-    exactly, so min b / den <= g_q <= max b / den.  The float q is a / m."""
-    columns, rows, den = _fixed_point_basis(ens)
-    (a, m), k = q.as_integer_ratio(), len(rows[0]) - 1
-    v = [dyadic_value(row, a, m) for row in rows]
-    return [sum(map(mul, v, col)) for col in columns], den * m**k
+    exactly, so min b / den <= g_q <= max b / den."""
+    columns, den = _fixed_point_basis(ens)
+    v, vden = mixture_polynomial(ens, "variable").at_dyadic_q(q)
+    return [sum(map(mul, v[1:], col)) for col in columns], den * vden
 
 
 def _halve(b: list[int]) -> tuple[list[int], list[int]]:

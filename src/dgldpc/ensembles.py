@@ -206,25 +206,3 @@ def parse_ensemble(text: str) -> Ensemble:
         sides.append(tuple(_parse_node(o, key, i) for i, o in enumerate(arr)))
     return Ensemble(variable_types=sides[0], check_types=sides[1])
 
-
-def serialize_ensemble(ens: Ensemble) -> str:
-    """Emit the JSON description: fixed key order, 2-space indent, LF ending.
-
-    Floats are written with repr round-tripping, so parse(serialize(e))
-    reproduces e bit-exactly.
-    """
-    def node_obj(t: NodeType) -> dict:
-        obj: dict = {"kind": t.kind}
-        if t.kind == "generic":
-            obj["generator"] = t.generator.to_text()
-        else:
-            obj["length"] = t.length
-        obj["edge_fraction"] = t.edge_fraction
-        return obj
-
-    import json
-    doc = {
-        "variable_nodes": [node_obj(t) for t in ens.variable_types],
-        "check_nodes": [node_obj(t) for t in ens.check_types],
-    }
-    return json.dumps(doc, indent=2) + "\n"

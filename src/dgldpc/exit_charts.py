@@ -4,12 +4,14 @@ Every EXIT function is one exact polynomial in Bernstein form, integers over
 one denominator (see ExitPolynomial): per component code, from the integer
 coefficient tables of its (split) information functions, repetition and SPC
 nodes included, and per ensemble side, as the edge-fraction mixture of those.
-Only bernstein_eval is floating point; the check curve's inverse only steers
-by it, and nearest_float_root decides each inverse on exact signs, which
-dyadic_value evaluates in integers at a float (a dyadic rational), as it does
-the stability boundary's and the threshold probes' polynomials.  The a-priori
-input is an erasure probability p with I_A = 1 - p, and variable nodes also
-see the channel erasure probability q.  Stability reads the slopes at p = 0
+The channel erasure probability q, seen by variable nodes only, is summed
+out once, exactly (ExitPolynomial.at_dyadic_q), and dyadic_value evaluates
+an exact polynomial in integers at a float (a dyadic rational): the curves,
+correctly rounded, the check curve's inverse, the stability boundary and the
+threshold probes.  Only bernstein_eval is floating point; it steers Newton's
+method and runs density evolution, and nearest_float_root decides each
+inverse on exact signs.  The a-priori input is an erasure probability p
+with I_A = 1 - p.  Stability reads the slopes at p = 0
 off row t = 1 (code_slope_row, mixture_slope_row).  _mix proves each mixture
 monotone in p and q, which inverse_exit_cnd and DE rely on.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Sequence
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from math import comb, lcm, ulp
 
 from .codes import ComponentCode, delta_params, info_functions, split_info_functions
@@ -65,51 +67,44 @@ class ExitPolynomial(namedtuple("ExitPolynomial", "coeffs den")):
     d = len(coeffs) - 1 and K = len(coeffs[0]) - 1.  K = 0 on the check side,
     where q does not enter.  Row t = 1 carries the slope at p = 0: every valid
     node has d_min >= 2, so c[0] = 0 and d(1 - I_E)/dp at p = 0 is row 1 summed in q.
-    No __slots__: cached_property keeps floats in the instance __dict__.
     """
 
-    @cached_property
-    def floats(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
-        """Float coefficients of 1 - I_E (c) and of I_E (C(d,t) C(K,z) - c[t][z]).
+    __slots__ = ()
 
-        The basis sums to 1 with weights C(d,t) C(K,z), so both are >= 0;
-        each is one integer true division, which rounds correctly."""
-        d, k, den = len(self.coeffs) - 1, len(self.coeffs[0]) - 1, self.den
-        erasure = tuple(tuple(c / den for c in row) for row in self.coeffs)
-        info = tuple(
-            tuple((comb(d, t) * comb(k, z) * den - c) / den for z, c in enumerate(row))
-            for t, row in enumerate(self.coeffs)
-        )
-        return erasure, info
+    def at_dyadic_q(self, q: float = 1.0) -> tuple[list[int], int]:
+        """(v, den) in integers: 1 - I_E(p, q) = sum_t (v[t] / den) p^t (1-p)^(d-t)
+        exactly.  The float q is a / m, m a power of two, and each row's q-sum
+        is dyadic_value on its monomial form."""
+        (a, m), k = q.as_integer_ratio(), len(self.coeffs[0]) - 1
+        return [dyadic_value(monomial(row)[::-1], a, m) for row in self.coeffs], self.den * m**k
 
     def at_q(self, q: float = 1.0) -> Callable[[float], float]:
-        """p -> I_E at channel erasure q; the q-sums collapse once here.
-
-        I_E comes from whichever form does not cancel: 1 minus the erasure
-        sum while that is at most 1/2, else the I_E sum.  So a tiny I_E,
-        such as an SPC(j) check node's (1-p)^(j-1) near p = 1, stays >= 0
-        and monotone, and so does a tiny 1 - I_E near p = 0.
-        """
-        erasure, info = ([bernstein_eval(row, q) for row in form] for form in self.floats)
+        """p -> I_E at channel erasure q, correctly rounded: den m^d I_E(b / m)
+        is one dyadic_value, an integer, and one true division rounds it."""
+        v, den = self.at_dyadic_q(q)
+        info = [-c for c in monomial(v)[::-1]]
+        info[-1] += den
+        d = len(v) - 1
 
         def evaluate(p: float) -> float:
-            s = bernstein_eval(erasure, p)
-            return 1.0 - s if s <= 0.5 else bernstein_eval(info, p)
+            b, m = p.as_integer_ratio()
+            return dyadic_value(info, b, m) / (den << (m.bit_length() - 1) * d)
 
         return evaluate
 
     def over_p(self, q: float = 1.0) -> tuple[float, ...]:
-        """Bernstein coefficients in p of (1 - I_E(p, q)) / p, degree d - 1.
+        """Bernstein coefficients in p of (1 - I_E(p, q)) / p, degree d - 1,
+        each correctly rounded.
 
         Row 0 is zero (d_min >= 2), so dropping it divides by p: the
         output erasure is p times this polynomial, whose coefficients
         (rows 1..d summed in q) are >= 0 and so never cancel.  At p = 0 it
         is row 1 at q, the slope that stability reads.
         """
-        erasure, _ = self.floats
-        if any(erasure[0]):
+        if any(self.coeffs[0]):
             raise ValueError("row 0 is nonzero: a component code has minimum distance 1")
-        return tuple(bernstein_eval(row, q) for row in erasure[1:])
+        v, den = self.at_dyadic_q(q)
+        return tuple(c / den for c in v[1:])
 
 
 def bernstein_eval(c: Sequence[float], x: float) -> float:
@@ -238,10 +233,10 @@ def _check_curve(ens: Ensemble) -> tuple:
     steer Newton's method, the least f, and integers with den (1 - f(p)) =
     sum_k m[k] p^(d-k) exactly, highest degree first."""
     poly = mixture_polynomial(ens, "check")
-    forms = ([row[0] for row in form] for form in poly.floats)
+    v, den = poly.at_dyadic_q()
+    erasure, info = [c / den for c in v], [(comb(len(v) - 1, t) * den - c) / den for t, c in enumerate(v)]
     slope = tuple(-s for s in certified_slope(poly))
-    m = monomial([row[0] for row in poly.coeffs])[::-1]
-    return (*(partial(bernstein_eval, c) for c in (*forms, slope)), poly.at_q()(1.0), m, poly.den)
+    return (*(partial(bernstein_eval, c) for c in (erasure, info, slope)), info[-1], monomial(v)[::-1], den)
 
 
 def dyadic_value(m: Sequence[int], n: int, d: int) -> int:

@@ -5,6 +5,7 @@ spy on the subset walks that no-walk tests count."""
 from __future__ import annotations
 
 import importlib
+import json
 import pkgutil
 import random
 from fractions import Fraction
@@ -115,6 +116,28 @@ def generic_node(text: str, fraction: float) -> NodeType:
 
 def ensemble(variables, checks) -> Ensemble:
     return Ensemble(variable_types=tuple(variables), check_types=tuple(checks))
+
+
+def serialize_ensemble(ens: Ensemble) -> str:
+    """Emit the JSON description: fixed key order, 2-space indent, LF ending.
+
+    Floats are written with repr round-tripping, so parse(serialize(e))
+    reproduces e bit-exactly.
+    """
+    def node_obj(t: NodeType) -> dict:
+        obj: dict = {"kind": t.kind}
+        if t.kind == "generic":
+            obj["generator"] = t.generator.to_text()
+        else:
+            obj["length"] = t.length
+        obj["edge_fraction"] = t.edge_fraction
+        return obj
+
+    doc = {
+        "variable_nodes": [node_obj(t) for t in ens.variable_types],
+        "check_nodes": [node_obj(t) for t in ens.check_types],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def random_full_rank(rng: random.Random, n: int, k: int) -> BinaryMatrix:

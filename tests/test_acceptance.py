@@ -26,7 +26,7 @@ from dgldpc.codes import (
     min_independent_set_size,
 )
 from dgldpc.density_evolution import find_threshold
-from dgldpc.ensembles import design_rate, parse_ensemble, serialize_ensemble, validate
+from dgldpc.ensembles import design_rate, parse_ensemble, validate
 from dgldpc.exit_charts import (
     cnd_evaluator,
     code_polynomial,
@@ -47,6 +47,7 @@ from conftest import (
     generic_node,
     random_component_code,
     rep_node,
+    serialize_ensemble,
     spc_node,
 )
 

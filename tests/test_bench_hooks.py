@@ -11,11 +11,15 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 from dgldpc.density_evolution import de_iterate
+
+from conftest import fixture_suite, serialize_ensemble
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -70,3 +74,16 @@ def test_cli_import_loads_every_traced_module():
         [sys.executable, "-S", "-c", script, str(SRC)], capture_output=True, text=True, check=True
     )
     assert [m for m in modules if m not in out.stdout.split()] == []
+
+
+def test_evaluator_probe_times_both_evaluators(tmp_path):
+    # bench/child.py probe times cnd_evaluator and vnd_evaluator_at_q per ensemble
+    path = tmp_path / "F3.json"
+    path.write_text(serialize_ensemble(fixture_suite()[3]), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), "probe", str(path)], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    (probe,) = json.loads(out.stdout)
+    assert probe["cnd_us"] > 0 and probe["vnd_us"] > 0

@@ -25,7 +25,7 @@ from dgldpc.density_evolution import (
     find_threshold,
     fixed_point_coefficients,
 )
-from dgldpc.ensembles import design_rate, serialize_ensemble
+from dgldpc.ensembles import design_rate
 from dgldpc.exit_charts import (
     ExitPolynomial,
     MonotonicityError,
@@ -40,7 +40,8 @@ from dgldpc.stability import (
 )
 
 from conftest import (
-    HAMMING_74_TEXT, as_fractions, ensemble, fixture_suite, gamma, generic_node, mixed_side, rep_node, spc_node,
+    HAMMING_74_TEXT, as_fractions, ensemble, fixture_suite, gamma, generic_node, mixed_side, rep_node,
+    serialize_ensemble, spc_node,
 )
 
 

@@ -21,7 +21,6 @@ from dgldpc.ensembles import (
     NodeType,
     design_rate,
     parse_ensemble,
-    serialize_ensemble,
     validate,
 )
 from dgldpc.exit_charts import (
@@ -33,7 +32,15 @@ from dgldpc.exit_charts import (
 )
 from dgldpc.stability import dgldpc_stability_check, stability_report
 
-from conftest import SPC_32_TEXT, draw_generator_with_free_columns, ensemble, generic_node, rep_node, spc_node
+from conftest import (
+    SPC_32_TEXT,
+    draw_generator_with_free_columns,
+    ensemble,
+    generic_node,
+    rep_node,
+    serialize_ensemble,
+    spc_node,
+)
 
 MINIMAL_DOC = """{
   "variable_nodes": [

@@ -442,6 +442,39 @@ def test_over_p_refuses_a_nonzero_row_zero():
         ExitPolynomial(((1,), (0,)), 1).over_p()
 
 
+def exact_rows_at_q(poly, q: Fraction) -> list[Fraction]:
+    """Each row of 1 - I_E summed in q exactly: the Bernstein coefficients in p."""
+    k = len(poly.coeffs[0]) - 1
+    return [sum(x * q**z * (1 - q) ** (k - z) for z, x in enumerate(row)) for row in as_fractions(poly)]
+
+
+def exact_exit(poly, p: Fraction, q: Fraction) -> Fraction:
+    """I_E(p, q) exactly, from the Fraction coefficients of 1 - I_E."""
+    rows = exact_rows_at_q(poly, q)
+    d = len(rows) - 1
+    return 1 - sum(x * p**t * (1 - p) ** (d - t) for t, x in enumerate(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_side("variable", max_n=6), mixed_side("check", max_n=6), unit, unit)
+@example([rep_node(2, 0.5), generic_node(SPC_32_TEXT, 0.5)], [spc_node(6, 1.0)], 5e-324, 0.3)  # subnormal p
+@example([rep_node(2, 0.5), generic_node(SPC_32_TEXT, 0.5)], [spc_node(6, 1.0)], 0.4, 1e-05)
+@example([rep_node(3, 1.0)], [spc_node(32, 1.0)], 1.0 - 2**-30, 1.0)  # I_{E,C} = (1 - p)^31 = 2^-930
+def test_evaluators_are_correctly_rounded(variables, checks, p, q):
+    ens = ensemble(variables, checks)
+    for poly, at in ((mixture_polynomial(ens, "variable"), q), (mixture_polynomial(ens, "check"), 1.0)):
+        assert poly.at_q(at)(p) == float(exact_exit(poly, Fraction(p), Fraction(at)))
+        assert poly.over_p(at) == tuple(float(x) for x in exact_rows_at_q(poly, Fraction(at))[1:])
+
+
+def test_fixture_chart_vnd_is_correctly_rounded():
+    # the 101-point charts at q = 0.3 of the golden transcripts (test_cli)
+    for ens in fixture_suite():
+        poly = mixture_polynomial(ens, "variable")
+        for ia, vnd, _ in sample_exit_chart(ens, 0.3, 101):
+            assert vnd == float(exact_exit(poly, Fraction(1.0 - ia), Fraction(0.3)))
+
+
 def exact_check_curve(ens):
     """p -> I_{E,C}(p) exactly, for a Fraction p, from the check mixture's
     Bernstein coefficients over their common denominator."""

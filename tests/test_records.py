@@ -76,9 +76,8 @@ def test_assigning_a_field_raises():
 
 def test_records_without_a_cache_take_no_new_attributes():
     for record in sample_records():
-        if not isinstance(record, ExitPolynomial):
-            with pytest.raises(AttributeError):
-                record.extra = 1
+        with pytest.raises(AttributeError):
+            record.extra = 1
 
 
 def test_equal_fields_give_equal_objects_and_hashes():
@@ -109,11 +108,17 @@ def test_an_equal_but_distinct_ensemble_hits_the_cache():
     assert (info.hits, info.misses) == (1, 1)
 
 
-def test_exit_polynomial_caches_its_floats():
+def test_exit_polynomial_collapses_q_at_a_dyadic_float():
     poly = ExitPolynomial(((0,), (1,)), 2)
-    assert poly.floats is poly.floats
-    assert poly.floats == (((0.0,), (0.5,)), ((1.0,), (0.5,)))
+    assert poly.at_dyadic_q() == ([0, 1], 2)
+    assert poly.at_dyadic_q(0.375) == ([0, 1], 2)  # K = 0: q does not enter
+    # K = 1 at q = 1/4: row 1 is (1 (3/4) + 3 (1/4)) / 4 = 6 / 16, over den 4^2
+    assert ExitPolynomial(((0, 0), (1, 3)), 4).at_dyadic_q(0.25) == ([0, 6], 16)
     assert poly == ExitPolynomial(((0,), (1,)), 2)
+
+
+def test_exit_polynomial_has_no_instance_dict():
+    assert not hasattr(ExitPolynomial(((0,), (1,)), 2), "__dict__")
 
 
 def test_keyword_construction_and_defaults():

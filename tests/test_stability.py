@@ -16,7 +16,7 @@ from dgldpc import exit_charts, stability
 from dgldpc.codes import ComponentCode, delta_params, min_distance_bruteforce
 from dgldpc.cli import run
 from dgldpc.density_evolution import find_threshold
-from dgldpc.ensembles import NodeType, serialize_ensemble, validate
+from dgldpc.ensembles import validate
 from dgldpc.exit_charts import code_slope_row, mixture_slope_row
 from dgldpc.stability import (
     dgldpc_stability_boundary,
@@ -37,6 +37,7 @@ from conftest import (
     package_caches,
     random_generic_dmin2,
     rep_node,
+    serialize_ensemble,
     spc_node,
 )
 
@@ -494,14 +495,21 @@ def test_boundary_of_the_fixtures_is_the_float_nearest_the_root():
 
 def with_spc_variable(variables, j: int) -> list:
     """The drawn types at half their fractions beside a generic SPC(j) variable
-    node (K = j - 1 up to 31) at the other half."""
+    node (K = j - 1 up to 31) at the other half; a drawn type that is that
+    node takes the other half too, as types are distinct."""
     spc = generic_node(ComponentCode.single_parity_check(j).gen.to_text(), 0.5)
-    return [NodeType(t.kind, t.edge_fraction / 2, t.length, t.generator) for t in variables] + [spc]
+    types = [t._replace(edge_fraction=t.edge_fraction / 2) for t in variables]
+    for i, t in enumerate(types):
+        if t._replace(edge_fraction=0.5) == spc:
+            types[i] = t._replace(edge_fraction=t.edge_fraction + 0.5)
+            return types
+    return types + [spc]
 
 
 @settings(max_examples=30, deadline=None)
 @given(mixed_side("variable"), mixed_side("check"), st.sampled_from([None, 3, 8, 16, 32]))
 @example([rep_node(2, 1.0)], [spc_node(6, 1.0)], 16)  # K = 15: the float root was about 4 ulps high
+@example([generic_node(SPC_32_TEXT, 1.0)], [spc_node(6, 1.0)], 3)  # the drawn type is the SPC(3) node
 def test_boundary_of_drawn_ensembles_is_the_float_nearest_the_root(variables, checks, j):
     variables = variables if j is None else with_spc_variable(variables, j)
     assert_boundary_is_the_float_nearest_the_root(ensemble(variables, checks))
