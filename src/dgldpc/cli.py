@@ -161,7 +161,7 @@ _COMMANDS = {
     "code-info": (_cmd_code_info, "analyze one generator matrix literal file", (_VERBOSE,)),
     "analyze": (_cmd_analyze, "validate an ensemble and report its stability analysis", (_VERBOSE,)),
     "threshold": (_cmd_threshold, "locate the density-evolution threshold",
-                  (_VERBOSE, ("--trace", None, False, "retain the residual trace"))),
+                  (_VERBOSE, ("--trace", None, False, "list each threshold probe and its proof"))),
     "exit-chart": (_cmd_exit_chart, "sample the two chart curves to CSV",
                    (_VERBOSE, _Q, ("--npoints", int, 101, "grid points (default 101)"),
                     ("--out", str, None, "output CSV path"))),

@@ -7,15 +7,16 @@ new message erasure off it:
 
     x_{t+1} = 1 - I_{E,V}(1 - I_{E,C}(x_t), q).
 
-Every valid node has d_min >= 2, so both output erasures are their input
-times a polynomial with nonnegative Bernstein coefficients
-(ExitPolynomial.over_p): the check side gives x c(x), the variable side
-p v_q(p).  One iteration therefore scales x by g_q(x) = c(x) v_q(x c(x))
-(erasure_ratio), a product in which nothing cancels, and de_iterate steps
-x_{t+1} = x_t g_q(x_t) from x_0 = v_q(1), the first variable-node
-activation with worst-case a-priori input.  Both mixtures are certified
-monotone (exit_charts._mix), so x -> x g_q(x) is nondecreasing and the
-trajectory never rises beyond float error.
+Every valid node has d_min >= 2, so row 0 of each mixture is zero and both
+output erasures are their input times the polynomial of rows 1.., with
+nonnegative Bernstein coefficients: the check side gives x c(x), the
+variable side p v_q(p).  One iteration therefore scales x by
+g_q(x) = c(x) v_q(x c(x)), a product in which nothing cancels, and
+de_iterate steps x_{t+1} = x_t g_q(x_t) from x_0 = v_q(1), the first
+variable-node activation with worst-case a-priori input.  No command runs
+it; it is an oracle independent of the threshold probes' basis.  Both
+mixtures are certified monotone (exit_charts._mix), so x -> x g_q(x) is
+nondecreasing and the trajectory never rises beyond float error.
 
 The threshold is not found by iterating: the recursion reaches 0 exactly
 when g_q < 1 on (0, 1] (Richardson and Urbanke, Modern Coding Theory,
@@ -27,27 +28,26 @@ with nonnegative Bernstein coefficients, and de Casteljau halving narrows
 its convex hull (Farouki, CAGD 2012) until every cell is decided exactly,
 in integers over one denominator: v_q comes from the variable mixture's
 ExitPolynomial.at_dyadic_q, exact at the dyadic float q.  An undecided probe fails;
-x -> 0 is owned by the stability boundary, which q* never exceeds.
+x -> 0 is owned by the stability boundary, which q* never exceeds.  The
+probes' coefficients also decide x*, on exact signs of g_q'.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, lcm
 from operator import add, mul
 
 from .ensembles import ENSEMBLE_CACHE_SIZE, Ensemble
-from .exit_charts import bernstein_eval, bernstein_product, bisect, mixture_polynomial
+from .exit_charts import (bernstein_eval, bernstein_product, bisect, dyadic_value, mixture_polynomial, monomial,
+                          nearest_float_root)
 from .stability import dgldpc_stability_boundary
 
 DEFAULT_MAX_ITERS = 100_000
 DEFAULT_TOL = 1e-12
 BRACKET_WIDTH = 1e-7
-# The width in x to which x* is refined, and the depth cap: the most
-# halvings of [0, 1] a threshold probe makes before it is undecided.
-PEAK_WIDTH = 1e-9
+# The depth cap: the most halvings of [0, 1] a threshold probe makes before it is undecided.
 MAX_HALVINGS = 40
 
 
@@ -67,11 +67,12 @@ class ThresholdResult(
     """Decoding threshold, how it was decided, and what limits it.
 
     bisection_steps counts the probes of g_q < 1, with the endpoint checks at
-    q = 0 and 1.  x_star is 0.0 when q* is the stability boundary, else where
-    g_q peaks at the largest accepted q, found to PEAK_WIDTH around the
-    highest cell of its proof; it approaches the interior fixed point.  One
-    de_iterate run at that q with default cap and tolerance gives, if a trace
-    is requested, residual_trace and iterations_at_threshold (else None, 0).
+    q = 0 and 1.  x_star is 0.0 when q* is the stability boundary, else the
+    float nearest where g_q turns from rising to falling at the largest
+    accepted q (1.0 or 0.0 if g_q only rises or only falls).  A requested
+    residual_trace holds a row per probe: q, its verdict, a cell end x with
+    g_q(x) >= 1 proved (else None), halvings, and the bound of the highest
+    closed cell (None if none closed).  iterations_at_threshold is 0.
     """
 
     __slots__ = ()
@@ -79,7 +80,8 @@ class ThresholdResult(
 
 def de_iterate(ens: Ensemble, q: float, max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAULT_TOL,
                record_trace: bool = False) -> DeRun:
-    """Run the fixed-point recursion at channel erasure q.
+    """Run the fixed-point recursion at channel erasure q, x' = x c(x) v_q(x c(x))
+    by bernstein_eval on rows 1.. of the mixtures, each correctly rounded.
 
     Success means the message erasure dropped below tol within max_iters
     evaluations (x_0 counts as the first).  The trajectory never rises
@@ -88,11 +90,13 @@ def de_iterate(ens: Ensemble, q: float, max_iters: int = DEFAULT_MAX_ITERS, tol:
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    g = erasure_ratio(ens, q)
-    x, iters = bernstein_eval(mixture_polynomial(ens, "variable").over_p(q), 1.0), 1
+    c, v = ([a / den for a in rows[1:]] for rows, den in (mixture_polynomial(ens, "check").at_dyadic_q(),
+                                                          mixture_polynomial(ens, "variable").at_dyadic_q(q)))
+    x, iters = bernstein_eval(v, 1.0), 1
     trace = [(iters, x)] if record_trace else None
     while x >= tol and iters < max_iters:
-        x_next = x * g(x)
+        cx = bernstein_eval(c, x)
+        x_next = x * (cx * bernstein_eval(v, x * cx))
         iters += 1
         if trace is not None:
             trace.append((iters, x_next))
@@ -100,17 +104,6 @@ def de_iterate(ens: Ensemble, q: float, max_iters: int = DEFAULT_MAX_ITERS, tol:
             break
         x = x_next
     return DeRun(success=x < tol, final_x=x, iters=iters, trace=None if trace is None else tuple(trace))
-
-
-def erasure_ratio(ens: Ensemble, q: float) -> Callable[[float], float]:
-    """x -> g_q(x) = c(x) v_q(x c(x)), the factor one DE iteration scales x by."""
-    c, v = mixture_polynomial(ens, "check").over_p(), mixture_polynomial(ens, "variable").over_p(q)
-
-    def g(x: float) -> float:
-        cx = bernstein_eval(c, x)
-        return cx * bernstein_eval(v, x * cx)
-
-    return g
 
 
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
@@ -170,29 +163,32 @@ def find_threshold(ens: Ensemble, record_trace: bool = False) -> ThresholdResult
     stability boundary q_stab, and a success there gives q* = q_stab after
     one probe.  Otherwise q is bisected over [0, 1] to BRACKET_WIDTH and
     q_star is the bracket's midpoint, clamped to q_stab (x* = 0 when the
-    clamp binds).  converged reports that q = 0 succeeded and q = 1 failed.
+    clamp binds, else sought from the middle of the highest closed cell).
+    converged reports that q = 0 succeeded and q = 1 failed.
     """
-    probes, accepted = 0, (0.0, 0.0, 1.0)  # q, lo and width of the highest cell of the last success
+    probes, accepted = [], (0.0, 0.5)  # q and the middle of the highest closed cell of the last success
 
     def succeeds(q: float) -> bool:
-        nonlocal probes, accepted
-        probes += 1
+        nonlocal accepted
         b, den = fixed_point_coefficients(ens, q)
-        cells, best = [(0.0, 1.0, b, den)], (-1.0, 0.0, 1.0)
+        cells, best, halvings, ok, x = [(0.0, 1.0, b, den)], (-1.0, 0.5), 0, False, None
         while cells:
             lo, width, b, den = cells.pop()
             if b[-1] >= den or lo > 0.0 and b[0] >= den:
-                return False
+                x = lo + width if b[-1] >= den else lo
+                break
             top = max(b[1:] if lo == 0.0 else b, default=0)
             if top < den:
-                best = max(best, (top / den, lo, width))
+                best = max(best, (top / den, lo + 0.5 * width))
             elif width == 2.0**-MAX_HALVINGS:
-                return False
+                break
             else:
-                width, den = width * 0.5, den << len(b) - 1
+                halvings, width, den = halvings + 1, width * 0.5, den << len(b) - 1
                 cells += [(start, width, half, den) for start, half in zip((lo, lo + width), _halve(b))]
-        accepted = (q, *best[1:])
-        return True
+        else:
+            ok, accepted = True, (q, best[1])
+        probes.append((q, ok, x, halvings, best[0] if best[0] >= 0.0 else None))
+        return ok
 
     low_ok, high_ok = succeeds(0.0), succeeds(1.0)
     roots = dgldpc_stability_boundary(ens).points
@@ -202,11 +198,10 @@ def find_threshold(ens: Ensemble, record_trace: bool = False) -> ThresholdResult
         q_star = 0.5 * sum(bisect(lambda q: -1 if succeeds(q) else 1, 0.0, 1.0, BRACKET_WIDTH))
     if roots and q_star >= roots[0]:
         q_star, x_star = roots[0], 0.0
-    else:  # where g_q turns from rising to falling, around the highest cell
-        q, lo, w = accepted
-        g = erasure_ratio(ens, q)
-        x_star = 0.5 * sum(bisect(lambda x: g(x) - g(x + PEAK_WIDTH), max(lo - w, 0.0), min(lo + 2 * w, 1.0),
-                                  PEAK_WIDTH))
-    run = de_iterate(ens, accepted[0], record_trace=True) if record_trace else DeRun(False, None, 0)
-    return ThresholdResult(q_star=q_star, iterations_at_threshold=run.iters, bisection_steps=probes,
-                           converged=low_ok and not high_ok, residual_trace=run.trace, x_star=x_star)
+    else:  # -g_q' has coefficients (b[i] - b[i+1]) C(D-1, i) in x^i (1-x)^(D-1-i), over den / D
+        b = fixed_point_coefficients(ens, accepted[0])[0]
+        m = monomial([(s - t) * comb(len(b) - 2, i) for i, (s, t) in enumerate(zip(b, b[1:]))])[::-1]
+        x_star = nearest_float_root(partial(dyadic_value, m), accepted[1])
+    return ThresholdResult(q_star=q_star, iterations_at_threshold=0, bisection_steps=len(probes),
+                           converged=low_ok and not high_ok, residual_trace=tuple(probes) if record_trace else None,
+                           x_star=x_star)

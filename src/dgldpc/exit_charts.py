@@ -92,27 +92,12 @@ class ExitPolynomial(namedtuple("ExitPolynomial", "coeffs den")):
 
         return evaluate
 
-    def over_p(self, q: float = 1.0) -> tuple[float, ...]:
-        """Bernstein coefficients in p of (1 - I_E(p, q)) / p, degree d - 1,
-        each correctly rounded.
-
-        Row 0 is zero (d_min >= 2), so dropping it divides by p: the
-        output erasure is p times this polynomial, whose coefficients
-        (rows 1..d summed in q) are >= 0 and so never cancel.  At p = 0 it
-        is row 1 at q, the slope that stability reads.
-        """
-        if any(self.coeffs[0]):
-            raise ValueError("row 0 is nonzero: a component code has minimum distance 1")
-        v, den = self.at_dyadic_q(q)
-        return tuple(c / den for c in v[1:])
-
 
 def bernstein_eval(c: Sequence[float], x: float) -> float:
     """sum_t c[t] x^t (1-x)^(d-t) with d = len(c) - 1.
 
     Horner in x/(1-x), mirrored to (1-x)/x above x = 1/2, so x = 0 and
-    x = 1 are exact and nonnegative coefficients never cancel.  Defined
-    for every x, which lets finite-difference probes straddle x = 0.
+    x = 1 are exact and nonnegative coefficients never cancel.
     """
     u = 1.0 - x
     acc = 0.0
@@ -138,9 +123,12 @@ def bernstein_product(a: Sequence, b: Sequence) -> list:
 
 
 def monomial(c: Sequence) -> list:
-    """Coefficients of x^0 .. x^d in sum_t c[t] x^t (1-x)^(d-t), d = len(c) - 1."""
-    d = len(c) - 1
-    return [sum(c[t] * comb(d - t, k - t) * (-1) ** (k - t) for t in range(k + 1)) for k in range(d + 1)]
+    """Coefficients of x^0 .. x^d in sum_t c[t] x^t (1-x)^(d-t), d = len(c) - 1,
+    by additions alone: the sum up to t is the one up to t - 1 times (1 - x), plus c[t] x^t."""
+    m = []
+    for ct in c:
+        m = [a - b for a, b in zip(m + [ct], [0] + m)]
+    return m
 
 
 def _elevate(c: Sequence[int], degree: int) -> list[int]:
@@ -268,7 +256,9 @@ def nearest_float_root(sign: Callable[[int, int], object], x: float | None = Non
     of two) and is asked only inside (0, 1).  From a candidate x, steps of 1,
     2, 4, ... ulps walk toward the root until one passes it; floats are then
     bisected down to two adjacent ones, and the sign at their exact midpoint
-    picks one."""
+    picks one.  For any other g it returns such a float for some place where
+    g is 0 or rises through 0, inside the bracket the walk from x closes:
+    0.0 if g > 0 from x down to 0, 1.0 if g < 0 from x up to 1."""
     lo, hi, x = 0.0, 1.0, x or 0.0  # no candidate: bisect [0, 1]
     step = ulp(x)
     while lo < x < hi:

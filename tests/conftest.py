@@ -102,6 +102,89 @@ def as_fractions(poly: exit_charts.ExitPolynomial) -> tuple[tuple[Fraction, ...]
     return tuple(tuple(Fraction(c, poly.den) for c in row) for row in poly.coeffs)
 
 
+def poly_times(a: Sequence, b: Sequence) -> list:
+    """Product of two polynomials given by their coefficients of x^0, x^1, ...,
+    or of x^t (1-x)^(d-t), where products add indices too."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, s in enumerate(a):
+        for j, t in enumerate(b):
+            out[i + j] += s * t
+    return out
+
+
+def poly_value(p: Sequence, x):
+    """sum_i p[i] x^i by Horner."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def poly_slope(p: Sequence) -> list:
+    """The coefficients of p's derivative."""
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def from_bernstein(c: Sequence) -> list:
+    """Coefficients of x^0 .. x^d of sum_t c[t] x^t (1-x)^(d-t), d = len(c) - 1,
+    each term multiplied out."""
+    out = [0] * len(c)
+    for t, ct in enumerate(c):
+        term = [0] * t + [ct]
+        for _ in range(len(c) - 1 - t):
+            term = poly_times(term, [1, -1])
+        out = [a + b for a, b in zip(out, term)]
+    return out
+
+
+def exact_g(ens: Ensemble, q: float) -> list[Fraction]:
+    """The coefficients of x^0 .. x^D of g_q(x) = c(x) v_q(x c(x)), the factor
+    one DE step scales x by, in exact Fractions: c is rows 1.. of the check
+    mixture and v_q rows 1.. of the variable mixture summed in q, composed
+    as polynomials, independent of the threshold probes' basis."""
+    q = Fraction(q)
+    c = from_bernstein([row[0] for row in as_fractions(exit_charts.mixture_polynomial(ens, "check"))[1:]])
+    rows = as_fractions(exit_charts.mixture_polynomial(ens, "variable"))[1:]
+    k = len(rows[0]) - 1
+    v = from_bernstein([sum(a * q**z * (1 - q) ** (k - z) for z, a in enumerate(row)) for row in rows])
+    y, acc = [0] + c, [v[-1]]
+    for a in reversed(v[:-1]):
+        acc = poly_times(acc, y)
+        acc[0] += a
+    return poly_times(c, acc)
+
+
+def sturm_count(p: Sequence, lo, hi) -> int:
+    """The number of distinct real roots of the polynomial p in (lo, hi], by
+    Sturm's theorem; p(lo) must not be 0."""
+    def strip(f: list) -> list:
+        while len(f) > 1 and f[-1] == 0:
+            f.pop()
+        return f
+
+    def remainder(a: Sequence, b: Sequence) -> list:
+        a = [Fraction(x) for x in a]
+        while len(a) >= len(b):
+            factor, shift = a[-1] / b[-1], len(a) - len(b)
+            for i, x in enumerate(b):
+                a[i + shift] -= factor * x
+            a.pop()
+        return strip(a or [0])
+
+    chain = [strip(list(p)), strip(poly_slope(p) or [0])]
+    while len(chain[-1]) > 1:
+        r = remainder(chain[-2], chain[-1])
+        if not any(r):
+            break
+        chain.append([-x for x in r])
+
+    def changes(x) -> int:
+        signs = [v > 0 for v in (poly_value(f, x) for f in chain) if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return changes(lo) - changes(hi)
+
+
 def rep_node(j: int, fraction: float) -> NodeType:
     return NodeType(kind="repetition", edge_fraction=fraction, length=j)
 

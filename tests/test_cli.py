@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dgldpc
-from dgldpc import cli, codes, ensembles
+from dgldpc import cli, codes, density_evolution, ensembles
 from dgldpc.cli import run
 
 from conftest import (
@@ -120,10 +120,11 @@ def test_threshold_report(e36_path, capsys):
 
 
 def test_threshold_trace_flag(e36_path, capsys):
+    # one row per probe: q, verdict, x with g_q(x) >= 1 proved, halvings, bound
     assert run(["threshold", e36_path, "--trace"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert isinstance(doc["residual_trace"], list)
-    assert doc["residual_trace"][0][0] == 1
+    assert len(doc["residual_trace"]) == doc["bisection_steps"] and doc["iterations_at_threshold"] == 0
+    assert doc["residual_trace"][:2] == [[0.0, True, None, 0, 0.0], [1.0, False, 1.0, 0, None]]
 
 
 THRESHOLD_KEYS = {"q_star", "iterations_at_threshold", "bisection_steps", "converged", "residual_trace"}
@@ -618,6 +619,71 @@ def test_cli_outputs_match_the_golden_digests(tmp_path):
     assert digests == GOLDEN_DIGESTS
 
 
+# SHA-256 of each fixture's `threshold --trace` stdout and `threshold --verbose`
+# stderr, pinned when x* came to be decided on exact signs and --trace came to
+# list the probes.  GOLDEN_DIGESTS did not move then; of these lines, only F5's
+# printed x* changed, in its 6th digit (0.392944 -> 0.392945).
+TRACE_DIGESTS = {
+    "F0 --trace": "e1da58fe739d5db41b8823c4335aede0d206a6fa6cb1d75f7561ff62fd78c341",
+    "F0 --verbose": "e98a514ec28d3d486c9e41717e84ea8b492f1dbc6a0d144e97fe2003da800a11",
+    "F1 --trace": "1c83b3071bcf1ce9a62997edf09eafffc683b35ba16cd7e141cf0653c25b35c4",
+    "F1 --verbose": "407fcdf440e02ff64c168b943391549c05e1159ba5b75e64b43dbdbbd86a71de",
+    "F2 --trace": "0b6984eeff1f35a510c6e115bf666290a448f15a55fd25f8ea6858d53ebf6a90",
+    "F2 --verbose": "d5060fc76ac2429f6c2bcb474f1c715a03d0d0c6b9024498012e1f4e1d1ef037",
+    "F3 --trace": "05b91321975311bc0ef27d494e50bb071073f662dd48f9e4cc4bf7c45acf2330",
+    "F3 --verbose": "bdfd4f7b14fe29aa93f0d5bb9197a2fe7daa371a4c30d8ceef030345ae0dc1b4",
+    "F4 --trace": "a02b995d9ff736c1fd0af60a12bf0fa03f23987f0a2d1405c1539635b9a878c1",
+    "F4 --verbose": "33c358ae7a70f53f0d1e57706ff3e77b2da6676f398d5e4dec366c3b97be26de",
+    "F5 --trace": "d6a639407781ea17dc7642b2c19d71940a44c76f1cf7d28669c8f1db54b6c156",
+    "F5 --verbose": "4b95afb7e85e4b97f4aeae085479fd6bd129efd2a8be370001a79afddbb5d28b",
+    "F6 --trace": "2f47565e72621b390dcf6c4ec98d62d42f99d74c261c7d2231c755601f31dccd",
+    "F6 --verbose": "90250fa2493629c770ff17c162b10673d8f0c0213d09d99b4f86cd7e92607ce1",
+    "F7 --trace": "ce488e434f4cc5a5671a703aa47921ea627de3c3748fc96be25a7aac7ae873b2",
+    "F7 --verbose": "2f2494948ff13e836ccf84d0f174afc2c8a7b6a84bf6b13a8182f0b967b6303e",
+    "F8 --trace": "7abad3bec9675b55709d75fe0bfe5405622830c8ef6e79f933ed1332ec25b08c",
+    "F8 --verbose": "a3bc881e3b274b1bb73392c8aa51a5a02c653292137bffab75f31033bb7ead54",
+    "F9 --trace": "0f51474838c5270e18a06001ae3457ce850137201c08426e7585e4d2c12b7df4",
+    "F9 --verbose": "dbbcbff75c3a858f39c0b9e896de7009dbe59484f8782bfc011e766ca549d1c2",
+    "F10 --trace": "5aacffd565fc91fa874028d919c29474c660efe8673f8fd71d080427f6efecea",
+    "F10 --verbose": "0b3cd0bc77f554d250d7948620d5931e55e5f9cf6c74d4ad4f2569f6a96b51e2",
+}
+
+
+def fixture_paths(tmp_path) -> list[str]:
+    paths = []
+    for i, ens in enumerate(fixture_suite()):
+        paths.append(str(tmp_path / f"F{i}.json"))
+        Path(paths[-1]).write_text(serialize_ensemble(ens), encoding="utf-8")
+    return paths
+
+
+def test_trace_and_verbose_outputs_match_their_digests(tmp_path, capsys):
+    digests = {}
+    for i, path in enumerate(fixture_paths(tmp_path)):
+        for flag, stream in (("--trace", "out"), ("--verbose", "err")):
+            assert run(["threshold", path, flag]) == 0
+            text = getattr(capsys.readouterr(), stream)
+            digests[f"F{i} {flag}"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digests == TRACE_DIGESTS
+
+
+def test_no_command_runs_density_evolution(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("density evolution ran")
+
+    monkeypatch.setattr(density_evolution, "de_iterate", refuse)
+    chart = ["exit-chart", "--q", "0.3", "--out", str(tmp_path / "chart.csv")]
+    commands = [["analyze"], ["threshold"], ["threshold", "--verbose"], ["check-stability", "--q", "0.4"], chart]
+    for i, path in enumerate(fixture_paths(tmp_path)):
+        for command in commands:
+            assert run([command[0], path, *command[1:]]) in (0, 1), (i, command)
+        capsys.readouterr()
+        assert run(["threshold", path, "--trace"]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert len(doc["residual_trace"]) == doc["bisection_steps"] and out.count("\n") < 250, i
+
+
 def test_analyze_prints_no_negative_zero(tmp_path, capsys):
     for i, ens in enumerate(fixture_suite()):
         path = tmp_path / f"F{i}.json"
@@ -660,7 +726,7 @@ def reference_parser() -> argparse.ArgumentParser:
     add("code-info", cli._cmd_code_info, "analyze one generator matrix literal file")
     add("analyze", cli._cmd_analyze, "validate an ensemble and report its stability analysis")
     p_thr = add("threshold", cli._cmd_threshold, "locate the density-evolution threshold")
-    p_thr.add_argument("--trace", action="store_true", help="retain the residual trace")
+    p_thr.add_argument("--trace", action="store_true", help="list each threshold probe and its proof")
     p_chart = add("exit-chart", cli._cmd_exit_chart, "sample the two chart curves to CSV")
     p_chart.add_argument("--q", type=float, required=True, help="channel erasure probability")
     p_chart.add_argument("--npoints", type=int, default=101, help="grid points (default 101)")

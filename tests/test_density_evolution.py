@@ -17,11 +17,8 @@ from dgldpc.cli import run
 from dgldpc.codes import ComponentCode
 from dgldpc.density_evolution import (
     BRACKET_WIDTH,
-    DEFAULT_MAX_ITERS,
-    DEFAULT_TOL,
     MAX_HALVINGS,
     de_iterate,
-    erasure_ratio,
     find_threshold,
     fixed_point_coefficients,
 )
@@ -40,8 +37,8 @@ from dgldpc.stability import (
 )
 
 from conftest import (
-    HAMMING_74_TEXT, as_fractions, ensemble, fixture_suite, gamma, generic_node, mixed_side, rep_node,
-    serialize_ensemble, spc_node,
+    HAMMING_74_TEXT, as_fractions, ensemble, exact_g, fixture_suite, gamma, generic_node, mixed_side, poly_slope,
+    poly_times, poly_value, rep_node, serialize_ensemble, spc_node, sturm_count,
 )
 
 
@@ -71,7 +68,7 @@ def test_de_above_threshold_stops_at_its_fixed_point(rep3_spc6_threshold):
     run = de_iterate(ens, q)
     assert not run.success
     assert run.iters < 1000
-    assert erasure_ratio(ens, q)(run.final_x) == pytest.approx(1.0, abs=1e-12)
+    assert float(poly_value(exact_g(ens, q), Fraction(run.final_x))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_trajectory_trace_is_monotone(rep3_spc6):
@@ -133,10 +130,11 @@ def test_de_steps_do_not_cancel_near_zero(rep2_spc6):
     def exact_step(x: float) -> Fraction:
         return Fraction(q) * (1 - (1 - Fraction(x)) ** 5)
 
-    g = erasure_ratio(rep2_spc6, q)
+    g = exact_g(rep2_spc6, q)
     xs = [x for _, x in de_iterate(rep2_spc6, q, tol=1e-14, record_trace=True).trace]
     for level in (1e-6, 1e-9, 1e-12):
-        assert abs(level * g(level) - exact_step(level)) <= Fraction(1e-15) * exact_step(level)
+        # the oracle, against the closed form
+        assert Fraction(level) * poly_value(g, Fraction(level)) == exact_step(level)
         t = next(i for i, x in enumerate(xs) if x < level)
         assert abs(xs[t + 1] - exact_step(xs[t])) <= Fraction(1e-15) * exact_step(xs[t])
 
@@ -160,7 +158,7 @@ def test_de_trajectories_rise_only_by_float_error(variables, checks, q):
     # below and falls to f-'s largest fixed point, above which f-(x) <= x:
     # no step exceeds rho times its start.
     ens = ensemble(variables, checks)
-    mc = len(mixture_polynomial(ens, "check").over_p()) - 1
+    mc = len(mixture_polynomial(ens, "check").coeffs) - 2
     rows = mixture_polynomial(ens, "variable").coeffs
     mv, k = len(rows) - 2, len(rows[0]) - 1
     g, e = gamma(5 * (mc + k + mv) + 13), gamma(5 * mc + 5)
@@ -204,13 +202,21 @@ def test_threshold_bracket_width(rep3_spc6_threshold):
     assert not de_iterate(ens, result.q_star + 1e-7).success
 
 
-def test_threshold_trace_retained_on_request(rep3_spc6):
-    # at the interior threshold the traced DE run converges within the cap
-    result = find_threshold(rep3_spc6, record_trace=True)
-    assert result.residual_trace is not None
-    assert result.residual_trace[0][0] == 1
-    assert len(result.residual_trace) == result.iterations_at_threshold < DEFAULT_MAX_ITERS
-    assert result.residual_trace[-1][1] < DEFAULT_TOL
+def test_threshold_trace_retained_on_request(rep3_spc6_threshold):
+    # one row per probe, (q, verdict, x with g_q(x) >= 1 proved, halvings,
+    # bound of the highest closed cell), and no DE run
+    ens, plain = rep3_spc6_threshold
+    result = find_threshold(ens, record_trace=True)
+    assert result._replace(residual_trace=None) == plain
+    assert len(result.residual_trace) == result.bisection_steps and result.iterations_at_threshold == 0
+    assert result.residual_trace[:2] == ((0.0, True, None, 0, 0.0), (1.0, False, 1.0, 0, None))
+    for q, ok, x, halvings, bound in result.residual_trace:
+        if ok:
+            assert x is None and bound < 1.0
+        elif x is None:  # undecided at the depth cap
+            assert halvings >= MAX_HALVINGS
+        else:
+            assert 0.0 < x <= 1.0
 
 
 def test_threshold_below_stability_bound(rep2_spc6, rep3_spc6_threshold):
@@ -284,11 +290,12 @@ def test_stability_limited_threshold_takes_one_probe(rep2_spc6):
 def test_interior_threshold_reports_its_fixed_point(rep3_spc6_threshold):
     ens, result = rep3_spc6_threshold
     assert 0.0 < result.x_star < 1.0
-    # just above q* the fixed point x' = x sits near x*; just below, none exists
-    g_above = erasure_ratio(ens, result.q_star + 1e-6)
-    assert g_above(result.x_star) >= 1.0
-    g_below = erasure_ratio(ens, result.q_star - 1e-6)
-    assert max(g_below(i / 1000) for i in range(1, 1001)) < 1.0
+    # just above q* the fixed point x' = x sits near x*; just below, g_q - 1
+    # has no root in (0, 1], so none exists
+    assert poly_value(exact_g(ens, result.q_star + 1e-6), Fraction(result.x_star)) >= 1
+    g_below = exact_g(ens, result.q_star - 1e-6)
+    g_below[0] -= 1
+    assert poly_value(g_below, 1) < 0 and sturm_count(g_below, 0, 1) == 0
 
 
 def lhs_row_at(ens, q: float) -> Fraction:
@@ -309,10 +316,8 @@ def test_threshold_agrees_with_density_evolution(variables, checks, q):
         assert de_iterate(ens, q_star - 1e-3).success
     if q_star + 1e-3 <= 1.0:
         assert not de_iterate(ens, q_star + 1e-3).success
-    # g_q(0) is the stability product bracket * lhs(q); it reaches ~10,
-    # where one ulp is 1.8e-15, so the 1e-15 bound is relative above 1
-    product = float(as_fractions(mixture_slope_row(ens, "check"))[0][0] * lhs_row_at(ens, q))
-    assert abs(erasure_ratio(ens, q)(0.0) - product) <= 1e-15 * max(1.0, product)
+    # g_q(0) is the stability product bracket * lhs(q), exactly
+    assert exact_g(ens, q)[0] == as_fractions(mixture_slope_row(ens, "check"))[0][0] * lhs_row_at(ens, q)
 
 
 @settings(max_examples=40, deadline=None)
@@ -333,7 +338,42 @@ def test_rising_slope_at_the_stability_boundary_means_an_interior_threshold():
     result = find_threshold(ens)
     assert 0.0 < result.x_star < 1e-3
     assert q_stab - 2e-7 < result.q_star < q_stab
-    assert erasure_ratio(ens, q_stab)(result.x_star) > 1.0
+    assert poly_value(exact_g(ens, q_stab), Fraction(result.x_star)) > 1
+
+
+RISING_SLOPE = ensemble([rep_node(2, 0.714), rep_node(3, 0.286)], [spc_node(6, 1.0)])
+D132 = ensemble([rep_node(2, 0.3), rep_node(3, 0.4), rep_node(8, 0.3)], [spc_node(16, 0.5), spc_node(20, 0.5)])
+
+
+@pytest.mark.parametrize(
+    "ens",
+    [fixture_suite()[i] for i in (0, 2, 3, 4, 5, 7, 9)] + [RISING_SLOPE, D132],
+    ids=["F0", "F2", "F3", "F4", "F5", "F7", "F9", "rising slope", "D132"],
+)
+def test_interior_x_star_is_the_float_nearest_the_peak(ens):
+    # at the last accepted q, the exact g_q' changes sign from + to - between
+    # the midpoints of x* and its neighbouring floats
+    result = find_threshold(ens, record_trace=True)
+    q = [row[0] for row in result.residual_trace if row[1]][-1]
+    slope, x = poly_slope(exact_g(ens, q)), result.x_star
+    below, above = ((Fraction(x) + Fraction(math.nextafter(x, end))) / 2 for end in (0.0, 1.0))
+    assert 0.0 < x < 1.0
+    assert poly_value(slope, below) > 0 > poly_value(slope, above)
+
+
+def test_trace_ends_agree_with_the_exact_oracle():
+    # the last failure's cell end has g_q >= 1; the last success has g_q(1) < 1
+    # and g_q - 1 no root in (0, 1], except one next to 0 where g_q(0) > 1:
+    # a float q_stab above its exact root, and x -> 0 is the stability
+    # boundary's
+    for i, ens in enumerate(fixture_suite()):
+        trace = find_threshold(ens, record_trace=True).residual_trace
+        q, _, x, _, _ = [row for row in trace if not row[1]][-1]
+        assert poly_value(exact_g(ens, q), Fraction(x)) >= 1, i
+        g = exact_g(ens, [row for row in trace if row[1]][-1][0])
+        g[0] -= 1
+        assert poly_value(g, 1) < 0 and g[0] != 0, i
+        assert sturm_count(g, 0, 1) == (g[0] > 0), i
 
 
 def test_threshold_never_exceeds_the_stability_boundary():
@@ -388,15 +428,6 @@ def test_threshold_halvings_are_pinned(monkeypatch):
         assert len(calls) <= n, i
 
 
-def times(a, b):
-    """Product of coefficient lists in the basis x^t (1-x)^(d-t)."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, s in enumerate(a):
-        for j, t in enumerate(b):
-            out[i + j] += s * t
-    return out
-
-
 def exact_fixed_point_coefficients(ens, q: Fraction) -> list[Fraction]:
     """Bernstein coefficients of g_q = c(x) v_q(x c(x)) in exact rationals."""
     y = [row[0] for row in as_fractions(mixture_polynomial(ens, "check"))]
@@ -407,7 +438,7 @@ def exact_fixed_point_coefficients(ens, q: Fraction) -> list[Fraction]:
     for t, row in enumerate(rows):
         term = y[1:]
         for factor in [y] * t + [info] * (dv - t):
-            term = times(term, factor)
+            term = poly_times(term, factor)
         v = sum(c * q**z * (1 - q) ** (k - z) for z, c in enumerate(row))
         g = [a + v * b for a, b in zip_longest(g, term, fillvalue=0)]
     return [a / math.comb(len(g) - 1, i) for i, a in enumerate(g)]
