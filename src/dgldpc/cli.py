@@ -119,8 +119,8 @@ def _cmd_analyze(args) -> tuple[dict, str, int]:
 def _cmd_threshold(args) -> tuple[dict, str, int]:
     result = find_threshold(_load_ensemble(args.input), record_trace=args.trace)
     mechanism = (
-        "stability-limited (x* = 0)"
-        if result.x_star == 0.0
+        "q = 1 decodes" if not result.converged
+        else "stability-limited (x* = 0)" if result.x_star == 0.0
         else f"interior fixed point at x* = {result.x_star:.6g}"
     )
     summary = (

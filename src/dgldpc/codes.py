@@ -25,10 +25,10 @@ bound on it, which the dimension caps keep at desk scale.  The
 information functions are walked on whichever of G and a dual generator
 H has fewer rows, through the matroid duality
 rank_G(S) = |S| - (n - k) + rank_H(complement of S).  Measured with
-Python 3.11 on a 2-vCPU Intel Xeon: a random (14, 7) split table takes
-85,202 walks of the 2^21 bound (45-65 ms), the Hamming (15, 11) one 2.26e6
-of 2^26 (1.3-1.4 s), and the Hamming (15, 11) information functions,
-walked on H's four rows, 1,381 walks (1 ms; 31,232 walks on G).
+Python 3.11.7 on a 2-vCPU Intel Xeon (medians of 21 processes): the
+benchmark's seeded random (14, 7) split table takes 80,538 walks of the
+2^21 bound (37-49 ms), the Hamming (15, 11) one 2.26e6 of 2^26 (0.8-1.0 s),
+and its information functions, on H's four rows, 1,381 walks (<1 ms; 31,232 on G).
 """
 
 from __future__ import annotations
@@ -104,41 +104,37 @@ def _subset_rank_sums(columns: list[int], full: int) -> list[int]:
 
     Columns are bit vectors over the row index, and full is their rank.  A
     DFS over the columns branches only on a column outside the span of
-    those chosen so far; a column inside it leaves the rank of every
-    completion unchanged, so it is counted as free and passed with one
-    child, and once the rank is full every remaining column is free.  A
-    walk ending with `free` free columns and g chosen stands for C(free, j)
-    subsets of size g + j of the same rank, which ends[free][g] expands
-    with binomials at the end.  So the walks number the independent column
-    subsets (at most sum_{g <= full} C(n, g)), not 2^n, and each costs one
-    basis reduction.  Only the include child recurses; the free and exclude
-    children continue the loop, and an include child that is already a
-    leaf is written into ends directly.
+    those chosen; one inside it leaves every completion's rank unchanged, so
+    it is counted as free, and once the rank is full every column left is
+    free.  A walk ending with `free` free columns and g chosen stands for
+    C(free, j) subsets of size g + j of the same rank, which ends[free][g]
+    expands with binomials at the end.  So the walks number the independent
+    column subsets (at most sum_{g <= full} C(n, g)), not 2^n.  The columns
+    left are width-bit fields of one int, reduced against those chosen:
+    choosing col, top bit p, clears bit p of every later field at once, as
+    packed ^ ((packed >> p) & ones) * col, where nothing carries, so a zero
+    field is a column in the span.  Only the include child recurses.
     """
     n = len(columns)
     ends = [[0] * (n + 1) for _ in range(n + 1)]
-    basis: list[int] = []
+    width = max(columns, default=0).bit_length() or 1
+    field, ones = (1 << width) - 1, ((1 << width * n) - 1) // ((1 << width) - 1)
 
-    def walk(i: int, r: int, g: int, free: int) -> None:
+    def walk(packed: int, i: int, r: int, g: int, free: int) -> None:
         while i < n and r < full:
-            col = columns[i]
-            for b in basis:
-                if col ^ b < col:
-                    col ^= b
+            col = packed & field
+            packed >>= width
             i += 1
             if not col:
                 free += 1
-                continue
-            if i == n or r + 1 == full:
+            elif i == n or r + 1 == full:
                 ends[free + n - i][g + 1] += r + 1
             else:
-                basis.append(col)
-                walk(i, r + 1, g + 1, free)
-                basis.pop()
+                walk(packed ^ ((packed >> col.bit_length() - 1) & ones) * col, i, r + 1, g + 1, free)
         ends[free + n - i][g] += r
 
-    walk(0, 0, 0, 0)
-    walk = None  # the closure holds its own cell: break the cycle so refcounting frees ends and basis
+    walk(sum(c << width * j for j, c in enumerate(columns)), 0, 0, 0, 0)
+    walk = None  # the closure holds its own cell: break the cycle so refcounting frees ends
     sums = [0] * (n + 1)
     for free, row in enumerate(ends):
         for g, total in enumerate(row):

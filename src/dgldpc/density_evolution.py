@@ -164,7 +164,7 @@ def find_threshold(ens: Ensemble, record_trace: bool = False) -> ThresholdResult
     one probe.  Otherwise q is bisected over [0, 1] to BRACKET_WIDTH and
     q_star is the bracket's midpoint, clamped to q_stab (x* = 0 when the
     clamp binds, else sought from the middle of the highest closed cell).
-    converged reports that q = 0 succeeded and q = 1 failed.
+    converged is False only when q = 1 decodes (g_0 = 0, so q = 0 succeeds).
     """
     probes, accepted = [], (0.0, 0.5)  # q and the middle of the highest closed cell of the last success
 

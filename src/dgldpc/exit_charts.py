@@ -267,6 +267,9 @@ def nearest_float_root(sign: Callable[[int, int], object], x: float | None = Non
             return x
         lo, hi, x = (x, hi, x + step) if s < 0 else (lo, x, x - step)
         step *= 2
+    # a walk down to 0 reads the sign halfway to the least float, 2^-1075, where bisection would end
+    if lo == 0.0 < hi < 1.0 and sign(1, 1 << 1075) >= 0:
+        return 0.0
     lo, hi = bisect(lambda y: sign(*y.as_integer_ratio()), lo, hi, 0.0)
     (a, d), (b, e) = lo.as_integer_ratio(), hi.as_integer_ratio()
     s = sign(a * e + b * d, 2 * d * e) if lo < hi else 1  # lo == hi: an exact zero

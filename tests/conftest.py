@@ -55,6 +55,12 @@ def select_columns(m: BinaryMatrix, indices: Sequence[int]) -> BinaryMatrix:
     return BinaryMatrix(tuple(bits), len(indices))
 
 
+def from_columns(columns: Sequence[int], rows: int) -> BinaryMatrix:
+    """The rows x len(columns) matrix whose column j has bit i of columns[j] in row i."""
+    return BinaryMatrix(tuple(sum(((c >> i) & 1) << j for j, c in enumerate(columns)) for i in range(rows)),
+                        len(columns))
+
+
 def identity(k: int) -> BinaryMatrix:
     """The k x k identity matrix."""
     return BinaryMatrix(tuple(1 << i for i in range(k)), k)
@@ -309,6 +315,15 @@ def fixture_suite():
     ]
 
 
+def q1_decoding_ensemble() -> Ensemble:
+    """An ensemble whose g_q falls from x = 0 at every q: q = 1 decodes, there
+    is no stability-boundary point, and -g_q' > 0 on (0, 1]."""
+    return ensemble(
+        [rep_node(4, 3 / 7), generic_node("011", 4 / 7)],
+        [generic_node("101", 1 / 9), generic_node("1110", 5 / 9), spc_node(7, 1 / 3)],
+    )
+
+
 @pytest.fixture
 def spc32() -> ComponentCode:
     return ComponentCode.from_text(SPC_32_TEXT)
@@ -344,8 +359,7 @@ def draw_generator_with_free_columns(draw, n: int, k: int) -> BinaryMatrix:
         cols[j] = cols[draw(st.integers(0, n - 1))]
     if draw(st.booleans()):
         cols[draw(st.integers(0, n - 1))] = 0
-    rows = tuple(sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(k))
-    gen = BinaryMatrix(rows, n)
+    gen = from_columns(cols, k)
     assume(rank(gen) == k)
     return gen
 

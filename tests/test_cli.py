@@ -28,6 +28,7 @@ from conftest import (
     fixture_suite,
     hamming_15_11,
     package_caches,
+    q1_decoding_ensemble,
     seeded_dmin2_code,
     serialize_ensemble,
 )
@@ -336,12 +337,14 @@ def test_verbose_goes_to_stderr(e36_path, capsys):
 
 
 
-# Each command's --verbose line, verbatim, with its exit status; {h74} and
-# {e26} name the Hamming (7,4) and E26 input files, {csv} the chart path.
+# Each command's --verbose line, verbatim, with its exit status; {h74},
+# {e26} and {q1} name the Hamming (7,4), E26 and q1_decoding_ensemble input
+# files, {csv} the chart path.
 VERBOSE_LINES = [
     (["code-info", "{h74}"], 0, "(7,4) code, d_min=3\n"),
     (["analyze", "{e26}"], 0, "valid ensemble: 1 variable / 1 check types, design rate 0.666667\n"),
     (["threshold", "{e26}"], 0, "q* = 0.20000000 after 3 probes (converged=True): stability-limited (x* = 0)\n"),
+    (["threshold", "{q1}"], 0, "q* = 0.99999997 after 26 probes (converged=False): q = 1 decodes\n"),
     (["exit-chart", "{e26}", "--q", "0.3", "--npoints", "5", "--out", "{csv}"], 0,
      "wrote 5 chart points at q=0.3 to {csv}\n"),
     (["check-stability", "{e26}", "--q", "0.1"], 0, "stability at q=0.1: lhs=0.1 rhs=0.2 margin=0.1 holds\n"),
@@ -355,14 +358,17 @@ VERBOSE_LINES = [
 
 def verbose_case(tmp_path, argv: list[str], line: str) -> tuple[list[str], str]:
     """argv and the expected --verbose line with the input and chart paths filled in."""
-    paths = {"h74": tmp_path / "h74.txt", "e26": tmp_path / "e26.json", "csv": tmp_path / "chart.csv"}
+    paths = {"h74": tmp_path / "h74.txt", "e26": tmp_path / "e26.json", "q1": tmp_path / "q1.json",
+             "csv": tmp_path / "chart.csv"}
     paths["h74"].write_text(HAMMING_74_TEXT + "\n", encoding="utf-8")
     paths["e26"].write_text(E26_DOC, encoding="utf-8")
+    paths["q1"].write_text(serialize_ensemble(q1_decoding_ensemble()), encoding="utf-8")
     return [a.format(**paths) for a in argv], line.format(**paths)
 
 
 @pytest.mark.parametrize(
-    "argv, status, line", VERBOSE_LINES, ids=[" ".join(argv[:1] + argv[2:4]) for argv, _, _ in VERBOSE_LINES]
+    "argv, status, line", VERBOSE_LINES,
+    ids=[" ".join(a for a in argv[:4] if a not in ("{h74}", "{e26}")) for argv, _, _ in VERBOSE_LINES],
 )
 def test_verbose_line_of_each_command(argv, status, line, tmp_path, capsys):
     argv, line = verbose_case(tmp_path, argv, line)

@@ -36,6 +36,7 @@ from conftest import (
     SPC_32_TEXT,
     augment_identity,
     draw_generator_with_free_columns,
+    from_columns,
     hamming_15_11,
     identity,
     random_component_code,
@@ -46,12 +47,12 @@ from conftest import (
 )
 
 
-def oracle_info_functions(code: ComponentCode) -> tuple[int, ...]:
+def oracle_rank_sums(m: BinaryMatrix) -> tuple[int, ...]:
     """Sum of ranks over explicitly selected g-column submatrices."""
     vals = []
-    for g in range(code.n + 1):
+    for g in range(m.cols + 1):
         vals.append(
-            sum(rank(select_columns(code.gen, list(s))) for s in combinations(range(code.n), g))
+            sum(rank(select_columns(m, list(s))) for s in combinations(range(m.cols), g))
         )
     return tuple(vals)
 
@@ -90,7 +91,7 @@ def test_info_functions_spc32(spc32):
 def test_info_functions_hamming(hamming74):
     # frozen from the selection oracle
     assert info_functions(hamming74) == (0, 7, 42, 105, 133, 84, 28, 4)
-    assert info_functions(hamming74) == oracle_info_functions(hamming74)
+    assert info_functions(hamming74) == oracle_rank_sums(hamming74.gen)
 
 
 def test_info_functions_endpoints_random():
@@ -110,7 +111,7 @@ def test_info_functions_match_oracle_random():
     for _ in range(8):
         n = rng.randint(2, 7)
         code = random_component_code(rng, n, rng.randint(1, n - 1))
-        assert info_functions(code) == oracle_info_functions(code)
+        assert info_functions(code) == oracle_rank_sums(code.gen)
 
 
 def test_split_info_functions_rep2():
@@ -150,9 +151,34 @@ def test_split_info_row_matches_full_table(hamming74):
 
 
 
+@st.composite
+def column_lists(draw) -> list[int]:
+    """Up to 10 columns of at most 1 to 32 bits, some zero, some repeating
+    another column and some the sum of two others, so inside their span."""
+    width = draw(st.integers(1, 32))
+    cols = draw(st.lists(st.integers(0, (1 << width) - 1) | st.just(0), max_size=10))
+    for j in draw(st.lists(st.integers(0, len(cols) - 1), max_size=3)) if cols else ():
+        a, b = draw(st.integers(0, len(cols) - 1)), draw(st.integers(0, len(cols) - 1))
+        cols[j] = cols[a] ^ cols[b] if draw(st.booleans()) else cols[a]
+    return cols
+
+
+@settings(max_examples=100, deadline=None)
+@given(column_lists())
+@example([])
+@example([0, 0, 0])
+@example([1, 1, 1])
+@example([2**32 - 1, 2**31, 2**31 - 1, 2**32 - 1, 1])  # full fields: a carry would reach the next column
+@example([3, 5, 6, 7, 1, 2, 4])
+def test_subset_walk_matches_the_selection_oracle(columns):
+    # the walker on its own, full set to the columns' rank
+    matrix = from_columns(columns, 32)
+    assert _subset_rank_sums(columns, rank(matrix)) == list(oracle_rank_sums(matrix))
+
+
 def test_subset_walk_is_freed_without_the_cyclic_collector(hamming74):
     # the recursive walk closure refers to itself; unless that cycle is
-    # broken, every call leaves its ends table and basis for the collector
+    # broken, every call leaves its ends table for the collector
     columns = hamming74.gen.columns()
     enabled = gc.isenabled()
     gc.collect()
@@ -330,8 +356,8 @@ def test_rank_sum_tables_against_duality_and_codeword_oracles(gen):
     e, e_dual = info_functions(code), info_functions(dual_code(code))
     # info_functions walks the dual itself when n - k < k, so the identity
     # alone would check it against itself; the selection oracle is independent.
-    assert e == oracle_info_functions(code)
-    assert e_dual == oracle_info_functions(dual_code(code))
+    assert e == oracle_rank_sums(code.gen)
+    assert e_dual == oracle_rank_sums(dual_code(code).gen)
     for g in range(n + 1):
         assert e[g] == comb(n, g) * (g - n + k) + e_dual[n - g]
     table = split_info_functions(code)
@@ -404,7 +430,7 @@ def test_high_rate_rank_sums_walk_the_dual_columns(walks):
 def test_rank_sum_tables_match_the_selection_oracles(gen):
     code = ComponentCode(gen)
     n, k = code.n, code.k
-    plain = oracle_info_functions(code)
+    plain = oracle_rank_sums(code.gen)
     assert info_functions(code) == plain
     table = oracle_split_info_functions(code)
     assert split_info_functions(code) == table

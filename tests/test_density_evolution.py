@@ -38,7 +38,7 @@ from dgldpc.stability import (
 
 from conftest import (
     HAMMING_74_TEXT, as_fractions, ensemble, exact_g, fixture_suite, gamma, generic_node, mixed_side, poly_slope,
-    poly_times, poly_value, rep_node, serialize_ensemble, spc_node, sturm_count,
+    poly_times, poly_value, q1_decoding_ensemble, rep_node, serialize_ensemble, spc_node, sturm_count,
 )
 
 
@@ -384,6 +384,19 @@ def test_threshold_never_exceeds_the_stability_boundary():
     result = find_threshold(ens)
     assert q_stab - BRACKET_WIDTH <= result.q_star <= q_stab
     assert result.x_star == 0.0
+
+
+def test_x_star_walk_down_to_zero_stops_there(monkeypatch):
+    # every exact sign of -g_q' is positive from the candidate down to 0;
+    # bisecting down to the least float took 1,075 signs, at denominators up
+    # to 2^1075, where the walk and one sign halfway to that float take 54
+    signs = []
+    value = de.dyadic_value
+    monkeypatch.setattr(de, "dyadic_value", lambda m, n, d: signs.append(d) or value(m, n, d))
+    result = find_threshold(q1_decoding_ensemble())
+    assert (result.q_star, result.bisection_steps, result.converged) == (0.9999999701976776, 26, False)
+    assert result.x_star == 0.0
+    assert 0 < len(signs) <= 64
 
 
 @pytest.mark.parametrize(

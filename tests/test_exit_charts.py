@@ -582,6 +582,8 @@ def test_every_chart_point_is_the_float_nearest_the_root(monkeypatch):
 @example(1 - Fraction(1, 2**54), 0.9)  # halfway between the float below 1 and 1: 1.0
 @example(Fraction(1, 2) + Fraction(3, 2**54), 0.5)  # a tie up from the candidate
 @example(Fraction(0), None)
+@example(Fraction(0), 0.5)  # the walk reaches 0 and the sign halfway to the least float picks 0.0
+@example(Fraction(1, 2**1074), 0.5)  # ... or says to bisect on to the least float
 @example(Fraction(1), 1.0)
 def test_nearest_float_root_rounds_the_root_as_float_does(root, x):
     # g(p) = p - root; a root at an end of [0, 1] is beyond the signs taken

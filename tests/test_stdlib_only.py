@@ -37,6 +37,12 @@ def test_package_imports_only_the_standard_library():
                 assert top in sys.stdlib_module_names or top == "dgldpc", f"{path.name} imports {name}"
 
 
+def test_sources_parse_as_the_oldest_supported_python():
+    # pyproject.toml's requires-python: no syntax newer than Python 3.10
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=path.name, feature_version=(3, 10))
+
+
 def test_cli_import_loads_no_heavy_modules():
     """`python -S` keeps site-packages and .pth hooks out of the module set."""
     script = (
