@@ -5,8 +5,6 @@ position j (bit 0 = leftmost column of the text form).  Matrices are
 immutable and safe to share across threads or workers.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Iterable
 
@@ -65,13 +63,6 @@ class BinaryMatrix(namedtuple("BinaryMatrix", "bits cols")):
                     raise ValueError(f"invalid character {ch!r} in matrix literal at row {i}, column {j}")
             bits.append(word)
         return cls(tuple(bits), ncols)
-
-    def to_text(self) -> str:
-        """Matrix literal form, inverse of from_text."""
-        return "\n".join(
-            "".join("1" if (row >> j) & 1 else "0" for j in range(self.cols))
-            for row in self.bits
-        )
 
     def columns(self) -> list[int]:
         """All columns as rows-bit ints (bit i of column j = entry (i, j))."""

@@ -10,8 +10,6 @@ handler returns (report, --verbose summary, exit status); only run writes.
 This module alone knows the report format: the layers return plain values.
 """
 
-from __future__ import annotations
-
 import gc
 import math
 import re

@@ -31,8 +31,6 @@ benchmark's seeded random (14, 7) split table takes 80,538 walks of the
 and its information functions, on H's four rows, 1,381 walks (<1 ms; 31,232 on G).
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 from math import comb

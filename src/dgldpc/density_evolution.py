@@ -32,8 +32,6 @@ x -> 0 is owned by the stability boundary, which q* never exceeds.  The
 probes' coefficients also decide x*, on exact signs of g_q'.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache, partial
 from math import comb, lcm
@@ -200,7 +198,7 @@ def find_threshold(ens: Ensemble, record_trace: bool = False) -> ThresholdResult
         q_star, x_star = roots[0], 0.0
     else:  # -g_q' has coefficients (b[i] - b[i+1]) C(D-1, i) in x^i (1-x)^(D-1-i), over den / D
         b = fixed_point_coefficients(ens, accepted[0])[0]
-        m = monomial([(s - t) * comb(len(b) - 2, i) for i, (s, t) in enumerate(zip(b, b[1:]))])[::-1]
+        m = monomial([(s - t) * comb(len(b) - 2, i) for i, (s, t) in enumerate(zip(b, b[1:]))])
         x_star = nearest_float_root(partial(dyadic_value, m), accepted[1])
     return ThresholdResult(q_star=q_star, iterations_at_threshold=0, bisection_steps=len(probes),
                            converged=low_ok and not high_ok, residual_trace=tuple(probes) if record_trace else None,

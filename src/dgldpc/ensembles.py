@@ -9,8 +9,6 @@ the generalized nodes (all but repetition variable and SPC check nodes)
 apart, as the paper classifies ensembles by them.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 from math import lcm

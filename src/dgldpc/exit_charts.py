@@ -16,8 +16,6 @@ off row t = 1 (code_slope_row, mixture_slope_row).  _mix proves each mixture
 monotone in p and q, which inverse_exit_cnd and DE rely on.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 from functools import lru_cache, partial
@@ -76,14 +74,14 @@ class ExitPolynomial(namedtuple("ExitPolynomial", "coeffs den")):
         exactly.  The float q is a / m, m a power of two, and each row's q-sum
         is dyadic_value on its monomial form."""
         (a, m), k = q.as_integer_ratio(), len(self.coeffs[0]) - 1
-        return [dyadic_value(monomial(row)[::-1], a, m) for row in self.coeffs], self.den * m**k
+        return [dyadic_value(monomial(row), a, m) for row in self.coeffs], self.den * m**k
 
     def at_q(self, q: float = 1.0) -> Callable[[float], float]:
         """p -> I_E at channel erasure q, correctly rounded: den m^d I_E(b / m)
         is one dyadic_value, an integer, and one true division rounds it."""
         v, den = self.at_dyadic_q(q)
-        info = [-c for c in monomial(v)[::-1]]
-        info[-1] += den
+        info = [-c for c in monomial(v)]
+        info[0] += den
         d = len(v) - 1
 
         def evaluate(p: float) -> float:
@@ -219,19 +217,19 @@ def certified_slope(poly: ExitPolynomial) -> tuple[float, ...]:
 def _check_curve(ens: Ensemble) -> tuple:
     """(s, i, df/dp, f(1), m, den) of f = I_{E,C}: float 1 - f, f and slope that
     steer Newton's method, the least f, and integers with den (1 - f(p)) =
-    sum_k m[k] p^(d-k) exactly, highest degree first."""
+    sum_k m[k] p^k exactly, as monomial returns them."""
     poly = mixture_polynomial(ens, "check")
     v, den = poly.at_dyadic_q()
     erasure, info = [c / den for c in v], [(comb(len(v) - 1, t) * den - c) / den for t, c in enumerate(v)]
     slope = tuple(-s for s in certified_slope(poly))
-    return (*(partial(bernstein_eval, c) for c in (erasure, info, slope)), info[-1], monomial(v)[::-1], den)
+    return (*(partial(bernstein_eval, c) for c in (erasure, info, slope)), info[-1], monomial(v), den)
 
 
 def dyadic_value(m: Sequence[int], n: int, d: int) -> int:
-    """d^k P(n / d) for P(x) = sum_i m[i] x^(k-i), k = len(m) - 1, and d a power
-    of two, exactly in integers: Horner in n, with the powers of d as shifts."""
+    """d^k P(n / d) for P(x) = sum_i m[i] x^i (lowest degree first, as from
+    monomial), k = len(m) - 1, d a power of two, exactly in integers: Horner in n."""
     acc, e = 0, d.bit_length() - 1
-    for i, c in enumerate(m):
+    for i, c in enumerate(reversed(m)):
         acc = acc * n + (c << e * i)
     return acc
 
@@ -301,7 +299,7 @@ def inverse_exit_cnd(ens: Ensemble, target: float, *, guess: float | None = None
             break
     t, scale = target.as_integer_ratio()
     m = [c * scale for c in m]
-    m[-1] += (t - scale) * den
+    m[0] += (t - scale) * den
     return nearest_float_root(partial(dyadic_value, m), x)
 
 

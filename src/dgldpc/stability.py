@@ -29,8 +29,6 @@ without minimum-distance-2 generalized variable types that is the bound
 1 / (lambda_2 * bracket), lambda_2 being row[-1].
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from functools import partial
@@ -151,7 +149,7 @@ def dgldpc_stability_boundary(ens: Ensemble) -> BoundaryResult:
         return BoundaryResult(points=(), vacuous=b == 0)
     excess = [c * b for c in monomial(row)]
     excess[0] -= den * bden
-    return BoundaryResult(points=(nearest_float_root(partial(dyadic_value, excess[::-1])),), vacuous=False)
+    return BoundaryResult(points=(nearest_float_root(partial(dyadic_value, excess)),), vacuous=False)
 
 
 def stability_report(ens: Ensemble) -> StabilityReport:

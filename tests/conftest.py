@@ -9,6 +9,7 @@ import json
 import pkgutil
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -53,6 +54,11 @@ def select_columns(m: BinaryMatrix, indices: Sequence[int]) -> BinaryMatrix:
             word |= ((row >> j) & 1) << pos
         bits.append(word)
     return BinaryMatrix(tuple(bits), len(indices))
+
+
+def to_text(m: BinaryMatrix) -> str:
+    """The matrix literal form, one row per line of '0'/'1', inverse of BinaryMatrix.from_text."""
+    return "\n".join("".join("1" if (row >> j) & 1 else "0" for j in range(m.cols)) for row in m.bits)
 
 
 def from_columns(columns: Sequence[int], rows: int) -> BinaryMatrix:
@@ -163,21 +169,27 @@ def exact_g(ens: Ensemble, q: float) -> list[Fraction]:
 def sturm_count(p: Sequence, lo, hi) -> int:
     """The number of distinct real roots of the polynomial p in (lo, hi], by
     Sturm's theorem; p(lo) must not be 0."""
-    def strip(f: list) -> list:
+    def primitive(f: Sequence) -> list[int]:
+        # f's positive multiple with coprime integer coefficients, trailing
+        # zeros stripped: a chain member may be scaled by any positive
+        # factor, and unreduced Fractions took one degree-27 chain 3.3 s
+        f = [Fraction(x) for x in f] or [Fraction(0)]
         while len(f) > 1 and f[-1] == 0:
             f.pop()
-        return f
+        scale = lcm(*(x.denominator for x in f))
+        ints = [int(x * scale) for x in f]
+        return [x // (gcd(*ints) or 1) for x in ints]
 
-    def remainder(a: Sequence, b: Sequence) -> list:
+    def remainder(a: Sequence, b: Sequence) -> list[int]:
         a = [Fraction(x) for x in a]
         while len(a) >= len(b):
             factor, shift = a[-1] / b[-1], len(a) - len(b)
             for i, x in enumerate(b):
                 a[i + shift] -= factor * x
             a.pop()
-        return strip(a or [0])
+        return primitive(a)
 
-    chain = [strip(list(p)), strip(poly_slope(p) or [0])]
+    chain = [primitive(p), primitive(poly_slope(p))]
     while len(chain[-1]) > 1:
         r = remainder(chain[-2], chain[-1])
         if not any(r):
@@ -216,7 +228,7 @@ def serialize_ensemble(ens: Ensemble) -> str:
     def node_obj(t: NodeType) -> dict:
         obj: dict = {"kind": t.kind}
         if t.kind == "generic":
-            obj["generator"] = t.generator.to_text()
+            obj["generator"] = to_text(t.generator)
         else:
             obj["length"] = t.length
         obj["edge_fraction"] = t.edge_fraction
@@ -276,14 +288,19 @@ def random_generic_dmin2(rng: random.Random, max_n: int = 7) -> ComponentCode:
 
 @st.composite
 def mixed_side(draw, side: str, max_n: int = 7):
-    """1-3 distinct types, each rep(2..4) / SPC(2..8) or a d_min >= 2 generic code."""
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    """random_types from a drawn seed, with 1-3 types."""
+    return random_types(random.Random(draw(st.integers(0, 2**32 - 1))), side, draw(st.integers(1, 3)), max_n)
+
+
+def random_types(rng: random.Random, side: str, count: int, max_n: int) -> list[NodeType]:
+    """Up to count distinct types, each rep(2..4) / SPC(2..8) or a d_min >= 2
+    generic code, with random edge fractions."""
     types = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(count):
         if rng.random() < 0.5:
             t = rep_node(rng.randint(2, 4), 1.0) if side == "variable" else spc_node(rng.randint(2, 8), 1.0)
         else:
-            t = generic_node(random_generic_dmin2(rng, max_n).gen.to_text(), 1.0)
+            t = generic_node(to_text(random_generic_dmin2(rng, max_n).gen), 1.0)
         if t not in types:
             types.append(t)
     weights = [rng.randint(1, 9) for _ in types]

@@ -49,6 +49,7 @@ from conftest import (
     rep_node,
     serialize_ensemble,
     spc_node,
+    to_text,
 )
 
 
@@ -177,7 +178,7 @@ def test_criterion_7_generic_equals_closed_form():
             spc_code = ComponentCode.single_parity_check(j)
             assert 2 * delta_params(spc_code)[-1] == spc_code.n * (j - 1)
             closed = ensemble([rep_node(3, 1.0)], [spc_node(j, 1.0)])
-            generic = ensemble([rep_node(3, 1.0)], [generic_node(spc_code.gen.to_text(), 1.0)])
+            generic = ensemble([rep_node(3, 1.0)], [generic_node(to_text(spc_code.gen), 1.0)])
             slopes = [stability_report(e).cnd_slope_at_zero for e in (closed, generic)]
             assert abs(slopes[0] - slopes[1]) <= 1e-12
         closed = ensemble([rep_node(2, 1.0)], [spc_node(6, 1.0)])

@@ -31,6 +31,7 @@ from conftest import (
     q1_decoding_ensemble,
     seeded_dmin2_code,
     serialize_ensemble,
+    to_text,
 )
 
 E36_DOC = """{
@@ -85,7 +86,7 @@ def test_code_info_walks_each_code_once(tmp_path, walks):
     # reads them and delta_params walks nothing.  The (4, 2) code is walked
     # on its own 2-bit columns, Hamming (15, 11) on the 4-bit dual columns.
     path = tmp_path / "code.txt"
-    for text, expected in (("1100\n0111\n", (4, 2, 2)), (hamming_15_11().gen.to_text(), (15, 4, 4))):
+    for text, expected in (("1100\n0111\n", (4, 2, 2)), (to_text(hamming_15_11().gen), (15, 4, 4))):
         walks.subsets.clear()
         path.write_text(text, encoding="utf-8")
         assert run(["code-info", str(path)]) == 0
@@ -605,8 +606,8 @@ def golden_transcripts(tmp_path) -> dict[str, str]:
     codes = (
         ("hamming74", HAMMING_74_TEXT),
         ("spc32", SPC_32_TEXT),
-        ("hamming15", hamming_15_11().gen.to_text()),
-        ("random16 dmin2", seeded_dmin2_code(1608, 16, 8).gen.to_text()),
+        ("hamming15", to_text(hamming_15_11().gen)),
+        ("random16 dmin2", to_text(seeded_dmin2_code(1608, 16, 8).gen)),
         ("weight1", "1000\n0111"),
         ("three words", "1000\n0100\n0011"),
     )

@@ -40,6 +40,7 @@ from conftest import (
     rep_node,
     serialize_ensemble,
     spc_node,
+    to_text,
 )
 
 MINIMAL_DOC = """{
@@ -79,8 +80,8 @@ def test_validate_accepts_a_generic_node_exactly_when_dmin_is_at_least_2(gen):
     # a k = n generator spans every word, the weight-1 words included
     dmin = min_distance_bruteforce(ComponentCode(gen)) if gen.rows < gen.cols else 1
     for ens in (
-        ensemble([generic_node(gen.to_text(), 1.0)], [spc_node(6, 1.0)]),
-        ensemble([rep_node(3, 1.0)], [generic_node(gen.to_text(), 1.0)]),
+        ensemble([generic_node(to_text(gen), 1.0)], [spc_node(6, 1.0)]),
+        ensemble([rep_node(3, 1.0)], [generic_node(to_text(gen), 1.0)]),
     ):
         if dmin >= 2:
             assert validate(ens) is ens
@@ -212,7 +213,7 @@ def test_parse_generic_node():
     ens = parse_ensemble(doc)
     node = ens.check_types[0]
     assert node.kind == "generic"
-    assert node.generator.to_text() == "101\n011"
+    assert to_text(node.generator) == "101\n011"
 
 
 def test_parse_rejects_ragged_matrix():
@@ -297,7 +298,7 @@ def test_spc_declared_generic_matches_closed_form():
     for j in range(3, 7):
         from dgldpc.codes import ComponentCode
 
-        gen_text = ComponentCode.single_parity_check(j).gen.to_text()
+        gen_text = to_text(ComponentCode.single_parity_check(j).gen)
         closed = ensemble([rep_node(3, 1.0)], [spc_node(j, 1.0)])
         generic = ensemble([rep_node(3, 1.0)], [generic_node(gen_text, 1.0)])
         for p in [i / 20 for i in range(21)]:

@@ -47,6 +47,7 @@ from conftest import (
     random_generic_dmin2,
     rep_node,
     spc_node,
+    to_text,
 )
 
 P_GRID = [i / 100 for i in range(101)]
@@ -401,7 +402,7 @@ def random_side(draw):
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from([rep_node, spc_node, generic_node]))
         if kind is generic_node:
-            node = (kind, random_dmin2_generator(rng, 6).to_text())
+            node = (kind, to_text(random_dmin2_generator(rng, 6)))
         else:
             node = (kind, draw(st.integers(2, 6)))
         if node not in types:
@@ -722,8 +723,9 @@ def test_inversion_near_target_one_takes_few_signs(index, target, inversion_work
 @example([3], 0, 0)
 @example([5, -7, 2], 4, 7)
 def test_dyadic_value_is_the_scaled_rational_value(m, e, r):
-    # d^k P(n / d), d = 2^e, at n = 0, n = d and a point between (d = 1 included)
+    # d^k P(n / d), m lowest degree first, d = 2^e, at n = 0, n = d and a
+    # point between (d = 1 included)
     d, k = 2**e, len(m) - 1
     for n in (0, d, r % (d + 1)):
-        value = sum(c * Fraction(n, d) ** (k - i) for i, c in enumerate(m))
+        value = sum(c * Fraction(n, d) ** i for i, c in enumerate(m))
         assert exit_charts.dyadic_value(m, n, d) == value * d**k

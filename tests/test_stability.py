@@ -39,6 +39,7 @@ from conftest import (
     rep_node,
     serialize_ensemble,
     spc_node,
+    to_text,
 )
 
 
@@ -287,7 +288,7 @@ def generic_side(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     texts = []
     for _ in range(draw(st.integers(1, 3))):
-        text = random_generic_dmin2(rng).gen.to_text()
+        text = to_text(random_generic_dmin2(rng).gen)
         if text not in texts:
             texts.append(text)
     return [generic_node(text, 1 / len(texts)) for text in texts]
@@ -497,7 +498,7 @@ def with_spc_variable(variables, j: int) -> list:
     """The drawn types at half their fractions beside a generic SPC(j) variable
     node (K = j - 1 up to 31) at the other half; a drawn type that is that
     node takes the other half too, as types are distinct."""
-    spc = generic_node(ComponentCode.single_parity_check(j).gen.to_text(), 0.5)
+    spc = generic_node(to_text(ComponentCode.single_parity_check(j).gen), 0.5)
     types = [t._replace(edge_fraction=t.edge_fraction / 2) for t in variables]
     for i, t in enumerate(types):
         if t._replace(edge_fraction=0.5) == spc:

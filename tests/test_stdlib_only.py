@@ -1,13 +1,21 @@
 """The package stays pure stdlib: every absolute import is standard library,
-and importing the command line, or running code-info, loads none of the heavy
-introspection modules."""
+importing the command line, or running code-info, loads none of the heavy
+introspection modules, and every other installed CPython >= 3.10 prints the
+same reports."""
 
 from __future__ import annotations
 
 import ast
+import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from conftest import HAMMING_74_TEXT, fixture_suite, serialize_ensemble
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dgldpc"
 # dataclasses pulls in inspect, which pulls in ast, dis and tokenize: about
@@ -16,8 +24,11 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dgldpc"
 # 7 ms and json about 8 ms, and only the ensemble commands need json.
 # fractions, with the decimal and numbers it imports, cost 3.3-3.9 ms under
 # -S besides re (-X importtime, Python 3.11); exact numbers are integers.
+# __future__ marks a `from __future__ import annotations` shim, which Python
+# >= 3.10 does not need; annotations evaluate at import on every interpreter.
 HEAVY_MODULES = (
     "dataclasses", "inspect", "ast", "dis", "argparse", "gettext", "pathlib", "json", "fractions", "decimal", "numbers",
+    "__future__",
 )
 
 
@@ -72,3 +83,54 @@ def test_code_info_run_loads_no_heavy_modules(tmp_path):
     )
     assert '"min_distance": {\n    "bruteforce": 3' in out.stdout
     assert out.stderr.split() == []
+
+
+# One process per interpreter: code-info on Hamming (7,4), then threshold
+# --verbose on F3, and the two exit statuses.
+REPORTS = (
+    "import sys; sys.path.insert(0, sys.argv[1]); from dgldpc.cli import run; "
+    "print(run(['code-info', sys.argv[2]]), run(['threshold', sys.argv[3], '--verbose']))"
+)
+VERSION = "import platform, sys; print(platform.python_implementation(), *sys.version_info[:2], sys.executable)"
+
+
+def other_interpreters() -> list[tuple[list[str], dict]]:
+    """(command, environment) of every CPython >= 3.10 that starts, other than
+    this one: python3.10 ... python3.14 on PATH, and `pyenv exec python3`
+    with PYENV_VERSION set to each installed 3.x version."""
+    names = (f"python3.{minor}" for minor in range(10, 15))
+    candidates = [([name], os.environ) for name in names if shutil.which(name)]
+    if shutil.which("pyenv"):
+        listed = subprocess.run(["pyenv", "versions", "--bare"], capture_output=True, text=True, timeout=30).stdout
+        for version in listed.split():
+            if (m := re.fullmatch(r"3\.(\d+)\.\d+", version)) and int(m[1]) >= 10:
+                candidates.append((["pyenv", "exec", "python3"], {**os.environ, "PYENV_VERSION": version}))
+    found, seen = [], {os.path.realpath(sys.executable)}
+    for command, env in candidates:
+        try:
+            probe = subprocess.run([*command, "-S", "-c", VERSION], capture_output=True, text=True, env=env, timeout=30)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        fields = probe.stdout.split()
+        if probe.returncode or len(fields) != 4 or fields[0] != "CPython" or (int(fields[1]), int(fields[2])) < (3, 10):
+            continue
+        if (path := os.path.realpath(fields[3])) not in seen:
+            seen.add(path)
+            found.append((command, env))
+    return found
+
+
+def test_other_interpreters_print_the_same_reports(tmp_path):
+    # annotations evaluate at import, so syntax (see above) is not enough
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython >= 3.10 starts")
+    code, fixture = tmp_path / "hamming74.txt", tmp_path / "f3.json"
+    code.write_text(HAMMING_74_TEXT + "\n", encoding="utf-8")
+    fixture.write_text(serialize_ensemble(fixture_suite()[3]), encoding="utf-8")
+    args = ["-S", "-c", REPORTS, str(PACKAGE.parent), str(code), str(fixture)]
+    expected = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60)
+    assert expected.stdout.endswith("0 0\n"), expected.stderr
+    for command, env in interpreters:
+        out = subprocess.run([*command, *args], capture_output=True, text=True, env=env, timeout=60)
+        assert (out.stdout, out.stderr) == (expected.stdout, expected.stderr), (command, env.get("PYENV_VERSION"))
