@@ -15,7 +15,7 @@ from .codes import (
     min_independent_set_size,
     split_info_functions,
 )
-from .density_evolution import DeRun, ThresholdResult, de_iterate, find_threshold
+from .density_evolution import ThresholdResult, find_threshold
 from .ensembles import (
     Ensemble,
     NodeType,
@@ -23,12 +23,7 @@ from .ensembles import (
     parse_ensemble,
     validate,
 )
-from .exit_charts import (
-    cnd_evaluator,
-    inverse_exit_cnd,
-    sample_exit_chart,
-    vnd_evaluator_at_q,
-)
+from .exit_charts import inverse_exit_cnd, sample_exit_chart
 from .stability import (
     StabilityCheck,
     StabilityReport,
@@ -43,14 +38,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryMatrix",
     "ComponentCode",
-    "DeRun",
     "Ensemble",
     "NodeType",
     "StabilityCheck",
     "StabilityReport",
     "ThresholdResult",
-    "cnd_evaluator",
-    "de_iterate",
     "delta_params",
     "design_rate",
     "dgldpc_stability_boundary",
@@ -67,5 +59,4 @@ __all__ = [
     "split_info_functions",
     "stability_report",
     "validate",
-    "vnd_evaluator_at_q",
 ]

@@ -122,7 +122,7 @@ def _cmd_threshold(args) -> tuple[dict, str, int]:
         else f"interior fixed point at x* = {result.x_star:.6g}"
     )
     summary = (
-        f"q* = {result.q_star:.8f} after {result.bisection_steps} probes "
+        f"q* = {result.q_star:.8f} after {result.bisection_steps} probe{'s' * (result.bisection_steps != 1)} "
         f"(converged={result.converged}): {mechanism}"
     )
     report = result._asdict()

@@ -28,8 +28,10 @@ with nonnegative Bernstein coefficients, and de Casteljau halving narrows
 its convex hull (Farouki, CAGD 2012) until every cell is decided exactly,
 in integers over one denominator: v_q comes from the variable mixture's
 ExitPolynomial.at_dyadic_q, exact at the dyadic float q.  An undecided probe fails;
-x -> 0 is owned by the stability boundary, which q* never exceeds.  The
-probes' coefficients also decide x*, on exact signs of g_q'.
+x -> 0 is owned by the stability boundary, which q* never exceeds, so the
+first probe is at q_stab (at q = 1 if there is none) and only a failure
+there is bisected.  The probes' coefficients also decide x*, on exact signs
+of g_q'.
 """
 
 from collections import namedtuple
@@ -58,19 +60,19 @@ class DeRun(namedtuple("DeRun", "success final_x iters trace", defaults=(None,))
 class ThresholdResult(
     namedtuple(
         "ThresholdResult",
-        "q_star iterations_at_threshold bisection_steps converged residual_trace x_star",
+        "q_star bisection_steps converged residual_trace x_star",
         defaults=(None, 0.0),
     )
 ):
     """Decoding threshold, how it was decided, and what limits it.
 
-    bisection_steps counts the probes of g_q < 1, with the endpoint checks at
-    q = 0 and 1.  x_star is 0.0 when q* is the stability boundary, else the
-    float nearest where g_q turns from rising to falling at the largest
-    accepted q (1.0 or 0.0 if g_q only rises or only falls).  A requested
-    residual_trace holds a row per probe: q, its verdict, a cell end x with
-    g_q(x) >= 1 proved (else None), halvings, and the bound of the highest
-    closed cell (None if none closed).  iterations_at_threshold is 0.
+    bisection_steps counts the probes of g_q < 1, and converged is q* < 1.
+    x_star is 0.0 when q* is the stability boundary, else the float nearest
+    where g_q turns from rising to falling at the largest accepted q (1.0 or
+    0.0 if g_q only rises or only falls).  A requested residual_trace holds a
+    row per probe: q, its verdict, a cell end x with g_q(x) >= 1 proved (else
+    None), halvings, and the bound of the highest closed cell (None if none
+    closed).
     """
 
     __slots__ = ()
@@ -157,14 +159,16 @@ def find_threshold(ens: Ensemble, record_trace: bool = False) -> ThresholdResult
     first, an order that changes no verdict.  A cell closes when its
     coefficients are below 1; a cell end at or above 1 fails the probe, as
     does a cell still open at the depth cap (undecided).  g_q(0), the
-    stability product, is never compared with 1: x -> 0 is owned by the
-    stability boundary q_stab, and a success there gives q* = q_stab after
-    one probe.  Otherwise q is bisected over [0, 1] to BRACKET_WIDTH and
-    q_star is the bracket's midpoint, clamped to q_stab (x* = 0 when the
-    clamp binds, else sought from the middle of the highest closed cell).
-    converged is False only when q = 1 decodes (g_0 = 0, so q = 0 succeeds).
+    stability product, is never compared with 1, nor are the coefficients
+    equal to it that follow it in the cell at x = 0 (g_q'(0) = 0): x -> 0 is
+    owned by the stability boundary q_stab.  The first probe is at q_stab,
+    or at q = 1 when there is none; a success there is q*, after one probe.
+    Otherwise q is bisected over [0, 1] to BRACKET_WIDTH and q_star is the
+    bracket's midpoint, clamped to q_stab (x* = 0 when the clamp binds, else
+    sought from the middle of the highest closed cell).
     """
-    probes, accepted = [], (0.0, 0.5)  # q and the middle of the highest closed cell of the last success
+    # q and the middle of the highest closed cell of the last success; g_0 = 0 succeeds unprobed
+    probes, accepted = [], (0.0, 0.5)
 
     def succeeds(q: float) -> bool:
         nonlocal accepted
@@ -175,7 +179,8 @@ def find_threshold(ens: Ensemble, record_trace: bool = False) -> ThresholdResult
             if b[-1] >= den or lo > 0.0 and b[0] >= den:
                 x = lo + width if b[-1] >= den else lo
                 break
-            top = max(b[1:] if lo == 0.0 else b, default=0)
+            flat = 0 if lo > 0.0 else next((i for i, c in enumerate(b) if c != b[0]), len(b))
+            top = max(b[flat:], default=0)
             if top < den:
                 best = max(best, (top / den, lo + 0.5 * width))
             elif width == 2.0**-MAX_HALVINGS:
@@ -188,11 +193,9 @@ def find_threshold(ens: Ensemble, record_trace: bool = False) -> ThresholdResult
         probes.append((q, ok, x, halvings, best[0] if best[0] >= 0.0 else None))
         return ok
 
-    low_ok, high_ok = succeeds(0.0), succeeds(1.0)
     roots = dgldpc_stability_boundary(ens).points
-    if roots and succeeds(roots[0]):
-        q_star = roots[0]
-    else:
+    q_star = roots[0] if roots else 1.0  # the one probe that can settle q* alone
+    if not succeeds(q_star):
         q_star = 0.5 * sum(bisect(lambda q: -1 if succeeds(q) else 1, 0.0, 1.0, BRACKET_WIDTH))
     if roots and q_star >= roots[0]:
         q_star, x_star = roots[0], 0.0
@@ -200,6 +203,5 @@ def find_threshold(ens: Ensemble, record_trace: bool = False) -> ThresholdResult
         b = fixed_point_coefficients(ens, accepted[0])[0]
         m = monomial([(s - t) * comb(len(b) - 2, i) for i, (s, t) in enumerate(zip(b, b[1:]))])
         x_star = nearest_float_root(partial(dyadic_value, m), accepted[1])
-    return ThresholdResult(q_star=q_star, iterations_at_threshold=0, bisection_steps=len(probes),
-                           converged=low_ok and not high_ok, residual_trace=tuple(probes) if record_trace else None,
-                           x_star=x_star)
+    return ThresholdResult(q_star=q_star, bisection_steps=len(probes), converged=q_star < 1.0,
+                           residual_trace=tuple(probes) if record_trace else None, x_star=x_star)

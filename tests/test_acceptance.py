@@ -237,13 +237,13 @@ def test_thresholds_match_closed_forms_and_density_evolution(suite_thresholds):
         assert abs(suite_thresholds[i][1].q_star - q) <= 1e-6, i
         assert suite_thresholds[i][1].x_star > 0.0, i
     # the float q_stab may lie above the exact root, as F1's does; a probe
-    # never compares g_q(0) with 1, so one probe at q_stab after the two
-    # endpoint checks settles every stability-limited fixture
+    # never compares g_q(0) with 1, so its one probe, at q_stab, settles
+    # every stability-limited fixture
     assert Fraction(0.2) > Fraction(1, 5)
     for i in (1, *closed_forms):
         ens, result = suite_thresholds[i]
         assert result.x_star == 0.0, i
-        assert result.bisection_steps == 3, i
+        assert result.bisection_steps == 1, i
         assert abs(dgldpc_stability_check(ens, result.q_star).margin) <= 1e-12, i
 
 

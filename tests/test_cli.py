@@ -125,11 +125,11 @@ def test_threshold_trace_flag(e36_path, capsys):
     # one row per probe: q, verdict, x with g_q(x) >= 1 proved, halvings, bound
     assert run(["threshold", e36_path, "--trace"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert len(doc["residual_trace"]) == doc["bisection_steps"] and doc["iterations_at_threshold"] == 0
-    assert doc["residual_trace"][:2] == [[0.0, True, None, 0, 0.0], [1.0, False, 1.0, 0, None]]
+    assert len(doc["residual_trace"]) == doc["bisection_steps"]
+    assert doc["residual_trace"][:2] == [[1.0, False, 1.0, 0, None], [0.5, False, 0.25, 2, 0.9384765625]]
 
 
-THRESHOLD_KEYS = {"q_star", "iterations_at_threshold", "bisection_steps", "converged", "residual_trace"}
+THRESHOLD_KEYS = {"q_star", "bisection_steps", "converged", "residual_trace"}
 
 
 def verbose_threshold(path: str, capsys) -> tuple[dict, str]:
@@ -149,7 +149,7 @@ def test_threshold_verbose_names_the_stability_limit(tmp_path, capsys):
     path.write_text(E26_DOC, encoding="utf-8")
     doc, err = verbose_threshold(str(path), capsys)
     assert doc["q_star"] == 0.2
-    assert doc["bisection_steps"] == 3
+    assert doc["bisection_steps"] == 1
     assert "stability-limited (x* = 0)" in err
 
 
@@ -344,8 +344,8 @@ def test_verbose_goes_to_stderr(e36_path, capsys):
 VERBOSE_LINES = [
     (["code-info", "{h74}"], 0, "(7,4) code, d_min=3\n"),
     (["analyze", "{e26}"], 0, "valid ensemble: 1 variable / 1 check types, design rate 0.666667\n"),
-    (["threshold", "{e26}"], 0, "q* = 0.20000000 after 3 probes (converged=True): stability-limited (x* = 0)\n"),
-    (["threshold", "{q1}"], 0, "q* = 0.99999997 after 26 probes (converged=False): q = 1 decodes\n"),
+    (["threshold", "{e26}"], 0, "q* = 0.20000000 after 1 probe (converged=True): stability-limited (x* = 0)\n"),
+    (["threshold", "{q1}"], 0, "q* = 1.00000000 after 1 probe (converged=False): q = 1 decodes\n"),
     (["exit-chart", "{e26}", "--q", "0.3", "--npoints", "5", "--out", "{csv}"], 0,
      "wrote 5 chart points at q=0.3 to {csv}\n"),
     (["check-stability", "{e26}", "--q", "0.1"], 0, "stability at q=0.1: lhs=0.1 rhs=0.2 margin=0.1 holds\n"),
@@ -557,18 +557,22 @@ def test_run_leaves_the_collector_as_it_found_it(e36_path, tmp_path, capsys):
 # exact q-collapse, ExitPolynomial.at_dyadic_q): 6, 7, 14, 6, 6, 8, 25, 13,
 # 13, 7 and 25 of the 101 CSV rows of F0-F10 moved in vnd alone, each by
 # 1 ulp to the correctly rounded value, and nothing else changed.
+# F0-F10 were re-pinned when the threshold stopped probing q = 0 (and q = 1
+# beside a stability-boundary root) and dropped iterations_at_threshold:
+# only the threshold report moved, its bisection_steps 26/27 -> 25 and 3 -> 1;
+# q_star and the other commands' output stayed byte-identical.
 GOLDEN_DIGESTS = {
-    "F0": "eef915a3eabe49ad2e112bdbd95d938900c55ee51c71828d5fbdd7f6cae0a8ce",
-    "F1": "c8cc9d70589ed6083748940ce50e41a66e6161a487efb81ac86a40d1ee5a08a5",
-    "F2": "9642b604a6fd588be337674adff5189dd5b09c48b3d35536c8b399304aaf7e73",
-    "F3": "4ee278343c97d341d1b22cfb09aaaed3e02f998f3debbda5a523287a030b7f91",
-    "F4": "fe29db262fa11c07868c68fe53532a4572b2beebb3c2df4731440a8ff1531df6",
-    "F5": "439f2bef0b07de06b88294209206dbef61a0a422fd5e0753482f9b19e9cd2274",
-    "F6": "276b720d1f6329838b38770c2339ddfb4099c9942225b0853bb72c9e689ced59",
-    "F7": "2a5df2723a7f932b8934a4c4ea9b19cd37e3bd505002bc47a7cf87ccbdf334bf",
-    "F8": "14686496ebad4305bdf4853ae5b18ae207e27374f141949142046320230e5875",
-    "F9": "8b390fa0101d8d92e73520ea11190476b094a204f51786903156c7ea3f93bedf",
-    "F10": "4a638b099aa5b537afedae294f9e73233300e4d7219b5be4ac6688cd9b140ee9",
+    "F0": "f8140e9057b40642f2397e7ab73d9efe2faac87eef41abe7f923db07168be5f9",
+    "F1": "49dd9c5992aca287df86b006212f5e543e6beb153da2be6caba2d77ba84c955b",
+    "F2": "aaba547b7e4efa781097a812a36569e40730ad0b8e839235ac8fd303fefecdfd",
+    "F3": "796ef47a7c265c17f2f6b554af71caa1ae80a4ee11d5afabfd4f162bb544677c",
+    "F4": "2c238d47be3f801d8c315ecb038f7b4b61653f9e29b1e1215bd27c6f0847f394",
+    "F5": "1b3dca999a9a2d92fd27923bfaebeab0141162bc7ecbf382692d66b8ae3f37d2",
+    "F6": "e778b49bb61f29528f48fff3c04de5747ac2ca9114ec4e3f9152d191bf059c51",
+    "F7": "50a0f13568accacfd1d89153af2256251fe00d2e813040e074604013e61345bf",
+    "F8": "b29c306281ace8c3d91d4c52fbb2227de23d84772e0b4a400094713ce71ba329",
+    "F9": "1edce1bf3a59eab8c2013b654464f70ce91b9e90a2558d7ffdbee7cc09474bfe",
+    "F10": "57d8260361f815f14600eaeda41abc97f6042f4be3ae9783e65aa1aee6556343",
     "code-info hamming74": "00a2c67714e0766b16c93d307b88a718718d1fb4b8ca5c94697b9bfcad737fb9",
     "code-info spc32": "9c2b71e90cea3913b49213c8369c1da1b0d53a0a63268261f18b82a02c176838",
     "code-info hamming15": "82941ea3e7105c64bcb01a36b062c5d0e9cd73cf2d1707fa6f961aac9a2a554c",
@@ -629,30 +633,33 @@ def test_cli_outputs_match_the_golden_digests(tmp_path):
 # SHA-256 of each fixture's `threshold --trace` stdout and `threshold --verbose`
 # stderr, pinned when x* came to be decided on exact signs and --trace came to
 # list the probes.  GOLDEN_DIGESTS did not move then; of these lines, only F5's
-# printed x* changed, in its 6th digit (0.392944 -> 0.392945).
+# printed x* changed, in its 6th digit (0.392944 -> 0.392945).  All were
+# re-pinned when the probes at q = 0 (and at q = 1 beside a boundary root)
+# went: those trace rows and iterations_at_threshold left the reports, and
+# the verbose lines count 25 probes, or "1 probe" at the stability limit.
 TRACE_DIGESTS = {
-    "F0 --trace": "e1da58fe739d5db41b8823c4335aede0d206a6fa6cb1d75f7561ff62fd78c341",
-    "F0 --verbose": "e98a514ec28d3d486c9e41717e84ea8b492f1dbc6a0d144e97fe2003da800a11",
-    "F1 --trace": "1c83b3071bcf1ce9a62997edf09eafffc683b35ba16cd7e141cf0653c25b35c4",
-    "F1 --verbose": "407fcdf440e02ff64c168b943391549c05e1159ba5b75e64b43dbdbbd86a71de",
-    "F2 --trace": "0b6984eeff1f35a510c6e115bf666290a448f15a55fd25f8ea6858d53ebf6a90",
-    "F2 --verbose": "d5060fc76ac2429f6c2bcb474f1c715a03d0d0c6b9024498012e1f4e1d1ef037",
-    "F3 --trace": "05b91321975311bc0ef27d494e50bb071073f662dd48f9e4cc4bf7c45acf2330",
-    "F3 --verbose": "bdfd4f7b14fe29aa93f0d5bb9197a2fe7daa371a4c30d8ceef030345ae0dc1b4",
-    "F4 --trace": "a02b995d9ff736c1fd0af60a12bf0fa03f23987f0a2d1405c1539635b9a878c1",
-    "F4 --verbose": "33c358ae7a70f53f0d1e57706ff3e77b2da6676f398d5e4dec366c3b97be26de",
-    "F5 --trace": "d6a639407781ea17dc7642b2c19d71940a44c76f1cf7d28669c8f1db54b6c156",
-    "F5 --verbose": "4b95afb7e85e4b97f4aeae085479fd6bd129efd2a8be370001a79afddbb5d28b",
-    "F6 --trace": "2f47565e72621b390dcf6c4ec98d62d42f99d74c261c7d2231c755601f31dccd",
-    "F6 --verbose": "90250fa2493629c770ff17c162b10673d8f0c0213d09d99b4f86cd7e92607ce1",
-    "F7 --trace": "ce488e434f4cc5a5671a703aa47921ea627de3c3748fc96be25a7aac7ae873b2",
-    "F7 --verbose": "2f2494948ff13e836ccf84d0f174afc2c8a7b6a84bf6b13a8182f0b967b6303e",
-    "F8 --trace": "7abad3bec9675b55709d75fe0bfe5405622830c8ef6e79f933ed1332ec25b08c",
-    "F8 --verbose": "a3bc881e3b274b1bb73392c8aa51a5a02c653292137bffab75f31033bb7ead54",
-    "F9 --trace": "0f51474838c5270e18a06001ae3457ce850137201c08426e7585e4d2c12b7df4",
-    "F9 --verbose": "dbbcbff75c3a858f39c0b9e896de7009dbe59484f8782bfc011e766ca549d1c2",
-    "F10 --trace": "5aacffd565fc91fa874028d919c29474c660efe8673f8fd71d080427f6efecea",
-    "F10 --verbose": "0b3cd0bc77f554d250d7948620d5931e55e5f9cf6c74d4ad4f2569f6a96b51e2",
+    "F0 --trace": "58d995926b4395154cbcbb621e5dbfdc9602235e2bbe701f5d5347f309249a08",
+    "F0 --verbose": "b5638d1160677f81c463d78c0e4e3dccb4653c48877787cf1b9002a767b3f41a",
+    "F1 --trace": "9187c04494753af1985dbdc0e057f853bb2b5676c497269471e576e5b0705173",
+    "F1 --verbose": "de36e02fc44bbaa3d7cc3fa5dd260c49dfcf945573aa787d4f6277b56b29e324",
+    "F2 --trace": "f9f90a158c62d836a9accb5df532055ed10bee594dce97b66bb384b9e4b430fb",
+    "F2 --verbose": "d57da857846bb26e4562c770fe1b837bbff885f47ebd084faf74b9c787d0ff59",
+    "F3 --trace": "9caa7c1a92122931e15888ce216a5352add8028b2704306707cc047b0d782046",
+    "F3 --verbose": "0fc4926465e406a737e92b5f32bd4484589686a1c302fc61bb52744c85530303",
+    "F4 --trace": "32647b021a949385fdcf4212f50ceae6d610d3ce6bde442aa98588dfaf138753",
+    "F4 --verbose": "25d70f9d265784dd87e6ab624e58d8f742b8b65da990ff68f00de892b3603a71",
+    "F5 --trace": "4148a4f46889449958a3fca405b364557af0afaa9f98562b1dd6abe2f3b662ef",
+    "F5 --verbose": "a3d9de9807bf7cc49d8ea7e0cf40e972776255ae2250d6d931751f12d3263d69",
+    "F6 --trace": "1c5c401b94925c4dee5519602637a9ecf05835e8a11c7035f82bd01a2cfabc2f",
+    "F6 --verbose": "e636efd99a73ca3ee8ca1ae1a96e01ecb95ed3c58d0738f09078ad532db37ca4",
+    "F7 --trace": "5f8bc2020e3dd0426ae8127cee603fb63e1c6b664e11f33ad6e9fc1d3846d57f",
+    "F7 --verbose": "87eeb31b935ea67b2edae18c0c08fb7d2944c6ef1f8c8b29240f09b68b3ab2e2",
+    "F8 --trace": "4f9b23553582022ea749fc497a8d89f1561566db28d7498e71b37cb840deeb76",
+    "F8 --verbose": "9d824518c669e163dfa13779bf0eb95bbd961cba1557dbf04d7a8092ae61dca6",
+    "F9 --trace": "23fc24be59ef7d8bf804af778b32f1b2ada2fc7019ec16ac7257ac91b11d5e28",
+    "F9 --verbose": "28930618bc934f0d241141fa2926bc7e2d339a77855f38b92955e771adf0de93",
+    "F10 --trace": "865b9ab25e9247534656f9746743523cd9bc052aa7279e8f266464bad793cc20",
+    "F10 --verbose": "1284e41233b6d0be60694d847f2bbbd355c3ece2a06b5e94122a0214a53d7aea",
 }
 
 

@@ -209,8 +209,9 @@ def test_threshold_trace_retained_on_request(rep3_spc6_threshold):
     ens, plain = rep3_spc6_threshold
     result = find_threshold(ens, record_trace=True)
     assert result._replace(residual_trace=None) == plain
-    assert len(result.residual_trace) == result.bisection_steps and result.iterations_at_threshold == 0
-    assert result.residual_trace[:2] == ((0.0, True, None, 0, 0.0), (1.0, False, 1.0, 0, None))
+    assert len(result.residual_trace) == result.bisection_steps
+    # no stability boundary: q = 1 first, then the bisection's first midpoint
+    assert result.residual_trace[:2] == ((1.0, False, 1.0, 0, None), (0.5, False, 0.25, 2, 0.9384765625))
     for q, ok, x, halvings, bound in result.residual_trace:
         if ok:
             assert x is None and bound < 1.0
@@ -253,7 +254,6 @@ def test_threshold_result_json(rep3_spc6_threshold, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {
         "q_star",
-        "iterations_at_threshold",
         "bisection_steps",
         "converged",
         "residual_trace",
@@ -277,14 +277,13 @@ def test_de_rejects_bad_tol(rep3_spc6):
 
 
 def test_stability_limited_threshold_takes_one_probe(rep2_spc6):
-    # g_q(x) = q (1 - (1-x)^5) / x peaks at x = 0 with g_q(0) = 5q: the
-    # endpoint checks and one probe at the stability boundary settle q*
+    # g_q(x) = q (1 - (1-x)^5) / x peaks at x = 0 with g_q(0) = 5q: one probe
+    # at the stability boundary settles q*
     result = find_threshold(rep2_spc6)
     assert result.q_star == 0.2
     assert result.x_star == 0.0
-    assert result.bisection_steps == 3
+    assert result.bisection_steps == 1
     assert result.converged
-    assert result.iterations_at_threshold == 0
     assert result.residual_trace is None
 
 
@@ -377,14 +376,19 @@ def seeded_ensembles() -> list:
 
 
 def test_trace_ends_agree_with_the_exact_oracle():
-    # the last failure's cell end has g_q >= 1; the last success has g_q(1) < 1
+    # the last failure's cell end has g_q >= 1 (a trace settled by its first
+    # probe, at q_stab, has no failure); the last success has g_q(1) < 1
     # and g_q - 1 no root in (0, 1], except one next to 0 where g_q(0) > 1:
     # a float q_stab above its exact root, and x -> 0 is the stability
     # boundary's.  Where g_q(0) = 1 exactly, that root at 0 is divided out.
+    # No probe is made at q = 0, where g_0 = 0 decides nothing.
     for i, ens in enumerate(fixture_suite() + seeded_ensembles()):
         trace = find_threshold(ens, record_trace=True).residual_trace
-        q, _, x, _, _ = [row for row in trace if not row[1]][-1]
-        assert poly_value(exact_g(ens, q), Fraction(x)) >= 1, i
+        assert all(row[0] > 0.0 for row in trace), i
+        failures = [row for row in trace if not row[1]]
+        assert failures or len(trace) == 1, i
+        for q, _, x, _, _ in failures[-1:]:
+            assert poly_value(exact_g(ens, q), Fraction(x)) >= 1, i
         g = exact_g(ens, [row for row in trace if row[1]][-1][0])
         g[0] -= 1
         above = g[0] > 0
@@ -395,13 +399,24 @@ def test_trace_ends_agree_with_the_exact_oracle():
 
 
 def test_threshold_never_exceeds_the_stability_boundary():
-    # lam3 / lam2 = 2/5 makes g_q'(0) = 0 exactly, so the probe at q_stab is
-    # undecided; the bisection's midpoint lands above q_stab and is clamped
+    # lam3 / lam2 = 2/5 makes g_q'(0) = 0 exactly: at q_stab the cell at x = 0
+    # starts with two coefficients equal to g_q(0) = 1 at every depth.  The
+    # probe leaves that run to the boundary and succeeds, after one probe.
+    # Comparing the second with 1 left it undecided, and 24 bisection probes
+    # ended on a midpoint above q_stab that the clamp brought back
     ens = ensemble([rep_node(2, 0.625), rep_node(3, 0.25), rep_node(4, 0.125)], [spc_node(6, 1.0)])
     (q_stab,) = dgldpc_stability_boundary(ens).points
-    result = find_threshold(ens)
-    assert q_stab - BRACKET_WIDTH <= result.q_star <= q_stab
-    assert result.x_star == 0.0
+    result = find_threshold(ens, record_trace=True)
+    assert (result.q_star, result.x_star, result.bisection_steps) == (q_stab, 0.0, 1)
+    assert [row[:2] for row in result.residual_trace] == [(q_stab, True)]
+    # lam3 / lam2 just above 2/5: g_q rises from g_q(0) = 1 to a peak near
+    # x = 1e-4, so the probe at q_stab fails, and the bisection's midpoint
+    # lands above q_stab, within its bracket: the clamp brings it back
+    ens = ensemble([rep_node(2, 0.7142), rep_node(3, 0.2858)], [spc_node(6, 1.0)])
+    (q_stab,) = dgldpc_stability_boundary(ens).points
+    result = find_threshold(ens, record_trace=True)
+    assert result.residual_trace[0][:2] == (q_stab, False)
+    assert (result.q_star, result.x_star, result.bisection_steps) == (q_stab, 0.0, 25)
 
 
 def test_x_star_walk_down_to_zero_stops_there(monkeypatch):
@@ -412,7 +427,7 @@ def test_x_star_walk_down_to_zero_stops_there(monkeypatch):
     value = de.dyadic_value
     monkeypatch.setattr(de, "dyadic_value", lambda m, n, d: signs.append(d) or value(m, n, d))
     result = find_threshold(q1_decoding_ensemble())
-    assert (result.q_star, result.bisection_steps, result.converged) == (0.9999999701976776, 26, False)
+    assert (result.q_star, result.bisection_steps, result.converged) == (1.0, 1, False)
     assert result.x_star == 0.0
     assert 0 < len(signs) <= 64
 
@@ -421,13 +436,13 @@ def test_x_star_walk_down_to_zero_stops_there(monkeypatch):
     "variables, checks, q_star, probes",
     [
         # composite degrees 41, 61 and 132 of g_q, beyond the fixtures
-        ([generic_node(HAMMING_74_TEXT, 1.0)], [spc_node(8, 1.0)], 0.1837623417377472, 26),
-        ([rep_node(3, 1.0)], [spc_node(32, 1.0)], 0.07760176062583923, 26),
+        ([generic_node(HAMMING_74_TEXT, 1.0)], [spc_node(8, 1.0)], 0.1837623417377472, 25),
+        ([rep_node(3, 1.0)], [spc_node(32, 1.0)], 0.07760176062583923, 25),
         (
             [rep_node(2, 0.3), rep_node(3, 0.4), rep_node(8, 0.3)],
             [spc_node(16, 0.5), spc_node(20, 0.5)],
             0.158759206533432,
-            27,
+            25,
         ),
     ],
 )

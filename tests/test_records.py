@@ -34,7 +34,7 @@ def sample_records():
         ensemble([rep_node(3, 1.0)], [spc_node(6, 1.0)]),
         ExitPolynomial(((0,), (1,)), 2),
         DeRun(True, 0.0, 3, ((1, 0.5), (2, 0.25), (3, 0.0))),
-        ThresholdResult(0.2, 0, 7, True),
+        ThresholdResult(0.2, 7, True),
         applicability,
         StabilityCheck(True, 0.1, 0.2, 0.1),
         BoundaryResult((0.2,), False),
@@ -50,7 +50,7 @@ def test_field_names_and_order():
         ("variable_types", "check_types"),
         ("coeffs", "den"),
         ("success", "final_x", "iters", "trace"),
-        ("q_star", "iterations_at_threshold", "bisection_steps", "converged", "residual_trace", "x_star"),
+        ("q_star", "bisection_steps", "converged", "residual_trace", "x_star"),
         ("is_gldpc", "all_var_dmin_ge3", "all_chk_dmin_ge3"),
         ("holds", "lhs", "rhs", "margin"),
         ("points", "vacuous"),
@@ -131,13 +131,13 @@ def test_keyword_construction_and_defaults():
     assert (generic.length, generic.generator) == (None, gen)
     assert NodeType("spc", 0.5, 6) == spc
     assert Ensemble(check_types=(spc,), variable_types=(generic,)).variable_types == (generic,)
-    result = ThresholdResult(q_star=0.2, iterations_at_threshold=0, bisection_steps=3, converged=True)
+    result = ThresholdResult(q_star=0.2, bisection_steps=1, converged=True)
     assert (result.residual_trace, result.x_star) == (None, 0.0)
     assert DeRun(success=False, final_x=0.5, iters=9).trace is None
     with pytest.raises(TypeError):
         NodeType(kind="spc")
     with pytest.raises(TypeError):
-        ThresholdResult(0.2, 0, 3)
+        ThresholdResult(0.2, 1)
 
 
 def _construction_paths(cls, good, **bad):
