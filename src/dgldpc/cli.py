@@ -115,7 +115,8 @@ def _cmd_analyze(args) -> tuple[dict, str, int]:
 
 
 def _cmd_threshold(args) -> tuple[dict, str, int]:
-    result = find_threshold(_load_ensemble(args.input), record_trace=args.trace)
+    result = find_threshold(_load_ensemble(args.input))
+    undecided = sum(row[1] is None for row in result.residual_trace)
     mechanism = (
         "q = 1 decodes" if not result.converged
         else "stability-limited (x* = 0)" if result.x_star == 0.0
@@ -123,9 +124,9 @@ def _cmd_threshold(args) -> tuple[dict, str, int]:
     )
     summary = (
         f"q* = {result.q_star:.8f} after {result.bisection_steps} probe{'s' * (result.bisection_steps != 1)} "
-        f"(converged={result.converged}): {mechanism}"
+        f"(converged={result.converged}): {mechanism}" + f", {undecided} undecided" * (undecided > 0)
     )
-    report = result._asdict()
+    report = result._replace(residual_trace=result.residual_trace if args.trace else None)._asdict()
     del report["x_star"]  # named by the summary only
     return report, summary, 0
 

@@ -24,30 +24,27 @@ when g_q < 1 on (0, 1] (Richardson and Urbanke, Modern Coding Theory,
 stability product, so the threshold is limited either at x -> 0, where it
 is the stability boundary q_stab, or by an interior fixed point x* > 0.
 Each probe is a proof: g_q = sum_t v_q[t] B_t over a q-independent basis
-with nonnegative Bernstein coefficients, and de Casteljau halving narrows
-its convex hull (Farouki, CAGD 2012) until every cell is decided exactly,
-in integers over one denominator: v_q comes from the variable mixture's
-ExitPolynomial.at_dyadic_q, exact at the dyadic float q.  An undecided probe fails;
-x -> 0 is owned by the stability boundary, which q* never exceeds, so the
-first probe is at q_stab (at q = 1 if there is none) and only a failure
-there is bisected.  The probes' coefficients also decide x*, on exact signs
-of g_q'.
+with nonnegative Bernstein coefficients, exact at the dyadic q
+(ExitPolynomial.at_dyadic_q), and de Casteljau subdivision narrows its
+convex hull (Farouki, CAGD 2012) until every cell is decided in integers.
+q* is the float nearest the threshold, as every reported float is: floats
+steer, and nearest_float_root decides on the probes' verdicts.  The
+probes' coefficients also decide x*, on exact signs of g_q'.
 """
 
 from collections import namedtuple
 from functools import lru_cache, partial
-from math import comb, lcm
-from operator import add, mul
+from math import comb, lcm, nextafter, ulp
+from operator import mul
 
 from .ensembles import ENSEMBLE_CACHE_SIZE, Ensemble
-from .exit_charts import (bernstein_eval, bernstein_product, bisect, dyadic_value, mixture_polynomial, monomial,
-                          nearest_float_root)
+from .exit_charts import (NEWTON_STEPS, bernstein_eval, bernstein_product, dyadic_value, mixture_polynomial,
+                          monomial, nearest_float_root)
 from .stability import dgldpc_stability_boundary
 
 DEFAULT_MAX_ITERS = 100_000
 DEFAULT_TOL = 1e-12
-BRACKET_WIDTH = 1e-7
-# The depth cap: the most halvings of [0, 1] a threshold probe makes before it is undecided.
+# The depth cap: the most nested splits of [0, 1] a threshold probe makes before it is undecided.
 MAX_HALVINGS = 40
 
 
@@ -66,13 +63,14 @@ class ThresholdResult(
 ):
     """Decoding threshold, how it was decided, and what limits it.
 
-    bisection_steps counts the probes of g_q < 1, and converged is q* < 1.
-    x_star is 0.0 when q* is the stability boundary, else the float nearest
-    where g_q turns from rising to falling at the largest accepted q (1.0 or
-    0.0 if g_q only rises or only falls).  A requested residual_trace holds a
-    row per probe: q, its verdict, a cell end x with g_q(x) >= 1 proved (else
-    None), halvings, and the bound of the highest closed cell (None if none
-    closed).
+    bisection_steps counts the probes; converged is False only when q = 1
+    decodes.  x_star is 0.0 when the probe at q_stab settles q*, else the
+    float nearest where g_q turns from rising to falling at q* (1.0 or 0.0
+    if g_q only rises or only falls, 0.5 if it is constant).  residual_trace
+    has a row per probe: q; the verdict, True (g_q < 1 proved), False
+    (g_q(x) >= 1 proved) or None (undecided at the depth cap); that x, else
+    None; the splits made; and the highest closed cell's bound, the nearest
+    float below 1 (None if none closed).  q, x are (a, m): a / m, m = 2^e.
     """
 
     __slots__ = ()
@@ -90,8 +88,9 @@ def de_iterate(ens: Ensemble, q: float, max_iters: int = DEFAULT_MAX_ITERS, tol:
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    n, m = q.as_integer_ratio()
     c, v = ([a / den for a in rows[1:]] for rows, den in (mixture_polynomial(ens, "check").at_dyadic_q(),
-                                                          mixture_polynomial(ens, "variable").at_dyadic_q(q)))
+                                                          mixture_polynomial(ens, "variable").at_dyadic_q(n, m)))
     x, iters = bernstein_eval(v, 1.0), 1
     trace = [(iters, x)] if record_trace else None
     while x >= tol and iters < max_iters:
@@ -111,7 +110,7 @@ def _fixed_point_basis(ens: Ensemble) -> tuple[tuple, int]:
     """(columns, den) in integers: g_q = sum_t (v_q[t] / vden) B_t at degree D,
     where Bernstein coefficient i of B_t = c y^t (1-y)^(dv-t), y = x c(x), is
     columns[i][t] / den and (v_q, vden) is the variable mixture's
-    at_dyadic_q(q) without row 0.
+    at_dyadic_q(a, m) at q = a / m without row 0.
 
     y and 1 - y are the check mixture's erasure and information forms, read as
     they are, integers over one denominator, and column i is scaled by
@@ -132,76 +131,103 @@ def _fixed_point_basis(ens: Ensemble) -> tuple[tuple, int]:
     return columns, scale ** (dv + 1) * norm
 
 
-def fixed_point_coefficients(ens: Ensemble, q: float) -> tuple[list[int], int]:
+def fixed_point_coefficients(ens: Ensemble, a: int, m: int = 1) -> tuple[list[int], int]:
     """(b, den) in integers: g_q = sum_i (b[i] / den) C(D,i) x^i (1-x)^(D-i)
-    exactly, so min b / den <= g_q <= max b / den."""
+    exactly at q = a / m, m a power of two, so min b / den <= g_q <= max b / den."""
     columns, den = _fixed_point_basis(ens)
-    v, vden = mixture_polynomial(ens, "variable").at_dyadic_q(q)
+    v, vden = mixture_polynomial(ens, "variable").at_dyadic_q(a, m)
     return [sum(map(mul, v[1:], col)) for col in columns], den * vden
 
 
-def _halve(b: list[int]) -> tuple[list[int], list[int]]:
-    """De Casteljau at x = 1/2: the Bernstein coefficients of the two halves,
-    times 2^D.  Level j sums hold 2^j times the averages, shifted by D - j."""
-    left, right = [b[0]], [b[-1]]
+def _split(b: list[int], a: int, e: int) -> tuple[list[int], list[int]]:
+    """De Casteljau at x = a / 2^e: the Bernstein coefficients of [0, x] and
+    [x, 1], times 2^(eD).  Level j holds 2^(ej) times its points, shifted by e (D - j)."""
+    left, right, c = [b[0]], [b[-1]], (1 << e) - a
     while len(b) > 1:
-        b = list(map(add, b, b[1:]))
+        b = [c * s + a * t for s, t in zip(b, b[1:])]
         left.append(b[0])
         right.append(b[-1])
     d = len(left) - 1
-    return [x << d - j for j, x in enumerate(left)], [x << d - j for j, x in enumerate(right)][::-1]
+    return [x << e * (d - j) for j, x in enumerate(left)], [x << e * (d - j) for j, x in enumerate(right)][::-1]
 
 
-def find_threshold(ens: Ensemble, record_trace: bool = False) -> ThresholdResult:
+def _peak(b: list[int], den: int) -> float:
+    """Where g = sum_i (b[i] / den) C(D,i) x^i (1-x)^(D-i) peaks, in floats, to steer: at
+    the end whose coefficient is largest (g peaks there exactly), else Newton on g' from
+    the largest coefficient's i / D, inside the bracket that the signs of g' close."""
+    d = len(b) - 1
+    i = max(range(d + 1), key=b.__getitem__)
+    if i in (0, d):
+        return i / (d or 1)
+    slope = [(t - s) * comb(d - 1, j) / den for j, (s, t) in enumerate(zip(b, b[1:]))]  # g' / D
+    bend = [(u - 2 * t + s) * comb(d - 2, j) * (d - 1) / den for j, (s, t, u) in enumerate(zip(b, b[1:], b[2:]))]
+    lo, hi, x = 0.0, 1.0, i / d
+    for _ in range(NEWTON_STEPS):
+        v, dv = bernstein_eval(slope, x), bernstein_eval(bend, x)
+        lo, hi = (x, hi) if v > 0 else (lo, x)
+        step = v / dv if dv < 0 else x - 0.5 * (lo + hi)
+        x = x - step if lo <= x - step <= hi else 0.5 * (lo + hi)
+        if abs(step) <= ulp(x):
+            break
+    return x
+
+
+def find_threshold(ens: Ensemble) -> ThresholdResult:
     """The decoding threshold q* from the fixed-point condition g_q < 1 on (0, 1].
 
-    A probe proves or fails, exactly: it halves the cells of g_q depth
-    first, an order that changes no verdict.  A cell closes when its
-    coefficients are below 1; a cell end at or above 1 fails the probe, as
-    does a cell still open at the depth cap (undecided).  g_q(0), the
-    stability product, is never compared with 1, nor are the coefficients
-    equal to it that follow it in the cell at x = 0 (g_q'(0) = 0): x -> 0 is
-    owned by the stability boundary q_stab.  The first probe is at q_stab,
-    or at q = 1 when there is none; a success there is q*, after one probe.
-    Otherwise q is bisected over [0, 1] to BRACKET_WIDTH and q_star is the
-    bracket's midpoint, clamped to q_stab (x* = 0 when the clamp binds, else
-    sought from the middle of the highest closed cell).
+    A probe proves or fails, exactly: it splits the cells of g_q depth
+    first, each at its float peak, or in half where that is an end.  A cell
+    closes when its coefficients are below 1, and a cell end at or above 1
+    fails the probe; a cell still open at the depth cap leaves it undecided,
+    a failure.  x -> 0 is left to the stability boundary: g_q(0), and the
+    coefficients equal to it that follow it in the cell at x = 0, are never
+    compared with 1.  The first probe is at q_stab (q = 1 if there is none);
+    past a failure, q* is nearest_float_root on the verdicts from the
+    candidate that secant steps on h(q) = max g_q - 1 reach, and x* is
+    nearest_float_root on exact signs of -g_q' at q*, from the float peak.
     """
-    # q and the middle of the highest closed cell of the last success; g_0 = 0 succeeds unprobed
-    probes, accepted = [], (0.0, 0.5)
+    probes, roots = [], dgldpc_stability_boundary(ens).points
 
-    def succeeds(q: float) -> bool:
-        nonlocal accepted
-        b, den = fixed_point_coefficients(ens, q)
-        cells, best, halvings, ok, x = [(0.0, 1.0, b, den)], (-1.0, 0.5), 0, False, None
+    def probe(a: int, m: int) -> int:
+        """-1 if g_q < 1 on (0, 1] is proved at q = a / m, else 1."""
+        b, den = fixed_point_coefficients(ens, a, m)
+        cells, bound, splits, verdict, x = [(0, 1, 0, 0, b, den)], None, 0, True, None  # (lo, hi, e, depth, b, den)
         while cells:
-            lo, width, b, den = cells.pop()
-            if b[-1] >= den or lo > 0.0 and b[0] >= den:
-                x = lo + width if b[-1] >= den else lo
+            lo, hi, e, depth, b, den = cells.pop()
+            if b[-1] >= den or lo and b[0] >= den:
+                verdict, x = False, (hi if b[-1] >= den else lo, 1 << e)
                 break
-            flat = 0 if lo > 0.0 else next((i for i, c in enumerate(b) if c != b[0]), len(b))
+            flat = 0 if lo else next((i for i, c in enumerate(b) if c != b[0]), len(b))
             top = max(b[flat:], default=0)
             if top < den:
-                best = max(best, (top / den, lo + 0.5 * width))
-            elif width == 2.0**-MAX_HALVINGS:
+                bound = max(bound or 0.0, min(top / den, nextafter(1.0, 0.0)))  # top / den may round to 1
+            elif depth == MAX_HALVINGS:
+                verdict = None
                 break
-            else:
-                halvings, width, den = halvings + 1, width * 0.5, den << len(b) - 1
-                cells += [(start, width, half, den) for start, half in zip((lo, lo + width), _halve(b))]
-        else:
-            ok, accepted = True, (q, best[1])
-        probes.append((q, ok, x, halvings, best[0] if best[0] >= 0.0 else None))
-        return ok
+            else:  # at t = n / 2^k: [lo, hi] / 2^e becomes [lo, mid] and [mid, hi], over 2^(e + k)
+                n, s = (t if 0.0 < (t := _peak(b, den)) < 1.0 else 0.5).as_integer_ratio()
+                k, splits = s.bit_length() - 1, splits + 1
+                left, right = _split(b, n, k)
+                lo, mid, hi, den = lo << k, (lo << k) + n * (hi - lo), hi << k, den << k * (len(b) - 1)
+                cells += [(lo, mid, e + k, depth + 1, left, den), (mid, hi, e + k, depth + 1, right, den)]
+        probes.append(((a, m), verdict, x, splits, bound))
+        return -1 if verdict else 1
 
-    roots = dgldpc_stability_boundary(ens).points
-    q_star = roots[0] if roots else 1.0  # the one probe that can settle q* alone
-    if not succeeds(q_star):
-        q_star = 0.5 * sum(bisect(lambda q: -1 if succeeds(q) else 1, 0.0, 1.0, BRACKET_WIDTH))
-    if roots and q_star >= roots[0]:
-        q_star, x_star = roots[0], 0.0
-    else:  # -g_q' has coefficients (b[i] - b[i+1]) C(D-1, i) in x^i (1-x)^(D-1-i), over den / D
-        b = fixed_point_coefficients(ens, accepted[0])[0]
+    def excess(q: float) -> float:  # h(q) = max g_q - 1: g_q - 1 at the float peak, exactly, then rounded
+        b, den = fixed_point_coefficients(ens, *q.as_integer_ratio())
+        (n, m), d = _peak(b, den).as_integer_ratio(), len(b) - 1
+        return dyadic_value(monomial([c * comb(d, i) for i, c in enumerate(b)]), n, m) / (den * m**d) - 1.0
+
+    q_star, x_star = roots[0] if roots else 1.0, 0.0  # the one probe that can settle q* alone
+    settled = probe(*q_star.as_integer_ratio()) < 0
+    if not settled:  # secant steps from h(0) = -1 while they shorten
+        (p, hp), (q, hq) = (0.0, -1.0), (q_star, excess(q_star))
+        while hq != hp and 0.0 < (r := q - hq * (q - p) / (hq - hp)) < 1.0 and abs(r - q) < abs(q - p):
+            (p, hp), (q, hq) = (q, hq), (r, excess(r))
+        q_star = nearest_float_root(probe, min(q, nextafter(1.0, 0.0)))  # a walk starts inside (0, 1)
+    if not (settled and roots):  # -g_q' has coefficients (b[i] - b[i+1]) C(D-1, i) in x^i (1-x)^(D-1-i)
+        b, den = fixed_point_coefficients(ens, *q_star.as_integer_ratio())
         m = monomial([(s - t) * comb(len(b) - 2, i) for i, (s, t) in enumerate(zip(b, b[1:]))])
-        x_star = nearest_float_root(partial(dyadic_value, m), accepted[1])
-    return ThresholdResult(q_star=q_star, bisection_steps=len(probes), converged=q_star < 1.0,
-                           residual_trace=tuple(probes) if record_trace else None, x_star=x_star)
+        x_star = nearest_float_root(partial(dyadic_value, m), _peak(b, den) or ulp(0.0)) if any(m) else 0.5
+    return ThresholdResult(q_star=q_star, bisection_steps=len(probes), converged=not settled or bool(roots),
+                           residual_trace=tuple(probes), x_star=x_star)

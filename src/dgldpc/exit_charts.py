@@ -69,17 +69,16 @@ class ExitPolynomial(namedtuple("ExitPolynomial", "coeffs den")):
 
     __slots__ = ()
 
-    def at_dyadic_q(self, q: float = 1.0) -> tuple[list[int], int]:
+    def at_dyadic_q(self, a: int = 1, m: int = 1) -> tuple[list[int], int]:
         """(v, den) in integers: 1 - I_E(p, q) = sum_t (v[t] / den) p^t (1-p)^(d-t)
-        exactly.  The float q is a / m, m a power of two, and each row's q-sum
-        is dyadic_value on its monomial form."""
-        (a, m), k = q.as_integer_ratio(), len(self.coeffs[0]) - 1
-        return [dyadic_value(monomial(row), a, m) for row in self.coeffs], self.den * m**k
+        exactly at q = a / m, m a power of two (a float q is q.as_integer_ratio()),
+        and each row's q-sum is dyadic_value on its monomial form."""
+        return [dyadic_value(monomial(row), a, m) for row in self.coeffs], self.den * m ** (len(self.coeffs[0]) - 1)
 
     def at_q(self, q: float = 1.0) -> Callable[[float], float]:
         """p -> I_E at channel erasure q, correctly rounded: den m^d I_E(b / m)
         is one dyadic_value, an integer, and one true division rounds it."""
-        v, den = self.at_dyadic_q(q)
+        v, den = self.at_dyadic_q(*q.as_integer_ratio())
         info = [-c for c in monomial(v)]
         info[0] += den
         d = len(v) - 1
@@ -234,13 +233,12 @@ def dyadic_value(m: Sequence[int], n: int, d: int) -> int:
     return acc
 
 
-def bisect(sign: Callable[[float], float], lo: float, hi: float, width: float) -> tuple[float, float]:
+def bisect(sign: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """The final (lo, hi) where sign changes from negative (below) to positive (above).
 
-    Halves [lo, hi] while it is wider than width, returns (mid, mid) at once
-    for a midpoint where sign is 0, and stops early once the midpoint rounds
-    to an end (the bracket is one ulp wide)."""
-    while hi - lo > width and (mid := 0.5 * (lo + hi)) not in (lo, hi):
+    Halves [lo, hi] until its midpoint rounds to an end (the bracket is one
+    ulp wide), and returns (mid, mid) at once for a midpoint where sign is 0."""
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         s = sign(mid)
         if s == 0:
             return mid, mid
@@ -268,7 +266,7 @@ def nearest_float_root(sign: Callable[[int, int], object], x: float | None = Non
     # a walk down to 0 reads the sign halfway to the least float, 2^-1075, where bisection would end
     if lo == 0.0 < hi < 1.0 and sign(1, 1 << 1075) >= 0:
         return 0.0
-    lo, hi = bisect(lambda y: sign(*y.as_integer_ratio()), lo, hi, 0.0)
+    lo, hi = bisect(lambda y: sign(*y.as_integer_ratio()), lo, hi)
     (a, d), (b, e) = lo.as_integer_ratio(), hi.as_integer_ratio()
     s = sign(a * e + b * d, 2 * d * e) if lo < hi else 1  # lo == hi: an exact zero
     return lo if s > 0 else hi if s < 0 else 0.5 * (lo + hi)  # adjacent: rounds to the even one

@@ -122,11 +122,13 @@ def test_threshold_report(e36_path, capsys):
 
 
 def test_threshold_trace_flag(e36_path, capsys):
-    # one row per probe: q, verdict, x with g_q(x) >= 1 proved, halvings, bound
+    # one row per probe: q, verdict, x with g_q(x) >= 1 proved, splits, bound;
+    # q and x as [a, m], the exact a / m
     assert run(["threshold", e36_path, "--trace"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["residual_trace"]) == doc["bisection_steps"]
-    assert doc["residual_trace"][:2] == [[1.0, False, 1.0, 0, None], [0.5, False, 0.25, 2, 0.9384765625]]
+    assert doc["residual_trace"][:2] == [[[1, 1], False, [1, 1], 0, None],
+                                         [[3868049976395357, 2**53], False, [1173507786845587, 2**52], 1, None]]
 
 
 THRESHOLD_KEYS = {"q_star", "bisection_steps", "converged", "residual_trace"}
@@ -561,17 +563,22 @@ def test_run_leaves_the_collector_as_it_found_it(e36_path, tmp_path, capsys):
 # beside a stability-boundary root) and dropped iterations_at_threshold:
 # only the threshold report moved, its bisection_steps 26/27 -> 25 and 3 -> 1;
 # q_star and the other commands' output stayed byte-identical.
+# F0, F2-F5, F7 and F9 were re-pinned when q* became the float nearest the
+# threshold (nearest_float_root on the probes' verdicts, no 1e-7 bisection):
+# only their threshold reports moved, q_star by 1.5e-9 to 2.6e-8 and
+# bisection_steps 25 -> 4; the stability-limited F1, F6, F8 and F10 and the
+# other commands' output stayed byte-identical.
 GOLDEN_DIGESTS = {
-    "F0": "f8140e9057b40642f2397e7ab73d9efe2faac87eef41abe7f923db07168be5f9",
+    "F0": "072808eaac5fd162dee686e35a42c358f0f415b8314354083486b78eca0bc717",
     "F1": "49dd9c5992aca287df86b006212f5e543e6beb153da2be6caba2d77ba84c955b",
-    "F2": "aaba547b7e4efa781097a812a36569e40730ad0b8e839235ac8fd303fefecdfd",
-    "F3": "796ef47a7c265c17f2f6b554af71caa1ae80a4ee11d5afabfd4f162bb544677c",
-    "F4": "2c238d47be3f801d8c315ecb038f7b4b61653f9e29b1e1215bd27c6f0847f394",
-    "F5": "1b3dca999a9a2d92fd27923bfaebeab0141162bc7ecbf382692d66b8ae3f37d2",
+    "F2": "2ddcac6b4fcd1c219888e21ed2a75d474a0f21ae150d25ec8c29e22ad6edfc8f",
+    "F3": "f5547ba00d9d4a34b1dc9ea08703f931340c3a2b67b4e4d21a37dbd919d4cddf",
+    "F4": "de37dc0905776bb5f3fa04b02cd44eec80a312ea109aaebe36ee4c0ba206e47a",
+    "F5": "6e2b49913cf05c409b11c701365c623277ed2ff60debef56714de591eeaf7e73",
     "F6": "e778b49bb61f29528f48fff3c04de5747ac2ca9114ec4e3f9152d191bf059c51",
-    "F7": "50a0f13568accacfd1d89153af2256251fe00d2e813040e074604013e61345bf",
+    "F7": "fb5a82363a4e4f003c90ed86d1368860537e3213c84ad5de00fa7b1103e55b23",
     "F8": "b29c306281ace8c3d91d4c52fbb2227de23d84772e0b4a400094713ce71ba329",
-    "F9": "1edce1bf3a59eab8c2013b654464f70ce91b9e90a2558d7ffdbee7cc09474bfe",
+    "F9": "304b087baf739210448991ffcbf01712dc14babeabd1c187a11fba1769c34c6a",
     "F10": "57d8260361f815f14600eaeda41abc97f6042f4be3ae9783e65aa1aee6556343",
     "code-info hamming74": "00a2c67714e0766b16c93d307b88a718718d1fb4b8ca5c94697b9bfcad737fb9",
     "code-info spc32": "9c2b71e90cea3913b49213c8369c1da1b0d53a0a63268261f18b82a02c176838",
@@ -637,28 +644,34 @@ def test_cli_outputs_match_the_golden_digests(tmp_path):
 # re-pinned when the probes at q = 0 (and at q = 1 beside a boundary root)
 # went: those trace rows and iterations_at_threshold left the reports, and
 # the verbose lines count 25 probes, or "1 probe" at the stability limit.
+# All were re-pinned when q* became the float nearest the threshold: each
+# trace row names q and x exactly, as [a, m], and splits at the float peak
+# replace halvings.  The interior fixtures' verbose lines count 4 probes;
+# their printed q* moved in at most its 8th decimal, and F7's x* in its 6th
+# digit (0.119169 -> 0.119168, now taken at q* itself).  The stability-limited
+# fixtures' verbose lines stayed.
 TRACE_DIGESTS = {
-    "F0 --trace": "58d995926b4395154cbcbb621e5dbfdc9602235e2bbe701f5d5347f309249a08",
-    "F0 --verbose": "b5638d1160677f81c463d78c0e4e3dccb4653c48877787cf1b9002a767b3f41a",
-    "F1 --trace": "9187c04494753af1985dbdc0e057f853bb2b5676c497269471e576e5b0705173",
+    "F0 --trace": "fff5ee10480327ae1eedcaf9d3c1b17dd268a94d8aeeb45a592f7ad939c64928",
+    "F0 --verbose": "dee18f2641e3280c88aa7f88f5b231837f1345a6d12a0bcd746c26fc0bf63b26",
+    "F1 --trace": "5739267ea9b3042810ec8c88a8678bcf1efb2d8874bb1040ded2801274b014eb",
     "F1 --verbose": "de36e02fc44bbaa3d7cc3fa5dd260c49dfcf945573aa787d4f6277b56b29e324",
-    "F2 --trace": "f9f90a158c62d836a9accb5df532055ed10bee594dce97b66bb384b9e4b430fb",
-    "F2 --verbose": "d57da857846bb26e4562c770fe1b837bbff885f47ebd084faf74b9c787d0ff59",
-    "F3 --trace": "9caa7c1a92122931e15888ce216a5352add8028b2704306707cc047b0d782046",
-    "F3 --verbose": "0fc4926465e406a737e92b5f32bd4484589686a1c302fc61bb52744c85530303",
-    "F4 --trace": "32647b021a949385fdcf4212f50ceae6d610d3ce6bde442aa98588dfaf138753",
-    "F4 --verbose": "25d70f9d265784dd87e6ab624e58d8f742b8b65da990ff68f00de892b3603a71",
-    "F5 --trace": "4148a4f46889449958a3fca405b364557af0afaa9f98562b1dd6abe2f3b662ef",
-    "F5 --verbose": "a3d9de9807bf7cc49d8ea7e0cf40e972776255ae2250d6d931751f12d3263d69",
-    "F6 --trace": "1c5c401b94925c4dee5519602637a9ecf05835e8a11c7035f82bd01a2cfabc2f",
+    "F2 --trace": "fab5a404d131da20a3903172cc1d2351341a3e27f331ca3eff9744164184b1d8",
+    "F2 --verbose": "c4f726aa312b144b83f25199457d27a07e7f8e48f53fd52180843d5eae1b87e8",
+    "F3 --trace": "9012de955dbd3dfa4a9b96fb438a74cb73488b1e5cde0c6a31bc82c7bcbb4052",
+    "F3 --verbose": "740aba5d8a65641a4a45312da93e928184cc0516bcf97a266f9b4845f41e12dc",
+    "F4 --trace": "0362050a792351c522db7cc65e3d3c1e36ea7f731bac41739cae1eed743b0b26",
+    "F4 --verbose": "41f80f21b3c315e1cbbea62876f6b4019c86e37013cb522b974aa43227ced0b0",
+    "F5 --trace": "f6100fd57a98cb2770810cb464fa2047ba21ecfeb1744c33949012f1b972c05d",
+    "F5 --verbose": "15dfbc8413083cbe59e39b39be3ae3887449dc569766527cc9fbda31c4c2b626",
+    "F6 --trace": "faeac041e8447cdb425a77393c0f6e621b7ec6f825178c3d394c7dd9b854b9f5",
     "F6 --verbose": "e636efd99a73ca3ee8ca1ae1a96e01ecb95ed3c58d0738f09078ad532db37ca4",
-    "F7 --trace": "5f8bc2020e3dd0426ae8127cee603fb63e1c6b664e11f33ad6e9fc1d3846d57f",
-    "F7 --verbose": "87eeb31b935ea67b2edae18c0c08fb7d2944c6ef1f8c8b29240f09b68b3ab2e2",
-    "F8 --trace": "4f9b23553582022ea749fc497a8d89f1561566db28d7498e71b37cb840deeb76",
+    "F7 --trace": "83ba4b4e74b97a79548f6c3a5f41b5e1371771fecd84669073ffbe0c1f159397",
+    "F7 --verbose": "9e28286035e2bb41d2afc9ca9b360db55d9bfab8bc095821d73237e9de33f55a",
+    "F8 --trace": "6b1f2a6b2b6c617150735874aee091c73336c618123ccb42deef3bb348fec776",
     "F8 --verbose": "9d824518c669e163dfa13779bf0eb95bbd961cba1557dbf04d7a8092ae61dca6",
-    "F9 --trace": "23fc24be59ef7d8bf804af778b32f1b2ada2fc7019ec16ac7257ac91b11d5e28",
-    "F9 --verbose": "28930618bc934f0d241141fa2926bc7e2d339a77855f38b92955e771adf0de93",
-    "F10 --trace": "865b9ab25e9247534656f9746743523cd9bc052aa7279e8f266464bad793cc20",
+    "F9 --trace": "df55eb10dec46c2995efbb4c77ce102ad8ab2782b4d2b5757f16caacaf03c3bc",
+    "F9 --verbose": "03bfb6f2261802cf4906cb6c1cab4677a04517651542c1f07ef52d0225ca88b1",
+    "F10 --trace": "e6d857eb76d24617b5b32531d152777af0a2f17cbb006c0c9e8b955e63a3c9d3",
     "F10 --verbose": "1284e41233b6d0be60694d847f2bbbd355c3ece2a06b5e94122a0214a53d7aea",
 }
 

@@ -17,7 +17,6 @@ from dgldpc import exit_charts
 from dgldpc.cli import run
 from dgldpc.codes import ComponentCode
 from dgldpc.density_evolution import (
-    BRACKET_WIDTH,
     MAX_HALVINGS,
     de_iterate,
     find_threshold,
@@ -179,7 +178,7 @@ def test_probe_coefficients_grow_with_q(variables, checks, qs):
     # z) and g_q = sum_t v_q[t] B_t with B_t >= 0, so each coefficient b / den
     # grows, exactly
     ens = ensemble(variables, checks)
-    probes = [fixed_point_coefficients(ens, q) for q in sorted(qs)]
+    probes = [fixed_point_coefficients(ens, *q.as_integer_ratio()) for q in sorted(qs)]
     for (low, low_den), (high, high_den) in zip(probes, probes[1:]):
         for a, b in zip(low, high, strict=True):
             assert a * high_den <= b * low_den
@@ -190,35 +189,36 @@ def test_threshold_rep3_spc6(rep3_spc6_threshold):
     assert result.converged
     assert result.bisection_steps <= 30
     assert abs(result.q_star - 0.4294) <= 5e-4
-    assert result.residual_trace is None
-    # bracket width at exit
+    assert len(result.residual_trace) == result.bisection_steps
     assert result.q_star <= 1 - design_rate(ens) + 1e-3
 
 
 def test_threshold_bracket_width(rep3_spc6_threshold):
     ens, result = rep3_spc6_threshold
-    # midpoint of a bracket no wider than 1e-7: both ends within 5e-8.  DE,
-    # which shares no code with the probes, decodes below and stalls above
+    # q* is the float nearest the threshold.  DE, which shares no code with
+    # the probes, decodes 1e-7 below it and stalls 1e-7 above
     assert de_iterate(ens, result.q_star - 1e-7).success
     assert not de_iterate(ens, result.q_star + 1e-7).success
 
 
 def test_threshold_trace_retained_on_request(rep3_spc6_threshold):
-    # one row per probe, (q, verdict, x with g_q(x) >= 1 proved, halvings,
-    # bound of the highest closed cell), and no DE run
-    ens, plain = rep3_spc6_threshold
-    result = find_threshold(ens, record_trace=True)
-    assert result._replace(residual_trace=None) == plain
+    # one row per probe, (q, verdict, x with g_q(x) >= 1 proved, splits,
+    # bound of the highest closed cell), q and x as exact (a, 2^e), and no DE run
+    ens, result = rep3_spc6_threshold
+    assert find_threshold(ens) == result
     assert len(result.residual_trace) == result.bisection_steps
-    # no stability boundary: q = 1 first, then the bisection's first midpoint
-    assert result.residual_trace[:2] == ((1.0, False, 1.0, 0, None), (0.5, False, 0.25, 2, 0.9384765625))
-    for q, ok, x, halvings, bound in result.residual_trace:
+    # no stability boundary: q = 1 first, where the cell [0, 1] ends at g_1(1) >= 1;
+    # then the float candidate, split once at its float peak, which fails there
+    assert result.residual_trace[:2] == (
+        ((1, 1), False, (1, 1), 0, None),
+        ((3868049976395357, 2**53), False, (1173507786845587, 2**52), 1, None),
+    )
+    for (_, m), ok, x, splits, bound in result.residual_trace:
+        assert m & (m - 1) == 0
         if ok:
             assert x is None and bound < 1.0
-        elif x is None:  # undecided at the depth cap
-            assert halvings >= MAX_HALVINGS
         else:
-            assert 0.0 < x <= 1.0
+            assert ok is False and 0 < x[0] <= x[1] and splits < MAX_HALVINGS
 
 
 def test_threshold_below_stability_bound(rep2_spc6, rep3_spc6_threshold):
@@ -284,7 +284,7 @@ def test_stability_limited_threshold_takes_one_probe(rep2_spc6):
     assert result.x_star == 0.0
     assert result.bisection_steps == 1
     assert result.converged
-    assert result.residual_trace is None
+    assert [row[:2] for row in result.residual_trace] == [((0.2).as_integer_ratio(), True)]
 
 
 def test_interior_threshold_reports_its_fixed_point(rep3_spc6_threshold):
@@ -325,9 +325,15 @@ def test_threshold_agrees_with_density_evolution(variables, checks, q):
 @example([rep_node(3, 1.0)], [spc_node(6, 1.0)])
 def test_threshold_obeys_the_area_bound(variables, checks):
     # DE converges only where the variable curve clears the inverse check
-    # curve; their areas, 1 - A_V(q) >= A_C, give q <= 1 - R
+    # curve; their areas, 1 - A_V(q) >= A_C, give q <= 1 - R, and rounding
+    # to the nearest float keeps the order: q* <= 1 - R, rounded
     ens = ensemble(variables, checks)
-    assert find_threshold(ens).q_star <= 1 - design_rate(ens) + BRACKET_WIDTH
+
+    def mean(side, part):  # the edge-fraction mean of part(code) / n, exactly
+        weights = ens.weights(side)
+        return sum(Fraction(w * part(c), c.n) for w, c in zip(weights, ens.codes(side))) / sum(weights)
+
+    assert find_threshold(ens).q_star <= float(mean("check", lambda c: c.n - c.k) / mean("variable", lambda c: c.k))
 
 
 def test_rising_slope_at_the_stability_boundary_means_an_interior_threshold():
@@ -342,6 +348,8 @@ def test_rising_slope_at_the_stability_boundary_means_an_interior_threshold():
 
 
 RISING_SLOPE = ensemble([rep_node(2, 0.714), rep_node(3, 0.286)], [spc_node(6, 1.0)])
+D41 = ensemble([generic_node(HAMMING_74_TEXT, 1.0)], [spc_node(8, 1.0)])
+D61 = ensemble([rep_node(3, 1.0)], [spc_node(32, 1.0)])
 D132 = ensemble([rep_node(2, 0.3), rep_node(3, 0.4), rep_node(8, 0.3)], [spc_node(16, 0.5), spc_node(20, 0.5)])
 
 
@@ -351,11 +359,10 @@ D132 = ensemble([rep_node(2, 0.3), rep_node(3, 0.4), rep_node(8, 0.3)], [spc_nod
     ids=["F0", "F2", "F3", "F4", "F5", "F7", "F9", "rising slope", "D132"],
 )
 def test_interior_x_star_is_the_float_nearest_the_peak(ens):
-    # at the last accepted q, the exact g_q' changes sign from + to - between
-    # the midpoints of x* and its neighbouring floats
-    result = find_threshold(ens, record_trace=True)
-    q = [row[0] for row in result.residual_trace if row[1]][-1]
-    slope, x = poly_slope(exact_g(ens, q)), result.x_star
+    # at q*, the exact g_q' changes sign from + to - between the midpoints
+    # of x* and its neighbouring floats
+    result = find_threshold(ens)
+    slope, x = poly_slope(exact_g(ens, result.q_star)), result.x_star
     below, above = ((Fraction(x) + Fraction(math.nextafter(x, end))) / 2 for end in (0.0, 1.0))
     assert 0.0 < x < 1.0
     assert poly_value(slope, below) > 0 > poly_value(slope, above)
@@ -382,14 +389,17 @@ def test_trace_ends_agree_with_the_exact_oracle():
     # a float q_stab above its exact root, and x -> 0 is the stability
     # boundary's.  Where g_q(0) = 1 exactly, that root at 0 is divided out.
     # No probe is made at q = 0, where g_0 = 0 decides nothing.
+    # Each row names its q and x exactly, as (a, m): a tie-break probe's q
+    # lies halfway between two floats.
     for i, ens in enumerate(fixture_suite() + seeded_ensembles()):
-        trace = find_threshold(ens, record_trace=True).residual_trace
-        assert all(row[0] > 0.0 for row in trace), i
+        trace = find_threshold(ens).residual_trace
+        assert all(row[0][0] > 0 for row in trace), i
+        assert all(row[4] < 1.0 for row in trace if row[1]), i  # a proof's bound reads below 1
         failures = [row for row in trace if not row[1]]
         assert failures or len(trace) == 1, i
         for q, _, x, _, _ in failures[-1:]:
-            assert poly_value(exact_g(ens, q), Fraction(x)) >= 1, i
-        g = exact_g(ens, [row for row in trace if row[1]][-1][0])
+            assert poly_value(exact_g(ens, Fraction(*q)), Fraction(*x)) >= 1, i
+        g = exact_g(ens, Fraction(*[row for row in trace if row[1]][-1][0]))
         g[0] -= 1
         above = g[0] > 0
         while g[0] == 0:
@@ -398,80 +408,152 @@ def test_trace_ends_agree_with_the_exact_oracle():
         assert sturm_count(g, 0, 1) == above, i
 
 
-def test_threshold_never_exceeds_the_stability_boundary():
+FOUND_ENSEMBLES = [ensemble([rep_node(2, lam2), rep_node(3, lam3)], [spc_node(6, 1.0)])
+                   for lam2, lam3 in ((0.7142, 0.2858), (0.71428, 0.28572))]
+
+
+def decodes(ens, q: Fraction) -> bool:
+    """g_q < 1 on [0, 1] by the exact oracle: below 1 at both ends, and g_q - 1
+    without a root between."""
+    g = exact_g(ens, q)
+    g[0] -= 1
+    return g[0] < 0 and poly_value(g, 1) < 0 and sturm_count(g, 0, 1) == 0
+
+
+def test_every_interior_threshold_is_correctly_rounded():
+    # the ensemble decodes at the exact midpoint between q* and the float
+    # below it, and not at the one between q* and the float above
+    cases = fixture_suite() + FOUND_ENSEMBLES + [D41, D61] + seeded_ensembles()
+    checked = 0
+    for i, ens in enumerate(cases):
+        result = find_threshold(ens)
+        if result.converged and result.x_star > 0.0:
+            below, above = ((Fraction(result.q_star) + Fraction(math.nextafter(result.q_star, end))) / 2
+                            for end in (0.0, 1.0))
+            assert decodes(ens, below) and not decodes(ens, above), i
+            checked += 1
+    assert checked == 7 + 2 + 2 + 5  # F0, F2-F5, F7, F9; both FOUND; D41, D61; 5 of the 20 seeded
+
+
+def test_threshold_never_exceeds_the_stability_boundary(tmp_path, capsys):
     # lam3 / lam2 = 2/5 makes g_q'(0) = 0 exactly: at q_stab the cell at x = 0
     # starts with two coefficients equal to g_q(0) = 1 at every depth.  The
     # probe leaves that run to the boundary and succeeds, after one probe.
-    # Comparing the second with 1 left it undecided, and 24 bisection probes
-    # ended on a midpoint above q_stab that the clamp brought back
+    # Comparing the second with 1 left it undecided
     ens = ensemble([rep_node(2, 0.625), rep_node(3, 0.25), rep_node(4, 0.125)], [spc_node(6, 1.0)])
     (q_stab,) = dgldpc_stability_boundary(ens).points
-    result = find_threshold(ens, record_trace=True)
+    result = find_threshold(ens)
     assert (result.q_star, result.x_star, result.bisection_steps) == (q_stab, 0.0, 1)
-    assert [row[:2] for row in result.residual_trace] == [(q_stab, True)]
+    assert [row[:2] for row in result.residual_trace] == [(q_stab.as_integer_ratio(), True)]
     # lam3 / lam2 just above 2/5: g_q rises from g_q(0) = 1 to a peak near
-    # x = 1e-4, so the probe at q_stab fails, and the bisection's midpoint
-    # lands above q_stab, within its bracket: the clamp brings it back
-    ens = ensemble([rep_node(2, 0.7142), rep_node(3, 0.2858)], [spc_node(6, 1.0)])
-    (q_stab,) = dgldpc_stability_boundary(ens).points
-    result = find_threshold(ens, record_trace=True)
-    assert result.residual_trace[0][:2] == (q_stab, False)
-    assert (result.q_star, result.x_star, result.bisection_steps) == (q_stab, 0.0, 25)
+    # x = 7e-5 (5e-6 at lam2 = 0.71428), so the probe at q_stab fails: an
+    # interior fixed point limits q* below q_stab, with x* > 0
+    expected = [(0.28003359580068954, 6.998757770644112e-05), (0.2800022399813335, 4.666611445225291e-06)]
+    for ens, (q_star, x_star) in zip(FOUND_ENSEMBLES, expected):
+        (q_stab,) = dgldpc_stability_boundary(ens).points
+        result = find_threshold(ens)
+        assert result.residual_trace[0][:2] == (q_stab.as_integer_ratio(), False)
+        assert (result.q_star, result.x_star) == (q_star, x_star)
+        assert result.q_star < q_stab and result.x_star > 0.0
+        path = tmp_path / "ensemble.json"
+        path.write_text(serialize_ensemble(ens), encoding="utf-8")
+        assert run(["threshold", str(path), "--verbose"]) == 0
+        assert "interior fixed point at x* = " in capsys.readouterr().err
 
 
 def test_x_star_walk_down_to_zero_stops_there(monkeypatch):
     # every exact sign of -g_q' is positive from the candidate down to 0;
     # bisecting down to the least float took 1,075 signs, at denominators up
-    # to 2^1075, where the walk and one sign halfway to that float take 54
+    # to 2^1075.  The float peak is at x = 0, so the walk starts at the least
+    # float: its sign, and one halfway to it, settle x* = 0
     signs = []
     value = de.dyadic_value
     monkeypatch.setattr(de, "dyadic_value", lambda m, n, d: signs.append(d) or value(m, n, d))
     result = find_threshold(q1_decoding_ensemble())
     assert (result.q_star, result.bisection_steps, result.converged) == (1.0, 1, False)
     assert result.x_star == 0.0
-    assert 0 < len(signs) <= 64
+    assert len(signs) == 2
+
+
+def test_constant_g_threshold_is_one(tmp_path, capsys):
+    # rep2 with SPC2: g_q(x) = q on [0, 1] (degree 0, design rate 0), so q* = q_stab = 1
+    # and every x is a fixed point there.  The probe at q = 1 fails at x = 1; the walk
+    # from the candidate starts below 1 (from 1.0 it bisected all of [0, 1] in 54
+    # probes), and -g_q' = 0 reads x* = 0.5, not the first float a walk asks
+    ens = ensemble([rep_node(2, 1.0)], [spc_node(2, 1.0)])
+    result = find_threshold(ens)
+    assert (result.q_star, result.x_star, result.converged, result.bisection_steps) == (1.0, 0.5, True, 3)
+    assert [row[:2] for row in result.residual_trace] == [((1, 1), False), ((2**53 - 1, 2**53), True),
+                                                          ((2**54 - 1, 2**54), True)]
+    path = tmp_path / "rep2_spc2.json"
+    path.write_text(serialize_ensemble(ens), encoding="utf-8")
+    assert run(["threshold", str(path), "--verbose"]) == 0
+    assert capsys.readouterr().err.endswith(
+        "q* = 1.00000000 after 3 probes (converged=True): interior fixed point at x* = 0.5\n")
+
+
+def test_undecided_probes_are_reported(rep3_spc6_threshold, monkeypatch, tmp_path, capsys):
+    # with no split allowed, a probe whose cell [0, 1] neither closes nor
+    # fails is undecided: None in its trace row, apart from the proved
+    # failures, and counted as a failure, so q* lands below the threshold
+    ens, exact = rep3_spc6_threshold
+    monkeypatch.setattr(de, "MAX_HALVINGS", 0)
+    result = find_threshold(ens)
+    verdicts = [row[1] for row in result.residual_trace]
+    undecided = verdicts.count(None)
+    assert undecided > 0 and verdicts.count(False) + verdicts.count(True) + undecided == len(verdicts)
+    assert all(row[2:4] == (None, 0) for row in result.residual_trace if row[1] is None)
+    assert result.q_star < exact.q_star
+    path = tmp_path / "rep3_spc6.json"
+    path.write_text(serialize_ensemble(ens), encoding="utf-8")
+    assert run(["threshold", str(path), "--verbose"]) == 0
+    assert capsys.readouterr().err.endswith(f", {undecided} undecided\n")
 
 
 @pytest.mark.parametrize(
     "variables, checks, q_star, probes",
     [
-        # composite degrees 41, 61 and 132 of g_q, beyond the fixtures
-        ([generic_node(HAMMING_74_TEXT, 1.0)], [spc_node(8, 1.0)], 0.1837623417377472, 25),
-        ([rep_node(3, 1.0)], [spc_node(32, 1.0)], 0.07760176062583923, 25),
+        # composite degrees 41, 61, 132 and 340 of g_q, beyond the fixtures
+        ([generic_node(HAMMING_74_TEXT, 1.0)], [spc_node(8, 1.0)], 0.18376232966016165, 4),
+        ([rep_node(3, 1.0)], [spc_node(32, 1.0)], 0.07760176060312327, 4),
         (
             [rep_node(2, 0.3), rep_node(3, 0.4), rep_node(8, 0.3)],
             [spc_node(16, 0.5), spc_node(20, 0.5)],
-            0.158759206533432,
-            25,
+            0.15875919399460559,
+            4,
         ),
+        ([rep_node(12, 1.0)], [spc_node(32, 1.0)], 0.1479577547794176, 4),
     ],
+    ids=["D41", "D61", "D132", "D340"],
 )
 def test_thresholds_are_pinned_to_the_bit(variables, checks, q_star, probes):
-    # values of the earlier sampled-grid probe, which the certified one keeps
+    # the correctly rounded thresholds, after four probes: the first, the
+    # float candidate, its neighbour and the midpoint between them
     result = find_threshold(ensemble(variables, checks))
     assert result.q_star == q_star
     assert result.bisection_steps == probes
 
 
 def test_threshold_halvings_are_pinned(monkeypatch):
-    # de Casteljau halvings per find_threshold, 940 over F0-F10; depth-first,
-    # breadth-first and highest-coefficient-first cell orders all make these
-    # counts.  The stability-limited fixtures succeed at q_stab on the first
-    # cell.  A cell order or closing rule that halves more fails here
-    most = {0: 139, 2: 138, 3: 131, 4: 142, 5: 126, 7: 126, 9: 138}
+    # de Casteljau splits per find_threshold, 25 over F0-F10: a probe near q*
+    # splits once, at the float peak, and its two cells close, or the shared
+    # end fails it.  The
+    # stability-limited fixtures succeed at q_stab on the first cell.  A cell
+    # order or split rule that splits more, or a spy that sees no split, fails
+    made = {0: 3, 2: 4, 3: 3, 4: 3, 5: 3, 7: 4, 9: 5}
     extra = [
-        ([rep_node(2, 0.3), rep_node(3, 0.4), rep_node(8, 0.3)], [spc_node(16, 0.5), spc_node(20, 0.5)], 140),
-        ([rep_node(12, 1.0)], [spc_node(32, 1.0)], 143),
+        ([rep_node(2, 0.3), rep_node(3, 0.4), rep_node(8, 0.3)], [spc_node(16, 0.5), spc_node(20, 0.5)], 4),
+        ([rep_node(12, 1.0)], [spc_node(32, 1.0)], 3),
     ]  # composite degrees D = 132 and 340
-    cases = [(ens, most.get(i, 0)) for i, ens in enumerate(fixture_suite())]
+    cases = [(ens, made.get(i, 0)) for i, ens in enumerate(fixture_suite())]
     cases += [(ensemble(variables, checks), n) for variables, checks, n in extra]
     calls = []
-    halve = de._halve
-    monkeypatch.setattr(de, "_halve", lambda b: calls.append(b) or halve(b))
+    split = de._split
+    monkeypatch.setattr(de, "_split", lambda b, a, e: calls.append(e) or split(b, a, e))
     for i, (ens, n) in enumerate(cases):
         calls.clear()
         find_threshold(ens)
-        assert len(calls) <= n, i
+        assert len(calls) == n, i
 
 
 def exact_fixed_point_coefficients(ens, q: Fraction) -> list[Fraction]:
@@ -495,30 +577,25 @@ def exact_fixed_point_coefficients(ens, q: Fraction) -> list[Fraction]:
     mixed_side("variable", max_n=6),
     mixed_side("check", max_n=6),
     st.floats(0.0, 1.0),
-    st.integers(0, 2**MAX_HALVINGS - 1),
+    st.lists(st.tuples(st.integers(1, 53).flatmap(lambda e: st.tuples(st.integers(1, 2**e - 1), st.just(e))),
+                       st.booleans()), max_size=8),
 )
-@example([rep_node(3, 1.0)], [spc_node(8, 1.0)], 0.5, 0)
-@example([generic_node(HAMMING_74_TEXT, 1.0)], [spc_node(8, 1.0)], 0.3, 2**MAX_HALVINGS - 1)
+@example([rep_node(3, 1.0)], [spc_node(8, 1.0)], 0.5, [((1, 1), True)] * MAX_HALVINGS)
+@example([generic_node(HAMMING_74_TEXT, 1.0)], [spc_node(8, 1.0)], 0.3, [((1, 1), False), ((3, 2), True), ((5, 53), True)])
 def test_probe_coefficients_equal_exact_halving(variables, checks, q, path):
-    # every cell on a random halving path down to the depth cap equals
-    # integer de Casteljau halving of independently built rational coefficients
+    # every cell on a random path of splits at dyadic points a / 2^e, or of
+    # halvings down to the depth cap, equals rational de Casteljau
+    # subdivision of independently built rational coefficients
     ens = ensemble(variables, checks)
-    b, b_den = fixed_point_coefficients(ens, q)
+    b, den = fixed_point_coefficients(ens, *q.as_integer_ratio())
     exact = exact_fixed_point_coefficients(ens, Fraction(q))
-    den = math.lcm(*(e.denominator for e in exact))
-    nums = [e.numerator * (den // e.denominator) for e in exact]
-    for level in range(MAX_HALVINGS + 1):
-        assert [f * den for f in b] == [n * b_den for n in nums]
-        if level == MAX_HALVINGS:
-            break
-        right = path >> level & 1
-        b, b_den = de._halve(b)[right], b_den << len(b) - 1
-        ends = [[nums[0]], [nums[-1]]]  # 2^j times level j's averages at each end
-        while len(nums) > 1:
-            nums = [s + t for s, t in zip(nums, nums[1:])]
-            ends[0].append(nums[0])
-            ends[1].append(nums[-1])
-        d = len(ends[right]) - 1
-        nums = [x << (d - j) for j, x in enumerate(ends[right])]
-        nums = nums[::-1] if right else nums
-        den <<= d
+    for (a, e), right in path:
+        assert [Fraction(c, den) for c in b] == exact
+        b, den = de._split(b, a, e)[right], den << e * (len(b) - 1)
+        t, ends = Fraction(a, 2**e), [[exact[0]], [exact[-1]]]
+        while len(exact) > 1:
+            exact = [(1 - t) * s + t * u for s, u in zip(exact, exact[1:])]
+            ends[0].append(exact[0])
+            ends[1].append(exact[-1])
+        exact = ends[1][::-1] if right else ends[0]
+    assert [Fraction(c, den) for c in b] == exact

@@ -352,7 +352,7 @@ def test_ensemble_keyed_caches_are_bounded():
         mixture_slope_row(ens, "variable")
         stability_report(ens)
         inverse_exit_cnd(ens, 0.5)
-        density_evolution.fixed_point_coefficients(ens, 0.5)
+        density_evolution.fixed_point_coefficients(ens, 1, 2)
     for cache in caches:
         assert cache.cache_info().maxsize == ENSEMBLE_CACHE_SIZE
         assert cache.cache_info().currsize == ENSEMBLE_CACHE_SIZE

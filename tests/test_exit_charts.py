@@ -264,7 +264,7 @@ def test_bisect_returns_an_exact_zero():
         calls.append(x)
         return x - 0.75
 
-    assert bisect(sign, 0.5, 1.0, 2.0**-60) == (0.75, 0.75)
+    assert bisect(sign, 0.5, 1.0) == (0.75, 0.75)
     assert calls == [0.75]
 
 
@@ -276,8 +276,8 @@ def test_bisect_stops_on_the_frozen_bracket():
         return -1 if x < 0.7 else 1
 
     # floats in [0.5, 1) are 2^-53 apart: 52 halvings leave a one-ulp
-    # bracket, whose midpoint rounds to an end, well before width 2^-60
-    assert bisect(sign, 0.5, 1.0, 2.0**-60) == (math.nextafter(0.7, 0.0), 0.7)
+    # bracket, whose midpoint rounds to an end
+    assert bisect(sign, 0.5, 1.0) == (math.nextafter(0.7, 0.0), 0.7)
     assert len(calls) == 52
 
 

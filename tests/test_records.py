@@ -111,9 +111,9 @@ def test_an_equal_but_distinct_ensemble_hits_the_cache():
 def test_exit_polynomial_collapses_q_at_a_dyadic_float():
     poly = ExitPolynomial(((0,), (1,)), 2)
     assert poly.at_dyadic_q() == ([0, 1], 2)
-    assert poly.at_dyadic_q(0.375) == ([0, 1], 2)  # K = 0: q does not enter
+    assert poly.at_dyadic_q(3, 8) == ([0, 1], 2)  # K = 0: q does not enter
     # K = 1 at q = 1/4: row 1 is (1 (3/4) + 3 (1/4)) / 4 = 6 / 16, over den 4^2
-    assert ExitPolynomial(((0, 0), (1, 3)), 4).at_dyadic_q(0.25) == ([0, 6], 16)
+    assert ExitPolynomial(((0, 0), (1, 3)), 4).at_dyadic_q(1, 4) == ([0, 6], 16)
     assert poly == ExitPolynomial(((0,), (1,)), 2)
 
 
