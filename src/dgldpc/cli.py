@@ -77,9 +77,9 @@ def _load_ensemble(path: str):
 def _cmd_code_info(args) -> tuple[dict, str, int]:
     with open(args.input, encoding="utf-8") as f:
         code = ComponentCode.from_text(f.read())
+    d_min = min_distance_bruteforce(code)  # first: it refuses a k over its cap before any walk
     deltas = delta_params(code)  # the last entry is delta_n2
     info = info_functions(code)  # min_independent_set_size reads this table
-    d_min = min_distance_bruteforce(code)
     report = {
         "n": code.n,
         "k": code.k,

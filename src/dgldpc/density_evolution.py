@@ -38,8 +38,8 @@ from math import comb, lcm, nextafter, ulp
 from operator import mul
 
 from .ensembles import ENSEMBLE_CACHE_SIZE, Ensemble
-from .exit_charts import (NEWTON_STEPS, bernstein_eval, bernstein_product, dyadic_value, mixture_polynomial,
-                          monomial, nearest_float_root)
+from .exit_charts import (bernstein_eval, bernstein_product, dyadic_value, mixture_polynomial, monomial,
+                          nearest_float_root, newton)
 from .stability import dgldpc_stability_boundary
 
 DEFAULT_MAX_ITERS = 100_000
@@ -153,23 +153,15 @@ def _split(b: list[int], a: int, e: int) -> tuple[list[int], list[int]]:
 
 def _peak(b: list[int], den: int) -> float:
     """Where g = sum_i (b[i] / den) C(D,i) x^i (1-x)^(D-i) peaks, in floats, to steer: at
-    the end whose coefficient is largest (g peaks there exactly), else Newton on g' from
-    the largest coefficient's i / D, inside the bracket that the signs of g' close."""
+    the end whose coefficient is largest (g peaks there exactly), else newton on g' from
+    the largest coefficient's i / D."""
     d = len(b) - 1
     i = max(range(d + 1), key=b.__getitem__)
     if i in (0, d):
         return i / (d or 1)
     slope = [(t - s) * comb(d - 1, j) / den for j, (s, t) in enumerate(zip(b, b[1:]))]  # g' / D
     bend = [(u - 2 * t + s) * comb(d - 2, j) * (d - 1) / den for j, (s, t, u) in enumerate(zip(b, b[1:], b[2:]))]
-    lo, hi, x = 0.0, 1.0, i / d
-    for _ in range(NEWTON_STEPS):
-        v, dv = bernstein_eval(slope, x), bernstein_eval(bend, x)
-        lo, hi = (x, hi) if v > 0 else (lo, x)
-        step = v / dv if dv < 0 else x - 0.5 * (lo + hi)
-        x = x - step if lo <= x - step <= hi else 0.5 * (lo + hi)
-        if abs(step) <= ulp(x):
-            break
-    return x
+    return newton(lambda x: (bernstein_eval(slope, x), bernstein_eval(bend, x)), i / d)
 
 
 def find_threshold(ens: Ensemble) -> ThresholdResult:

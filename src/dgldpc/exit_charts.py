@@ -8,9 +8,9 @@ The channel erasure probability q, seen by variable nodes only, is summed
 out once, exactly (ExitPolynomial.at_dyadic_q), and dyadic_value evaluates
 an exact polynomial in integers at a float (a dyadic rational): the curves,
 correctly rounded, the check curve's inverse, the stability boundary and the
-threshold probes.  Only bernstein_eval is floating point; it steers Newton's
-method and runs density evolution, and nearest_float_root decides each
-inverse on exact signs.  The a-priori input is an erasure probability p
+threshold probes.  Only bernstein_eval is floating point; it steers newton
+and runs density evolution, and nearest_float_root decides each inverse
+on exact signs.  The a-priori input is an erasure probability p
 with I_A = 1 - p.  Stability reads the slopes at p = 0
 off row t = 1 (code_slope_row, mixture_slope_row).  _mix proves each mixture
 monotone in p and q, which inverse_exit_cnd and DE rely on.
@@ -93,20 +93,17 @@ class ExitPolynomial(namedtuple("ExitPolynomial", "coeffs den")):
 def bernstein_eval(c: Sequence[float], x: float) -> float:
     """sum_t c[t] x^t (1-x)^(d-t) with d = len(c) - 1.
 
-    Horner in x/(1-x), mirrored to (1-x)/x above x = 1/2, so x = 0 and
-    x = 1 are exact and nonnegative coefficients never cancel.
+    Horner in x/(1-x), above x = 1/2 on the reversed coefficients at 1 - x
+    (1 - x and 1 - (1 - x) are exact there), so x = 0 and x = 1 are exact
+    and nonnegative coefficients never cancel.
     """
+    if x > 0.5:
+        c, x = c[::-1], 1.0 - x
     u = 1.0 - x
-    acc = 0.0
-    if x <= 0.5:
-        r = x / u
-        for ct in reversed(c):
-            acc = acc * r + ct
-        return acc * u ** (len(c) - 1)
-    r = u / x
-    for ct in c:
+    r, acc = x / u, 0.0
+    for ct in reversed(c):
         acc = acc * r + ct
-    return acc * x ** (len(c) - 1)
+    return acc * u ** (len(c) - 1)
 
 
 def bernstein_product(a: Sequence, b: Sequence) -> list:
@@ -215,7 +212,7 @@ def certified_slope(poly: ExitPolynomial) -> tuple[float, ...]:
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
 def _check_curve(ens: Ensemble) -> tuple:
     """(s, i, df/dp, f(1), m, den) of f = I_{E,C}: float 1 - f, f and slope that
-    steer Newton's method, the least f, and integers with den (1 - f(p)) =
+    steer newton, the least f, and integers with den (1 - f(p)) =
     sum_k m[k] p^k exactly, as monomial returns them."""
     poly = mixture_polynomial(ens, "check")
     v, den = poly.at_dyadic_q()
@@ -233,17 +230,19 @@ def dyadic_value(m: Sequence[int], n: int, d: int) -> int:
     return acc
 
 
-def bisect(sign: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """The final (lo, hi) where sign changes from negative (below) to positive (above).
-
-    Halves [lo, hi] until its midpoint rounds to an end (the bracket is one
-    ulp wide), and returns (mid, mid) at once for a midpoint where sign is 0."""
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        s = sign(mid)
-        if s == 0:
-            return mid, mid
-        lo, hi = (mid, hi) if s < 0 else (lo, mid)
-    return lo, hi
+def newton(f: Callable[[float], tuple[float, float]], x: float) -> float:
+    """Newton's method in floats, to steer, from x on a falling f(x) = (value, slope) on [0, 1]:
+    in the bracket that the values' signs close, bisected where the slope is not negative or a
+    step leaves it, until the next step would be about step**2 / x."""
+    lo, hi = 0.0, 1.0
+    for _ in range(NEWTON_STEPS):
+        v, df = f(x)
+        lo, hi = (x, hi) if v > 0 else (lo, x)
+        step = v / df if df < 0 else x - 0.5 * (lo + hi)
+        x = x - step if lo <= x - step <= hi else 0.5 * (lo + hi)
+        if step * step <= x * ulp(x):
+            break
+    return x
 
 
 def nearest_float_root(sign: Callable[[int, int], object], x: float | None = None) -> float:
@@ -266,18 +265,22 @@ def nearest_float_root(sign: Callable[[int, int], object], x: float | None = Non
     # a walk down to 0 reads the sign halfway to the least float, 2^-1075, where bisection would end
     if lo == 0.0 < hi < 1.0 and sign(1, 1 << 1075) >= 0:
         return 0.0
-    lo, hi = bisect(lambda y: sign(*y.as_integer_ratio()), lo, hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):  # until lo and hi are adjacent
+        s = sign(*mid.as_integer_ratio())
+        if s == 0:
+            return mid
+        lo, hi = (mid, hi) if s < 0 else (lo, mid)
     (a, d), (b, e) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    s = sign(a * e + b * d, 2 * d * e) if lo < hi else 1  # lo == hi: an exact zero
-    return lo if s > 0 else hi if s < 0 else 0.5 * (lo + hi)  # adjacent: rounds to the even one
+    s = sign(a * e + b * d, 2 * d * e)
+    return lo if s > 0 else hi if s < 0 else 0.5 * (lo + hi)  # the midpoint rounds to the even one
 
 
 def inverse_exit_cnd(ens: Ensemble, target: float, *, guess: float | None = None) -> float:
     """The float nearest the p with f(p) = target, f = I_{E,C} and target in
     [f(1), 1] (refused more than 1e-12 below): nearest_float_root, from the
-    candidate that Newton's method on the float curve reaches from guess
-    (which changes only the work), on the sign of den 2^(d e + s) (target -
-    f(n / 2^e)) for target = t / 2^s, an integer (dyadic_value).  Newton
+    candidate that newton on the float curve reaches from guess (which
+    changes only the work), on the sign of den 2^(d e + s) (target -
+    f(n / 2^e)) for target = t / 2^s, an integer (dyadic_value).  newton
     steers by (1 - target) - s(p) for target >= 1/2, where 1 - target is
     exact, and by i(p) - target below, so a tiny root is not lost to rounding."""
     if not 0.0 <= target <= 1.0:
@@ -287,14 +290,8 @@ def inverse_exit_cnd(ens: Ensemble, target: float, *, guess: float | None = None
         return 0.0
     if target < least - 1e-12:
         raise InversionRangeError(f"target {target} below the check-side EXIT minimum {least}")
-    a, b, x = 0.0, 1.0, guess if guess is not None and 0.0 <= guess <= 1.0 else 0.5
-    for _ in range(NEWTON_STEPS):
-        v, df = 1.0 - target - s(x) if target >= 0.5 else i(x) - target, slope(x)
-        a, b = (x, b) if v > 0 else (a, x)
-        step = v / df if df < 0 else x - 0.5 * (a + b)
-        x = x - step if a <= x - step <= b else 0.5 * (a + b)
-        if step * step <= x * ulp(x):  # the next Newton step would be about step**2 / x
-            break
+    x = newton(lambda p: (1.0 - target - s(p) if target >= 0.5 else i(p) - target, slope(p)),
+               guess if guess is not None and 0.0 <= guess <= 1.0 else 0.5)
     t, scale = target.as_integer_ratio()
     m = [c * scale for c in m]
     m[0] += (t - scale) * den

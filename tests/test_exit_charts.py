@@ -17,7 +17,6 @@ from dgldpc.exit_charts import (
     ExitPolynomial,
     InversionRangeError,
     bernstein_eval,
-    bisect,
     certified_slope,
     cnd_evaluator,
     code_polynomial,
@@ -27,6 +26,7 @@ from dgldpc.exit_charts import (
     mixture_polynomial,
     mixture_slope_row,
     nearest_float_root,
+    newton,
     sample_exit_chart,
     vnd_evaluator_at_q,
     MonotonicityError,
@@ -257,28 +257,35 @@ def test_inverse_rejects_unreachable_target():
         inverse_exit_cnd(ens, 0.0)
 
 
-def test_bisect_returns_an_exact_zero():
+def test_nearest_float_root_bisects_to_the_frozen_bracket():
     calls = []
 
-    def sign(x):
-        calls.append(x)
-        return x - 0.75
+    def sign(a, d):
+        calls.append(Fraction(a, d))
+        return -1 if Fraction(a, d) < Fraction(0.7) else 1
 
-    assert bisect(sign, 0.5, 1.0) == (0.75, 0.75)
-    assert calls == [0.75]
+    # with no candidate: 1/2, then 52 halvings of [1/2, 1), where floats are
+    # 2^-53 apart, leave a one-ulp bracket whose midpoint rounds to an end;
+    # the sign at that exact midpoint picks 0.7
+    assert nearest_float_root(sign) == 0.7
+    assert len(calls) == 1 + 52 + 1 and calls[-1] == (Fraction(math.nextafter(0.7, 0.0)) + Fraction(0.7)) / 2
 
 
-def test_bisect_stops_on_the_frozen_bracket():
+def test_newton_bisects_where_the_slope_is_not_negative():
     calls = []
 
-    def sign(x):
-        calls.append(x)
-        return -1 if x < 0.7 else 1
+    def falling(slope):
+        def f(x):
+            calls.append(x)
+            return 0.3 - x, slope
+        return f
 
-    # floats in [0.5, 1) are 2^-53 apart: 52 halvings leave a one-ulp
-    # bracket, whose midpoint rounds to an end
-    assert bisect(sign, 0.5, 1.0) == (math.nextafter(0.7, 0.0), 0.7)
-    assert len(calls) == 52
+    # a slope that reads positive would step away from the root: the bracket
+    # that the values' signs close is halved instead, down to the stop rule
+    x = newton(falling(1.0), 0.9)
+    assert abs(x - 0.3) < 2**-28 and len(calls) == 28 < exit_charts.NEWTON_STEPS
+    calls.clear()
+    assert newton(falling(-1.0), 0.9) == 0.3 and len(calls) == 2
 
 
 def test_certificate_refuses_a_non_monotone_polynomial():
