@@ -38,8 +38,8 @@ from math import comb, lcm, nextafter, ulp
 from operator import mul
 
 from .ensembles import ENSEMBLE_CACHE_SIZE, Ensemble
-from .exit_charts import (bernstein_eval, bernstein_product, dyadic_value, mixture_polynomial, monomial,
-                          nearest_float_root, newton)
+from .exit_charts import (bernstein_eval, bernstein_product, derivative, dyadic_value, mixture_polynomial,
+                          monomial, nearest_float_root, newton)
 from .stability import dgldpc_stability_boundary
 
 DEFAULT_MAX_ITERS = 100_000
@@ -154,13 +154,14 @@ def _split(b: list[int], a: int, e: int) -> tuple[list[int], list[int]]:
 def _peak(b: list[int], den: int) -> float:
     """Where g = sum_i (b[i] / den) C(D,i) x^i (1-x)^(D-i) peaks, in floats, to steer: at
     the end whose coefficient is largest (g peaks there exactly), else newton on g' from
-    the largest coefficient's i / D."""
+    the largest coefficient's i / D, with g' / D and g'' / D each one true division of
+    derivative of b[i] C(D,i), and of that, by D den."""
     d = len(b) - 1
     i = max(range(d + 1), key=b.__getitem__)
     if i in (0, d):
         return i / (d or 1)
-    slope = [(t - s) * comb(d - 1, j) / den for j, (s, t) in enumerate(zip(b, b[1:]))]  # g' / D
-    bend = [(u - 2 * t + s) * comb(d - 2, j) * (d - 1) / den for j, (s, t, u) in enumerate(zip(b, b[1:], b[2:]))]
+    first = derivative([c * comb(d, j) for j, c in enumerate(b)])
+    slope, bend = ([s / (d * den) for s in f] for f in (first, derivative(first)))
     return newton(lambda x: (bernstein_eval(slope, x), bernstein_eval(bend, x)), i / d)
 
 
@@ -217,9 +218,9 @@ def find_threshold(ens: Ensemble) -> ThresholdResult:
         while hq != hp and 0.0 < (r := q - hq * (q - p) / (hq - hp)) < 1.0 and abs(r - q) < abs(q - p):
             (p, hp), (q, hq) = (q, hq), (r, excess(r))
         q_star = nearest_float_root(probe, min(q, nextafter(1.0, 0.0)))  # a walk starts inside (0, 1)
-    if not (settled and roots):  # -g_q' has coefficients (b[i] - b[i+1]) C(D-1, i) in x^i (1-x)^(D-1-i)
+    if not (settled and roots):  # -g_q' is -derivative of b[i] C(D,i), over den
         b, den = fixed_point_coefficients(ens, *q_star.as_integer_ratio())
-        m = monomial([(s - t) * comb(len(b) - 2, i) for i, (s, t) in enumerate(zip(b, b[1:]))])
+        m = monomial([-s for s in derivative([c * comb(len(b) - 1, i) for i, c in enumerate(b)])])
         x_star = nearest_float_root(partial(dyadic_value, m), _peak(b, den) or ulp(0.0)) if any(m) else 0.5
     return ThresholdResult(q_star=q_star, bisection_steps=len(probes), converged=not settled or bool(roots),
                            residual_trace=tuple(probes), x_star=x_star)

@@ -38,23 +38,17 @@ class InversionRangeError(RuntimeError):
 def exit_coefficients(code: ComponentCode, side: str) -> tuple[tuple[int, ...], ...]:
     """Exact integer EXIT coefficients of one component code on one side.
 
-    a_t[z] = (n-t) T[n-t][K-z] - (t+1) T[n-t-1][K-z] for t = 0..n-1,
-    z = 0..K.  T is the split table (K = k) on the variable side and the
-    information functions as one column (K = 0) on the check side, so a
-    check node walks at most 2^n subsets instead of up to 2^(n+k) (the
-    walks number the independent column subsets; see codes).  Row t = 0
-    vanishes exactly when the minimum distance is >= 2.
+    An EXIT function is the derivative of its information-function polynomial
+    (Ashikhmin, Kramer and ten Brink, 2004): a_t[z] = (n-t) T[n-t][K-z] -
+    (t+1) T[n-t-1][K-z], t = 0..n-1, z = 0..K, is coefficient n-1-t of the
+    derivative of column K-z of T.  T is the split table (K = k) on the
+    variable side and the information functions as one column (K = 0) on the
+    check side, so a check node walks at most 2^n subsets instead of up to
+    2^(n+k) (the walks number the independent column subsets; see codes).
+    Row t = 0 vanishes exactly when the minimum distance is >= 2.
     """
-    n = code.n
-    if side == "variable":
-        table = split_info_functions(code)
-    else:
-        table = tuple((e,) for e in info_functions(code))
-    k = len(table[0]) - 1
-    return tuple(
-        tuple((n - t) * table[n - t][k - z] - (t + 1) * table[n - t - 1][k - z] for z in range(k + 1))
-        for t in range(n)
-    )
+    table = split_info_functions(code) if side == "variable" else tuple((e,) for e in info_functions(code))
+    return tuple(zip(*(derivative(col)[::-1] for col in reversed(list(zip(*table))))))
 
 
 class ExitPolynomial(namedtuple("ExitPolynomial", "coeffs den")):
@@ -116,6 +110,12 @@ def bernstein_product(a: Sequence, b: Sequence) -> list:
     return out
 
 
+def derivative(c: Sequence[int]) -> list[int]:
+    """d/dx of sum_t c[t] x^t (1-x)^(d-t), d = len(c) - 1, in the same basis at degree d - 1."""
+    d = len(c) - 1
+    return [(t + 1) * c[t + 1] - (d - t) * c[t] for t in range(d)]
+
+
 def monomial(c: Sequence) -> list:
     """Coefficients of x^0 .. x^d in sum_t c[t] x^t (1-x)^(d-t), d = len(c) - 1,
     by additions alone: the sum up to t is the one up to t - 1 times (1 - x), plus c[t] x^t."""
@@ -134,11 +134,11 @@ def _elevate(c: Sequence[int], degree: int) -> list[int]:
 def _mix(parts) -> ExitPolynomial:
     """Sum of (weight, polynomial) pairs, integer weights over their sum, as
     integers over one denominator lcm(dens) sum(weights) at a common (d, K),
-    proved nondecreasing in p and q: MonotonicityError unless b[t][z] =
-    c[t][z] / (C(d,t) C(K,z)), compared by cross-multiplying, never decreases
-    in t or z, since 1 - I_E has coefficients b in the basis C(d,t) C(K,z) p^t
-    (1-p)^(d-t) q^z (1-q)^(K-z), so d/dp and d/dq have d (b[t+1][z] - b[t][z])
-    and K (b[t][z+1] - b[t][z]).  Valid nodes pass: b[t][z] is the share of
+    proved nondecreasing in p and q: MonotonicityError unless derivative is
+    nonnegative along every line of c, in t and in z.  1 - I_E has coefficients
+    b[t][z] = c[t][z] / (C(d,t) C(K,z)) in the basis C(d,t) C(K,z) p^t (1-p)^(d-t)
+    q^z (1-q)^(K-z), and along t, (t+1) c[t+1] - (d-t) c[t] is d C(d-1,t) C(K,z)
+    times b[t+1][z] - b[t][z] (likewise in z).  Valid nodes pass: b[t][z] is the share of
     the patterns erasing t of the other d positions and z of the K channel
     bits that leave a bit unrecoverable, an up-set (local LYM), and elevation
     and mixing keep that."""
@@ -151,8 +151,7 @@ def _mix(parts) -> ExitPolynomial:
         for z, column in enumerate(columns):
             for t, c in enumerate(_elevate(column, d)):
                 total[t][z] += weight * (den // poly.den) * c
-    b = [[(c, comb(d, t) * comb(k, z)) for z, c in enumerate(row)] for t, row in enumerate(total)]
-    if any(x * v > y * u for line in b + list(zip(*b)) for (x, u), (y, v) in zip(line, line[1:])):  # in z, then t
+    if any(s < 0 for line in total + list(zip(*total)) for s in derivative(line)):  # in z, then t
         raise MonotonicityError("EXIT coefficients c[t][z] / (C(d,t) C(K,z)) decrease in t or in z")
     return ExitPolynomial(tuple(map(tuple, total)), den * sum(w for w, _ in parts))
 
@@ -200,24 +199,15 @@ def cnd_evaluator(ens: Ensemble) -> Callable[[float], float]:
     return mixture_polynomial(ens, "check").at_q()
 
 
-def certified_slope(poly: ExitPolynomial) -> tuple[float, ...]:
-    """Bernstein coefficients d C(d-1,t) (b_{t+1} - b_t) = ((t+1) c_{t+1} - (d-t) c_t) / den,
-    b_t = c_t / C(d,t), of -dI_E/dp on the check side, correctly rounded; all
-    >= 0 for a mixture, as _mix proved."""
-    c = [row[0] for row in poly.coeffs]
-    d = len(c) - 1
-    return tuple(((t + 1) * c[t + 1] - (d - t) * c[t]) / poly.den for t in range(d))
-
-
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
 def _check_curve(ens: Ensemble) -> tuple:
     """(s, i, df/dp, f(1), m, den) of f = I_{E,C}: float 1 - f, f and slope that
-    steer newton, the least f, and integers with den (1 - f(p)) =
-    sum_k m[k] p^k exactly, as monomial returns them."""
-    poly = mixture_polynomial(ens, "check")
-    v, den = poly.at_dyadic_q()
+    steer newton, the least f (correctly rounded), and integers with den (1 - f(p)) =
+    sum_k m[k] p^k exactly, as monomial returns them.  The slope's coefficients
+    are -derivative of 1 - f's, all <= 0, as _mix proved."""
+    v, den = mixture_polynomial(ens, "check").at_dyadic_q()
     erasure, info = [c / den for c in v], [(comb(len(v) - 1, t) * den - c) / den for t, c in enumerate(v)]
-    slope = tuple(-s for s in certified_slope(poly))
+    slope = [-s / den for s in derivative(v)]
     return (*(partial(bernstein_eval, c) for c in (erasure, info, slope)), info[-1], monomial(v), den)
 
 
@@ -277,7 +267,7 @@ def nearest_float_root(sign: Callable[[int, int], object], x: float | None = Non
 
 def inverse_exit_cnd(ens: Ensemble, target: float, *, guess: float | None = None) -> float:
     """The float nearest the p with f(p) = target, f = I_{E,C} and target in
-    [f(1), 1] (refused more than 1e-12 below): nearest_float_root, from the
+    [f(1), 1] (f(1) correctly rounded; refused below it): nearest_float_root, from the
     candidate that newton on the float curve reaches from guess (which
     changes only the work), on the sign of den 2^(d e + s) (target -
     f(n / 2^e)) for target = t / 2^s, an integer (dyadic_value).  newton
@@ -288,7 +278,7 @@ def inverse_exit_cnd(ens: Ensemble, target: float, *, guess: float | None = None
     s, i, slope, least, m, den = _check_curve(ens)
     if target == 1.0:
         return 0.0
-    if target < least - 1e-12:
+    if target < least:
         raise InversionRangeError(f"target {target} below the check-side EXIT minimum {least}")
     x = newton(lambda p: (1.0 - target - s(p) if target >= 0.5 else i(p) - target, slope(p)),
                guess if guess is not None and 0.0 <= guess <= 1.0 else 0.5)

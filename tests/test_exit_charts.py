@@ -17,14 +17,15 @@ from dgldpc.exit_charts import (
     ExitPolynomial,
     InversionRangeError,
     bernstein_eval,
-    certified_slope,
     cnd_evaluator,
     code_polynomial,
     code_slope_row,
+    derivative,
     exit_coefficients,
     inverse_exit_cnd,
     mixture_polynomial,
     mixture_slope_row,
+    monomial,
     nearest_float_root,
     newton,
     sample_exit_chart,
@@ -40,8 +41,10 @@ from conftest import (
     as_fractions,
     ensemble,
     fixture_suite,
+    from_bernstein,
     generic_node,
     mixed_side,
+    poly_slope,
     random_component_code,
     random_full_rank,
     random_generic_dmin2,
@@ -51,6 +54,20 @@ from conftest import (
 )
 
 P_GRID = [i / 100 for i in range(101)]
+
+
+def check_slope(poly: ExitPolynomial) -> list[Fraction]:
+    """Bernstein coefficients of -dI_E/dp on the check side, exactly: the
+    derivative of the erasure row c_t over den."""
+    return [Fraction(s, poly.den) for s in derivative([row[0] for row in poly.coeffs])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=40))
+@example([7])
+def test_derivative_is_the_derivative_of_the_monomial_form(c):
+    # the oracle multiplies each term x^t (1-x)^(d-t) out, then differentiates term by term
+    assert monomial(derivative(c)) == poly_slope(from_bernstein(c))
 
 
 def test_coefficients_spc32(spc32):
@@ -257,6 +274,15 @@ def test_inverse_rejects_unreachable_target():
         inverse_exit_cnd(ens, 0.0)
 
 
+def test_inverse_refuses_a_target_just_below_the_check_curve_range():
+    # I_E(1) = 1/3: no p reaches a target 5e-13 below it, which is refused, not
+    # answered with p = 1; the correctly rounded I_E(1) itself still maps to 1
+    ens = ensemble([rep_node(3, 1.0)], [generic_node("110", 1.0)])
+    with pytest.raises(InversionRangeError):
+        inverse_exit_cnd(ens, 1 / 3 - 5e-13)
+    assert inverse_exit_cnd(ens, cnd_evaluator(ens)(1.0)) == 1.0
+
+
 def test_nearest_float_root_bisects_to_the_frozen_bracket():
     calls = []
 
@@ -295,7 +321,7 @@ def test_certificate_refuses_a_non_monotone_polynomial():
         return exit_charts._mix([(1, ExitPolynomial(tuple(tuple(int(c * den) for c in row) for row in rows), den))])
 
     # b_t = c_t / C(2,t) = 0, 1/2, 1: I_E = 1 - p^2 falls, -dI_E/dp = 2p
-    assert certified_slope(mix((0,), (1,), (1,))) == (1, 1)
+    assert check_slope(mix((0,), (1,), (1,))) == [1, 1]
     # b_t = 0, 1/2, 1/2 - 10^-30: I_E rises by 10^-30 p^2 near p = 1, which no
     # float sample of the curve can see; the exact certificate refuses it
     tiny = Fraction(1, 10**30)
@@ -349,7 +375,7 @@ def test_long_spc_check_curve_stays_nonnegative_and_invertible(j):
     for p, value in zip(grid, values):
         assert value == pytest.approx((1 - p) ** (j - 1), rel=1e-13, abs=0)
     # -dI_E/dp = (j-1) (1-p)^(j-2): one nonzero Bernstein coefficient, proved >= 0
-    assert certified_slope(mixture_polynomial(ens, "check")) == (j - 1,) + (0,) * (j - 2)
+    assert check_slope(mixture_polynomial(ens, "check")) == [j - 1] + [0] * (j - 2)
     assert abs(inverse_exit_cnd(ens, 0.5) - (1 - 0.5 ** (1 / (j - 1)))) <= 1e-10
     cnd = [(ia, c) for ia, _, c in sample_exit_chart(ens, 0.3, 101)]
     assert cnd[0] == (0.0, 0.0) and cnd[-1] == (1.0, 1.0)
@@ -494,7 +520,7 @@ def reference_inverse(ens, target):
     curve until both ends round to one float (float() rounds ties to even)."""
     if target == 1.0:
         return 0.0
-    if target < cnd_evaluator(ens)(1.0) - 1e-12:
+    if target < cnd_evaluator(ens)(1.0):
         raise InversionRangeError(target)
     curve, goal = exact_check_curve(ens), Fraction(target)
     lo, hi = Fraction(0), Fraction(1)  # curve(lo) > goal >= curve(hi), or hi = 1
@@ -635,7 +661,7 @@ def test_check_curves_have_nondecreasing_normalized_coefficients(variables, chec
         for poly in [mixture_polynomial(ens, side)] + [node_exit(t, side) for t in types]:
             b = normalized(poly)
             assert all(list(line) == sorted(line) for line in b + list(zip(*b)))
-    assert min(certified_slope(mixture_polynomial(ens, "check"))) >= 0
+    assert min(check_slope(mixture_polynomial(ens, "check"))) >= 0
 
 
 def areas(poly: ExitPolynomial) -> list[Fraction]:
