@@ -64,13 +64,13 @@ class ThresholdResult(
     """Decoding threshold, how it was decided, and what limits it.
 
     bisection_steps counts the probes; converged is False only when q = 1
-    decodes.  x_star is 0.0 when the probe at q_stab settles q*, else the
-    float nearest where g_q turns from rising to falling at q* (1.0 or 0.0
-    if g_q only rises or only falls, 0.5 if it is constant).  residual_trace
-    has a row per probe: q; the verdict, True (g_q < 1 proved), False
-    (g_q(x) >= 1 proved) or None (undecided at the depth cap); that x, else
-    None; the splits made; and the highest closed cell's bound, the nearest
-    float below 1 (None if none closed).  q, x are (a, m): a / m, m = 2^e.
+    decodes.  x_star is 0.0 when the probe at q_stab settles q*, else the float
+    nearest where g_q turns from rising to falling at q* (1.0 or 0.0 if g_q only
+    rises or only falls, 0.5 if it is constant).  residual_trace has a row per
+    probe: q; the verdict, True (g_q < 1 proved), False (g_q(x) >= 1 proved) or
+    None (undecided at the depth cap); that x, else None; the splits, halvings
+    past the first; and the highest closed cell's bound, the nearest float below
+    1 (None if none closed).  q, x are (a, m): a / m, m = 2^e.
     """
 
     __slots__ = ()
@@ -131,7 +131,7 @@ def _fixed_point_basis(ens: Ensemble) -> tuple[tuple, int]:
     return columns, scale ** (dv + 1) * norm
 
 
-def fixed_point_coefficients(ens: Ensemble, a: int, m: int = 1) -> tuple[list[int], int]:
+def fixed_point_coefficients(ens: Ensemble, a: int, m: int) -> tuple[list[int], int]:
     """(b, den) in integers: g_q = sum_i (b[i] / den) C(D,i) x^i (1-x)^(D-i)
     exactly at q = a / m, m a power of two, so min b / den <= g_q <= max b / den."""
     columns, den = _fixed_point_basis(ens)
@@ -152,10 +152,10 @@ def _split(b: list[int], a: int, e: int) -> tuple[list[int], list[int]]:
 
 
 def _peak(b: list[int], den: int) -> float:
-    """Where g = sum_i (b[i] / den) C(D,i) x^i (1-x)^(D-i) peaks, in floats, to steer: at
-    the end whose coefficient is largest (g peaks there exactly), else newton on g' from
-    the largest coefficient's i / D, with g' / D and g'' / D each one true division of
-    derivative of b[i] C(D,i), and of that, by D den."""
+    """Where a whole g_q = sum_i (b[i] / den) C(D,i) x^i (1-x)^(D-i) on [0, 1] peaks, in
+    floats, to steer: at the end whose coefficient is largest (g peaks there exactly), else
+    newton on g' from the largest coefficient's i / D, with g' / D and g'' / D each one true
+    division of derivative of b[i] C(D,i), and of that, by D den."""
     d = len(b) - 1
     i = max(range(d + 1), key=b.__getitem__)
     if i in (0, d):
@@ -168,14 +168,14 @@ def _peak(b: list[int], den: int) -> float:
 def find_threshold(ens: Ensemble) -> ThresholdResult:
     """The decoding threshold q* from the fixed-point condition g_q < 1 on (0, 1].
 
-    A probe proves or fails, exactly: it splits the cells of g_q depth
-    first, each at its float peak, or in half where that is an end.  A cell
-    closes when its coefficients are below 1, and a cell end at or above 1
-    fails the probe; a cell still open at the depth cap leaves it undecided,
-    a failure.  x -> 0 is left to the stability boundary: g_q(0), and the
-    coefficients equal to it that follow it in the cell at x = 0, are never
-    compared with 1.  The first probe is at q_stab (q = 1 if there is none);
-    past a failure, q* is nearest_float_root on the verdicts from the
+    A probe proves or fails, exactly: it splits [0, 1] at the float peak of
+    g_q, or in half where that is an end, and every deeper cell in half, depth
+    first.  A cell closes when its coefficients are below 1, and a cell end at
+    or above 1 fails the probe; a cell still open at the depth cap leaves it
+    undecided, a failure.  x -> 0 is left to the stability boundary: g_q(0),
+    and the coefficients equal to it that follow it in the cell at x = 0, are
+    never compared with 1.  The first probe is at q_stab (q = 1 if there is
+    none); past a failure, q* is nearest_float_root on the verdicts from the
     candidate that secant steps on h(q) = max g_q - 1 reach, and x* is
     nearest_float_root on exact signs of -g_q' at q*, from the float peak.
     """
@@ -198,7 +198,7 @@ def find_threshold(ens: Ensemble) -> ThresholdResult:
                 verdict = None
                 break
             else:  # at t = n / 2^k: [lo, hi] / 2^e becomes [lo, mid] and [mid, hi], over 2^(e + k)
-                n, s = (t if 0.0 < (t := _peak(b, den)) < 1.0 else 0.5).as_integer_ratio()
+                n, s = (t if depth == 0 and 0.0 < (t := _peak(b, den)) < 1.0 else 0.5).as_integer_ratio()
                 k, splits = s.bit_length() - 1, splits + 1
                 left, right = _split(b, n, k)
                 lo, mid, hi, den = lo << k, (lo << k) + n * (hi - lo), hi << k, den << k * (len(b) - 1)

@@ -665,7 +665,9 @@ def test_cli_outputs_match_the_golden_digests(tmp_path):
 # when the float peak's Newton became newton, which stops on the chart
 # inverse's rule: the split points, and so the x of their failing probes'
 # rows, moved, and F9's last probe splits 2 times, not 3.  q*, x*, the
-# verdicts and the --verbose lines stayed.
+# verdicts and the --verbose lines stayed.  F9's --trace was re-pinned when
+# only the root cell came to split at the float peak and every deeper cell
+# halves: its last probe splits 4 times, not 2; nothing else moved.
 TRACE_DIGESTS = {
     "F0 --trace": "fff5ee10480327ae1eedcaf9d3c1b17dd268a94d8aeeb45a592f7ad939c64928",
     "F0 --verbose": "dee18f2641e3280c88aa7f88f5b231837f1345a6d12a0bcd746c26fc0bf63b26",
@@ -685,7 +687,7 @@ TRACE_DIGESTS = {
     "F7 --verbose": "9e28286035e2bb41d2afc9ca9b360db55d9bfab8bc095821d73237e9de33f55a",
     "F8 --trace": "6b1f2a6b2b6c617150735874aee091c73336c618123ccb42deef3bb348fec776",
     "F8 --verbose": "9d824518c669e163dfa13779bf0eb95bbd961cba1557dbf04d7a8092ae61dca6",
-    "F9 --trace": "066be96c85e17f866406b33cc3ae1d2e33ee160422b388f39daedb4cb0d39d5a",
+    "F9 --trace": "fadb6cc5c0de18f4fb53f36bc8123e791dc162cbf47849c6111e65bbc7c21063",
     "F9 --verbose": "03bfb6f2261802cf4906cb6c1cab4677a04517651542c1f07ef52d0225ca88b1",
     "F10 --trace": "e6d857eb76d24617b5b32531d152777af0a2f17cbb006c0c9e8b955e63a3c9d3",
     "F10 --verbose": "1284e41233b6d0be60694d847f2bbbd355c3ece2a06b5e94122a0214a53d7aea",

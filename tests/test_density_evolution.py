@@ -351,6 +351,8 @@ RISING_SLOPE = ensemble([rep_node(2, 0.714), rep_node(3, 0.286)], [spc_node(6, 1
 D41 = ensemble([generic_node(HAMMING_74_TEXT, 1.0)], [spc_node(8, 1.0)])
 D61 = ensemble([rep_node(3, 1.0)], [spc_node(32, 1.0)])
 D132 = ensemble([rep_node(2, 0.3), rep_node(3, 0.4), rep_node(8, 0.3)], [spc_node(16, 0.5), spc_node(20, 0.5)])
+# rep3/SPC3: g_q = q x (2 - x)^2, which touches 1 at x = 2/3 when q = 27/32
+TANGENT_33 = ensemble([rep_node(3, 1.0)], [spc_node(3, 1.0)])
 
 
 @pytest.mark.parametrize(
@@ -408,8 +410,14 @@ def test_trace_ends_agree_with_the_exact_oracle():
         assert sturm_count(g, 0, 1) == above, i
 
 
+# In the first two, g_q rises from g_q(0) = 1 at q_stab to a peak near x = 0.
+# The third is where splitting every open cell at its own float peak cut the
+# cell that begins at the peak 3e-9 from that end, over and over, down to the
+# depth cap: 61 of 94 probes undecided and q* 0.41986212329282724, 2.1e-3 low
+REP5_REP2_REP3 = ([rep_node(5, 0.3157894736842105), rep_node(2, 0.47368421052631576), rep_node(3, 0.21052631578947367)],
+                  [spc_node(5, 0.5), spc_node(7, 0.5)])
 FOUND_ENSEMBLES = [ensemble([rep_node(2, lam2), rep_node(3, lam3)], [spc_node(6, 1.0)])
-                   for lam2, lam3 in ((0.7142, 0.2858), (0.71428, 0.28572))]
+                   for lam2, lam3 in ((0.7142, 0.2858), (0.71428, 0.28572))] + [ensemble(*REP5_REP2_REP3)]
 
 
 def decodes(ens, q: Fraction) -> bool:
@@ -423,7 +431,7 @@ def decodes(ens, q: Fraction) -> bool:
 def test_every_interior_threshold_is_correctly_rounded():
     # the ensemble decodes at the exact midpoint between q* and the float
     # below it, and not at the one between q* and the float above
-    cases = fixture_suite() + FOUND_ENSEMBLES + [D41, D61] + seeded_ensembles()
+    cases = fixture_suite() + FOUND_ENSEMBLES + [D41, D61, TANGENT_33] + seeded_ensembles()
     checked = 0
     for i, ens in enumerate(cases):
         result = find_threshold(ens)
@@ -432,7 +440,7 @@ def test_every_interior_threshold_is_correctly_rounded():
                             for end in (0.0, 1.0))
             assert decodes(ens, below) and not decodes(ens, above), i
             checked += 1
-    assert checked == 7 + 2 + 2 + 5  # F0, F2-F5, F7, F9; both FOUND; D41, D61; 5 of the 20 seeded
+    assert checked == 7 + 3 + 3 + 5  # F0, F2-F5, F7, F9; the three FOUND; D41, D61, rep3/SPC3; 5 of the 20 seeded
 
 
 def test_threshold_never_exceeds_the_stability_boundary(tmp_path, capsys):
@@ -449,7 +457,7 @@ def test_threshold_never_exceeds_the_stability_boundary(tmp_path, capsys):
     # x = 7e-5 (5e-6 at lam2 = 0.71428), so the probe at q_stab fails: an
     # interior fixed point limits q* below q_stab, with x* > 0
     expected = [(0.28003359580068954, 6.998757770644112e-05), (0.2800022399813335, 4.666611445225291e-06)]
-    for ens, (q_star, x_star) in zip(FOUND_ENSEMBLES, expected):
+    for ens, (q_star, x_star) in zip(FOUND_ENSEMBLES[:2], expected):
         (q_stab,) = dgldpc_stability_boundary(ens).points
         result = find_threshold(ens)
         assert result.residual_trace[0][:2] == (q_stab.as_integer_ratio(), False)
@@ -523,38 +531,60 @@ def test_undecided_probes_are_reported(rep3_spc6_threshold, monkeypatch, tmp_pat
             4,
         ),
         ([rep_node(12, 1.0)], [spc_node(32, 1.0)], 0.1479577547794176, 4),
+        (*REP5_REP2_REP3, 0.42195556892457137, 4),
     ],
-    ids=["D41", "D61", "D132", "D340"],
+    ids=["D41", "D61", "D132", "D340", "rep5/rep2/rep3"],
 )
 def test_thresholds_are_pinned_to_the_bit(variables, checks, q_star, probes):
     # the correctly rounded thresholds, after four probes: the first, the
-    # float candidate, its neighbour and the midpoint between them
+    # float candidate, its neighbour and the midpoint between them, each decided
     result = find_threshold(ensemble(variables, checks))
     assert result.q_star == q_star
     assert result.bisection_steps == probes
+    assert None not in [row[1] for row in result.residual_trace]
+
+
+def test_an_exact_tangency_leaves_its_probe_undecided(tmp_path, capsys):
+    # at q = 27/32, g_q touches 1 only at x = 2/3, which no dyadic cell end
+    # reaches, and a cell around it keeps a coefficient at or above 1: the
+    # probe is undecided at the depth cap.  Counted as a failure, it still leaves q*
+    # the correctly rounded threshold; proving it a failure takes a root count
+    assert exact_g(TANGENT_33, Fraction(27, 32)) == [0, Fraction(27, 8), Fraction(-27, 8), Fraction(27, 32)]
+    result = find_threshold(TANGENT_33)
+    assert (result.q_star, result.x_star, result.bisection_steps) == (0.84375, 0.6666666666666666, 4)
+    assert [row[:2] for row in result.residual_trace if row[1] is None] == [((27, 32), None)]
+    path = tmp_path / "rep3_spc3.json"
+    path.write_text(serialize_ensemble(TANGENT_33), encoding="utf-8")
+    assert run(["threshold", str(path), "--verbose"]) == 0
+    assert capsys.readouterr().err.endswith(", 1 undecided\n")
 
 
 def test_threshold_halvings_are_pinned(monkeypatch):
-    # de Casteljau splits per find_threshold, 24 over F0-F10: a probe near q*
-    # splits once, at the float peak, and its two cells close, or the shared
-    # end fails it (F9 made 5 before the peak's Newton stopped on the chart
-    # inverse's rule, newton's).  The
+    # de Casteljau splits per find_threshold, 26 over F0-F10: a probe near q*
+    # splits its root cell once, at the float peak of g_q, and the two cells
+    # close, or the shared end fails it.  Every deeper cell halves (F9's last
+    # probe halves 3 times, where splitting each cell at its own peak made 1
+    # split).  _peak reads only a whole g_q, at most once per probe.  The
     # stability-limited fixtures succeed at q_stab on the first cell.  A cell
     # order or split rule that splits more, or a spy that sees no split, fails
-    made = {0: 3, 2: 4, 3: 3, 4: 3, 5: 3, 7: 4, 9: 4}
-    extra = [
-        ([rep_node(2, 0.3), rep_node(3, 0.4), rep_node(8, 0.3)], [spc_node(16, 0.5), spc_node(20, 0.5)], 4),
-        ([rep_node(12, 1.0)], [spc_node(32, 1.0)], 3),
-    ]  # composite degrees D = 132 and 340
+    made = {0: 3, 2: 4, 3: 3, 4: 3, 5: 3, 7: 4, 9: 6}
     cases = [(ens, made.get(i, 0)) for i, ens in enumerate(fixture_suite())]
-    cases += [(ensemble(variables, checks), n) for variables, checks, n in extra]
-    calls = []
-    split = de._split
-    monkeypatch.setattr(de, "_split", lambda b, a, e: calls.append(e) or split(b, a, e))
+    cases += [(D132, 4), (ensemble([rep_node(12, 1.0)], [spc_node(32, 1.0)]), 3), (FOUND_ENSEMBLES[-1], 6)]
+    coefficients, split, peak = de.fixed_point_coefficients, de._split, de._peak
+
+    def whole(b: list[int]):
+        return next((i for i, (c, _) in enumerate(wholes) if c is b), None)
+
+    monkeypatch.setattr(de, "fixed_point_coefficients", lambda *args: wholes.append(coefficients(*args)) or wholes[-1])
+    monkeypatch.setattr(de, "_split", lambda b, a, e: calls.append("root" if whole(b) is not None else (a, e))
+                        or split(b, a, e))
+    monkeypatch.setattr(de, "_peak", lambda b, den: peaks.append(whole(b)) or peak(b, den))
     for i, (ens, n) in enumerate(cases):
-        calls.clear()
+        wholes, calls, peaks = [], [], []  # each (b, den) made; "root" or (a, e) per split; which b each peak read
         find_threshold(ens)
         assert len(calls) == n, i
+        assert set(calls) <= {"root", (1, 1)}, i
+        assert None not in peaks and len(set(peaks)) == len(peaks), i
 
 
 def exact_fixed_point_coefficients(ens, q: Fraction) -> list[Fraction]:
