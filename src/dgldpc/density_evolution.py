@@ -67,10 +67,10 @@ class ThresholdResult(
     decodes.  x_star is 0.0 when the probe at q_stab settles q*, else the float
     nearest where g_q turns from rising to falling at q* (1.0 or 0.0 if g_q only
     rises or only falls, 0.5 if it is constant).  residual_trace has a row per
-    probe: q; the verdict, True (g_q < 1 proved), False (g_q(x) >= 1 proved) or
-    None (undecided at the depth cap); that x, else None; the splits, halvings
-    past the first; and the highest closed cell's bound, the nearest float below
-    1 (None if none closed).  q, x are (a, m): a / m, m = 2^e.
+    probe: q, then what prove returned: the verdict, True (g_q < 1 proved), False
+    (g_q(x) >= 1 proved) or None (undecided at the depth cap); that x, else None;
+    every split, the root's included; and the highest closed cell's bound, the
+    nearest float below 1 (None if none closed).  q, x are (a, m): a / m, m = 2^e.
     """
 
     __slots__ = ()
@@ -165,46 +165,46 @@ def _peak(b: list[int], den: int) -> float:
     return newton(lambda x: (bernstein_eval(slope, x), bernstein_eval(bend, x)), i / d)
 
 
+def prove(b: list[int], den: int) -> tuple[bool | None, tuple[int, int] | None, int, float | None]:
+    """Exactly, is g = sum_i (b[i] / den) C(D,i) x^i (1-x)^(D-i) < 1 on (0, 1]?  The proof is a ThresholdResult trace
+    row without its q.  [0, 1] splits at g's float peak, or in half where that is an end, and every deeper cell in
+    half, depth first; cell [lo, hi] / 2^e holds b over den << e D.  A cell closes when its coefficients are below 1,
+    a cell end at or above 1 fails, and a cell open MAX_HALVINGS deep is undecided.  x -> 0 is left to the stability
+    boundary: g(0), and the coefficients equal to it that follow it at x = 0, are never compared with 1."""
+    d, cells, splits, bound = len(b) - 1, [(0, 1, 0, 0, b)], 0, None  # (lo, hi, e, depth, b)
+    while cells:
+        lo, hi, e, depth, b = cells.pop()
+        if b[-1] >= (cell_den := den << e * d) or lo and b[0] >= cell_den:
+            return False, (hi if b[-1] >= cell_den else lo, 1 << e), splits, bound
+        flat = 0 if lo else next((i for i, c in enumerate(b) if c != b[0]), len(b))
+        top = max(b[flat:], default=0)
+        if top < cell_den:
+            bound = max(bound or 0.0, min(top / cell_den, nextafter(1.0, 0.0)))  # top / den may round to 1
+        elif depth == MAX_HALVINGS:
+            return None, None, splits, bound
+        else:  # at t = n / 2^k: [lo, hi] / 2^e becomes [lo, mid] and [mid, hi], over 2^(e + k)
+            n, s = (t if depth == 0 and 0.0 < (t := _peak(b, den)) < 1.0 else 0.5).as_integer_ratio()
+            k, splits = s.bit_length() - 1, splits + 1
+            left, right = _split(b, n, k)
+            lo, mid, hi = lo << k, (lo << k) + n * (hi - lo), hi << k
+            cells += [(lo, mid, e + k, depth + 1, left), (mid, hi, e + k, depth + 1, right)]
+    return True, None, splits, bound
+
+
 def find_threshold(ens: Ensemble) -> ThresholdResult:
     """The decoding threshold q* from the fixed-point condition g_q < 1 on (0, 1].
 
-    A probe proves or fails, exactly: it splits [0, 1] at the float peak of
-    g_q, or in half where that is an end, and every deeper cell in half, depth
-    first.  A cell closes when its coefficients are below 1, and a cell end at
-    or above 1 fails the probe; a cell still open at the depth cap leaves it
-    undecided, a failure.  x -> 0 is left to the stability boundary: g_q(0),
-    and the coefficients equal to it that follow it in the cell at x = 0, are
-    never compared with 1.  The first probe is at q_stab (q = 1 if there is
-    none); past a failure, q* is nearest_float_root on the verdicts from the
-    candidate that secant steps on h(q) = max g_q - 1 reach, and x* is
-    nearest_float_root on exact signs of -g_q' at q*, from the float peak.
+    A probe is prove on g_q at a dyadic q, undecided counting as failed: first
+    at q_stab (q = 1 if there is none), then past a failure nearest_float_root
+    on the verdicts from the secant steps' candidate on h(q) = max g_q - 1.  x*
+    is nearest_float_root on exact signs of -g_q' at q*, from the float peak.
     """
     probes, roots = [], dgldpc_stability_boundary(ens).points
 
     def probe(a: int, m: int) -> int:
         """-1 if g_q < 1 on (0, 1] is proved at q = a / m, else 1."""
-        b, den = fixed_point_coefficients(ens, a, m)
-        cells, bound, splits, verdict, x = [(0, 1, 0, 0, b, den)], None, 0, True, None  # (lo, hi, e, depth, b, den)
-        while cells:
-            lo, hi, e, depth, b, den = cells.pop()
-            if b[-1] >= den or lo and b[0] >= den:
-                verdict, x = False, (hi if b[-1] >= den else lo, 1 << e)
-                break
-            flat = 0 if lo else next((i for i, c in enumerate(b) if c != b[0]), len(b))
-            top = max(b[flat:], default=0)
-            if top < den:
-                bound = max(bound or 0.0, min(top / den, nextafter(1.0, 0.0)))  # top / den may round to 1
-            elif depth == MAX_HALVINGS:
-                verdict = None
-                break
-            else:  # at t = n / 2^k: [lo, hi] / 2^e becomes [lo, mid] and [mid, hi], over 2^(e + k)
-                n, s = (t if depth == 0 and 0.0 < (t := _peak(b, den)) < 1.0 else 0.5).as_integer_ratio()
-                k, splits = s.bit_length() - 1, splits + 1
-                left, right = _split(b, n, k)
-                lo, mid, hi, den = lo << k, (lo << k) + n * (hi - lo), hi << k, den << k * (len(b) - 1)
-                cells += [(lo, mid, e + k, depth + 1, left, den), (mid, hi, e + k, depth + 1, right, den)]
-        probes.append(((a, m), verdict, x, splits, bound))
-        return -1 if verdict else 1
+        probes.append(((a, m), *prove(*fixed_point_coefficients(ens, a, m))))
+        return -1 if probes[-1][1] else 1
 
     def excess(q: float) -> float:  # h(q) = max g_q - 1: g_q - 1 at the float peak, exactly, then rounded
         b, den = fixed_point_coefficients(ens, *q.as_integer_ratio())

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import HAMMING_74_TEXT, fixture_suite, serialize_ensemble
+from conftest import HAMMING_74_TEXT, ensemble, fixture_suite, rep_node, serialize_ensemble, spc_node
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dgldpc"
 # dataclasses pulls in inspect, which pulls in ast, dis and tokenize: about
@@ -87,14 +87,17 @@ def test_code_info_run_loads_no_heavy_modules(tmp_path):
 
 # One process per interpreter runs every command: code-info on Hamming (7,4),
 # then on F3 threshold --verbose, analyze, check-stability --q 0.3 --verbose and
-# an 11-point exit-chart, and threshold --trace on F9, whose probes split below
-# the root cell; it prints the six exit statuses and the CSV's bytes.
+# an 11-point exit-chart, threshold --trace on F9, whose probes split below the
+# root cell, and threshold --trace --verbose on rep3/SPC3, whose probe at its
+# exact tangency is undecided (a null row, ", 1 undecided"); it prints the
+# seven exit statuses and the CSV's bytes.
 REPORTS = (
     "import sys; sys.path.insert(0, sys.argv[1]); from dgldpc.cli import run; "
-    "code, ens, split, csv = sys.argv[2:]; "
+    "code, ens, split, tangent, csv = sys.argv[2:]; "
     "print(run(['code-info', code]), run(['threshold', ens, '--verbose']), run(['analyze', ens]), "
     "run(['check-stability', ens, '--q', '0.3', '--verbose']), "
-    "run(['exit-chart', ens, '--q', '0.3', '--npoints', '11', '--out', csv]), run(['threshold', split, '--trace'])); "
+    "run(['exit-chart', ens, '--q', '0.3', '--npoints', '11', '--out', csv]), run(['threshold', split, '--trace']), "
+    "run(['threshold', tangent, '--trace', '--verbose'])); "
     "print(open(csv, 'rb').read())"
 )
 VERSION = "import platform, sys; print(platform.python_implementation(), *sys.version_info[:2], sys.executable)"
@@ -131,15 +134,17 @@ def test_other_interpreters_print_the_same_reports(tmp_path):
     interpreters = other_interpreters()
     if not interpreters:
         pytest.skip("no other CPython >= 3.10 starts")
-    code, fixtures = tmp_path / "hamming74.txt", [tmp_path / f"f{i}.json" for i in (3, 9)]
+    code, fixtures = tmp_path / "hamming74.txt", [tmp_path / f"{name}.json" for name in ("f3", "f9", "rep3_spc3")]
     code.write_text(HAMMING_74_TEXT + "\n", encoding="utf-8")
-    for path, i in zip(fixtures, (3, 9)):
-        path.write_text(serialize_ensemble(fixture_suite()[i]), encoding="utf-8")
+    tangent = ensemble([rep_node(3, 1.0)], [spc_node(3, 1.0)])
+    for path, ens in zip(fixtures, (fixture_suite()[3], fixture_suite()[9], tangent)):
+        path.write_text(serialize_ensemble(ens), encoding="utf-8")
     args = ["-S", "-c", REPORTS, str(PACKAGE.parent), str(code), *map(str, fixtures), str(tmp_path / "chart.csv")]
     expected = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60)
     statuses, csv = expected.stdout.splitlines()[-2:]
-    assert statuses == "0 0 0 0 0 0" and csv.count("\\n") == 12, expected.stderr
-    assert '"residual_trace"' in expected.stdout
+    assert statuses == "0 0 0 0 0 0 0" and csv.count("\\n") == 12, expected.stderr
+    assert '"residual_trace"' in expected.stdout and "null,\n      null,\n      40," in expected.stdout
+    assert expected.stderr.endswith(", 1 undecided\n")
     for command, env in interpreters:
         out = subprocess.run([*command, *args], capture_output=True, text=True, env=env, timeout=60)
         assert (out.stdout, out.stderr) == (expected.stdout, expected.stderr), (command, env.get("PYENV_VERSION"))
