@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import gc
 import hashlib
@@ -13,6 +14,7 @@ import random
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -742,14 +744,33 @@ def test_every_public_name_resolves():
     assert [name for name in dgldpc.__all__ if not hasattr(dgldpc, name)] == []
 
 
-def test_readme_quickstart_runs():
+def readme_quickstart() -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library quickstart", 1)[1]
-    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quickstart_runs():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        exec(block, {})
+        exec(readme_quickstart(), {})
     assert out.getvalue().splitlines()[:2] == ["0.2", "0.2"]
+
+
+def test_top_level_names_are_the_quickstart_imports():
+    imported = sorted(
+        alias.name
+        for node in ast.walk(ast.parse(readme_quickstart()))
+        if isinstance(node, ast.ImportFrom) and node.module == "dgldpc"
+        for alias in node.names
+    )
+    assert sorted(dgldpc.__all__) == imported
+    public = {
+        name
+        for name, value in vars(dgldpc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(imported)
 
 
 def reference_parser() -> argparse.ArgumentParser:

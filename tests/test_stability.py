@@ -409,21 +409,37 @@ def test_boundary_root_halfway_between_two_floats_rounds_to_even(k, root):
     assert gldpc_stability_bound(ens) == root
 
 
-def test_boundary_roots_of_the_fixtures_to_an_ulp():
-    closed_forms = {
-        1: 0.2,
-        2: 0.5,
-        6: math.sqrt(1.3) - 1,
-        7: math.sqrt(1.9375) - 1,
-        8: (math.sqrt(2185) - 35) / 20,
-        10: math.sqrt(2) - 1,
+def nearest_root(poly: list[int]) -> float:
+    """The float nearest the positive root of an integer polynomial of degree
+    1 or 2 (ascending, positive leading coefficient): a quadratic's root from
+    an isqrt bracket 2**-200 wide, whose ends must round to one float."""
+    if len(poly) == 2:
+        return float(Fraction(-poly[0], poly[1]))
+    c, b, a = poly
+    s = math.isqrt((b * b - 4 * a * c) << 400)
+    lo, hi = (float(Fraction(r - (b << 200), (2 * a) << 200)) for r in (s, s + 1))
+    assert lo == hi, poly
+    return lo
+
+
+def test_boundary_roots_of_the_fixtures_are_correctly_rounded():
+    # F7 is (2f/3)(q^2 + 2q) = 1/4 with f the binary value of 0.4: with
+    # f = 2/5 the root rounds 1 ulp high, and math.sqrt(1.9375) - 1 is 1 ulp low
+    f = Fraction(0.4)
+    polys = {
+        1: [-1, 5],
+        2: [-1, 2],
+        6: [-3, 20, 10],
+        7: [-3 * f.denominator, 16 * f.numerator, 8 * f.numerator],
+        8: [-24, 35, 10],
+        10: [-1, 2, 1],
     }
     suite = fixture_suite()
-    for i, root in closed_forms.items():
-        (point,) = dgldpc_stability_boundary(suite[i]).points
-        assert abs(point - root) <= 2**-52, i
-    assert dgldpc_stability_boundary(suite[1]).points == (0.2,)
-    assert dgldpc_stability_boundary(suite[2]).points == (0.5,)
+    for i, poly in polys.items():
+        root = nearest_root(poly)
+        assert dgldpc_stability_boundary(suite[i]).points == (root,), i
+        if i in (1, 6, 8, 10):
+            assert find_threshold(suite[i]).q_star == root, i
 
 
 def test_boundary_lhs_evaluations_are_pinned(monkeypatch):
