@@ -1,4 +1,5 @@
-"""Dense GF(2) matrices as int bitsets, with rank.
+"""Dense GF(2) matrices as int bitsets, and the one elimination that
+gives their rank, dual and pivot messages.
 
 Rows are Python ints used as bit vectors; column j of a row lives at bit
 position j (bit 0 = leftmost column of the text form).  Matrices are
@@ -6,7 +7,6 @@ immutable and safe to share across threads or workers.
 """
 
 from collections import namedtuple
-from collections.abc import Iterable
 
 MAX_DIM = 32
 
@@ -30,7 +30,7 @@ class BinaryMatrix(namedtuple("BinaryMatrix", "bits cols")):
         for i, row in enumerate(bits):
             if row < 0 or row & ~mask:
                 raise ValueError(f"row {i} has bits outside the {cols} columns")
-        return super().__new__(cls, bits, cols)
+        return super().__new__(cls, tuple(bits), cols)
 
     @classmethod
     def _make(cls, fields) -> "BinaryMatrix":
@@ -69,27 +69,10 @@ class BinaryMatrix(namedtuple("BinaryMatrix", "bits cols")):
         return [sum(((row >> j) & 1) << i for i, row in enumerate(self.bits)) for j in range(self.cols)]
 
 
-def rank_of_bitrows(rows: Iterable[int]) -> int:
-    """GF(2) rank of a collection of int bit vectors via XOR elimination.
-
-    Keeps a basis in echelon form keyed by highest set bit; the input is
-    not modified.
-    """
-    basis: list[int] = []  # each with a distinct leading (highest) bit
-    rank = 0
-    for row in rows:
-        for b in basis:
-            if row ^ b < row:
-                row ^= b
-        if row:
-            basis.append(row)
-            rank += 1
-    return rank
-
-
 def rank(m: BinaryMatrix) -> int:
-    """GF(2) row rank of m; the input is left untouched."""
-    return rank_of_bitrows(m.bits)
+    """GF(2) row rank of m, read off dual_columns' elimination: free column
+    t has dual column 1 << t and every pivot column is below 1 << #free."""
+    return m.cols - max(dual_columns(m)[0], default=0).bit_length()
 
 
 def dual_columns(m: BinaryMatrix) -> tuple[list[int], list[int]]:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from dgldpc.binmat import BinaryMatrix, dual_columns, rank, rank_of_bitrows
+from dgldpc.binmat import BinaryMatrix, dual_columns, rank
 
 from conftest import (
     HAMMING_74_TEXT,
@@ -15,6 +15,7 @@ from conftest import (
     augment_identity,
     identity,
     random_full_rank,
+    rank_of_bitrows,
     same_row_space,
     select_columns,
     to_text,
@@ -49,10 +50,24 @@ def test_rank_dependent_rows():
 
 def test_rank_matches_span_oracle():
     rng = random.Random(2024)
+    mats = []
     for _ in range(60):
         rows = rng.randint(1, 12)
         cols = rng.randint(1, 16)
-        m = BinaryMatrix(tuple(rng.randrange(1 << cols) for _ in range(rows)), cols)
+        mats.append(BinaryMatrix(tuple(rng.randrange(1 << cols) for _ in range(rows)), cols))
+    # no columns, full-rank square matrices, and more rows than columns with
+    # a duplicate and an all-zero row
+    mats += [BinaryMatrix((0,) * rows, 0) for rows in (1, 5, 12)]
+    mats += [identity(n) for n in range(1, 13)]
+    mats += [random_full_rank(rng, n, n) for n in range(1, 11)]
+    for _ in range(20):
+        rows = rng.randint(3, 12)
+        cols = rng.randint(1, rows - 1)
+        bits = [rng.randrange(1 << cols) for _ in range(rows)]
+        i, j, z = rng.sample(range(rows), 3)
+        bits[i], bits[z] = bits[j], 0
+        mats.append(BinaryMatrix(tuple(bits), cols))
+    for m in mats:
         assert rank(m) == rank_by_span_enumeration(m)
 
 
@@ -208,7 +223,7 @@ def test_dual_columns_span_the_orthogonal_complement():
         n = rng.randint(1, 12)
         m = BinaryMatrix(tuple(rng.randrange(1 << n) for _ in range(rng.randint(1, n))), n)
         cols, messages = dual_columns(m)
-        r = rank(m)
+        r = rank_by_span_enumeration(m)
         assert len(cols) == n
         assert all(c < 1 << (n - r) for c in cols)
         h = dual_rows(cols) if r < n else []

@@ -48,6 +48,7 @@ from conftest import (
     random_component_code,
     random_full_rank,
     random_generic_dmin2,
+    rank_of_bitrows,
     rep_node,
     spc_node,
     to_text,
@@ -116,8 +117,6 @@ def test_variable_exit_boundaries(spc32, hamming74):
 
 
 def spans(col_vectors, target):
-    from dgldpc.binmat import rank_of_bitrows
-
     return rank_of_bitrows(col_vectors + [target]) == rank_of_bitrows(col_vectors)
 
 

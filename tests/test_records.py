@@ -81,7 +81,14 @@ def test_records_without_a_cache_take_no_new_attributes():
 
 
 def test_equal_fields_give_equal_objects_and_hashes():
-    for a, b in zip(sample_records(), sample_records()):
+    # a matrix built from a list stores a tuple: it is the tuple-built one
+    listed = BinaryMatrix([3, 5], 3)
+    pairs = [
+        *zip(sample_records(), sample_records()),
+        (listed, BinaryMatrix((3, 5), 3)),
+        (ComponentCode(listed), ComponentCode(BinaryMatrix((3, 5), 3))),
+    ]
+    for a, b in pairs:
         assert a is not b
         assert a == b
         assert hash(a) == hash(b)
