@@ -11,7 +11,18 @@ from collections import namedtuple
 MAX_DIM = 32
 
 
-class BinaryMatrix(namedtuple("BinaryMatrix", "bits cols")):
+class Validated:
+    """Mixin ahead of a namedtuple base: _make, and so _replace, run __new__
+    (namedtuple's own skip it), so every construction path validates."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class BinaryMatrix(Validated, namedtuple("BinaryMatrix", "bits cols")):
     """A rows x cols matrix over GF(2).
 
     bits holds one int per row; bit j of bits[i] is entry (i, j).
@@ -31,11 +42,6 @@ class BinaryMatrix(namedtuple("BinaryMatrix", "bits cols")):
             if row < 0 or row & ~mask:
                 raise ValueError(f"row {i} has bits outside the {cols} columns")
         return super().__new__(cls, tuple(bits), cols)
-
-    @classmethod
-    def _make(cls, fields) -> "BinaryMatrix":
-        # namedtuple's _make (and _replace, which calls it) skip __new__.
-        return cls(*fields)
 
     @property
     def rows(self) -> int:

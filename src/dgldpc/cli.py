@@ -273,8 +273,6 @@ def run(argv=None) -> int:
         return parsed
     handler, args = parsed
     try:
-        if not 0.0 <= getattr(args, "q", 0.0) <= 1.0:
-            raise ValueError(f"--q must be in [0, 1], got {args.q}")
         report, summary, status = handler(args)
     except _NUMERICAL_ERRORS as e:
         sys.stderr.write(f"error: {e}\n")

@@ -35,7 +35,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
-from .binmat import MAX_DIM, BinaryMatrix, dual_columns, rank
+from .binmat import MAX_DIM, BinaryMatrix, Validated, dual_columns, rank
 
 MAX_BRUTEFORCE_DIMENSION = 24
 
@@ -49,7 +49,7 @@ def _check_length(j: int, name: str) -> None:
         raise ValueError(f"{name} length must be in 2..{MAX_DIM} (the dimension cap), got {j}")
 
 
-class ComponentCode(namedtuple("ComponentCode", "gen")):
+class ComponentCode(Validated, namedtuple("ComponentCode", "gen")):
     """An (n, k) linear block code with a fixed generator representation.
 
     n is the number of generator columns, k the number of rows; the
@@ -65,11 +65,6 @@ class ComponentCode(namedtuple("ComponentCode", "gen")):
         if not 1 <= k < n:
             raise ValueError(f"code dimensions must satisfy 1 <= k < n, got k={k}, n={n}")
         return super().__new__(cls, gen)
-
-    @classmethod
-    def _make(cls, fields) -> "ComponentCode":
-        # Through __new__, so _replace validates too.
-        return cls(*fields)
 
     @property
     def n(self) -> int:
@@ -244,6 +239,7 @@ def min_distance_at_least(gen: BinaryMatrix, t: int) -> bool:
     return _generator_rank_sums(gen)[n - s] == gen.rows * comb(n, s)
 
 
+@lru_cache(maxsize=None)
 def delta_params(code: ComponentCode) -> tuple[int, ...]:
     """Rank-deficiency totals at submatrix size n-2, with no subset walk.
 

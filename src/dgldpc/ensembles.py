@@ -13,7 +13,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import lcm
 
-from .binmat import BinaryMatrix, dual_columns
+from .binmat import BinaryMatrix, Validated, dual_columns
 from .codes import ComponentCode
 
 KINDS = ("repetition", "spc", "generic")
@@ -35,7 +35,7 @@ def _is_number(value, types=(int, float)) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
-class NodeType(namedtuple("NodeType", "kind edge_fraction length generator")):
+class NodeType(Validated, namedtuple("NodeType", "kind edge_fraction length generator")):
     """One node type: a component code kind plus its edge fraction.
 
     Construction checks each field on its own; whether length or generator
@@ -66,11 +66,6 @@ class NodeType(namedtuple("NodeType", "kind edge_fraction length generator")):
             if length < 1:
                 raise ValueError(f"node length must be positive, got {length}")
         return super().__new__(cls, kind, edge_fraction, length, generator)
-
-    @classmethod
-    def _make(cls, fields) -> "NodeType":
-        # Through __new__, so _replace validates too.
-        return cls(*fields)
 
     def describe(self) -> str:
         if self.kind == "generic":

@@ -175,18 +175,11 @@ def code_slope_row(code: ComponentCode, side: str) -> ExitPolynomial:
     return ExitPolynomial((tuple(2 * x for x in (deltas if side == "variable" else deltas[-1:])),), code.n)
 
 
-@lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
-def code_slope_rows(ens: Ensemble, side: str) -> tuple[ExitPolynomial, ...]:
-    """code_slope_row of each code of one side, in type order, built once per ensemble."""
-    return tuple(code_slope_row(code, side) for code in ens.codes(side))
-
-
-@lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
 def mixture_slope_row(ens: Ensemble, side: str) -> ExitPolynomial:
     """Row t = 1 of mixture_polynomial(ens, side), one row over the same den,
     mixed from the code slope rows as one-row polynomials: elevation in p
     leaves row 1 unchanged because c[0] = 0 for every node."""
-    return _mix(list(zip(ens.weights(side), code_slope_rows(ens, side))))
+    return _mix(list(zip(ens.weights(side), (code_slope_row(code, side) for code in ens.codes(side)))))
 
 
 def vnd_evaluator_at_q(ens: Ensemble, q: float) -> Callable[[float], float]:
@@ -295,6 +288,8 @@ def sample_exit_chart(ens: Ensemble, q: float, npoints: int) -> list[tuple[float
     where I_{E,C}(p) = ia, so successful decoding at q corresponds to vnd
     lying above cnd_inv.
     """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must be in [0, 1], got {q}")
     if npoints < 2:
         raise ValueError(f"npoints must be >= 2, got {npoints}")
     fv = vnd_evaluator_at_q(ens, q)

@@ -34,7 +34,7 @@ from collections import namedtuple
 from functools import partial
 
 from .ensembles import Ensemble
-from .exit_charts import ExitPolynomial, code_slope_rows, dyadic_value, mixture_slope_row, monomial, nearest_float_root
+from .exit_charts import ExitPolynomial, code_slope_row, dyadic_value, mixture_slope_row, monomial, nearest_float_root
 
 
 class Applicability(namedtuple("Applicability", "is_gldpc all_var_dmin_ge3 all_chk_dmin_ge3")):
@@ -82,8 +82,8 @@ def _dmin2_types(ens: Ensemble, side: str) -> dict[int, ExitPolynomial]:
     row: those with a nonzero row (the row of a d_min >= 3 code is zero).
     All but repetition variable nodes and SPC check nodes are generalized."""
     plain = "repetition" if side == "variable" else "spc"
-    pairs = enumerate(zip(ens.types(side), code_slope_rows(ens, side)))
-    return {i: row for i, (t, row) in pairs if t.kind != plain and any(row.coeffs[0])}
+    rows = [code_slope_row(code, side) for code in ens.codes(side)]
+    return {i: row for i, (t, row) in enumerate(zip(ens.types(side), rows)) if t.kind != plain and any(row.coeffs[0])}
 
 
 def _float(a: int, b: int) -> float:
@@ -127,9 +127,11 @@ def dgldpc_stability_check(ens: Ensemble, q: float) -> StabilityCheck:
     to 15 significant digits), read exactly as x / scale, scale a power of
     ten: holds is exact, and lhs, rhs and margin = rhs - lhs are correctly
     rounded.  In integers, lhs is lhs / den and rhs is rhs / b."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must be in [0, 1], got {q}")
     digits, _, exponent = repr(q).partition("e")
-    e = len(digits.partition(".")[2]) - int(exponent or 0)  # q = int(digits without ".") / 10^e
-    x, scale = int(digits.replace(".", "")) * 10 ** max(-e, 0), 10 ** max(e, 0)
+    e = len(digits.partition(".")[2]) - int(exponent or 0)  # q = int(digits without ".") / 10^e, e >= 0 as q <= 1
+    x, scale = int(digits.replace(".", "")), 10**e
     ((b,),), rhs = mixture_slope_row(ens, "check")
     (row,), den = mixture_slope_row(ens, "variable")
     k = len(row) - 1

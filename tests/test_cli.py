@@ -240,6 +240,18 @@ def test_check_stability_worked_example(tmp_path, capsys):
     assert doc["margin"] == pytest.approx(0.06, abs=1e-15)
 
 
+@pytest.mark.parametrize("q", ["1.5", "-0.5", "inf", "nan"])
+@pytest.mark.parametrize("command", ["check-stability", "exit-chart"])
+def test_q_outside_the_unit_interval_exits_2(command, q, e36_path, tmp_path, capsys):
+    out = tmp_path / "chart.csv"
+    argv = [command, e36_path, f"--q={q}"] + ["--out", str(out)] * (command == "exit-chart")
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: q must be in [0, 1], got {float(q)}\n"
+    assert not out.exists()
+
+
 def test_parse_error_status_and_message(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"variable_nodes": [', encoding="utf-8")

@@ -37,6 +37,7 @@ from conftest import (
     draw_generator_with_free_columns,
     ensemble,
     generic_node,
+    package_caches,
     rep_node,
     serialize_ensemble,
     spc_node,
@@ -337,11 +338,11 @@ def test_ensemble_keyed_caches_are_bounded():
     caches = [
         ensembles._validate_cached,
         exit_charts.mixture_polynomial,
-        exit_charts.code_slope_rows,
-        exit_charts.mixture_slope_row,
         exit_charts._check_curve,
         density_evolution._fixed_point_basis,
     ]
+    # with the two keyed by code, these are every cache in the package
+    assert set(package_caches().values()) == {codes.delta_params, codes.info_functions, *caches}
     for cache in caches:
         cache.cache_clear()
     count = ENSEMBLE_CACHE_SIZE + 5
@@ -359,9 +360,11 @@ def test_ensemble_keyed_caches_are_bounded():
 
 
 def test_code_keyed_caches_hold_one_entry_per_code():
-    # the one unbounded cache: 200 edge-fraction mixtures of the same four
-    # codes share its entries, one per check code
+    # the two unbounded caches: 200 edge-fraction mixtures of the same four
+    # codes share their entries, one per check code in the information
+    # functions and one per code in the deficiency totals
     codes.info_functions.cache_clear()
+    codes.delta_params.cache_clear()
     count = 200
     for i in range(1, count + 1):
         w = i / (count + 1)
@@ -372,3 +375,5 @@ def test_code_keyed_caches_hold_one_entry_per_code():
         exit_charts.mixture_polynomial(ens, "check")
     info = codes.info_functions.cache_info()
     assert (info.maxsize, info.currsize, info.misses) == (None, 2, 2)
+    info = codes.delta_params.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (None, 4, 4)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -339,6 +340,14 @@ def test_sample_exit_chart_endpoints(rep3_spc6):
     assert rows[1] == (1.0, 1.0, 1.0)  # (ia, vnd, cnd_inv)
     with pytest.raises(ValueError):
         sample_exit_chart(rep3_spc6, 0.3, 1)
+
+
+@pytest.mark.parametrize("q", [1.5, -0.5, math.inf, math.nan])
+def test_q_outside_the_unit_interval_is_refused(rep3_spc6, q):
+    # unchecked, q = 1.5 gave a chart VND value of -0.5 and q = inf failed in int()
+    for call in (lambda: sample_exit_chart(rep3_spc6, q, 3), lambda: dgldpc_stability_check(rep3_spc6, q)):
+        with pytest.raises(ValueError, match=re.escape(f"q must be in [0, 1], got {q}")):
+            call()
 
 
 def test_chart_tunnel_open_below_threshold(rep3_spc6):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dgldpc import exit_charts, stability
+from dgldpc import stability
 from dgldpc.codes import ComponentCode, delta_params, min_distance_bruteforce
 from dgldpc.cli import run
 from dgldpc.density_evolution import find_threshold
@@ -135,10 +135,11 @@ def test_stability_check_worked_example(g32var_spc6):
     assert check.lhs == pytest.approx(0.14, abs=1e-15)
     assert check.rhs == pytest.approx(0.2, abs=1e-15)
     assert check.margin == pytest.approx(0.06, abs=1e-15)
-    # repr(1e16) is '1e+16': read as the integer 10^16, with no float power
-    x = Fraction(repr(1e16))
-    lhs = Fraction(2, 3) * (x**2 + 2 * x)  # (2/3)(q^2 + 2q)
-    assert dgldpc_stability_check(g32var_spc6, 1e16) == (False, float(lhs), 0.2, float(Fraction(1, 5) - lhs))
+    # repr(1e-05) is '1e-05': exponent forms are read exactly, with no float power
+    for q in (1e-05, 5e-324):
+        x = Fraction(repr(q))
+        lhs = Fraction(2, 3) * (x**2 + 2 * x)  # (2/3)(q^2 + 2q)
+        assert dgldpc_stability_check(g32var_spc6, q) == (True, float(lhs), 0.2, float(Fraction(1, 5) - lhs))
 
 
 def test_stability_check_infinite_rhs():
@@ -221,15 +222,13 @@ def test_report_dmin2_terms_only_for_dmin2_types():
 
 
 @pytest.mark.parametrize("index, calls", [(6, 2), (8, 5), (10, 3)])
-def test_report_builds_each_slope_row_once_per_reader(index, calls, monkeypatch):
+def test_report_builds_each_slope_row_once_per_reader(index, calls):
     # one delta_params per code: the two mixture rows and _dmin2_types all
-    # read the codes' rows from code_slope_rows
+    # read the codes' rows through its per-code cache
     for cache in package_caches().values():
         cache.cache_clear()
-    seen = []
-    monkeypatch.setattr(exit_charts, "delta_params", lambda code: seen.append(code) or delta_params(code))
     stability_report(fixture_suite()[index])
-    assert len(seen) == calls
+    assert delta_params.cache_info().misses == calls
 
 
 def analyze_stability(ens, tmp_path, capsys) -> dict:
