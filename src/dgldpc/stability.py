@@ -9,10 +9,11 @@ erasure q, slope_VND(q) >= 1 / slope_CND with both sides negative, reads
 
 The sums run over the generalized types with minimum distance 2 (D_i is the
 augmented rank-deficiency table of type i), those whose row is nonzero
-(codes.delta_params is zero for d_min >= 3).  Both sides are row t = 1 of the
-exact EXIT polynomials (exit_charts.mixture_slope_row): lhs is the variable
-row evaluated in q and the bracket of rhs is the check row.  Every decision
-is made on these rows exactly, in integers over one denominator (the
+(codes.delta_params is zero for d_min >= 3).  The one condition every reader
+here reads is _condition, cached per ensemble: row t = 1 of the exact EXIT
+polynomials (exit_charts.mixture_slope_row), lhs the variable row in
+monomials of q and the bracket of rhs the check row, all integers over one
+denominator each.  Every decision is made on these integers exactly (the
 boundary by exit_charts.dyadic_value), and every reported float is
 correctly rounded.  Derivative matching (the curves tangent at p = 0) is the
 stability-limited threshold q* = q_stab that density_evolution.find_threshold
@@ -26,14 +27,14 @@ reads q <= q_stab for one root q_stab, which exists exactly when
 lhs(1) = row[-1] >= rhs.  It is reported as the float nearest the root,
 found by exit_charts.nearest_float_root as each inverse chart point is;
 without minimum-distance-2 generalized variable types that is the bound
-1 / (lambda_2 * bracket), lambda_2 being row[-1].
+1 / (lambda_2 * bracket), lambda_2 being lhs(1).
 """
 
 import math
 from collections import namedtuple
-from functools import partial
+from functools import lru_cache, partial
 
-from .ensembles import Ensemble
+from .ensembles import ENSEMBLE_CACHE_SIZE, Ensemble
 from .exit_charts import ExitPolynomial, code_slope_row, dyadic_value, mixture_slope_row, monomial, nearest_float_root
 
 
@@ -69,6 +70,9 @@ class StabilityReport(
 
     gldpc_bound is None when minimum-distance-2 generalized variable nodes
     make the bound inexpressible, and +inf when the condition is vacuous.
+    vnd_slope_coeffs are -lhs(q) in monomials, coefficient m multiplying q^m,
+    up to the largest k of the minimum-distance-2 generalized variable types
+    (at least 1), beyond which every coefficient is zero.
     dmin2_check_terms / dmin2_var_terms hold the per-type contributions
     2*fraction*deficiency/n, aligned with the ensemble's type lists; only
     minimum-distance-2 generalized types have nonzero entries.
@@ -94,17 +98,14 @@ def _float(a: int, b: int) -> float:
         return math.inf if a > 0 else -math.inf
 
 
-def vnd_slope_coefficients(ens: Ensemble) -> tuple[float, ...]:
-    """The p = 0 variable-side slope as polynomial coefficients in q.
-
-    Row 1 of the variable mixture converted exactly from Bernstein form to
-    monomials; coefficient m multiplies q^m.  The degree reported is the
-    largest k of the minimum-distance-2 generalized types (at least 1),
-    beyond which every coefficient is zero.
-    """
+@lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
+def _condition(ens: Ensemble) -> tuple[tuple[int, ...], int, int, int]:
+    """The stability inequality in integers, (lhs, den, b, bden): lhs(q) =
+    sum_i lhs[i] q^i / den, monomials of the variable slope row, and
+    rhs = bden / b, of the check slope row (b / bden is the bracket)."""
     (row,), den = mixture_slope_row(ens, "variable")
-    dmin2_k = [ens.codes("variable")[i].k for i in _dmin2_types(ens, "variable")]
-    return tuple(-c / den for c in monomial(row)[: max([1] + dmin2_k) + 1])
+    ((b,),), bden = mixture_slope_row(ens, "check")
+    return tuple(monomial(row)), den, b, bden
 
 
 def gldpc_stability_bound(ens: Ensemble) -> float | None:
@@ -113,43 +114,39 @@ def gldpc_stability_bound(ens: Ensemble) -> float | None:
     Returns +inf when the product is zero (the condition is vacuous) or its
     reciprocal exceeds the float range, and
     None when a minimum-distance-2 generalized variable type prevents
-    factoring q out of the inequality.  Otherwise lambda_2 is row 1 at q = 1.
+    factoring q out of the inequality.  Otherwise lambda_2 is lhs(1).
     """
     if _dmin2_types(ens, "variable"):
         return None
-    ((b,),), bden = mixture_slope_row(ens, "check")
-    (row,), den = mixture_slope_row(ens, "variable")
-    return _float(den * bden, row[-1] * b)
+    lhs, den, b, bden = _condition(ens)
+    return _float(den * bden, sum(lhs) * b)
 
 
 def dgldpc_stability_check(ens: Ensemble, q: float) -> StabilityCheck:
     """Both sides of the stability inequality at the decimal repr(q) typed (up
     to 15 significant digits), read exactly as x / scale, scale a power of
     ten: holds is exact, and lhs, rhs and margin = rhs - lhs are correctly
-    rounded.  In integers, lhs is lhs / den and rhs is rhs / b."""
+    rounded."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
     digits, _, exponent = repr(q).partition("e")
     e = len(digits.partition(".")[2]) - int(exponent or 0)  # q = int(digits without ".") / 10^e, e >= 0 as q <= 1
     x, scale = int(digits.replace(".", "")), 10**e
-    ((b,),), rhs = mixture_slope_row(ens, "check")
-    (row,), den = mixture_slope_row(ens, "variable")
-    k = len(row) - 1
-    lhs, den = sum(c * x**i * scale ** (k - i) for i, c in enumerate(monomial(row))), den * scale**k
-    return StabilityCheck(holds=lhs * b <= rhs * den, lhs=_float(lhs, den), rhs=_float(rhs, b),
-                          margin=_float(rhs * den - lhs * b, b * den))
+    lhs, den, b, bden = _condition(ens)
+    k = len(lhs) - 1
+    num, den = sum(c * x**i * scale ** (k - i) for i, c in enumerate(lhs)), den * scale**k
+    return StabilityCheck(holds=num * b <= bden * den, lhs=_float(num, den), rhs=_float(bden, b),
+                          margin=_float(bden * den - num * b, b * den))
 
 
 def dgldpc_stability_boundary(ens: Ensemble) -> BoundaryResult:
     """The one q in [0, 1] where lhs(q) = rhs, if any, as the float nearest it:
-    nearest_float_root, with no candidate, on the exact sign of
-    den bden (lhs * bracket - 1), an integer polynomial (dyadic_value), when
-    a root exists (row[-1] * bracket >= 1)."""
-    ((b,),), bden = mixture_slope_row(ens, "check")
-    (row,), den = mixture_slope_row(ens, "variable")
-    if b == 0 or row[-1] * b < den * bden:
+    nearest_float_root, with no candidate, on the exact sign of b den (lhs - rhs),
+    an integer polynomial (dyadic_value), when a root exists (lhs(1) >= rhs)."""
+    lhs, den, b, bden = _condition(ens)
+    if b == 0 or sum(lhs) * b < den * bden:
         return BoundaryResult(points=(), vacuous=b == 0)
-    excess = [c * b for c in monomial(row)]
+    excess = [c * b for c in lhs]
     excess[0] -= den * bden
     return BoundaryResult(points=(nearest_float_root(partial(dyadic_value, excess)),), vacuous=False)
 
@@ -160,23 +157,21 @@ def stability_report(ens: Ensemble) -> StabilityReport:
     Reads only row t = 1 of the EXIT polynomials, so a generalized node
     costs its closed-form delta_params and never the full split table.
     """
-    def dmin2_terms(side: str) -> list[tuple[float, ...]]:
+    def dmin2_terms(side: str, types: dict) -> list[tuple[float, ...]]:
         terms, weights = [()] * len(ens.types(side)), ens.weights(side)
-        for i, ((row,), den) in _dmin2_types(ens, side).items():
+        for i, ((row,), den) in types.items():
             terms[i] = tuple(weights[i] * c / (sum(weights) * den) for c in row)
         return terms
 
-    applicability = Applicability(
-        is_gldpc=all(t.kind == "repetition" for t in ens.variable_types),
-        all_var_dmin_ge3=not _dmin2_types(ens, "variable"),
-        all_chk_dmin_ge3=not _dmin2_types(ens, "check"),
-    )
-    ((b,),), bden = mixture_slope_row(ens, "check")
+    lhs, den, b, bden = _condition(ens)
+    var, chk = _dmin2_types(ens, "variable"), _dmin2_types(ens, "check")
+    degree = max([1] + [ens.codes("variable")[i].k for i in var])
     return StabilityReport(
         cnd_slope_at_zero=-b / bden,
-        vnd_slope_coeffs=vnd_slope_coefficients(ens),
+        vnd_slope_coeffs=tuple(-c / den for c in lhs[: degree + 1]),
         gldpc_bound=gldpc_stability_bound(ens),
-        dmin2_check_terms=tuple(row[0] if row else 0.0 for row in dmin2_terms("check")),
-        dmin2_var_terms=tuple(dmin2_terms("variable")),
-        applicability=applicability,
+        dmin2_check_terms=tuple(row[0] if row else 0.0 for row in dmin2_terms("check", chk)),
+        dmin2_var_terms=tuple(dmin2_terms("variable", var)),
+        applicability=Applicability(is_gldpc=all(t.kind == "repetition" for t in ens.variable_types),
+                                    all_var_dmin_ge3=not var, all_chk_dmin_ge3=not chk),
     )

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 from typing import Sequence
 
 import pytest
-from hypothesis import assume
+from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 import dgldpc
@@ -22,6 +22,12 @@ from dgldpc import codes, exit_charts
 from dgldpc.binmat import BinaryMatrix, rank
 from dgldpc.codes import ComponentCode, min_distance_bruteforce
 from dgldpc.ensembles import Ensemble, NodeType
+
+# A failing example prints its @reproduce_failure line, so one failed run
+# can be replayed.  The profile loaded so far (Hypothesis's "ci" profile under
+# CI) is the parent: no example count, deadline or health check changes.
+settings.register_profile("reproducible", settings(), print_blob=True)
+settings.load_profile("reproducible")
 
 HAMMING_74_TEXT = "1000110\n0100101\n0010011\n0001111"
 SPC_32_TEXT = "101\n011"

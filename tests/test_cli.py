@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import functools
 import gc
 import hashlib
 import io
@@ -783,9 +784,10 @@ def test_top_level_names_are_the_quickstart_imports():
     assert public == set(imported)
 
 
+@functools.cache
 def reference_parser() -> argparse.ArgumentParser:
     """The argparse parser the command line was read with before the table
-    parser: the reference for its grammar."""
+    parser: the reference for its grammar, built once (parse_args leaves it as it was)."""
     parser = argparse.ArgumentParser(
         prog="dgldpc",
         description="Erasure-channel EXIT, stability and threshold analysis of D-GLDPC ensembles.",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dgldpc import codes, density_evolution, ensembles, exit_charts
+from dgldpc import codes, density_evolution, ensembles, exit_charts, stability
 from dgldpc.binmat import BinaryMatrix
 from dgldpc.codes import ComponentCode, min_distance_bruteforce
 from dgldpc.ensembles import (
@@ -340,6 +340,7 @@ def test_ensemble_keyed_caches_are_bounded():
         exit_charts.mixture_polynomial,
         exit_charts._check_curve,
         density_evolution._fixed_point_basis,
+        stability._condition,
     ]
     # with the two keyed by code, these are every cache in the package
     assert set(package_caches().values()) == {codes.delta_params, codes.info_functions, *caches}

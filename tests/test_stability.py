@@ -23,7 +23,6 @@ from dgldpc.stability import (
     dgldpc_stability_check,
     gldpc_stability_bound,
     stability_report,
-    vnd_slope_coefficients,
 )
 
 from conftest import (
@@ -78,7 +77,7 @@ def test_vnd_slope_polynomial_matches_pointwise(g32var_spc6, rep2_spc6):
         [spc_node(6, 1.0)],
     )
     for ens in (g32var_spc6, rep2_spc6, mixed):
-        coeffs = vnd_slope_coefficients(ens)
+        coeffs = stability_report(ens).vnd_slope_coeffs
         for q in [i / 13 for i in range(14)]:
             poly = sum(c * q**m for m, c in enumerate(coeffs))
             assert abs(poly + dgldpc_stability_check(ens, q).lhs) <= 1e-12
@@ -231,6 +230,23 @@ def test_report_builds_each_slope_row_once_per_reader(index, calls):
     assert delta_params.cache_info().misses == calls
 
 
+def test_every_stability_reader_mixes_each_slope_row_once(monkeypatch):
+    # the report, a library loop of checks, the boundary, the bound and the
+    # threshold all read one cached condition: each side's row is mixed once
+    mix, mixed = stability.mixture_slope_row, []
+    monkeypatch.setattr(stability, "mixture_slope_row", lambda ens, side: mixed.append(side) or mix(ens, side))
+    for cache in package_caches().values():
+        cache.cache_clear()
+    ens = fixture_suite()[8]
+    stability_report(ens)
+    for i in range(1000):
+        dgldpc_stability_check(ens, i / 999)
+    dgldpc_stability_boundary(ens)
+    gldpc_stability_bound(ens)
+    find_threshold(ens)
+    assert sorted(mixed) == ["check", "variable"]
+
+
 def analyze_stability(ens, tmp_path, capsys) -> dict:
     """The stability object of the analyze command's report on ens."""
     path = tmp_path / "ensemble.json"
@@ -257,7 +273,7 @@ def test_ia_orientation_is_negated(g32var_spc6, tmp_path, capsys):
 def test_slope_coefficients_keep_the_degree_of_the_dmin2_types():
     # this (4,2) code's slope is linear in q, yet the report keeps degree k = 2
     ens = ensemble([generic_node("1100\n0111", 1.0)], [spc_node(6, 1.0)])
-    assert vnd_slope_coefficients(ens) == (0.0, -0.5, 0.0)
+    assert stability_report(ens).vnd_slope_coeffs == (0.0, -0.5, 0.0)
 
 
 def test_report_never_builds_the_split_table(walks):
