@@ -63,8 +63,6 @@ class NodeType(Validated, namedtuple("NodeType", "kind edge_fraction length gene
                 raise ValueError(f"{kind} node types carry a length and no generator")
             if not _is_number(length, int):
                 raise ValueError(f"node length must be an integer, got {length!r}")
-            if length < 1:
-                raise ValueError(f"node length must be positive, got {length}")
         return super().__new__(cls, kind, edge_fraction, length, generator)
 
     def describe(self) -> str:

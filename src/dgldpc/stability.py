@@ -13,11 +13,13 @@ augmented rank-deficiency table of type i), those whose row is nonzero
 here reads is _condition, cached per ensemble: row t = 1 of the exact EXIT
 polynomials (exit_charts.mixture_slope_row), lhs the variable row in
 monomials of q and the bracket of rhs the check row, all integers over one
-denominator each.  Every decision is made on these integers exactly (the
-boundary by exit_charts.dyadic_value), and every reported float is
-correctly rounded.  Derivative matching (the curves tangent at p = 0) is the
-stability-limited threshold q* = q_stab that density_evolution.find_threshold
-reports with x* = 0.
+denominator each, and the minimum-distance-2 types of each side with their
+code slope rows (exit_charts.code_slope_row), classified once.  Every
+decision is made on these integers exactly (the boundary by
+exit_charts.dyadic_value), and every reported float is correctly rounded.
+Derivative matching (the curves tangent at p = 0) is the stability-limited
+threshold q* = q_stab that density_evolution.find_threshold reports with
+x* = 0.
 
 lhs never decreases in q: exit_charts._mix proves row[z] / C(K, z)
 nondecreasing in z (a generalized type's is n - 1 times the average rank
@@ -35,7 +37,7 @@ from collections import namedtuple
 from functools import lru_cache, partial
 
 from .ensembles import ENSEMBLE_CACHE_SIZE, Ensemble
-from .exit_charts import ExitPolynomial, code_slope_row, dyadic_value, mixture_slope_row, monomial, nearest_float_root
+from .exit_charts import code_slope_row, dyadic_value, mixture_slope_row, monomial, nearest_float_root
 
 
 class Applicability(namedtuple("Applicability", "is_gldpc all_var_dmin_ge3 all_chk_dmin_ge3")):
@@ -75,19 +77,11 @@ class StabilityReport(
     (at least 1), beyond which every coefficient is zero.
     dmin2_check_terms / dmin2_var_terms hold the per-type contributions
     2*fraction*deficiency/n, aligned with the ensemble's type lists; only
-    minimum-distance-2 generalized types have nonzero entries.
+    minimum-distance-2 generalized types have nonzero entries.  Each field is
+    read off _condition, the degree off the longest such variable row (k + 1).
     """
 
     __slots__ = ()
-
-
-def _dmin2_types(ens: Ensemble, side: str) -> dict[int, ExitPolynomial]:
-    """The generalized minimum-distance-2 types of one side, index -> slope
-    row: those with a nonzero row (the row of a d_min >= 3 code is zero).
-    All but repetition variable nodes and SPC check nodes are generalized."""
-    plain = "repetition" if side == "variable" else "spc"
-    rows = [code_slope_row(code, side) for code in ens.codes(side)]
-    return {i: row for i, (t, row) in enumerate(zip(ens.types(side), rows)) if t.kind != plain and any(row.coeffs[0])}
 
 
 def _float(a: int, b: int) -> float:
@@ -99,13 +93,20 @@ def _float(a: int, b: int) -> float:
 
 
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
-def _condition(ens: Ensemble) -> tuple[tuple[int, ...], int, int, int]:
-    """The stability inequality in integers, (lhs, den, b, bden): lhs(q) =
-    sum_i lhs[i] q^i / den, monomials of the variable slope row, and
-    rhs = bden / b, of the check slope row (b / bden is the bracket)."""
+def _condition(ens: Ensemble) -> tuple[tuple[int, ...], int, int, int, dict, dict]:
+    """The stability inequality in integers, (lhs, den, b, bden, var, chk):
+    lhs(q) = sum_i lhs[i] q^i / den, monomials of the variable slope row, and
+    rhs = bden / b, of the check slope row (b / bden is the bracket).  var and
+    chk are each side's generalized minimum-distance-2 types, index -> slope
+    row: those with a nonzero row (the row of a d_min >= 3 code is zero).
+    All but repetition variable nodes and SPC check nodes are generalized."""
     (row,), den = mixture_slope_row(ens, "variable")
     ((b,),), bden = mixture_slope_row(ens, "check")
-    return tuple(monomial(row)), den, b, bden
+    dmin2 = []
+    for side, plain in (("variable", "repetition"), ("check", "spc")):
+        rows = [code_slope_row(code, side) for code in ens.codes(side)]
+        dmin2.append({i: r for i, (t, r) in enumerate(zip(ens.types(side), rows)) if t.kind != plain and any(r.coeffs[0])})
+    return tuple(monomial(row)), den, b, bden, *dmin2
 
 
 def gldpc_stability_bound(ens: Ensemble) -> float | None:
@@ -116,10 +117,8 @@ def gldpc_stability_bound(ens: Ensemble) -> float | None:
     None when a minimum-distance-2 generalized variable type prevents
     factoring q out of the inequality.  Otherwise lambda_2 is lhs(1).
     """
-    if _dmin2_types(ens, "variable"):
-        return None
-    lhs, den, b, bden = _condition(ens)
-    return _float(den * bden, sum(lhs) * b)
+    lhs, den, b, bden, var, _ = _condition(ens)
+    return None if var else _float(den * bden, sum(lhs) * b)
 
 
 def dgldpc_stability_check(ens: Ensemble, q: float) -> StabilityCheck:
@@ -129,10 +128,10 @@ def dgldpc_stability_check(ens: Ensemble, q: float) -> StabilityCheck:
     rounded."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
-    digits, _, exponent = repr(q).partition("e")
+    digits, _, exponent = repr(float(q)).partition("e")
     e = len(digits.partition(".")[2]) - int(exponent or 0)  # q = int(digits without ".") / 10^e, e >= 0 as q <= 1
     x, scale = int(digits.replace(".", "")), 10**e
-    lhs, den, b, bden = _condition(ens)
+    lhs, den, b, bden, *_ = _condition(ens)
     k = len(lhs) - 1
     num, den = sum(c * x**i * scale ** (k - i) for i, c in enumerate(lhs)), den * scale**k
     return StabilityCheck(holds=num * b <= bden * den, lhs=_float(num, den), rhs=_float(bden, b),
@@ -143,7 +142,7 @@ def dgldpc_stability_boundary(ens: Ensemble) -> BoundaryResult:
     """The one q in [0, 1] where lhs(q) = rhs, if any, as the float nearest it:
     nearest_float_root, with no candidate, on the exact sign of b den (lhs - rhs),
     an integer polynomial (dyadic_value), when a root exists (lhs(1) >= rhs)."""
-    lhs, den, b, bden = _condition(ens)
+    lhs, den, b, bden, *_ = _condition(ens)
     if b == 0 or sum(lhs) * b < den * bden:
         return BoundaryResult(points=(), vacuous=b == 0)
     excess = [c * b for c in lhs]
@@ -163,9 +162,8 @@ def stability_report(ens: Ensemble) -> StabilityReport:
             terms[i] = tuple(weights[i] * c / (sum(weights) * den) for c in row)
         return terms
 
-    lhs, den, b, bden = _condition(ens)
-    var, chk = _dmin2_types(ens, "variable"), _dmin2_types(ens, "check")
-    degree = max([1] + [ens.codes("variable")[i].k for i in var])
+    lhs, den, b, bden, var, chk = _condition(ens)
+    degree = max([1] + [len(row) - 1 for (row,), _ in var.values()])
     return StabilityReport(
         cnd_slope_at_zero=-b / bden,
         vnd_slope_coeffs=tuple(-c / den for c in lhs[: degree + 1]),

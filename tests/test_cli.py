@@ -308,6 +308,8 @@ INVALID_VARIABLE_NODES = [
     pytest.param([generic(5)], "variable_nodes[0]", id="non-string-generator"),
     pytest.param([generic("101\n011", length=3)], "variable_nodes[0]", id="generic-with-length"),
     pytest.param([rep(3, generator="111")], "variable_nodes[0]", id="repetition-with-generator"),
+    pytest.param([rep(0)], "variable type 0 (repetition(0))", id="length-0"),
+    pytest.param([rep(-3)], "variable type 0 (repetition(-3))", id="negative-length"),
     pytest.param([rep(1)], "variable type 0 (repetition(1))", id="length-1"),
     pytest.param([rep(33)], "variable type 0 (repetition(33))", id="length-33"),
     pytest.param([rep(10**18)], f"variable type 0 (repetition({10**18}))", id="length-1e18"),

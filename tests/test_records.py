@@ -11,7 +11,7 @@ import pytest
 from dgldpc.binmat import BinaryMatrix
 from dgldpc.codes import ComponentCode
 from dgldpc.density_evolution import DeRun, ThresholdResult
-from dgldpc.ensembles import Ensemble, NodeType, parse_ensemble
+from dgldpc.ensembles import Ensemble, EnsembleFormatError, NodeType, parse_ensemble
 from dgldpc.exit_charts import ExitPolynomial, mixture_polynomial
 from dgldpc.stability import (
     Applicability,
@@ -200,7 +200,7 @@ NODE_TYPE_FAULTS = [
     ({"kind": "generic"}, "generic node types carry a generator"),
     ({"generator": BinaryMatrix.from_text(SPC_32_TEXT)}, "carry a length and no generator"),
     ({"length": None}, "carry a length and no generator"),
-    ({"length": 0}, "length must be positive"),
+    ({"length": 3.0}, "length must be an integer"),
     ({"edge_fraction": 0.0}, "edge fraction"),
     ({"edge_fraction": 1.5}, "edge fraction"),
 ]
@@ -222,6 +222,6 @@ def test_generic_node_type_refuses_a_length_on_every_path():
 
 
 def test_parsing_reports_node_type_checks():
-    doc = '{"variable_nodes": [{"kind": "repetition", "length": 0, "edge_fraction": 1.0}], "check_nodes": []}'
-    with pytest.raises(ValueError, match="length must be positive"):
+    doc = '{"variable_nodes": [{"kind": "repetition", "length": 3.0, "edge_fraction": 1.0}], "check_nodes": []}'
+    with pytest.raises(EnsembleFormatError, match="variable_nodes\\[0\\]: node length must be an integer"):
         parse_ensemble(doc)

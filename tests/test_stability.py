@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -34,6 +35,7 @@ from conftest import (
     generic_node,
     mixed_side,
     package_caches,
+    q1_decoding_ensemble,
     random_generic_dmin2,
     rep_node,
     serialize_ensemble,
@@ -141,6 +143,24 @@ def test_stability_check_worked_example(g32var_spc6):
         assert dgldpc_stability_check(g32var_spc6, q) == (True, float(lhs), 0.2, float(Fraction(1, 5) - lhs))
 
 
+class NumpyLikeFloat(float):
+    """A float subclass with its own repr, as NumPy 2's float64 has."""
+
+    def __repr__(self):
+        return f"np.float64({float.__repr__(self)})"
+
+
+@pytest.mark.parametrize(
+    "q, x",
+    [(NumpyLikeFloat(0.2), Fraction(1, 5)), (True, 1), (Fraction(1, 5), Fraction(1, 5))],
+    ids=["float-subclass", "bool", "fraction"],
+)
+def test_stability_check_reads_the_value_of_any_real_q(g32var_spc6, q, x):
+    lhs = Fraction(2, 3) * (x**2 + 2 * x)  # (2/3)(q^2 + 2q)
+    expected = (lhs <= Fraction(1, 5), float(lhs), 0.2, float(Fraction(1, 5) - lhs))
+    assert dgldpc_stability_check(g32var_spc6, q) == expected
+
+
 def test_stability_check_infinite_rhs():
     ens = ensemble([rep_node(2, 1.0)], [generic_node(HAMMING_74_TEXT, 1.0)])
     check = dgldpc_stability_check(ens, 0.99)
@@ -222,29 +242,48 @@ def test_report_dmin2_terms_only_for_dmin2_types():
 
 @pytest.mark.parametrize("index, calls", [(6, 2), (8, 5), (10, 3)])
 def test_report_builds_each_slope_row_once_per_reader(index, calls):
-    # one delta_params per code: the two mixture rows and _dmin2_types all
-    # read the codes' rows through its per-code cache
+    # one delta_params per code: the two mixture rows and _condition's
+    # classification of the minimum-distance-2 types all read the codes'
+    # rows through its per-code cache
     for cache in package_caches().values():
         cache.cache_clear()
     stability_report(fixture_suite()[index])
     assert delta_params.cache_info().misses == calls
 
 
-def test_every_stability_reader_mixes_each_slope_row_once(monkeypatch):
-    # the report, a library loop of checks, the boundary, the bound and the
-    # threshold all read one cached condition: each side's row is mixed once
-    mix, mixed = stability.mixture_slope_row, []
-    monkeypatch.setattr(stability, "mixture_slope_row", lambda ens, side: mixed.append(side) or mix(ens, side))
+def run_every_stability_reader(ens) -> None:
+    """Cold caches, then the report, a library loop of checks, the boundary,
+    the bound and the threshold."""
     for cache in package_caches().values():
         cache.cache_clear()
-    ens = fixture_suite()[8]
     stability_report(ens)
     for i in range(1000):
         dgldpc_stability_check(ens, i / 999)
     dgldpc_stability_boundary(ens)
     gldpc_stability_bound(ens)
     find_threshold(ens)
+
+
+def test_every_stability_reader_mixes_each_slope_row_once(monkeypatch):
+    # every reader reads one cached condition: each side's row is mixed once
+    mix, mixed = stability.mixture_slope_row, []
+    monkeypatch.setattr(stability, "mixture_slope_row", lambda ens, side: mixed.append(side) or mix(ens, side))
+    run_every_stability_reader(fixture_suite()[8])
     assert sorted(mixed) == ["check", "variable"]
+
+
+def test_every_stability_reader_classifies_each_type_once(monkeypatch):
+    # _condition reads each node type's code slope row once, and every
+    # reader takes the minimum-distance-2 types from its cache
+    row, read = stability.code_slope_row, []
+    monkeypatch.setattr(stability, "code_slope_row", lambda code, side: read.append((code, side)) or row(code, side))
+    both_sides = q1_decoding_ensemble()  # generalized d_min-2 types on both sides
+    for ens in (fixture_suite()[8], both_sides):
+        read.clear()
+        run_every_stability_reader(ens)
+        assert Counter(read) == Counter((c, s) for s in ("variable", "check") for c in ens.codes(s))
+    flags = stability_report(both_sides).applicability
+    assert not flags.all_var_dmin_ge3 and not flags.all_chk_dmin_ge3
 
 
 def analyze_stability(ens, tmp_path, capsys) -> dict:
