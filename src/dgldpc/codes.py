@@ -239,7 +239,6 @@ def min_distance_at_least(gen: BinaryMatrix, t: int) -> bool:
     return _generator_rank_sums(gen)[n - s] == gen.rows * comb(n, s)
 
 
-@lru_cache(maxsize=None)
 def delta_params(code: ComponentCode) -> tuple[int, ...]:
     """Rank-deficiency totals at submatrix size n-2, with no subset walk.
 

@@ -15,7 +15,7 @@ g_q(x) = c(x) v_q(x c(x)), a product in which nothing cancels, and
 de_iterate steps x_{t+1} = x_t g_q(x_t) from x_0 = v_q(1), the first
 variable-node activation with worst-case a-priori input.  No command runs
 it; it is an oracle independent of the threshold probes' basis.  Both
-mixtures are certified monotone (exit_charts._mix), so x -> x g_q(x) is
+mixtures are certified monotone (exit_charts.mix), so x -> x g_q(x) is
 nondecreasing and the trajectory never rises beyond float error.
 
 The threshold is not found by iterating: the recursion reaches 0 exactly

@@ -11,9 +11,9 @@ correctly rounded, the check curve's inverse, the stability boundary and the
 threshold probes.  Only bernstein_eval is floating point; it steers newton
 and runs density evolution, and nearest_float_root decides each inverse
 on exact signs.  The a-priori input is an erasure probability p
-with I_A = 1 - p.  Stability reads the slopes at p = 0
-off row t = 1 (code_slope_row, mixture_slope_row).  _mix proves each mixture
-monotone in p and q, which inverse_exit_cnd and DE rely on.
+with I_A = 1 - p.  mix proves each mixture monotone in p and q, which
+inverse_exit_cnd and DE rely on; stability mixes its slope rows (row t = 1,
+the slopes at p = 0, in closed form from codes.delta_params) with it too.
 """
 
 from collections import namedtuple
@@ -21,34 +21,18 @@ from collections.abc import Callable, Sequence
 from functools import lru_cache, partial
 from math import comb, lcm, ulp
 
-from .codes import ComponentCode, delta_params, info_functions, split_info_functions
+from .codes import ComponentCode, info_functions, split_info_functions
 from .ensembles import ENSEMBLE_CACHE_SIZE, Ensemble
 
 NEWTON_STEPS = 30
 
 
 class MonotonicityError(RuntimeError):
-    """An EXIT mixture failed the exact monotonicity certificate (see _mix)."""
+    """An EXIT mixture failed the exact monotonicity certificate (see mix)."""
 
 
 class InversionRangeError(RuntimeError):
     """The inversion target is outside the range of the check-side EXIT curve."""
-
-
-def exit_coefficients(code: ComponentCode, side: str) -> tuple[tuple[int, ...], ...]:
-    """Exact integer EXIT coefficients of one component code on one side.
-
-    An EXIT function is the derivative of its information-function polynomial
-    (Ashikhmin, Kramer and ten Brink, 2004): a_t[z] = (n-t) T[n-t][K-z] -
-    (t+1) T[n-t-1][K-z], t = 0..n-1, z = 0..K, is coefficient n-1-t of the
-    derivative of column K-z of T.  T is the split table (K = k) on the
-    variable side and the information functions as one column (K = 0) on the
-    check side, so a check node walks at most 2^n subsets instead of up to
-    2^(n+k) (the walks number the independent column subsets; see codes).
-    Row t = 0 vanishes exactly when the minimum distance is >= 2.
-    """
-    table = split_info_functions(code) if side == "variable" else tuple((e,) for e in info_functions(code))
-    return tuple(zip(*(derivative(col)[::-1] for col in reversed(list(zip(*table))))))
 
 
 class ExitPolynomial(namedtuple("ExitPolynomial", "coeffs den")):
@@ -82,6 +66,23 @@ class ExitPolynomial(namedtuple("ExitPolynomial", "coeffs den")):
             return dyadic_value(info, b, m) / (den << (m.bit_length() - 1) * d)
 
         return evaluate
+
+
+def exit_coefficients(code: ComponentCode, side: str) -> ExitPolynomial:
+    """A node's exact EXIT polynomial, the integers a_t[z] over n; side is
+    "variable" or "check".
+
+    An EXIT function is the derivative of its information-function polynomial
+    (Ashikhmin, Kramer and ten Brink, 2004): a_t[z] = (n-t) T[n-t][K-z] -
+    (t+1) T[n-t-1][K-z], t = 0..n-1, z = 0..K, is coefficient n-1-t of the
+    derivative of column K-z of T.  T is the split table (K = k) on the
+    variable side and the information functions as one column (K = 0) on the
+    check side, so a check node walks at most 2^n subsets instead of up to
+    2^(n+k) (the walks number the independent column subsets; see codes).
+    Row t = 0 vanishes exactly when the minimum distance is >= 2.
+    """
+    table = split_info_functions(code) if side == "variable" else tuple((e,) for e in info_functions(code))
+    return ExitPolynomial(tuple(zip(*(derivative(col)[::-1] for col in reversed(list(zip(*table)))))), code.n)
 
 
 def bernstein_eval(c: Sequence[float], x: float) -> float:
@@ -131,7 +132,7 @@ def _elevate(c: Sequence[int], degree: int) -> list[int]:
     return bernstein_product(c, [comb(extra, i) for i in range(extra + 1)])
 
 
-def _mix(parts) -> ExitPolynomial:
+def mix(parts) -> ExitPolynomial:
     """Sum of (weight, polynomial) pairs, integer weights over their sum, as
     integers over one denominator lcm(dens) sum(weights) at a common (d, K),
     proved nondecreasing in p and q: MonotonicityError unless derivative is
@@ -156,30 +157,10 @@ def _mix(parts) -> ExitPolynomial:
     return ExitPolynomial(tuple(map(tuple, total)), den * sum(w for w, _ in parts))
 
 
-def code_polynomial(code: ComponentCode, side: str) -> ExitPolynomial:
-    """A node's polynomial, the integers a_t[z] over n; side is "variable" or "check"."""
-    return ExitPolynomial(exit_coefficients(code, side), code.n)
-
-
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)
 def mixture_polynomial(ens: Ensemble, side: str) -> ExitPolynomial:
     """The edge-fraction mixture of one side's node polynomials."""
-    return _mix(list(zip(ens.weights(side), (code_polynomial(code, side) for code in ens.codes(side)))))
-
-
-def code_slope_row(code: ComponentCode, side: str) -> ExitPolynomial:
-    """Row t = 1 of code_polynomial(code, side), one row over the same n, with no
-    table: 2 Delta_{n-2}[z] from delta_params, in closed form with no walk
-    (the full table walks up to 2^(n+k) subsets)."""
-    deltas = delta_params(code)
-    return ExitPolynomial((tuple(2 * x for x in (deltas if side == "variable" else deltas[-1:])),), code.n)
-
-
-def mixture_slope_row(ens: Ensemble, side: str) -> ExitPolynomial:
-    """Row t = 1 of mixture_polynomial(ens, side), one row over the same den,
-    mixed from the code slope rows as one-row polynomials: elevation in p
-    leaves row 1 unchanged because c[0] = 0 for every node."""
-    return _mix(list(zip(ens.weights(side), (code_slope_row(code, side) for code in ens.codes(side)))))
+    return mix(list(zip(ens.weights(side), (exit_coefficients(code, side) for code in ens.codes(side)))))
 
 
 def vnd_evaluator_at_q(ens: Ensemble, q: float) -> Callable[[float], float]:
@@ -197,7 +178,7 @@ def _check_curve(ens: Ensemble) -> tuple:
     """(s, i, df/dp, f(1), m, den) of f = I_{E,C}: float 1 - f, f and slope that
     steer newton, the least f (correctly rounded), and integers with den (1 - f(p)) =
     sum_k m[k] p^k exactly, as monomial returns them.  The slope's coefficients
-    are -derivative of 1 - f's, all <= 0, as _mix proved."""
+    are -derivative of 1 - f's, all <= 0, as mix proved."""
     v, den = mixture_polynomial(ens, "check").at_dyadic_q()
     erasure, info = [c / den for c in v], [(comb(len(v) - 1, t) * den - c) / den for t, c in enumerate(v)]
     slope = [-s / den for s in derivative(v)]

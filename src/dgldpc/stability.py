@@ -11,17 +11,17 @@ The sums run over the generalized types with minimum distance 2 (D_i is the
 augmented rank-deficiency table of type i), those whose row is nonzero
 (codes.delta_params is zero for d_min >= 3).  The one condition every reader
 here reads is _condition, cached per ensemble: row t = 1 of the exact EXIT
-polynomials (exit_charts.mixture_slope_row), lhs the variable row in
-monomials of q and the bracket of rhs the check row, all integers over one
-denominator each, and the minimum-distance-2 types of each side with their
-code slope rows (exit_charts.code_slope_row), classified once.  Every
+polynomials, built here from delta_params with no table walk and mixed by
+exit_charts.mix, lhs the variable row in monomials of q and the bracket of
+rhs the check row, all integers over one denominator each, and the
+minimum-distance-2 types of each side, classified from the same rows.  Every
 decision is made on these integers exactly (the boundary by
 exit_charts.dyadic_value), and every reported float is correctly rounded.
 Derivative matching (the curves tangent at p = 0) is the stability-limited
 threshold q* = q_stab that density_evolution.find_threshold reports with
 x* = 0.
 
-lhs never decreases in q: exit_charts._mix proves row[z] / C(K, z)
+lhs never decreases in q: exit_charts.mix proves row[z] / C(K, z)
 nondecreasing in z (a generalized type's is n - 1 times the average rank
 deficiency of [G_S | I_T] over (n-2)-subsets S and (k-z)-subsets T, which
 fewer identity columns cannot lower).  As lhs(0) = 0 < rhs, the condition
@@ -36,8 +36,9 @@ import math
 from collections import namedtuple
 from functools import lru_cache, partial
 
+from .codes import delta_params
 from .ensembles import ENSEMBLE_CACHE_SIZE, Ensemble
-from .exit_charts import code_slope_row, dyadic_value, mixture_slope_row, monomial, nearest_float_root
+from .exit_charts import ExitPolynomial, dyadic_value, mix, monomial, nearest_float_root
 
 
 class Applicability(namedtuple("Applicability", "is_gldpc all_var_dmin_ge3 all_chk_dmin_ge3")):
@@ -96,17 +97,20 @@ def _float(a: int, b: int) -> float:
 def _condition(ens: Ensemble) -> tuple[tuple[int, ...], int, int, int, dict, dict]:
     """The stability inequality in integers, (lhs, den, b, bden, var, chk):
     lhs(q) = sum_i lhs[i] q^i / den, monomials of the variable slope row, and
-    rhs = bden / b, of the check slope row (b / bden is the bracket).  var and
-    chk are each side's generalized minimum-distance-2 types, index -> slope
-    row: those with a nonzero row (the row of a d_min >= 3 code is zero).
+    rhs = bden / b, of the check slope row (b / bden is the bracket).  A type's
+    row, row t = 1 of its EXIT polynomial, is 2 delta_params over n (the last
+    entry alone on the check side, K = 0), and mix leaves row 1 as it is (c[0] = 0).
+    var and chk are each side's generalized minimum-distance-2 types, index ->
+    slope row: those with a nonzero row (the row of a d_min >= 3 code is zero).
     All but repetition variable nodes and SPC check nodes are generalized."""
-    (row,), den = mixture_slope_row(ens, "variable")
-    ((b,),), bden = mixture_slope_row(ens, "check")
-    dmin2 = []
+    sides = []
     for side, plain in (("variable", "repetition"), ("check", "spc")):
-        rows = [code_slope_row(code, side) for code in ens.codes(side)]
-        dmin2.append({i: r for i, (t, r) in enumerate(zip(ens.types(side), rows)) if t.kind != plain and any(r.coeffs[0])})
-    return tuple(monomial(row)), den, b, bden, *dmin2
+        rows = [ExitPolynomial((tuple(2 * x for x in delta_params(code)[-1 if side == "check" else 0:]),), code.n)
+                for code in ens.codes(side)]
+        sides.append(mix(list(zip(ens.weights(side), rows))))
+        sides.append({i: r for i, (t, r) in enumerate(zip(ens.types(side), rows)) if t.kind != plain and any(r.coeffs[0])})
+    ((row,), den), var, (((b,),), bden), chk = sides
+    return tuple(monomial(row)), den, b, bden, var, chk
 
 
 def gldpc_stability_bound(ens: Ensemble) -> float | None:

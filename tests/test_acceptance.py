@@ -29,7 +29,6 @@ from dgldpc.density_evolution import find_threshold
 from dgldpc.ensembles import design_rate, parse_ensemble, validate
 from dgldpc.exit_charts import (
     cnd_evaluator,
-    code_polynomial,
     exit_coefficients,
     vnd_evaluator_at_q,
 )
@@ -94,11 +93,11 @@ def test_criterion_2_closed_form_reductions():
             for q in [i / 10 for i in range(11)]:
                 for p in p_grid:
                     expected = 1.0 - q * p ** (j - 1)
-                    assert abs(code_polynomial(code, "variable").at_q(q)(p) - expected) <= 1e-12
+                    assert abs(exit_coefficients(code, "variable").at_q(q)(p) - expected) <= 1e-12
         for j in range(2, 9):
             code = ComponentCode.single_parity_check(j)
             for p in p_grid:
-                assert abs(code_polynomial(code, "check").at_q()(p) - (1.0 - p) ** (j - 1)) <= 1e-12
+                assert abs(exit_coefficients(code, "check").at_q()(p) - (1.0 - p) ** (j - 1)) <= 1e-12
 
 
 def test_criterion_3_coefficient_laws():
@@ -121,7 +120,7 @@ def test_criterion_3_coefficient_laws():
             codes.append(code)
             found += 1
         for code in codes:
-            check, variable = exit_coefficients(code, "check"), exit_coefficients(code, "variable")
+            check, variable = exit_coefficients(code, "check").coeffs, exit_coefficients(code, "variable").coeffs
             assert check[0] == (0,)
             assert all(a == 0 for a in variable[0])
             dmin3 = min_distance_bruteforce(code) >= 3

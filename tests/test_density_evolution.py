@@ -28,7 +28,6 @@ from dgldpc.exit_charts import (
     ExitPolynomial,
     MonotonicityError,
     mixture_polynomial,
-    mixture_slope_row,
     sample_exit_chart,
 )
 from dgldpc.stability import (
@@ -108,10 +107,10 @@ def test_threshold_refuses_a_variable_polynomial_that_falls(poly, tmp_path, monk
     # the threshold refuses before any DE step.  A refused mixture is never
     # cached; clearing drops one that another test may have built
     mixture_polynomial.cache_clear()
-    real = exit_charts.code_polynomial
+    real = exit_charts.exit_coefficients
     rep3 = ComponentCode.repetition(3)
     monkeypatch.setattr(
-        exit_charts, "code_polynomial",
+        exit_charts, "exit_coefficients",
         lambda code, side: poly if (code, side) == (rep3, "variable") else real(code, side),
     )
     with pytest.raises(MonotonicityError):
@@ -302,7 +301,7 @@ def test_interior_threshold_reports_its_fixed_point(rep3_spc6_threshold):
 
 def lhs_row_at(ens, q: float) -> Fraction:
     """Row t = 1 of the variable mixture evaluated at q in exact rationals."""
-    (row,) = as_fractions(mixture_slope_row(ens, "variable"))
+    row = as_fractions(mixture_polynomial(ens, "variable"))[1]
     k, q = len(row) - 1, Fraction(q)
     return sum(c * q**z * (1 - q) ** (k - z) for z, c in enumerate(row))
 
@@ -319,7 +318,7 @@ def test_threshold_agrees_with_density_evolution(variables, checks, q):
     if q_star + 1e-3 <= 1.0:
         assert not de_iterate(ens, q_star + 1e-3).success
     # g_q(0) is the stability product bracket * lhs(q), exactly
-    assert exact_g(ens, q)[0] == as_fractions(mixture_slope_row(ens, "check"))[0][0] * lhs_row_at(ens, q)
+    assert exact_g(ens, q)[0] == as_fractions(mixture_polynomial(ens, "check"))[1][0] * lhs_row_at(ens, q)
 
 
 @settings(max_examples=40, deadline=None)

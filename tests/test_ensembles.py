@@ -25,9 +25,8 @@ from dgldpc.ensembles import (
 )
 from dgldpc.exit_charts import (
     cnd_evaluator,
-    code_polynomial,
+    exit_coefficients,
     inverse_exit_cnd,
-    mixture_slope_row,
     vnd_evaluator_at_q,
 )
 from dgldpc.stability import dgldpc_stability_check, stability_report
@@ -329,9 +328,9 @@ def test_kinds_usable_on_either_side():
     validate(ens)
     from dgldpc.codes import ComponentCode
 
-    spc3 = code_polynomial(ComponentCode.single_parity_check(3), "variable")
+    spc3 = exit_coefficients(ComponentCode.single_parity_check(3), "variable")
     assert vnd_evaluator_at_q(ens, 0.6)(0.4) == spc3.at_q(0.6)(0.4)
-    assert cnd_evaluator(ens)(0.4) == code_polynomial(ComponentCode.repetition(4), "check").at_q()(0.4)
+    assert cnd_evaluator(ens)(0.4) == exit_coefficients(ComponentCode.repetition(4), "check").at_q()(0.4)
 
 
 def test_ensemble_keyed_caches_are_bounded():
@@ -342,8 +341,8 @@ def test_ensemble_keyed_caches_are_bounded():
         density_evolution._fixed_point_basis,
         stability._condition,
     ]
-    # with the two keyed by code, these are every cache in the package
-    assert set(package_caches().values()) == {codes.delta_params, codes.info_functions, *caches}
+    # with the one keyed by code, these are every cache in the package
+    assert set(package_caches().values()) == {codes.info_functions, *caches}
     for cache in caches:
         cache.cache_clear()
     count = ENSEMBLE_CACHE_SIZE + 5
@@ -351,7 +350,6 @@ def test_ensemble_keyed_caches_are_bounded():
         w = i / (count + 1)
         ens = ensemble([rep_node(2, w), rep_node(3, 1.0 - w)], [spc_node(6, 1.0)])
         vnd_evaluator_at_q(ens, 0.5)
-        mixture_slope_row(ens, "variable")
         stability_report(ens)
         inverse_exit_cnd(ens, 0.5)
         density_evolution.fixed_point_coefficients(ens, 1, 2)
@@ -361,11 +359,9 @@ def test_ensemble_keyed_caches_are_bounded():
 
 
 def test_code_keyed_caches_hold_one_entry_per_code():
-    # the two unbounded caches: 200 edge-fraction mixtures of the same four
-    # codes share their entries, one per check code in the information
-    # functions and one per code in the deficiency totals
+    # the one unbounded cache: 200 edge-fraction mixtures of the same four
+    # codes share its entries, one per check code in the information functions
     codes.info_functions.cache_clear()
-    codes.delta_params.cache_clear()
     count = 200
     for i in range(1, count + 1):
         w = i / (count + 1)
@@ -376,5 +372,3 @@ def test_code_keyed_caches_hold_one_entry_per_code():
         exit_charts.mixture_polynomial(ens, "check")
     info = codes.info_functions.cache_info()
     assert (info.maxsize, info.currsize, info.misses) == (None, 2, 2)
-    info = codes.delta_params.cache_info()
-    assert (info.maxsize, info.currsize, info.misses) == (None, 4, 4)

@@ -12,20 +12,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dgldpc import exit_charts
-from dgldpc.codes import ComponentCode, info_functions, min_distance_at_least
+from dgldpc import exit_charts, stability
+from dgldpc.codes import ComponentCode, delta_params, info_functions, min_distance_at_least
 from dgldpc.exit_charts import (
     ExitPolynomial,
     InversionRangeError,
     bernstein_eval,
     cnd_evaluator,
-    code_polynomial,
-    code_slope_row,
     derivative,
     exit_coefficients,
     inverse_exit_cnd,
     mixture_polynomial,
-    mixture_slope_row,
     monomial,
     nearest_float_root,
     newton,
@@ -73,8 +70,8 @@ def test_derivative_is_the_derivative_of_the_monomial_form(c):
 
 
 def test_coefficients_spc32(spc32):
-    assert exit_coefficients(spc32, "check") == ((0,), (6,), (3,))
-    assert exit_coefficients(spc32, "variable")[0][0] == 0
+    assert exit_coefficients(spc32, "check") == ExitPolynomial(((0,), (6,), (3,)), 3)
+    assert exit_coefficients(spc32, "variable").coeffs[0][0] == 0
 
 
 def test_coefficients_nonnegative_random():
@@ -83,14 +80,14 @@ def test_coefficients_nonnegative_random():
         n = rng.randint(2, 7)
         code = random_component_code(rng, n, rng.randint(1, n - 1))
         for side in ("variable", "check"):
-            assert all(a >= 0 for row in exit_coefficients(code, side) for a in row)
+            assert all(a >= 0 for row in exit_coefficients(code, side).coeffs for a in row)
 
 
 def test_check_exit_matches_spc_closed_form():
     for j in range(2, 9):
         code = ComponentCode.single_parity_check(j)
         for p in P_GRID:
-            assert abs(code_polynomial(code, "check").at_q()(p) - (1 - p) ** (j - 1)) <= 1e-12
+            assert abs(exit_coefficients(code, "check").at_q()(p) - (1 - p) ** (j - 1)) <= 1e-12
 
 
 def test_variable_exit_matches_repetition_closed_form():
@@ -98,21 +95,21 @@ def test_variable_exit_matches_repetition_closed_form():
         code = ComponentCode.repetition(j)
         for q in [i / 10 for i in range(11)]:
             for p in P_GRID:
-                assert abs(code_polynomial(code, "variable").at_q(q)(p) - (1 - q * p ** (j - 1))) <= 1e-12
+                assert abs(exit_coefficients(code, "variable").at_q(q)(p) - (1 - q * p ** (j - 1))) <= 1e-12
 
 
 def test_check_exit_at_zero_is_one(spc32, hamming74):
     for code in (spc32, hamming74):
-        assert code_polynomial(code, "check").at_q()(0.0) == 1.0
+        assert exit_coefficients(code, "check").at_q()(0.0) == 1.0
 
 
 def test_variable_exit_boundaries(spc32, hamming74):
     for code in (spc32, hamming74):
         for q in (0.0, 0.3, 1.0):
-            assert code_polynomial(code, "variable").at_q(q)(0.0) == 1.0
-        assert code_polynomial(code, "variable").at_q(0.0)(0.4) == 1.0
+            assert exit_coefficients(code, "variable").at_q(q)(0.0) == 1.0
+        assert exit_coefficients(code, "variable").at_q(0.0)(0.4) == 1.0
         # q = 1: no channel observation, reduces to the check-node function
-        variable, check = code_polynomial(code, "variable").at_q(1.0), code_polynomial(code, "check").at_q()
+        variable, check = exit_coefficients(code, "variable").at_q(1.0), exit_coefficients(code, "check").at_q()
         for p in P_GRID:
             assert abs(variable(p) - check(p)) <= 1e-13
 
@@ -158,17 +155,17 @@ def test_exit_matches_erasure_decoding_oracle(spc32, hamming74):
     codes = [spc32, hamming74, ComponentCode.repetition(4), ComponentCode.from_text("11110\n00101\n00110")]
     for code in codes:
         for p in (0.0, 0.17, 0.5, 0.83, 1.0):
-            assert abs(code_polynomial(code, "check").at_q()(p) - oracle_check_exit(code, p)) <= 1e-13
+            assert abs(exit_coefficients(code, "check").at_q()(p) - oracle_check_exit(code, p)) <= 1e-13
     for code in codes:
         for p in (0.0, 0.3, 0.77, 1.0):
             for q in (0.0, 0.41, 1.0):
-                got = code_polynomial(code, "variable").at_q(q)(p)
+                got = exit_coefficients(code, "variable").at_q(q)(p)
                 assert abs(got - oracle_variable_exit(code, p, q)) <= 1e-13
 
 
 def test_check_exit_hamming_half_exact(hamming74):
     # all weights equal 2^-6 at p = 1/2; frozen exact value 23/64
-    assert abs(code_polynomial(hamming74, "check").at_q()(0.5) - 23 / 64) <= 1e-15
+    assert abs(exit_coefficients(hamming74, "check").at_q()(0.5) - 23 / 64) <= 1e-15
     e = info_functions(hamming74)
     a = [(7 - t) * e[7 - t] - (t + 1) * e[6 - t] for t in range(7)]
     exact = 1 - Fraction(1, 7) * sum(Fraction(at, 64) for at in a)
@@ -178,7 +175,7 @@ def test_check_exit_hamming_half_exact(hamming74):
 def test_vnd_single_type_equals_node_function(spc32):
     ens = ensemble([generic_node(SPC_32_TEXT, 1.0)], [spc_node(6, 1.0)])
     for p, q in [(0.2, 0.7), (0.5, 0.5), (1.0, 0.1)]:
-        assert vnd_evaluator_at_q(ens, q)(p) == code_polynomial(spc32, "variable").at_q(q)(p)
+        assert vnd_evaluator_at_q(ens, q)(p) == exit_coefficients(spc32, "variable").at_q(q)(p)
 
 
 def test_vnd_all_repetition_closed_form():
@@ -192,7 +189,7 @@ def test_vnd_mixture_example(spc32):
         [rep_node(2, 0.5), generic_node(SPC_32_TEXT, 0.5)],
         [spc_node(6, 1.0)],
     )
-    expected = 0.5 * (1 - 0.25) + 0.5 * code_polynomial(spc32, "variable").at_q(0.5)(0.5)
+    expected = 0.5 * (1 - 0.25) + 0.5 * exit_coefficients(spc32, "variable").at_q(0.5)(0.5)
     assert abs(vnd_evaluator_at_q(ens, 0.5)(0.5) - expected) <= 1e-15
 
 
@@ -204,7 +201,7 @@ def test_cnd_examples(hamming74):
         [rep_node(3, 1.0)],
         [spc_node(3, 0.5), generic_node("1000110\n0100101\n0010011\n0001111", 0.5)],
     )
-    expected = 0.5 * 0.25 + 0.5 * code_polynomial(hamming74, "check").at_q()(0.5)
+    expected = 0.5 * 0.25 + 0.5 * exit_coefficients(hamming74, "check").at_q()(0.5)
     assert abs(cnd_evaluator(mixed)(0.5) - expected) <= 1e-15
 
 
@@ -219,7 +216,7 @@ def test_mixture_matches_regrouped_form(spc32):
         regrouped = (
             (0.25 + 0.35)
             - q * (0.25 * p + 0.35 * p**2)
-            + 0.4 * code_polynomial(spc32, "variable").at_q(q)(p)
+            + 0.4 * exit_coefficients(spc32, "variable").at_q(q)(p)
         )
         assert abs(vnd_evaluator_at_q(ens, q)(p) - regrouped) <= 1e-14
     chk = ensemble(
@@ -228,7 +225,7 @@ def test_mixture_matches_regrouped_form(spc32):
     )
     for p in (0.15, 0.6):
         regrouped = (
-            0.3 * (1 - p) ** 3 + 0.3 * (1 - p) ** 5 + 0.4 * code_polynomial(spc32, "check").at_q()(p)
+            0.3 * (1 - p) ** 3 + 0.3 * (1 - p) ** 5 + 0.4 * exit_coefficients(spc32, "check").at_q()(p)
         )
         assert abs(cnd_evaluator(chk)(p) - regrouped) <= 1e-14
 
@@ -318,7 +315,7 @@ def test_certificate_refuses_a_non_monotone_polynomial():
     # the certificate stands where every mixture is built
     def mix(*rows):  # rational rows, as integers over their common denominator
         den = math.lcm(*(Fraction(c).denominator for row in rows for c in row))
-        return exit_charts._mix([(1, ExitPolynomial(tuple(tuple(int(c * den) for c in row) for row in rows), den))])
+        return exit_charts.mix([(1, ExitPolynomial(tuple(tuple(int(c * den) for c in row) for row in rows), den))])
 
     # b_t = c_t / C(2,t) = 0, 1/2, 1: I_E = 1 - p^2 falls, -dI_E/dp = 2p
     assert check_slope(mix((0,), (1,), (1,))) == [1, 1]
@@ -397,17 +394,17 @@ def test_closed_form_polynomials_equal_generic_declarations():
         rep, spc = ComponentCode.repetition(j), ComponentCode.single_parity_check(j)
         rep_form = tuple((Fraction(0), Fraction(t == d)) for t in range(d + 1))
         spc_form = tuple((Fraction(math.comb(d, t) if t else 0),) for t in range(d + 1))
-        polys = (code_polynomial(rep, "variable"), code_polynomial(spc, "check"))
+        polys = (exit_coefficients(rep, "variable"), exit_coefficients(spc, "check"))
         assert tuple(map(as_fractions, polys)) == (rep_form, spc_form)
         assert all(poly.den == j for poly in polys)
         assert all(type(c) is int for poly in polys for row in poly.coeffs for c in row)
-        slopes = (code_slope_row(rep, "variable"), code_slope_row(spc, "check"))
-        assert tuple(map(as_fractions, slopes)) == (((0, int(j == 2)),), ((j - 1,),))
-        assert all(poly.den == j for poly in slopes)
+        # row t = 1, the slope at p = 0, is 2 delta_params / j (its last entry on the check side)
+        assert [Fraction(2 * x, j) for x in delta_params(rep)] == [0, int(j == 2)]
+        assert Fraction(2 * delta_params(spc)[-1], j) == j - 1
 
 
 def node_exit(node, side: str) -> ExitPolynomial:
-    return code_polynomial(component_code(node), side)
+    return exit_coefficients(component_code(node), side)
 
 
 def random_dmin2_generator(rng: random.Random, n_max: int):
@@ -423,9 +420,9 @@ def test_slope_row_from_delta_params_equals_full_table_row():
     for _ in range(12):
         gen = random_dmin2_generator(rng, 7)
         code = ComponentCode(gen)
-        for side in ("variable", "check"):
-            poly = code_polynomial(code, side)
-            assert code_slope_row(code, side) == ExitPolynomial((poly.coeffs[1],), poly.den)
+        deltas = tuple(2 * x for x in delta_params(code))
+        assert exit_coefficients(code, "variable").coeffs[1] == deltas
+        assert exit_coefficients(code, "check").coeffs[1] == deltas[-1:]
 
 
 def test_bernstein_eval_is_exact_at_the_ends():
@@ -468,9 +465,11 @@ def test_mixture_is_the_edge_fraction_sum_of_its_types(variables, checks, p, q):
     assert abs(cnd_evaluator(ens)(p) - per_type_c) <= 1e-14
     assert 0.0 <= vnd_evaluator_at_q(ens, q)(p) <= 1.0 and 0.0 <= cnd_evaluator(ens)(p) <= 1.0
     assert stability_report(ens).cnd_slope_at_zero == float(-as_fractions(mixture_polynomial(ens, "check"))[1][0])
-    for side in ("variable", "check"):
-        poly = mixture_polynomial(ens, side)
-        assert mixture_slope_row(ens, side) == ExitPolynomial((poly.coeffs[1],), poly.den)
+    # the stability condition's integers, mixed from delta_params, are row t = 1 of the full tables
+    lhs, den, b, bden, *_ = stability._condition(ens)
+    variable, check = mixture_polynomial(ens, "variable"), mixture_polynomial(ens, "check")
+    assert (lhs, den, b, bden) == (tuple(monomial(variable.coeffs[1])), variable.den, *check.coeffs[1], check.den)
+    for poly in (variable, check):
         # row 0 is zero and the rest >= 0: each output erasure is its input
         # times a polynomial with nonnegative coefficients, as DE reads it
         assert not any(poly.coeffs[0]) and min(map(min, poly.coeffs)) >= 0
@@ -697,7 +696,7 @@ def assert_area_theorem(poly: ExitPolynomial, code: ComponentCode) -> None:
 @example(0, "variable")
 def test_code_polynomials_obey_the_area_theorem(seed, side):
     code = random_generic_dmin2(random.Random(seed), max_n=9)
-    assert_area_theorem(code_polynomial(code, side), code)
+    assert_area_theorem(exit_coefficients(code, side), code)
 
 
 @settings(max_examples=40, deadline=None)

@@ -18,7 +18,7 @@ from dgldpc.codes import ComponentCode, delta_params, min_distance_bruteforce
 from dgldpc.cli import run
 from dgldpc.density_evolution import find_threshold
 from dgldpc.ensembles import validate
-from dgldpc.exit_charts import code_slope_row, mixture_slope_row
+from dgldpc.exit_charts import mixture_polynomial
 from dgldpc.stability import (
     dgldpc_stability_boundary,
     dgldpc_stability_check,
@@ -240,15 +240,22 @@ def test_report_dmin2_terms_only_for_dmin2_types():
     assert all(v == 0.0 for v in report.dmin2_var_terms[1])
 
 
+def spy_delta_params(monkeypatch) -> list:
+    """The codes whose delta_params the stability layer reads, call by call."""
+    read = []
+    monkeypatch.setattr(stability, "delta_params", lambda code: read.append(code) or delta_params(code))
+    return read
+
+
 @pytest.mark.parametrize("index, calls", [(6, 2), (8, 5), (10, 3)])
-def test_report_builds_each_slope_row_once_per_reader(index, calls):
-    # one delta_params per code: the two mixture rows and _condition's
-    # classification of the minimum-distance-2 types all read the codes'
-    # rows through its per-code cache
+def test_report_builds_each_slope_row_once_per_reader(index, calls, monkeypatch):
+    # one delta_params per node type: _condition mixes each side's rows and
+    # classifies the minimum-distance-2 types from the same rows
+    read = spy_delta_params(monkeypatch)
     for cache in package_caches().values():
         cache.cache_clear()
     stability_report(fixture_suite()[index])
-    assert delta_params.cache_info().misses == calls
+    assert len(read) == calls
 
 
 def run_every_stability_reader(ens) -> None:
@@ -266,22 +273,21 @@ def run_every_stability_reader(ens) -> None:
 
 def test_every_stability_reader_mixes_each_slope_row_once(monkeypatch):
     # every reader reads one cached condition: each side's row is mixed once
-    mix, mixed = stability.mixture_slope_row, []
-    monkeypatch.setattr(stability, "mixture_slope_row", lambda ens, side: mixed.append(side) or mix(ens, side))
+    mix, mixed = stability.mix, []
+    monkeypatch.setattr(stability, "mix", lambda parts: mixed.append(len(parts)) or mix(parts))
     run_every_stability_reader(fixture_suite()[8])
-    assert sorted(mixed) == ["check", "variable"]
+    assert mixed == [3, 2]  # F8's variable types, then its check types
 
 
 def test_every_stability_reader_classifies_each_type_once(monkeypatch):
-    # _condition reads each node type's code slope row once, and every
-    # reader takes the minimum-distance-2 types from its cache
-    row, read = stability.code_slope_row, []
-    monkeypatch.setattr(stability, "code_slope_row", lambda code, side: read.append((code, side)) or row(code, side))
+    # _condition builds each node type's slope row once, and every reader
+    # takes the minimum-distance-2 types from its cache
+    read = spy_delta_params(monkeypatch)
     both_sides = q1_decoding_ensemble()  # generalized d_min-2 types on both sides
     for ens in (fixture_suite()[8], both_sides):
         read.clear()
         run_every_stability_reader(ens)
-        assert Counter(read) == Counter((c, s) for s in ("variable", "check") for c in ens.codes(s))
+        assert Counter(read) == Counter(c for s in ("variable", "check") for c in ens.codes(s))
     flags = stability_report(both_sides).applicability
     assert not flags.all_var_dmin_ge3 and not flags.all_chk_dmin_ge3
 
@@ -386,7 +392,7 @@ def test_variable_slope_row_of_a_dmin2_code_is_nondecreasing(seed):
     # [G_S | I_T] over |S| = n - 2, |T| = k - z, which fewer identity
     # columns cannot lower
     code = random_generic_dmin2(random.Random(seed))
-    (row,) = as_fractions(code_slope_row(code, "variable"))
+    row = [Fraction(2 * x, code.n) for x in delta_params(code)]
     assert len(row) == code.k + 1
     assert nondecreasing_from_zero(row)
 
@@ -395,7 +401,7 @@ def test_variable_slope_row_of_a_dmin2_code_is_nondecreasing(seed):
 @given(mixed_side("variable"), mixed_side("check"))
 def test_boundary_is_the_one_crossing_of_a_nondecreasing_lhs(variables, checks):
     ens = ensemble(variables, checks)
-    assert nondecreasing_from_zero(as_fractions(mixture_slope_row(ens, "variable"))[0])
+    assert nondecreasing_from_zero(as_fractions(mixture_polynomial(ens, "variable"))[1])
     lhs = lambda q: dgldpc_stability_check(ens, q).lhs
     rhs = dgldpc_stability_check(ens, 0.0).rhs
     result = dgldpc_stability_boundary(ens)
@@ -421,8 +427,8 @@ def assert_root_at_the_gldpc_bound(ens):
     points = dgldpc_stability_boundary(ens).points
     # decided in exact rationals: lambda_2 * bracket = 1 - 2^-54 has no
     # root in [0, 1], yet its bound 1 + 2^-54 rounds to 1.0
-    (row,), ((bracket,),) = (as_fractions(mixture_slope_row(ens, side)) for side in ("variable", "check"))
-    if row[-1] * bracket >= 1:
+    lhs, bracket = exact_sides(ens, Fraction(1))
+    if lhs * bracket >= 1:
         assert bound <= 1
         assert len(points) == 1
         assert points[0] == bound
@@ -533,10 +539,16 @@ def test_stability_limited_threshold_is_the_closed_form_bound():
 
 
 def exact_sides(ens, q: Fraction) -> tuple[Fraction, Fraction]:
-    """(lhs(q), bracket) in rationals, row 1 summed term by term."""
-    (row,), ((bracket,),) = (as_fractions(mixture_slope_row(ens, side)) for side in ("variable", "check"))
-    k = len(row) - 1
-    return sum(c * q**z * (1 - q) ** (k - z) for z, c in enumerate(row)), bracket
+    """(lhs(q), bracket) in rationals, summed type by type and term by term:
+    a type's row t = 1 is 2 delta_params / n, each at its own k (the last
+    entry alone on the check side), with no elevation or mixing."""
+    def mixed(side, row_value):
+        weights = ens.weights(side)
+        return sum(Fraction(w, sum(weights)) * row_value([Fraction(2 * x, code.n) for x in delta_params(code)])
+                   for w, code in zip(weights, ens.codes(side)))
+
+    lhs = mixed("variable", lambda row: sum(c * q**z * (1 - q) ** (len(row) - 1 - z) for z, c in enumerate(row)))
+    return lhs, mixed("check", lambda row: row[-1])
 
 
 def exact_excess(ens, q: Fraction) -> Fraction:
