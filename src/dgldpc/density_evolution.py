@@ -42,8 +42,6 @@ from .exit_charts import (bernstein_eval, bernstein_product, derivative, dyadic_
                           monomial, nearest_float_root, newton)
 from .stability import dgldpc_stability_boundary
 
-DEFAULT_MAX_ITERS = 100_000
-DEFAULT_TOL = 1e-12
 # The depth cap: the most nested splits of [0, 1] a threshold probe makes before it is undecided.
 MAX_HALVINGS = 40
 
@@ -76,7 +74,7 @@ class ThresholdResult(
     __slots__ = ()
 
 
-def de_iterate(ens: Ensemble, q: float, max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAULT_TOL,
+def de_iterate(ens: Ensemble, q: float, max_iters: int = 100_000, tol: float = 1e-12,
                record_trace: bool = False) -> DeRun:
     """Run the fixed-point recursion at channel erasure q, x' = x c(x) v_q(x c(x))
     by bernstein_eval on rows 1.. of the mixtures, each correctly rounded.
@@ -86,6 +84,8 @@ def de_iterate(ens: Ensemble, q: float, max_iters: int = DEFAULT_MAX_ITERS, tol:
     beyond float error, so one that stops falling above tol has reached a
     fixed point, or a float cycle around one, and exits early as a failure.
     """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must be in [0, 1], got {q}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     n, m = q.as_integer_ratio()
@@ -112,13 +112,12 @@ def _fixed_point_basis(ens: Ensemble) -> tuple[tuple, int]:
     columns[i][t] / den and (v_q, vden) is the variable mixture's
     at_dyadic_q(a, m) at q = a / m without row 0.
 
-    y and 1 - y are the check mixture's erasure and information forms, read as
-    they are, integers over one denominator, and column i is scaled by
+    y and 1 - y are the check mixture's erasure form, its at_dyadic_q(), and
+    information form, integers over one denominator, and column i is scaled by
     lcm(C(D, .)) / C(D, i), so that one denominator serves them all.
     """
-    check, variable = mixture_polynomial(ens, "check"), mixture_polynomial(ens, "variable")
-    erasure = [row[0] for row in check.coeffs]
-    dc, dv, scale = len(erasure) - 1, len(variable.coeffs) - 2, check.den
+    erasure, scale = mixture_polynomial(ens, "check").at_dyadic_q()
+    dc, dv = len(erasure) - 1, len(mixture_polynomial(ens, "variable").coeffs) - 2
     info = [comb(dc, t) * scale - e for t, e in enumerate(erasure)]
     rising, falling = [erasure[1:]], [[1]]  # c y^t and (1-y)^t, times scale^(t+1) and scale^t
     for _ in range(dv):

@@ -164,7 +164,7 @@ def mixture_polynomial(ens: Ensemble, side: str) -> ExitPolynomial:
 
 
 def vnd_evaluator_at_q(ens: Ensemble, q: float) -> Callable[[float], float]:
-    """p -> I_{E,V} mixture at one channel quality q, for loops over p."""
+    """p -> I_{E,V} mixture at one channel quality q (the bench's evaluation probe)."""
     return mixture_polynomial(ens, "variable").at_q(q)
 
 
@@ -273,7 +273,7 @@ def sample_exit_chart(ens: Ensemble, q: float, npoints: int) -> list[tuple[float
         raise ValueError(f"q must be in [0, 1], got {q}")
     if npoints < 2:
         raise ValueError(f"npoints must be >= 2, got {npoints}")
-    fv = vnd_evaluator_at_q(ens, q)
+    fv = mixture_polynomial(ens, "variable").at_q(q)
     step = 1.0 / (npoints - 1)
     grid = [i * step for i in range(npoints - 1)] + [1.0]
     roots = []

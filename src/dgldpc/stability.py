@@ -126,10 +126,10 @@ def gldpc_stability_bound(ens: Ensemble) -> float | None:
 
 
 def dgldpc_stability_check(ens: Ensemble, q: float) -> StabilityCheck:
-    """Both sides of the stability inequality at the decimal repr(q) typed (up
-    to 15 significant digits), read exactly as x / scale, scale a power of
-    ten: holds is exact, and lhs, rhs and margin = rhs - lhs are correctly
-    rounded."""
+    """Both sides of the stability inequality at the decimal repr(float(q)) (the
+    decimal typed, up to 15 significant digits), read exactly as x / scale, scale
+    a power of ten: holds is exact, and lhs, rhs and margin = rhs - lhs are correctly
+    rounded.  So Fraction(1, 3) is decided at 0.3333333333333333, not at 1/3."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
     digits, _, exponent = repr(float(q)).partition("e")

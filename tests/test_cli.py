@@ -762,10 +762,14 @@ def readme_quickstart() -> str:
 
 
 def test_readme_quickstart_runs():
+    # each printed line is the text of its print's comment before any ":"
+    source = readme_quickstart()
+    expected = [line.partition("# ")[2].partition(":")[0].strip()
+                for line in source.splitlines() if line.startswith("print(")]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        exec(readme_quickstart(), {})
-    assert out.getvalue().splitlines()[:2] == ["0.2", "0.2"]
+        exec(source, {})
+    assert len(expected) == 5 and out.getvalue().splitlines() == expected
 
 
 def test_top_level_names_are_the_quickstart_imports():

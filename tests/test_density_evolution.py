@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -275,6 +276,12 @@ def test_threshold_dgldpc_ensemble(g32var_spc6):
 def test_de_rejects_bad_tol(rep3_spc6):
     with pytest.raises(ValueError):
         de_iterate(rep3_spc6, 0.3, tol=0.0)
+
+
+@pytest.mark.parametrize("q", [1.5, -0.5, math.inf, math.nan])
+def test_de_rejects_q_outside_the_unit_interval(rep3_spc6, q):
+    with pytest.raises(ValueError, match=re.escape(f"q must be in [0, 1], got {q}")):
+        de_iterate(rep3_spc6, q)
 
 
 def test_stability_limited_threshold_takes_one_probe(rep2_spc6):
