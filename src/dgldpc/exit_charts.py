@@ -56,6 +56,8 @@ class ExitPolynomial(namedtuple("ExitPolynomial", "coeffs den")):
     def at_q(self, q: float = 1.0) -> Callable[[float], float]:
         """p -> I_E at channel erasure q, correctly rounded: den m^d I_E(b / m)
         is one dyadic_value, an integer, and one true division rounds it."""
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"q must be in [0, 1], got {q}")
         v, den = self.at_dyadic_q(*q.as_integer_ratio())
         info = [-c for c in monomial(v)]
         info[0] += den

@@ -292,7 +292,12 @@ def test_min_distance_at_least_classifier(spc32, hamming74):
     assert not min_distance_at_least(spc32.gen, 3)
     assert min_distance_at_least(hamming74.gen, 3)
     assert not min_distance_at_least(hamming74.gen, 4)
-    assert not min_distance_at_least(identity(2), 2)
+    # a square generator, and 110/011/101: rank 2, the even-weight code with
+    # d_min 2, which a walk of its rank sums against k = 3 rows answered False
+    with pytest.raises(ValueError, match="1 <= k < n"):
+        min_distance_at_least(identity(2), 2)
+    with pytest.raises(ValueError, match="rank deficient"):
+        min_distance_at_least(BinaryMatrix.from_text("110\n011\n101"), 2)
 
 
 def test_delta_params_spc32(spc32):
@@ -410,14 +415,14 @@ def test_dual_walk_matches_the_primal_walk(gen):
 
 def test_high_rate_rank_sums_walk_the_dual_columns(walks):
     # Hamming (15,11): info_functions walks the 15 four-bit columns of H,
-    # not the 11-bit columns of G; min_independent_set_size reads that table
-    # and min_distance_at_least walks H again.
+    # not the 11-bit columns of G; min_independent_set_size and
+    # min_distance_at_least read that cached table and walk nothing more.
     code = hamming_15_11()
     info_functions(code)
     assert min_independent_set_size(code) == 3
     assert walks.subsets == [(15, 4, 4)]
     assert min_distance_at_least(code.gen, 3) and not min_distance_at_least(code.gen, 4)
-    assert walks.subsets == [(15, 4, 4)] * 3
+    assert walks.subsets == [(15, 4, 4)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -347,6 +347,15 @@ def test_q_outside_the_unit_interval_is_refused(rep3_spc6, q):
             call()
 
 
+@pytest.mark.parametrize("q", [1.5, -0.5, math.inf, math.nan])
+def test_at_q_refuses_q_outside_the_unit_interval(g32var_spc6, q):
+    # unchecked, q = 1.5 gave I_E = -0.25 at p = 1 and q = inf raised OverflowError
+    for call in (lambda: vnd_evaluator_at_q(g32var_spc6, q),
+                 lambda: exit_coefficients(ComponentCode.from_text(SPC_32_TEXT), "variable").at_q(q)):
+        with pytest.raises(ValueError, match=re.escape(f"q must be in [0, 1], got {q}")):
+            call()
+
+
 def test_chart_tunnel_open_below_threshold(rep3_spc6):
     gaps = [v - c for _, v, c in sample_exit_chart(rep3_spc6, 0.3, 101)]
     assert all(g > 0 for g in gaps[:-1])  # endpoint (1,1) is shared by both curves
