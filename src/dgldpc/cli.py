@@ -42,8 +42,6 @@ def _format_json(value, indent: int = 0) -> str:
     """Deterministic JSON: insertion-ordered keys, .17g floats, inf -> "inf", lone surrogates -> \\udcXX."""
     pad = "  " * indent
     if isinstance(value, dict):
-        if not value:
-            return "{}"
         items = ",\n".join(
             f"{pad}  {_format_json(k)}: {_format_json(v, indent + 1)}" for k, v in value.items()
         )

@@ -46,19 +46,13 @@ from .stability import dgldpc_stability_boundary
 MAX_HALVINGS = 40
 
 
-class DeRun(namedtuple("DeRun", "success final_x iters trace", defaults=(None,))):
-    """Outcome of one density-evolution run at fixed q; a recorded trace holds (iteration, x) pairs."""
+class DeRun(namedtuple("DeRun", "success final_x iters trace")):
+    """Outcome of one density-evolution run at fixed q; trace holds its (iteration, x) pairs."""
 
     __slots__ = ()
 
 
-class ThresholdResult(
-    namedtuple(
-        "ThresholdResult",
-        "q_star bisection_steps converged residual_trace x_star",
-        defaults=(None, 0.0),
-    )
-):
+class ThresholdResult(namedtuple("ThresholdResult", "q_star bisection_steps converged residual_trace x_star")):
     """Decoding threshold, how it was decided, and what limits it.
 
     bisection_steps counts the probes; converged is False only when q = 1
@@ -74,8 +68,7 @@ class ThresholdResult(
     __slots__ = ()
 
 
-def de_iterate(ens: Ensemble, q: float, max_iters: int = 100_000, tol: float = 1e-12,
-               record_trace: bool = False) -> DeRun:
+def de_iterate(ens: Ensemble, q: float, max_iters: int = 100_000, tol: float = 1e-12) -> DeRun:
     """Run the fixed-point recursion at channel erasure q, x' = x c(x) v_q(x c(x))
     by bernstein_eval on rows 1.. of the mixtures, each correctly rounded.
 
@@ -91,18 +84,16 @@ def de_iterate(ens: Ensemble, q: float, max_iters: int = 100_000, tol: float = 1
     n, m = q.as_integer_ratio()
     c, v = ([a / den for a in rows[1:]] for rows, den in (mixture_polynomial(ens, "check").at_dyadic_q(),
                                                           mixture_polynomial(ens, "variable").at_dyadic_q(n, m)))
-    x, iters = bernstein_eval(v, 1.0), 1
-    trace = [(iters, x)] if record_trace else None
-    while x >= tol and iters < max_iters:
+    x = bernstein_eval(v, 1.0)
+    trace = [(1, x)]
+    while x >= tol and len(trace) < max_iters:
         cx = bernstein_eval(c, x)
         x_next = x * (cx * bernstein_eval(v, x * cx))
-        iters += 1
-        if trace is not None:
-            trace.append((iters, x_next))
+        trace.append((len(trace) + 1, x_next))
         if x_next >= x:
             break
         x = x_next
-    return DeRun(success=x < tol, final_x=x, iters=iters, trace=None if trace is None else tuple(trace))
+    return DeRun(success=x < tol, final_x=x, iters=len(trace), trace=tuple(trace))
 
 
 @lru_cache(maxsize=ENSEMBLE_CACHE_SIZE)

@@ -197,6 +197,12 @@ def test_report_strings_escape_control_characters(e36_path, tmp_path, capsys):
     assert cli._format_json("\x00\x1f\b\f\n\x7f\u00e9") == json.dumps("\x00\x1f\b\f\n\x7f\u00e9", ensure_ascii=False)
 
 
+def test_a_value_json_cannot_hold_is_refused_not_written():
+    # without the refusal, the dict branch would write None into the report
+    with pytest.raises(TypeError, match="^cannot serialize object$"):
+        cli._format_json({"a": object()})
+
+
 def test_a_path_that_is_not_utf8_is_escaped_in_the_report(e36_path, tmp_path):
     # the undecodable byte reaches Python as a lone surrogate, which UTF-8
     # cannot encode: the report carries it as the JSON escape \udcff
@@ -330,6 +336,28 @@ def test_invalid_nodes_exit_2_with_a_labelled_error(variables, label, tmp_path, 
     assert captured.out == ""
     assert captured.err.startswith(f"error: {label}: ")
     assert captured.err.count("\n") == 1
+
+
+SPC6 = {"kind": "spc", "length": 6, "edge_fraction": 1.0}
+
+MALFORMED_ENSEMBLES = [
+    pytest.param([], "top level must be an object", id="array-top-level"),
+    pytest.param({"variable_nodes": [rep(3)], "check_nodes": [SPC6], "x": 1}, "unknown top-level keys ['x']",
+                 id="unknown-key"),
+    pytest.param({"variable_nodes": 3, "check_nodes": [SPC6]}, "variable_nodes must be an array of node objects",
+                 id="side-not-an-array"),
+    pytest.param({"variable_nodes": [3], "check_nodes": [SPC6]}, "variable_nodes[0]: expected an object, got int",
+                 id="node-not-an-object"),
+    pytest.param({"variable_nodes": [], "check_nodes": [SPC6]}, "variable side has no node types", id="empty-side"),
+]
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED_ENSEMBLES)
+def test_malformed_ensembles_exit_2_with_their_error(doc, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["analyze", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_missing_file_status(capsys):

@@ -55,6 +55,7 @@ def test_perfect_channel_converges_immediately(rep3_spc6):
     assert run.success
     assert run.iters == 1
     assert run.final_x == 0.0
+    assert run.trace == ((1, 0.0),)
 
 
 def test_rep3_spc6_around_threshold(rep3_spc6):
@@ -74,7 +75,7 @@ def test_de_above_threshold_stops_at_its_fixed_point(rep3_spc6_threshold):
 
 
 def test_trajectory_trace_is_monotone(rep3_spc6):
-    run = de_iterate(rep3_spc6, 0.3, record_trace=True)
+    run = de_iterate(rep3_spc6, 0.3)
     assert run.success
     xs = [x for _, x in run.trace]
     assert all(b <= a for a, b in zip(xs, xs[1:]))
@@ -133,7 +134,7 @@ def test_de_steps_do_not_cancel_near_zero(rep2_spc6):
         return Fraction(q) * (1 - (1 - Fraction(x)) ** 5)
 
     g = exact_g(rep2_spc6, q)
-    xs = [x for _, x in de_iterate(rep2_spc6, q, tol=1e-14, record_trace=True).trace]
+    xs = [x for _, x in de_iterate(rep2_spc6, q, tol=1e-14).trace]
     for level in (1e-6, 1e-9, 1e-12):
         # the oracle, against the closed form
         assert Fraction(level) * poly_value(g, Fraction(level)) == exact_step(level)
@@ -165,7 +166,7 @@ def test_de_trajectories_rise_only_by_float_error(variables, checks, q):
     mv, k = len(rows) - 2, len(rows[0]) - 1
     g, e = gamma(5 * (mc + k + mv) + 13), gamma(5 * mc + 5)
     rho = (1 + g) / (1 - g) * ((1 + e) / (1 - e)) ** (mv + 2)
-    xs = [Fraction(x) for _, x in de_iterate(ens, q, max_iters=2000, record_trace=True).trace]
+    xs = [Fraction(x) for _, x in de_iterate(ens, q, max_iters=2000).trace]
     assert all(b <= rho * a for a, b in zip(xs, xs[1:]))
 
 

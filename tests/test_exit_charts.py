@@ -280,6 +280,12 @@ def test_inverse_refuses_a_target_just_below_the_check_curve_range():
     assert inverse_exit_cnd(ens, cnd_evaluator(ens)(1.0)) == 1.0
 
 
+@pytest.mark.parametrize("target", [1.5, -0.5, math.nan])
+def test_inverse_refuses_a_target_outside_the_unit_interval(rep3_spc6, target):
+    with pytest.raises(ValueError, match=re.escape(f"inversion target must be in [0, 1], got {target}")):
+        inverse_exit_cnd(rep3_spc6, target)
+
+
 def test_nearest_float_root_bisects_to_the_frozen_bracket():
     calls = []
 

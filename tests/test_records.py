@@ -34,7 +34,7 @@ def sample_records():
         ensemble([rep_node(3, 1.0)], [spc_node(6, 1.0)]),
         ExitPolynomial(((0,), (1,)), 2),
         DeRun(True, 0.0, 3, ((1, 0.5), (2, 0.25), (3, 0.0))),
-        ThresholdResult(0.2, 7, True),
+        ThresholdResult(0.2, 7, True, None, 0.0),
         applicability,
         StabilityCheck(True, 0.1, 0.2, 0.1),
         BoundaryResult((0.2,), False),
@@ -138,9 +138,9 @@ def test_keyword_construction_and_defaults():
     assert (generic.length, generic.generator) == (None, gen)
     assert NodeType("spc", 0.5, 6) == spc
     assert Ensemble(check_types=(spc,), variable_types=(generic,)).variable_types == (generic,)
-    result = ThresholdResult(q_star=0.2, bisection_steps=1, converged=True)
-    assert (result.residual_trace, result.x_star) == (None, 0.0)
-    assert DeRun(success=False, final_x=0.5, iters=9).trace is None
+    result = ThresholdResult(q_star=0.2, bisection_steps=1, converged=True, residual_trace=None, x_star=0.0)
+    assert result == ThresholdResult(0.2, 1, True, None, 0.0)
+    assert DeRun._field_defaults == ThresholdResult._field_defaults == {}
     with pytest.raises(TypeError):
         NodeType(kind="spc")
     with pytest.raises(TypeError):
